@@ -44,7 +44,7 @@ std::unique_ptr<Harness> MakeHarness(bool lock_free,
   harness->model =
       std::make_unique<train::MlpModel>(train::MlpConfig{{16, 64, 64, 4}});
   train::TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.lock_free = lock_free;
   options.master_device = master_device;

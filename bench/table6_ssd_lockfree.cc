@@ -118,7 +118,7 @@ void RealConvergencePart(const std::string& json_path) {
 
     const train::MlpModel model({{32, 256, 256, 8}});
     train::TrainerOptions options;
-    options.adam.learning_rate = 3e-3;
+    options.optimizer.learning_rate = 3e-3;
     options.batch_size = 64;
     options.seed = 7;
     options.master_device = mem::DeviceKind::kSsd;

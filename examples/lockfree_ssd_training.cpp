@@ -36,7 +36,7 @@ int main() {
 
     const train::MlpModel model({{32, 256, 256, 8}});
     train::TrainerOptions options;
-    options.adam.learning_rate = 3e-3;
+    options.optimizer.learning_rate = 3e-3;
     options.batch_size = 64;
     options.master_device = mem::DeviceKind::kSsd;
     options.lock_free = lock_free;

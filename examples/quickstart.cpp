@@ -27,7 +27,7 @@ int main() {
   options.memory.page_bytes = 16 * 1024;
   options.memory.gpu_capacity_bytes = 256 * 1024;
   options.memory.cpu_capacity_bytes = 64ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
 
   auto engine = core::Engine::Create(options);
   ANGEL_CHECK_OK(engine.status());

@@ -49,9 +49,14 @@
 #     artifact), and a seeded schedule-perturbation sweep over the
 #     updater / copy-engine / SSD / dist suites.
 #
+#   * A perfbench pass: the end-to-end training benchmark (perfbench/)
+#     builds against ../src and runs its smoke mode — every workload for a
+#     few steps, timed and traced, with all of its output checks — so a
+#     Trainer or Engine API change that breaks the benchmark fails here.
+#
 # Usage: scripts/check.sh
 #   [--tier1-only|--tsan-only|--asan-only|--trace-smoke|--lint|--simd|--ssd|
-#    --optimizers|--dist|--lockdep]
+#    --optimizers|--dist|--lockdep|--perfbench]
 set -e
 cd "$(dirname "$0")/.."
 
@@ -242,8 +247,10 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   # quiesces a *running* lock-free updater layer by layer, and the recovery
   # loop tears threads down mid-error — any lock the snapshot path misses
   # surfaces here (see DESIGN.md §9).
+  # The suite is parameterized over both step backends (direct and paged),
+  # so its names carry a prefix: Backends/RecoveryTest.<case>/<backend>.
   TSAN_OPTIONS="halt_on_error=1" \
-    ./build-tsan/tests/train_test --gtest_filter='RecoveryTest.*'
+    ./build-tsan/tests/train_test --gtest_filter='*RecoveryTest.*'
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test \
       --gtest_filter='CheckpointTest.*:CheckpointManagerTest.*'
@@ -303,6 +310,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
       ./build-lockdep/tests/dist_test \
         --gtest_filter='ProcessGroupTest.*:ShardedDpTest.*'
   done
+fi
+
+if [ "$MODE" = all ] || [ "$MODE" = --perfbench ]; then
+  echo "=== perfbench: end-to-end benchmark smoke (all workloads, both modes) ==="
+  python3 perfbench/run.py --smoke
 fi
 
 echo "check.sh: OK"

@@ -35,9 +35,8 @@ namespace angelptm::core {
 /// Older versions still load: v2 files (fixed count|adam_step|p32|m32|v32
 /// layers) are read as Adam states with {m, v} slots; v1 files additionally
 /// predate the progress block, so their progress fields come back defaulted
-/// with `has_progress == false` and the caller replays the dataset cursor
-/// from the step count instead (approximate resume from step 0 of the data
-/// stream — see SyntheticRegression::SkipBatches).
+/// with `has_progress == false` (step 0). A trainer resuming from one keeps
+/// the master states and restarts its step counter and data stream at 0.
 ///
 /// The checksum makes torn/corrupt checkpoints detectable — a restart after
 /// a mid-write crash must fail loudly, not resume from garbage.
@@ -58,7 +57,7 @@ struct TrainProgress {
   uint64_t scaler_overflows = 0;
   uint64_t scaler_growths = 0;
   /// False when the file predates the progress block (v1): everything above
-  /// is defaulted and the caller must replay the cursor itself.
+  /// is defaulted.
   bool has_progress = false;
 };
 

@@ -4,7 +4,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/adam.h"
 #include "core/allocator.h"
 #include "core/lockfree_updater.h"
 #include "core/optimizer/optimizer.h"
@@ -23,9 +22,6 @@ struct EngineOptions {
   mem::HierarchicalMemoryOptions memory;
   /// Update rule + hyper-parameters (core/optimizer/optimizer.h).
   OptimizerConfig optimizer;
-  /// Legacy Adam knobs (see TrainerOptions::adam): non-default fields
-  /// override `optimizer` via ResolveLegacyAdam. Prefer `optimizer`.
-  AdamConfig adam;
   /// Enable the lock-free updating mechanism (Algorithm 2).
   bool lock_free = false;
   /// Tier holding the fp32 master states (kSsd for §6.5's extreme scale).

@@ -235,11 +235,19 @@ void LockFreeUpdater::Start() {
 
 void LockFreeUpdater::Stop() {
   if (!running_.exchange(false)) return;
-  queue_cv_.NotifyAll();
+  // Producer before consumer: the updating thread queues parameter installs
+  // for the buffering thread, so it is joined first; the buffering thread
+  // then applies every install still queued before it exits.
   backpressure_cv_.NotifyAll();
   SignalWork();
-  if (buffering_thread_.joinable()) buffering_thread_.join();
   if (updating_thread_.joinable()) updating_thread_.join();
+  {
+    // Serializes with the buffering thread's predicate check, so it is
+    // either already waiting for this wakeup or sees running_ == false.
+    util::MutexLock lock(queue_mutex_);
+  }
+  queue_cv_.NotifyAll();
+  if (buffering_thread_.joinable()) buffering_thread_.join();
 }
 
 void LockFreeUpdater::SignalWork() {

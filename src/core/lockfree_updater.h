@@ -146,8 +146,9 @@ class LockFreeUpdater {
 
   /// Spawns the buffering and updating threads (asynchronous mode).
   void Start();
-  /// Joins the threads. Pending gradients stay buffered.
-  void Stop() ANGEL_EXCLUDES(work_mutex_);
+  /// Joins the threads, the updating thread first, so no parameter install
+  /// it queued is left behind. Pending gradients stay buffered.
+  void Stop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   bool running() const { return running_.load(); }
 
   /// Synchronous baseline: applies one full update pass inline (every dirty

@@ -112,7 +112,7 @@ std::vector<std::string> RegisteredOptimizers();
 void EnsureBuiltinOptimizersRegistered();
 
 /// Back-compat shim for the pre-redesign `AdamConfig` knobs that still live
-/// on TrainerOptions/EngineOptions: any legacy field that differs from its
+/// on dist::ShardedDpOptions: any legacy field that differs from its
 /// AdamConfig default overrides the matching OptimizerConfig field. Callers
 /// that never touch the legacy struct get `config` unchanged.
 OptimizerConfig ResolveLegacyAdam(OptimizerConfig config,

@@ -75,8 +75,8 @@ struct ShardedDpOptions {
   /// shard (the slot layout is computed per shard, so e.g. adafactor
   /// factors each shard's own rows x cols grid).
   core::OptimizerConfig optimizer;
-  /// Legacy Adam knobs (see TrainerOptions::adam): non-default fields
-  /// override `optimizer` via core::ResolveLegacyAdam.
+  /// Legacy Adam knobs: non-default fields override `optimizer` via
+  /// core::ResolveLegacyAdam. Prefer `optimizer`.
   core::AdamConfig adam;
   /// Per-rank micro-batch; the global batch is world_size * batch_per_rank.
   size_t batch_per_rank = 8;

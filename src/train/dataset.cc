@@ -56,13 +56,4 @@ void SyntheticRegression::GenBatch(util::Rng* rng, size_t batch,
   }
 }
 
-void SyntheticRegression::SkipBatches(util::Rng* rng, size_t batch,
-                                      long batches) const {
-  // GenBatch's draws all go through NextGaussian, whose Box-Muller pairing
-  // makes the number of raw Next() calls data-dependent — so the only exact
-  // replay is to regenerate the batches and discard them.
-  std::vector<float> x, y;
-  for (long i = 0; i < batches; ++i) GenBatch(rng, batch, &x, &y);
-}
-
 }  // namespace angelptm::train

@@ -28,12 +28,6 @@ class SyntheticRegression {
   void GenBatch(util::Rng* rng, size_t batch, std::vector<float>* x,
                 std::vector<float>* y) const;
 
-  /// Advances `rng` exactly as `batches` GenBatch calls of size `batch`
-  /// would, without materializing the data. Replays the dataset cursor when
-  /// resuming from a checkpoint that recorded only a step count (v1 files);
-  /// v2 checkpoints restore the Rng state directly and skip nothing.
-  void SkipBatches(util::Rng* rng, size_t batch, long batches) const;
-
  private:
   void Teacher(const float* x, float* y) const;
 

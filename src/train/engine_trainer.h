@@ -1,110 +1,28 @@
 #ifndef ANGELPTM_TRAIN_ENGINE_TRAINER_H_
 #define ANGELPTM_TRAIN_ENGINE_TRAINER_H_
 
-#include <memory>
-#include <vector>
-
-#include "core/checkpoint_manager.h"
 #include "core/engine.h"
-#include "train/dataset.h"
-#include "train/layered_model.h"
 #include "train/trainer.h"
-#include "util/random.h"
-#include "util/status.h"
 
 namespace angelptm::train {
 
-/// The full-system training loop: every step goes through the paged Engine
-/// — parameters staged into the fast tier on the unified schedule, boundary
-/// activations stashed on hierarchical memory and interiors recomputed in
-/// backward (§4.2), gradients offloaded to the (optionally lock-free)
-/// updater. This is `train::Trainer` with the Angel-PTM runtime actually
-/// underneath it instead of direct buffer access.
-struct EngineTrainerOptions {
+/// Options of the full-system (paged) backend of train::Trainer: every step
+/// goes through the paged Engine — parameters staged into the fast tier on
+/// the unified schedule, boundary activations stashed on hierarchical
+/// memory and interiors recomputed in backward (§4.2), gradients offloaded
+/// to the (optionally lock-free) updater. Loss scaling, gradient
+/// accumulation and bf16 compute are direct-backend features.
+struct EngineTrainerOptions : TrainLoopOptions {
+  /// Memory tiers, update rule, lock-free mode and master-state tier.
   core::EngineOptions engine;
-  size_t batch_size = 32;
   /// Stash boundary activations on the hierarchical memory and recompute
   /// layer interiors in backward (§4.2). When false the caller-side stash
   /// stays in host vectors like a conventional framework.
   bool offload_activations = true;
-  uint64_t seed = 1234;
-  /// Upper bound on the end-of-training drain in lock-free mode.
-  int drain_deadline_ms = 60000;
-
-  // --- Fault tolerance (§3.1; DESIGN.md §9). Same semantics as the
-  // corresponding TrainerOptions fields. ---
-  int checkpoint_every_n_steps = 0;
-  std::string checkpoint_dir;
-  int checkpoint_keep_last = 3;
-  /// When > 0, Train() rebuilds the whole Engine (memory hierarchy, copy
-  /// engine, updater — the schedule re-traces on the first post-recovery
-  /// step) from the latest valid checkpoint after an updater poisoning.
-  int max_recoveries = 0;
 };
 
-class EngineTrainer {
- public:
-  /// `model` must outlive the trainer.
-  EngineTrainer(const LayeredModel* model,
-                const EngineTrainerOptions& options);
-
-  EngineTrainer(const EngineTrainer&) = delete;
-  EngineTrainer& operator=(const EngineTrainer&) = delete;
-
-  /// Creates the engine and registers every layer.
-  [[nodiscard]] util::Status Init();
-
-  /// Restores the newest valid checkpoint into the engine's updater and
-  /// rewinds the step counter / data cursor. Returns false when no
-  /// checkpoint exists. Call after Init(), before Train().
-  [[nodiscard]] util::Result<bool> TryResume(const SyntheticRegression* dataset = nullptr);
-
-  /// Runs `steps` training steps; same report shape as train::Trainer.
-  /// With `max_recoveries > 0`, an updater poisoning is absorbed by
-  /// rebuilding the engine from the latest valid checkpoint.
-  [[nodiscard]] util::Result<TrainReport> Train(const SyntheticRegression& dataset,
-                                  int steps);
-
-  core::Engine* engine() { return engine_.get(); }
-  core::CheckpointManager* checkpoint_manager() { return ckpt_manager_.get(); }
-  int64_t global_step() const { return global_step_; }
-  uint64_t recoveries() const { return recoveries_; }
-
- private:
-  [[nodiscard]] util::Result<double> Step(const std::vector<float>& x,
-                            const std::vector<float>& y);
-
-  /// Creates the engine and registers every layer, drawing the initial
-  /// parameters from `rng` (shared by Init and the recovery rebuild).
-  [[nodiscard]] util::Status BuildEngine(util::Rng* rng);
-  /// The step loop from global_step_ to `target_step`, checkpointing
-  /// periodically and draining at the end.
-  [[nodiscard]] util::Status TrainRange(const SyntheticRegression& dataset,
-                          int64_t target_step, TrainReport* report);
-  [[nodiscard]] util::Status Recover(const util::Status& cause,
-                       const SyntheticRegression& dataset);
-  void RestoreProgress(const core::TrainProgress& progress,
-                       const SyntheticRegression* dataset);
-  core::TrainProgress CurrentProgress() const;
-
-  const LayeredModel* model_;
-  EngineTrainerOptions options_;
-  std::unique_ptr<core::Engine> engine_;
-  std::unique_ptr<core::CheckpointManager> ckpt_manager_;
-  util::Rng rng_;
-  int64_t global_step_ = 0;
-  uint64_t recoveries_ = 0;
-
-  /// Per-run phase timers (reset at Train()); the same series also feed the
-  /// process-wide "train/fwd_us" etc. registry histograms.
-  obs::HistogramData fwd_us_;
-  obs::HistogramData bwd_us_;
-  obs::HistogramData opt_us_;
-  obs::Histogram* metric_fwd_us_ = nullptr;
-  obs::Histogram* metric_bwd_us_ = nullptr;
-  obs::Histogram* metric_opt_us_ = nullptr;
-  obs::Counter* metric_recoveries_ = nullptr;
-};
+/// The paged training loop is a Trainer built from EngineTrainerOptions.
+using EngineTrainer = Trainer;
 
 }  // namespace angelptm::train
 

@@ -103,7 +103,7 @@ TEST_F(CheckpointTest, ResumedTrainingContinuesFromCheckpoint) {
   train::SyntheticRegression dataset(8, 16, 2, 5);
 
   train::TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_size = 16;
   options.seed = 3;
 

@@ -22,7 +22,7 @@ EngineOptions SmallEngineOptions(uint64_t gpu_pages = 6) {
   options.memory.page_bytes = 16 * 1024;
   options.memory.gpu_capacity_bytes = gpu_pages * 16 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   return options;
 }
 
@@ -376,7 +376,7 @@ TEST(EngineTest, HitWaitAccountingCoversEveryScheduledUseExactlyOnce) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});
@@ -445,7 +445,7 @@ TEST(EngineTest, FailedPrefetchMovesAreCountedNotLost) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});
@@ -486,7 +486,7 @@ TEST(EngineTest, ModelLargerThanGpuStillTrainsViaPaging) {
   options.memory.page_bytes = 4 * 1024;
   options.memory.gpu_capacity_bytes = 3 * 4 * 1024;
   options.memory.cpu_capacity_bytes = 16ull << 20;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   auto engine = Engine::Create(options);
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 48, 48, 4}});

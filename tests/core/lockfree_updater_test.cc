@@ -11,6 +11,7 @@
 
 #include "core/adam.h"
 #include "util/fault_injector.h"
+#include "util/half.h"
 
 namespace angelptm::core {
 namespace {
@@ -249,6 +250,34 @@ TEST_F(LockFreeUpdaterTest, StartStopIdempotent) {
   updater.Stop();
   updater.Stop();
   SUCCEED();
+}
+
+TEST_F(LockFreeUpdaterTest, StopLeavesNoParameterInstallBehind) {
+  // Training stops and restarts the threads on every Train() call. After
+  // each Stop(), p'16 must hold the fp16 cast of the masters: an install the
+  // updating thread queued while the threads shut down is applied, not left
+  // in the queue.
+  LockFreeUpdater updater(&allocator_, UpdaterOptions());
+  const std::vector<float> init(256, 1.0f);
+  ASSERT_TRUE(updater.AddLayer(init).ok());
+  ASSERT_TRUE(updater.AddLayer(init).ok());
+  for (int cycle = 0; cycle < 50; ++cycle) {
+    updater.Start();
+    for (int l = 1; l >= 0; --l) {
+      ASSERT_TRUE(
+          updater.OffloadGrads(l, std::vector<float>(256, 0.01f)).ok());
+    }
+    updater.Stop();  // No drain: updates may still be in flight.
+    for (int l = 0; l < 2; ++l) {
+      std::vector<float> master, fetched;
+      ASSERT_TRUE(updater.ReadMasterParams(l, &master).ok());
+      ASSERT_TRUE(updater.FetchParams(l, &fetched).ok());
+      for (float& m : master) {
+        m = util::HalfBitsToFloat(util::FloatToHalfBits(m));
+      }
+      ASSERT_EQ(fetched, master) << "cycle " << cycle << ", layer " << l;
+    }
+  }
 }
 
 /// Failure semantics: injected faults must poison the updater and surface

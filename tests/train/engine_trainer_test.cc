@@ -18,7 +18,7 @@ EngineTrainerOptions BaseOptions(uint64_t gpu_pages = 16) {
   options.engine.memory.page_bytes = 16 * 1024;
   options.engine.memory.gpu_capacity_bytes = gpu_pages * 16 * 1024;
   options.engine.memory.cpu_capacity_bytes = 32ull << 20;
-  options.engine.adam.learning_rate = 3e-3;
+  options.engine.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.seed = 7;
   return options;
@@ -60,7 +60,7 @@ TEST(EngineTrainerTest, MatchesDirectTrainerExactly) {
   mem::HierarchicalMemory memory(memory_options);
   core::Allocator allocator(&memory);
   TrainerOptions direct_options;
-  direct_options.adam.learning_rate = 3e-3;
+  direct_options.optimizer.learning_rate = 3e-3;
   direct_options.batch_size = 32;
   direct_options.seed = 7;
   Trainer direct_trainer(&allocator, &model, direct_options);
@@ -73,6 +73,16 @@ TEST(EngineTrainerTest, MatchesDirectTrainerExactly) {
     EXPECT_EQ(engine_report->losses[i], direct_report->losses[i]) << i;
   }
   EXPECT_EQ(engine_report->validation_loss, direct_report->validation_loss);
+  // One report path: the fields neither backend scales agree too.
+  EXPECT_EQ(engine_report->final_loss_scale, direct_report->final_loss_scale);
+  EXPECT_EQ(engine_report->overflow_steps_skipped,
+            direct_report->overflow_steps_skipped);
+  auto engine_valid = engine_trainer.Validate(dataset, 8);
+  auto direct_valid = direct_trainer.Validate(dataset, 8);
+  ASSERT_TRUE(engine_valid.ok()) << engine_valid.status();
+  ASSERT_TRUE(direct_valid.ok()) << direct_valid.status();
+  EXPECT_EQ(*engine_valid, *direct_valid);
+  EXPECT_EQ(*engine_valid, engine_report->validation_loss);
 }
 
 TEST(EngineTrainerTest, OffloadedActivationsStayCloseToUnoffloaded) {

@@ -85,7 +85,7 @@ TEST(LossScalerTest, TrainerWithScalingStillConverges) {
 
   const MlpModel model({{16, 64, 4}});
   TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.use_loss_scaling = true;
   options.loss_scaler.initial_scale = 1024.0;
@@ -114,7 +114,7 @@ TEST(LossScalerTest, TrainerSkipsOverflowedSteps) {
 
   const MlpModel model({{16, 64, 4}});
   TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.use_loss_scaling = true;
   // Large enough that even after ten 0.5x backoffs the scaled gradients

@@ -30,7 +30,7 @@ const MlpModel& TestModel() {
 
 TrainerOptions BaseOptions() {
   TrainerOptions options;
-  options.adam.learning_rate = 3e-3;
+  options.optimizer.learning_rate = 3e-3;
   options.batch_size = 32;
   options.seed = 7;
   return options;
