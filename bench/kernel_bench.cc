@@ -12,11 +12,13 @@
 //     for bandwidth-bound ones, with the FLOP/byte conventions spelled
 //     out at the definition site below.
 //
-// The run also enforces a GEMM-variant regression guard: at every thread
-// count, neither transposed variant may be more than 2x slower than the
-// plain GEMM (packing absorbs the transposes, so they should be within
-// noise of each other). Violations exit non-zero so CI can catch a
-// reintroduced strided inner loop.
+// The run also enforces two regression guards, each exiting non-zero so
+// CI catches them:
+//   - GEMM variants: at every thread count, neither transposed variant may
+//     be more than 2x slower than the plain GEMM (packing absorbs the
+//     transposes, so they should be within noise of each other);
+//   - attention: the dispatched attention forward and backward on one
+//     thread must beat their serial double-precision references.
 //
 // Usage: kernel_bench [output.json] [gemm_size]
 //   output.json defaults to BENCH_kernels.json in the working directory;
@@ -261,6 +263,42 @@ int Main(int argc, char** argv) {
                            vocab);
                      }});
 
+  // Causal attention at the direct_sync_longseq shape: batch 8, seq 256,
+  // 4 heads of 32. FLOP convention: only the causal pairs j <= i count,
+  // s(s+1)/2 per (sample, head), at 2 FLOPs per multiply-add over dh. The
+  // forward is 2 such products (QK^T, PV), the backward 4 (dO V^T, P^T dO,
+  // dS K, dS^T Q); the softmax and its backward are not counted.
+  const size_t ab = 8, as = 256, ah = 4, adh = 32, arows = ab * as * ah * adh;
+  const double causal_pairs =
+      double(ab) * double(ah) * double(as) * double(as + 1) / 2.0;
+  const std::string ashape = std::to_string(ab) + "x" + std::to_string(as) +
+                             " h" + std::to_string(ah) + " dh" +
+                             std::to_string(adh);
+  std::vector<float> att_q(arows), att_k(arows), att_v(arows), att_do(arows);
+  rng.FillGaussian(&att_q, 1.0);
+  rng.FillGaussian(&att_k, 1.0);
+  rng.FillGaussian(&att_v, 1.0);
+  rng.FillGaussian(&att_do, 1.0);
+  std::vector<float> att_o(arows), att_p(ab * ah * as * as);
+  std::vector<float> att_dq(arows), att_dk(arows), att_dv(arows);
+  auto attention_fwd = [&](auto fn) {
+    fn(att_q.data(), att_k.data(), att_v.data(), att_o.data(), att_p.data(),
+       ab, as, ah, adh);
+  };
+  auto attention_bwd = [&](auto fn) {
+    fn(att_q.data(), att_k.data(), att_v.data(), att_p.data(), att_do.data(),
+       att_dq.data(), att_dk.data(), att_dv.data(), ab, as, ah, adh);
+  };
+  attention_fwd(train::CausalAttention);  // The backward reads att_p.
+  kernels.push_back(
+      {"attention_fwd", ashape, 2.0 * 2.0 * double(adh) * causal_pairs, 0.0,
+       [&] { attention_fwd(train::CausalAttention); },
+       [&] { attention_fwd(train::reference::CausalAttention); }});
+  kernels.push_back(
+      {"attention_bwd", ashape, 4.0 * 2.0 * double(adh) * causal_pairs, 0.0,
+       [&] { attention_bwd(train::CausalAttentionBackward); },
+       [&] { attention_bwd(train::reference::CausalAttentionBackward); }});
+
   // adam_update: bandwidth-bound. Reads p/m/v/g, writes p/m/v = 28
   // bytes/element. 16M elements = one optimizer step over a 64 MiB layer,
   // the lock-free updater's per-layer unit of work.
@@ -328,6 +366,19 @@ int Main(int argc, char** argv) {
     std::cout << "\n";
   }
 
+  // Attention guard: one dispatched thread against the serial reference.
+  bool attention_ok = true;
+  for (const Measurement& ref : reference) {
+    if (ref.name.rfind("attention_", 0) != 0) continue;
+    for (const Measurement& m : blocks.front()) {
+      if (m.name != ref.name || m.ms < ref.ms) continue;
+      std::cerr << "REGRESSION: " << m.name << " takes " << FmtMs(m.ms)
+                << " on 1 thread, not faster than the reference's "
+                << FmtMs(ref.ms) << "\n";
+      attention_ok = false;
+    }
+  }
+
   // --- JSON. ---
   std::ofstream out(out_path);
   out << std::setprecision(6) << std::fixed;
@@ -338,6 +389,8 @@ int Main(int argc, char** argv) {
   out << "  \"host_cpus\": " << host_cpus << ",\n";
   out << "  \"gemm_regression_ok\": " << (regression_ok ? "true" : "false")
       << ",\n";
+  out << "  \"attention_faster_than_reference\": "
+      << (attention_ok ? "true" : "false") << ",\n";
   out << "  \"reference\": [\n";
   for (size_t i = 0; i < reference.size(); ++i) {
     JsonEntry(out, reference[i], i + 1 == reference.size());
@@ -366,6 +419,10 @@ int Main(int argc, char** argv) {
             << simd_path << " path)\nWrote " << out_path << "\n";
   if (!regression_ok) {
     std::cerr << "GEMM-variant regression guard failed (see above)\n";
+    return 1;
+  }
+  if (!attention_ok) {
+    std::cerr << "attention regression guard failed (see above)\n";
     return 1;
   }
   return 0;

@@ -18,11 +18,12 @@
 #     run when the tools are installed and skip with a notice otherwise
 #     (the CI lint job installs them).
 #
-#   * A SIMD dispatch pass (DESIGN.md §11): the kernel golden tests re-run
-#     with ANGELPTM_SIMD forced to each path, proving the env override is
-#     honored end to end and that both code paths match train::reference::
-#     on whatever host this runs on (the avx2-path tests skip themselves on
-#     hosts without AVX2+FMA).
+#   * A SIMD dispatch pass (DESIGN.md §11): the kernel golden tests and the
+#     Transformer suite re-run with ANGELPTM_SIMD forced to each path,
+#     proving the env override is honored end to end and that both code
+#     paths match train::reference:: on whatever host this runs on (the
+#     avx2-path tests skip themselves on hosts without AVX2+FMA); then a
+#     kernel_bench smoke runs its GEMM-variant and attention guards.
 #
 #   * An SSD pipeline pass (DESIGN.md §12): the pipeline bench runs in
 #     smoke mode, then the mem and engine suites re-run with
@@ -110,18 +111,25 @@ fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
   echo "=== SIMD dispatch: golden tests under both ANGELPTM_SIMD paths ==="
-  if [ ! -x build/tests/train_test ]; then
+  if [ ! -x build/tests/train_test ] || [ ! -x build/bench/kernel_bench ]; then
     cmake -B build -S .
-    cmake --build build -j --target train_test
+    cmake --build build -j --target train_test kernel_bench
   fi
   # The dispatch cache resolves the env var once per process, so each
   # forced path gets its own process. The golden suite is parameterized
   # over both paths internally; forcing the env on top proves the
   # env-override plumbing (not just ScopedForceIsa) selects the path.
+  # TransformerTest is not parameterized, so the env is what moves its
+  # attention and other kernels between the paths.
   ANGELPTM_SIMD=scalar ./build/tests/train_test \
-    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*'
+    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*:TransformerTest.*'
   ANGELPTM_SIMD=avx2 ./build/tests/train_test \
-    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*'
+    --gtest_filter='*KernelGoldenTest*:SimdDispatchTest.*:TransformerTest.*'
+  # Smoke geometry (256^3 GEMM); the attention rows keep the
+  # direct_sync_longseq shape. Exit 1 if a transposed GEMM is >2x slower
+  # than gemm or the dispatched attention is not faster than its
+  # reference.
+  ./build/bench/kernel_bench build/BENCH_kernels_smoke.json 256
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then

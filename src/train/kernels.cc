@@ -174,6 +174,68 @@ void GemmPackedAvx2(const float* a, size_t rs_a, size_t cs_a, const float* b,
       });
 }
 
+/// Copies one head's s x dh column block out of a row-major matrix with
+/// leading dimension `ld` into a contiguous panel, and back.
+void GatherHead(const float* src, size_t ld, size_t s, size_t dh,
+                float* panel) {
+  for (size_t i = 0; i < s; ++i) {
+    std::memcpy(panel + i * dh, src + i * ld, dh * sizeof(float));
+  }
+}
+
+void ScatterHead(const float* panel, size_t s, size_t dh, float* dst,
+                 size_t ld) {
+  for (size_t i = 0; i < s; ++i) {
+    std::memcpy(dst + i * ld, panel + i * dh, dh * sizeof(float));
+  }
+}
+
+/// Causal row softmax of one s x s score block; see
+/// simd::avx2::CausalSoftmax for the contract.
+void CausalSoftmax(const float* scores, float* probs, size_t s, float scale,
+                   bool use_avx2) {
+  if (use_avx2) {
+    simd::avx2::CausalSoftmax(scores, probs, s, scale);
+    return;
+  }
+  for (size_t i = 0; i < s; ++i) {
+    const float* row = scores + i * s;
+    float* p = probs + i * s;
+    double max_score = row[0];
+    for (size_t j = 1; j <= i; ++j) {
+      max_score = std::max<double>(max_score, row[j]);
+    }
+    double denom = 0.0;
+    for (size_t j = 0; j <= i; ++j) {
+      const double e = std::exp(scale * (row[j] - max_score));
+      p[j] = float(e);
+      denom += e;
+    }
+    for (size_t j = 0; j <= i; ++j) p[j] = float(p[j] / denom);
+    std::memset(p + i + 1, 0, (s - i - 1) * sizeof(float));
+  }
+}
+
+/// In-place causal softmax backward (dP in, scaled dS out); see
+/// simd::avx2::CausalSoftmaxBackward.
+void CausalSoftmaxBackward(const float* probs, float* ds, size_t s,
+                           float scale, bool use_avx2) {
+  if (use_avx2) {
+    simd::avx2::CausalSoftmaxBackward(probs, ds, s, scale);
+    return;
+  }
+  for (size_t i = 0; i < s; ++i) {
+    const float* p = probs + i * s;
+    float* d = ds + i * s;
+    double row_dot = 0.0;
+    for (size_t j = 0; j <= i; ++j) row_dot += double(p[j]) * d[j];
+    for (size_t j = 0; j <= i; ++j) {
+      d[j] = float(scale * (p[j] * (d[j] - row_dot)));
+    }
+    std::memset(d + i + 1, 0, (s - i - 1) * sizeof(float));
+  }
+}
+
 }  // namespace
 
 void Gemm(const float* a, const float* b, float* c, size_t m, size_t k,
@@ -489,6 +551,74 @@ double MseLoss(const float* pred, const float* target, float* grad,
   return total / double(count);
 }
 
+void CausalAttention(const float* q, const float* k, const float* v,
+                     float* out, float* probs, size_t batch, size_t s,
+                     size_t heads, size_t dh) {
+  const size_t d = heads * dh, panel = s * dh;
+  const float scale = float(1.0 / std::sqrt(double(dh)));
+  const bool use_avx2 = UseAvx2();
+  // Each (sample, head) pair owns its probs block and its column slice of
+  // `out`, so pairs run in parallel without synchronization; the GEMMs
+  // inside nest their own ParallelFor.
+  util::ParallelFor(
+      util::ComputePool(), 0, batch * heads, 1, [=](size_t lo, size_t hi) {
+        float* qp = simd::ThreadScratch(simd::ScratchSlot::kAttention,
+                                        4 * panel + s * s);
+        float* kp = qp + panel;
+        float* vp = kp + panel;
+        float* op = vp + panel;
+        float* scores = op + panel;
+        for (size_t bh = lo; bh < hi; ++bh) {
+          const size_t offset = (bh / heads) * s * d + (bh % heads) * dh;
+          float* p = probs + bh * s * s;
+          GatherHead(q + offset, d, s, dh, qp);
+          GatherHead(k + offset, d, s, dh, kp);
+          GatherHead(v + offset, d, s, dh, vp);
+          GemmTransB(qp, kp, scores, s, dh, s);  // S = Q K^T.
+          CausalSoftmax(scores, p, s, scale, use_avx2);
+          Gemm(p, vp, op, s, s, dh);  // O = P V.
+          ScatterHead(op, s, dh, out + offset, d);
+        }
+      });
+}
+
+void CausalAttentionBackward(const float* q, const float* k, const float* v,
+                             const float* probs, const float* dout,
+                             float* dq, float* dk, float* dv, size_t batch,
+                             size_t s, size_t heads, size_t dh) {
+  const size_t d = heads * dh, panel = s * dh;
+  const float scale = float(1.0 / std::sqrt(double(dh)));
+  const bool use_avx2 = UseAvx2();
+  util::ParallelFor(
+      util::ComputePool(), 0, batch * heads, 1, [=](size_t lo, size_t hi) {
+        float* qp = simd::ThreadScratch(simd::ScratchSlot::kAttention,
+                                        7 * panel + s * s);
+        float* kp = qp + panel;
+        float* vp = kp + panel;
+        float* dop = vp + panel;
+        float* dqp = dop + panel;
+        float* dkp = dqp + panel;
+        float* dvp = dkp + panel;
+        float* ds = dvp + panel;
+        for (size_t bh = lo; bh < hi; ++bh) {
+          const size_t offset = (bh / heads) * s * d + (bh % heads) * dh;
+          const float* p = probs + bh * s * s;
+          GatherHead(q + offset, d, s, dh, qp);
+          GatherHead(k + offset, d, s, dh, kp);
+          GatherHead(v + offset, d, s, dh, vp);
+          GatherHead(dout + offset, d, s, dh, dop);
+          GemmTransB(dop, vp, ds, s, dh, s);   // dP = dO V^T.
+          GemmTransA(p, dop, dvp, s, s, dh);   // dV = P^T dO.
+          CausalSoftmaxBackward(p, ds, s, scale, use_avx2);  // dS * scale.
+          Gemm(ds, kp, dqp, s, s, dh);         // dQ = dS K.
+          GemmTransA(ds, qp, dkp, s, s, dh);   // dK = dS^T Q.
+          ScatterHead(dqp, s, dh, dq + offset, d);
+          ScatterHead(dkp, s, dh, dk + offset, d);
+          ScatterHead(dvp, s, dh, dv + offset, d);
+        }
+      });
+}
+
 namespace reference {
 
 void Gemm(const float* a, const float* b, float* c, size_t m, size_t k,
@@ -621,6 +751,105 @@ double SoftmaxCrossEntropy(const float* logits, const int* labels,
     }
   }
   return total_loss / m;
+}
+
+void CausalAttention(const float* q, const float* k, const float* v,
+                     float* out, float* probs, size_t batch, size_t s,
+                     size_t heads, size_t dh) {
+  const size_t d = heads * dh;
+  const double scale = 1.0 / std::sqrt(double(dh));
+  std::memset(out, 0, batch * s * d * sizeof(float));
+  std::memset(probs, 0, batch * heads * s * s * sizeof(float));
+  for (size_t bh = 0; bh < batch * heads; ++bh) {
+    const size_t b = bh / heads;
+    const size_t head = bh % heads;
+    float* p = probs + (b * heads + head) * s * s;
+    // Causal scores + row softmax.
+    for (size_t i = 0; i < s; ++i) {
+      const float* qi = q + (b * s + i) * d + head * dh;
+      double max_score = -1e30;
+      std::vector<double> scores(i + 1);
+      for (size_t j = 0; j <= i; ++j) {  // Causal: only j <= i.
+        const float* kj = k + (b * s + j) * d + head * dh;
+        double dot = 0;
+        for (size_t c = 0; c < dh; ++c) dot += double(qi[c]) * kj[c];
+        scores[j] = dot * scale;
+        max_score = std::max(max_score, scores[j]);
+      }
+      double denom = 0;
+      for (size_t j = 0; j <= i; ++j) {
+        scores[j] = std::exp(scores[j] - max_score);
+        denom += scores[j];
+      }
+      for (size_t j = 0; j <= i; ++j) {
+        p[i * s + j] = float(scores[j] / denom);
+      }
+      // Weighted sum of values.
+      float* oi = out + (b * s + i) * d + head * dh;
+      for (size_t j = 0; j <= i; ++j) {
+        const float* vj = v + (b * s + j) * d + head * dh;
+        const float pij = p[i * s + j];
+        for (size_t c = 0; c < dh; ++c) oi[c] += pij * vj[c];
+      }
+    }
+  }
+}
+
+void CausalAttentionBackward(const float* q, const float* k, const float* v,
+                             const float* probs, const float* dout,
+                             float* dq, float* dk, float* dv, size_t batch,
+                             size_t s, size_t heads, size_t dh) {
+  const size_t d = heads * dh;
+  const double scale = 1.0 / std::sqrt(double(dh));
+  std::memset(dq, 0, batch * s * d * sizeof(float));
+  std::memset(dk, 0, batch * s * d * sizeof(float));
+  std::memset(dv, 0, batch * s * d * sizeof(float));
+  std::vector<double> dp(s * s), ds(s * s);
+  for (size_t bh = 0; bh < batch * heads; ++bh) {
+    const size_t b = bh / heads;
+    const size_t head = bh % heads;
+    const float* p = probs + (b * heads + head) * s * s;
+    // dP = dO V^T ; dV = P^T dO (causal: j <= i only).
+    std::fill(dp.begin(), dp.end(), 0.0);
+    for (size_t i = 0; i < s; ++i) {
+      const float* doi = dout + (b * s + i) * d + head * dh;
+      for (size_t j = 0; j <= i; ++j) {
+        const float* vj = v + (b * s + j) * d + head * dh;
+        float* dvj = dv + (b * s + j) * d + head * dh;
+        double dot = 0;
+        const float pij = p[i * s + j];
+        for (size_t c = 0; c < dh; ++c) {
+          dot += double(doi[c]) * vj[c];
+          dvj[c] += pij * doi[c];
+        }
+        dp[i * s + j] = dot;
+      }
+    }
+    // Softmax backward (masked entries have P = 0, so dS = 0).
+    for (size_t i = 0; i < s; ++i) {
+      double row_dot = 0;
+      for (size_t j = 0; j <= i; ++j) {
+        row_dot += dp[i * s + j] * p[i * s + j];
+      }
+      for (size_t j = 0; j <= i; ++j) {
+        ds[i * s + j] = p[i * s + j] * (dp[i * s + j] - row_dot);
+      }
+    }
+    // dQ = dS K * scale ; dK = dS^T Q * scale.
+    for (size_t i = 0; i < s; ++i) {
+      float* dqi = dq + (b * s + i) * d + head * dh;
+      const float* qi = q + (b * s + i) * d + head * dh;
+      for (size_t j = 0; j <= i; ++j) {
+        const float* kj = k + (b * s + j) * d + head * dh;
+        float* dkj = dk + (b * s + j) * d + head * dh;
+        const double dsij = ds[i * s + j] * scale;
+        for (size_t c = 0; c < dh; ++c) {
+          dqi[c] += float(dsij * kj[c]);
+          dkj[c] += float(dsij * qi[c]);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace reference

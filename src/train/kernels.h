@@ -95,12 +95,33 @@ double SoftmaxCrossEntropy(const float* logits, const int* labels,
 double MseLoss(const float* pred, const float* target, float* grad,
                size_t count);
 
+/// Causal multi-head self-attention. q, k, v and `out` are
+/// (batch*s) x (heads*dh) row-major, head h owning columns
+/// [h*dh, (h+1)*dh). Per (sample, head): S = Q K^T, P = the causal row
+/// softmax of S / sqrt(dh), O = P V, with both products on the GEMM
+/// above. `probs` (batch x heads x s x s) receives P with exact zeros
+/// above the diagonal; `out` and `probs` are overwritten.
+void CausalAttention(const float* q, const float* k, const float* v,
+                     float* out, float* probs, size_t batch, size_t s,
+                     size_t heads, size_t dh);
+
+/// Backward of CausalAttention from its saved `probs` and the output
+/// gradient `dout`: dP = dO V^T, dV = P^T dO, dS = softmax backward of dP,
+/// dQ = dS K / sqrt(dh), dK = dS^T Q / sqrt(dh). dq, dk and dv are
+/// overwritten.
+void CausalAttentionBackward(const float* q, const float* k, const float* v,
+                             const float* probs, const float* dout,
+                             float* dq, float* dk, float* dv, size_t batch,
+                             size_t s, size_t heads, size_t dh);
+
 /// Naive single-threaded implementations, retained verbatim from the
 /// original scalar kernels. They are the golden references the parallel
 /// kernels are tested against (tests/train/kernel_golden_test.cc) and the
 /// single-thread baselines bench/kernel_bench.cc measures speedups from.
 /// Semantics match the parallel kernels above (in particular,
-/// LayerNormBackward overwrites dgamma/dbeta).
+/// LayerNormBackward overwrites dgamma/dbeta). The attention pair is the
+/// original per-(sample, head) loops, which accumulate in double, so both
+/// dispatch paths match it within the golden test's tolerances only.
 namespace reference {
 
 void Gemm(const float* a, const float* b, float* c, size_t m, size_t k,
@@ -117,6 +138,13 @@ void LayerNormBackward(const float* x, const float* gamma, const float* dy,
                        float* dgamma, float* dbeta, size_t m, size_t n);
 double SoftmaxCrossEntropy(const float* logits, const int* labels,
                            float* grad, size_t m, size_t n);
+void CausalAttention(const float* q, const float* k, const float* v,
+                     float* out, float* probs, size_t batch, size_t s,
+                     size_t heads, size_t dh);
+void CausalAttentionBackward(const float* q, const float* k, const float* v,
+                             const float* probs, const float* dout,
+                             float* dq, float* dk, float* dv, size_t batch,
+                             size_t s, size_t heads, size_t dh);
 
 }  // namespace reference
 

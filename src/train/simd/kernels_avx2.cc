@@ -514,6 +514,93 @@ double SoftmaxXentRows(const float* logits, const int* labels, float* grad,
   return loss;
 }
 
+void CausalSoftmax(const float* scores, float* probs, size_t s,
+                   float scale) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (size_t i = 0; i < s; ++i) {
+    const float* row = scores + i * s;
+    float* p = probs + i * s;
+    const size_t len = i + 1;  // Causal: columns j <= i only.
+
+    __m256 vmax = _mm256_set1_ps(-FLT_MAX);
+    size_t j = 0;
+    for (; j + 8 <= len; j += 8) {
+      vmax = _mm256_max_ps(vmax, _mm256_loadu_ps(row + j));
+    }
+    if (j < len) {
+      vmax = _mm256_max_ps(vmax, LoadTail(row + j, len - j, -FLT_MAX));
+    }
+    const __m256 vm = _mm256_set1_ps(HMax(vmax));
+
+    // exp(scale * (x - max)) is staged in p. The tail's padded lanes are
+    // never stored, and the sum re-reads the stored lanes zero-padded.
+    __m256 acc = _mm256_setzero_ps();
+    j = 0;
+    for (; j + 8 <= len; j += 8) {
+      const __m256 e = Exp8(
+          _mm256_mul_ps(_mm256_sub_ps(_mm256_loadu_ps(row + j), vm), vscale));
+      _mm256_storeu_ps(p + j, e);
+      acc = _mm256_add_ps(acc, e);
+    }
+    if (j < len) {
+      const size_t tail = len - j;
+      StoreTail(p + j, tail,
+                Exp8(_mm256_mul_ps(
+                    _mm256_sub_ps(LoadTail(row + j, tail, 0.0f), vm),
+                    vscale)));
+      acc = _mm256_add_ps(acc, LoadTail(p + j, tail, 0.0f));
+    }
+
+    const float inv = float(1.0 / HSumD(acc));
+    const __m256 vinv = _mm256_set1_ps(inv);
+    j = 0;
+    for (; j + 8 <= len; j += 8) {
+      _mm256_storeu_ps(p + j, _mm256_mul_ps(_mm256_loadu_ps(p + j), vinv));
+    }
+    for (; j < len; ++j) p[j] *= inv;
+    std::memset(p + len, 0, (s - len) * sizeof(float));
+  }
+}
+
+void CausalSoftmaxBackward(const float* probs, float* ds, size_t s,
+                           float scale) {
+  const __m256 vscale = _mm256_set1_ps(scale);
+  for (size_t i = 0; i < s; ++i) {
+    const float* p = probs + i * s;
+    float* d = ds + i * s;
+    const size_t len = i + 1;
+
+    __m256 acc = _mm256_setzero_ps();
+    size_t j = 0;
+    for (; j + 8 <= len; j += 8) {
+      acc = _mm256_fmadd_ps(_mm256_loadu_ps(p + j), _mm256_loadu_ps(d + j),
+                            acc);
+    }
+    if (j < len) {
+      // Zero-padded p makes the padded lanes' products exactly zero.
+      acc = _mm256_fmadd_ps(LoadTail(p + j, len - j, 0.0f),
+                            LoadTail(d + j, len - j, 0.0f), acc);
+    }
+    const __m256 vdot = _mm256_set1_ps(float(HSumD(acc)));
+
+    j = 0;
+    for (; j + 8 <= len; j += 8) {
+      const __m256 g = _mm256_sub_ps(_mm256_loadu_ps(d + j), vdot);
+      _mm256_storeu_ps(
+          d + j, _mm256_mul_ps(_mm256_mul_ps(_mm256_loadu_ps(p + j), g),
+                               vscale));
+    }
+    if (j < len) {
+      const size_t tail = len - j;
+      const __m256 g = _mm256_sub_ps(LoadTail(d + j, tail, 0.0f), vdot);
+      StoreTail(d + j, tail,
+                _mm256_mul_ps(
+                    _mm256_mul_ps(LoadTail(p + j, tail, 0.0f), g), vscale));
+    }
+    std::memset(d + len, 0, (s - len) * sizeof(float));
+  }
+}
+
 void AdamUpdateBlock(float* params, float* m, float* v, const float* grads,
                      size_t begin, size_t end, float lr, float beta1,
                      float beta2, float epsilon, float weight_decay,
@@ -631,6 +718,12 @@ void LayerNormBackwardRows(const float*, const float*, const float*,
 double SoftmaxXentRows(const float*, const int*, float*, size_t, size_t,
                        double) {
   Unavailable("SoftmaxXentRows");
+}
+void CausalSoftmax(const float*, float*, size_t, float) {
+  Unavailable("CausalSoftmax");
+}
+void CausalSoftmaxBackward(const float*, float*, size_t, float) {
+  Unavailable("CausalSoftmaxBackward");
 }
 void AdamUpdateBlock(float*, float*, float*, const float*, size_t, size_t,
                      float, float, float, float, float, float, float) {

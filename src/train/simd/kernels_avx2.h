@@ -92,6 +92,18 @@ void LayerNormBackwardRows(const float* x, const float* gamma,
 double SoftmaxXentRows(const float* logits, const int* labels, float* grad,
                        size_t rows, size_t n, double inv_m);
 
+/// Causal row softmax of one s x s score block (one sample and head of
+/// attention): for j <= i, probs[i][j] = e_ij / sum_j' e_ij' with
+/// e_ij = exp(scale * (scores[i][j] - max_j' scores[i][j'])); entries
+/// above the diagonal are written as exact zeros. `scale` must be > 0.
+void CausalSoftmax(const float* scores, float* probs, size_t s, float scale);
+
+/// Backward of CausalSoftmax, in place: `ds` enters holding dP and leaves
+/// holding scale * p[i][j] * (dp[i][j] - sum_j' p[i][j'] dp[i][j']) for
+/// j <= i, exact zeros above the diagonal.
+void CausalSoftmaxBackward(const float* probs, float* ds, size_t s,
+                           float scale);
+
 /// Adam over absolute element range [begin, end) of the full arrays. The
 /// vector loop is aligned to absolute 8-element blocks and the head/tail
 /// scalars mirror the vector math op-for-op (fmaf/sqrtf), so any

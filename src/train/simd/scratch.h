@@ -7,8 +7,9 @@ namespace angelptm::simd {
 
 /// Slots of the per-thread scratch arena. Each slot is an independent
 /// reusable buffer; a kernel may hold several at once (the packed GEMM
-/// holds an A-panel and a B-panel simultaneously).
-enum class ScratchSlot { kPackA = 0, kPackB = 1, kTile = 2 };
+/// holds an A-panel and a B-panel simultaneously, and causal attention
+/// holds its per-head panels in kAttention while it calls the GEMM).
+enum class ScratchSlot { kPackA = 0, kPackB = 1, kAttention = 2 };
 inline constexpr int kNumScratchSlots = 3;
 
 /// Returns a 64-byte-aligned, thread-local buffer of at least `floats`

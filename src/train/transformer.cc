@@ -1,11 +1,9 @@
 #include "train/transformer.h"
 
 #include <cmath>
-#include <cstring>
 
 #include "train/kernels.h"
 #include "util/logging.h"
-#include "util/parallel_for.h"
 
 namespace angelptm::train {
 namespace {
@@ -61,6 +59,7 @@ enum BlockStash {
 
 TinyTransformer::TinyTransformer(const TransformerConfig& config)
     : config_(config) {
+  ANGEL_CHECK(config_.num_heads >= 1) << "num_heads must be at least 1";
   ANGEL_CHECK(config_.d_model % config_.num_heads == 0)
       << "d_model must divide into heads";
   ANGEL_CHECK(config_.num_blocks >= 1);
@@ -128,63 +127,12 @@ void TinyTransformer::Backward(int layer, const float* params,
   }
 }
 
-void TinyTransformer::Attention(const float* q, const float* k,
-                                const float* v, size_t batch,
-                                std::vector<float>* concat_out,
-                                std::vector<float>* probs) const {
-  const size_t s = config_.seq_len, d = config_.d_model,
-               heads = config_.num_heads, dh = d / heads;
-  const double scale = 1.0 / std::sqrt(double(dh));
-  concat_out->assign(batch * s * d, 0.0f);
-  probs->assign(batch * heads * s * s, 0.0f);
-
-  // Each (sample, head) pair touches disjoint slices of probs/concat_out,
-  // so the flattened loop parallelizes without synchronization.
-  float* concat_base = concat_out->data();
-  float* probs_base = probs->data();
-  util::ParallelFor(util::ComputePool(), 0, batch * heads, 1, [&](size_t lo,
-                                                                 size_t hi) {
-    for (size_t bh = lo; bh < hi; ++bh) {
-      const size_t b = bh / heads;
-      const size_t head = bh % heads;
-      float* p = probs_base + (b * heads + head) * s * s;
-      // Causal scores + row softmax.
-      for (size_t i = 0; i < s; ++i) {
-        const float* qi = q + (b * s + i) * d + head * dh;
-        double max_score = -1e30;
-        std::vector<double> scores(i + 1);
-        for (size_t j = 0; j <= i; ++j) {  // Causal: only j <= i.
-          const float* kj = k + (b * s + j) * d + head * dh;
-          double dot = 0;
-          for (size_t c = 0; c < dh; ++c) dot += double(qi[c]) * kj[c];
-          scores[j] = dot * scale;
-          max_score = std::max(max_score, scores[j]);
-        }
-        double denom = 0;
-        for (size_t j = 0; j <= i; ++j) {
-          scores[j] = std::exp(scores[j] - max_score);
-          denom += scores[j];
-        }
-        for (size_t j = 0; j <= i; ++j) {
-          p[i * s + j] = float(scores[j] / denom);
-        }
-        // Weighted sum of values.
-        float* oi = concat_base + (b * s + i) * d + head * dh;
-        for (size_t j = 0; j <= i; ++j) {
-          const float* vj = v + (b * s + j) * d + head * dh;
-          const float pij = p[i * s + j];
-          for (size_t c = 0; c < dh; ++c) oi[c] += pij * vj[c];
-        }
-      }
-    }
-  });
-}
-
 void TinyTransformer::BlockForward(const float* params,
                                    const std::vector<float>& in,
                                    size_t batch, std::vector<float>* out,
                                    LayerStash* stash) const {
-  const size_t s = config_.seq_len, d = config_.d_model, f = config_.d_ffn;
+  const size_t s = config_.seq_len, d = config_.d_model, f = config_.d_ffn,
+               heads = config_.num_heads;
   const size_t m = batch * s;  // Token rows.
   ANGEL_CHECK(in.size() == m * d) << "block input size mismatch";
   const BlockOffsets o = ComputeOffsets(d, f);
@@ -201,8 +149,9 @@ void TinyTransformer::BlockForward(const float* params,
   Gemm(h1.data(), params + o.wv, v.data(), m, d, d);
 
   // Causal multi-head attention + output projection, then residual.
-  std::vector<float> concat, probs;
-  Attention(q.data(), k.data(), v.data(), batch, &concat, &probs);
+  std::vector<float> concat(m * d), probs(batch * heads * s * s);
+  CausalAttention(q.data(), k.data(), v.data(), concat.data(), probs.data(),
+                  batch, s, heads, d / heads);
   std::vector<float> x2(m * d);
   Gemm(concat.data(), params + o.wo, x2.data(), m, d, d);
   for (size_t i = 0; i < m * d; ++i) x2[i] += in[i];
@@ -248,9 +197,8 @@ void TinyTransformer::BlockBackward(const float* params,
                                     std::vector<float>* grad_in,
                                     std::vector<float>* grad_params) const {
   const size_t s = config_.seq_len, d = config_.d_model, f = config_.d_ffn,
-               heads = config_.num_heads, dh = d / heads;
+               heads = config_.num_heads;
   const size_t m = batch * s;
-  const double scale = 1.0 / std::sqrt(double(dh));
   const BlockOffsets o = ComputeOffsets(d, f);
   grad_params->assign(o.total, 0.0f);
   float* gp = grad_params->data();
@@ -293,59 +241,11 @@ void TinyTransformer::BlockBackward(const float* params,
   GemmTransB(dx2.data(), params + o.wo, dconcat.data(), m, d, d);
   GemmTransA(concat.data(), dx2.data(), gp + o.wo, d, m, d);
 
-  // Attention backward per (sample, head): each pair writes disjoint head
-  // slices of dq/dk/dv, so the flattened loop parallelizes cleanly with
-  // per-iteration dp/ds scratch.
-  std::vector<float> dq(m * d, 0.0f), dk(m * d, 0.0f), dv(m * d, 0.0f);
-  util::ParallelFor(util::ComputePool(), 0, batch * heads, 1, [&](size_t lo,
-                                                                 size_t hi) {
-    std::vector<double> dp(s * s), ds(s * s);
-    for (size_t bh = lo; bh < hi; ++bh) {
-      const size_t b = bh / heads;
-      const size_t head = bh % heads;
-      const float* p = probs.data() + (b * heads + head) * s * s;
-      // dP = dO V^T ; dV = P^T dO (causal: j <= i only).
-      std::fill(dp.begin(), dp.end(), 0.0);
-      for (size_t i = 0; i < s; ++i) {
-        const float* doi = dconcat.data() + (b * s + i) * d + head * dh;
-        for (size_t j = 0; j <= i; ++j) {
-          const float* vj = v.data() + (b * s + j) * d + head * dh;
-          float* dvj = dv.data() + (b * s + j) * d + head * dh;
-          double dot = 0;
-          const float pij = p[i * s + j];
-          for (size_t c = 0; c < dh; ++c) {
-            dot += double(doi[c]) * vj[c];
-            dvj[c] += pij * doi[c];
-          }
-          dp[i * s + j] = dot;
-        }
-      }
-      // Softmax backward (masked entries have P = 0, so dS = 0).
-      for (size_t i = 0; i < s; ++i) {
-        double row_dot = 0;
-        for (size_t j = 0; j <= i; ++j) {
-          row_dot += dp[i * s + j] * p[i * s + j];
-        }
-        for (size_t j = 0; j <= i; ++j) {
-          ds[i * s + j] = p[i * s + j] * (dp[i * s + j] - row_dot);
-        }
-      }
-      // dQ = dS K * scale ; dK = dS^T Q * scale.
-      for (size_t i = 0; i < s; ++i) {
-        float* dqi = dq.data() + (b * s + i) * d + head * dh;
-        const float* qi = q.data() + (b * s + i) * d + head * dh;
-        for (size_t j = 0; j <= i; ++j) {
-          const float* kj = k.data() + (b * s + j) * d + head * dh;
-          float* dkj = dk.data() + (b * s + j) * d + head * dh;
-          const double dsij = ds[i * s + j] * scale;
-          for (size_t c = 0; c < dh; ++c) {
-            dqi[c] += float(dsij * kj[c]);
-            dkj[c] += float(dsij * qi[c]);
-          }
-        }
-      }
-    }
-  });
+  // Attention backward into the q/k/v projections' outputs.
+  std::vector<float> dq(m * d), dk(m * d), dv(m * d);
+  CausalAttentionBackward(q.data(), k.data(), v.data(), probs.data(),
+                          dconcat.data(), dq.data(), dk.data(), dv.data(),
+                          batch, s, heads, d / heads);
 
   // QKV projection backward into h1 and the weights.
   std::vector<float> dh1(m * d, 0.0f), tmp(m * d);

@@ -72,13 +72,6 @@ class TinyTransformer : public LayeredModel {
                     std::vector<float>* grad_in,
                     std::vector<float>* grad_params) const;
 
-  /// Causal multi-head attention over LayerNormed activations h1
-  /// (rows = batch*seq x d). Produces the concatenated head outputs O and
-  /// saves the per-head attention probabilities.
-  void Attention(const float* q, const float* k, const float* v,
-                 size_t batch, std::vector<float>* concat_out,
-                 std::vector<float>* probs) const;
-
   TransformerConfig config_;
 };
 

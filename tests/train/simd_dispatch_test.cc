@@ -47,21 +47,21 @@ TEST(SimdDispatchTest, PathNamesRoundTrip) {
 }
 
 TEST(SimdScratchTest, GrowsAndReusesPerSlot) {
-  float* p1 = ThreadScratch(ScratchSlot::kTile, 100);
-  const size_t cap1 = ThreadScratchCapacity(ScratchSlot::kTile);
+  float* p1 = ThreadScratch(ScratchSlot::kAttention, 100);
+  const size_t cap1 = ThreadScratchCapacity(ScratchSlot::kAttention);
   EXPECT_GE(cap1, 100u);
   // Alignment: the packed-panel loads in the micro-kernel are aligned.
   EXPECT_EQ(reinterpret_cast<uintptr_t>(p1) % 64, 0u);
 
   // Smaller request: same buffer, no shrink — the no-allocation
   // steady state the GEMM inner loop relies on.
-  float* p2 = ThreadScratch(ScratchSlot::kTile, 10);
+  float* p2 = ThreadScratch(ScratchSlot::kAttention, 10);
   EXPECT_EQ(p1, p2);
-  EXPECT_EQ(ThreadScratchCapacity(ScratchSlot::kTile), cap1);
+  EXPECT_EQ(ThreadScratchCapacity(ScratchSlot::kAttention), cap1);
 
   // Larger request grows geometrically.
-  ThreadScratch(ScratchSlot::kTile, cap1 + 1);
-  EXPECT_GE(ThreadScratchCapacity(ScratchSlot::kTile), cap1 + 1);
+  ThreadScratch(ScratchSlot::kAttention, cap1 + 1);
+  EXPECT_GE(ThreadScratchCapacity(ScratchSlot::kAttention), cap1 + 1);
 
   // Slots are independent buffers.
   float* pa = ThreadScratch(ScratchSlot::kPackA, 64);

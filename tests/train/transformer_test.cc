@@ -52,33 +52,41 @@ TEST(TransformerTest, ForwardShapesAndFiniteness) {
 }
 
 TEST(TransformerTest, CausalMaskBlocksFutureTokens) {
-  // Changing the input at position j must not change block outputs at
-  // positions i < j.
-  TinyTransformer model(TinyConfig());
-  util::Rng rng(2);
-  const auto params = model.InitLayerParams(0, &rng);
-  const size_t batch = 1, s = 4, d = 8;
-  std::vector<float> x(batch * s * d);
-  rng.FillGaussian(&x, 1.0);
-  std::vector<float> base;
-  model.Forward(0, params.data(), x, batch, &base, nullptr);
+  // Changing the input at position t must not change block outputs at
+  // positions i < t. At s = 130 the score block crosses the GEMM's
+  // 120-row macro tile, and t = 125 sits past that boundary.
+  struct Case {
+    size_t s, t;
+  };
+  for (const Case& c : {Case{4, 2}, Case{130, 125}}) {
+    TransformerConfig config = TinyConfig();
+    config.seq_len = c.s;
+    TinyTransformer model(config);
+    util::Rng rng(2);
+    const auto params = model.InitLayerParams(0, &rng);
+    const size_t batch = 1, s = c.s, d = 8;
+    std::vector<float> x(batch * s * d);
+    rng.FillGaussian(&x, 1.0);
+    std::vector<float> base;
+    model.Forward(0, params.data(), x, batch, &base, nullptr);
 
-  std::vector<float> perturbed = x;
-  for (size_t c = 0; c < d; ++c) perturbed[2 * d + c] += 1.0f;  // Token 2.
-  std::vector<float> out;
-  model.Forward(0, params.data(), perturbed, batch, &out, nullptr);
-  for (size_t i = 0; i < 2; ++i) {  // Tokens 0 and 1 unaffected.
-    for (size_t c = 0; c < d; ++c) {
-      EXPECT_FLOAT_EQ(out[i * d + c], base[i * d + c])
-          << "token " << i << " dim " << c;
+    std::vector<float> perturbed = x;
+    for (size_t col = 0; col < d; ++col) perturbed[c.t * d + col] += 1.0f;
+    std::vector<float> out;
+    model.Forward(0, params.data(), perturbed, batch, &out, nullptr);
+    for (size_t i = 0; i < c.t; ++i) {  // Earlier tokens unaffected.
+      for (size_t col = 0; col < d; ++col) {
+        ASSERT_FLOAT_EQ(out[i * d + col], base[i * d + col])
+            << "s " << s << " token " << i << " dim " << col;
+      }
     }
+    // Token t itself (and later) must change.
+    bool changed = false;
+    for (size_t col = 0; col < d; ++col) {
+      if (out[c.t * d + col] != base[c.t * d + col]) changed = true;
+    }
+    EXPECT_TRUE(changed) << "s " << s;
   }
-  // Token 2 itself (and later) must change.
-  bool changed = false;
-  for (size_t c = 0; c < d; ++c) {
-    if (out[2 * d + c] != base[2 * d + c]) changed = true;
-  }
-  EXPECT_TRUE(changed);
 }
 
 TEST(TransformerTest, AttentionProbsAreCausalRowStochastic) {
@@ -280,6 +288,9 @@ TEST(TransformerTest, RejectsIndivisibleHeads) {
   config.d_model = 10;
   config.num_heads = 3;
   EXPECT_DEATH(TinyTransformer model(config), "heads");
+  // Zero heads fails the check instead of dividing by zero.
+  config.num_heads = 0;
+  EXPECT_DEATH(TinyTransformer model(config), "num_heads must be at least 1");
 }
 
 }  // namespace
