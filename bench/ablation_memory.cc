@@ -8,9 +8,9 @@
 #include <string>
 
 #include "core/allocator.h"
+#include "core/dtype.h"
 #include "mem/copy_engine.h"
 #include "mem/hierarchical_memory.h"
-#include "util/half.h"
 #include "util/random.h"
 
 namespace {
@@ -120,14 +120,12 @@ void BM_HalfConversion(benchmark::State& state) {
   rng.FillGaussian(&values, 1.0);
   std::vector<uint16_t> bits(values.size());
   for (auto _ : state) {
-    for (size_t i = 0; i < values.size(); ++i) {
-      bits[i] = util::FloatToHalfBits(values[i]);
-    }
+    core::FloatsToHalves(values.data(), bits.data(), values.size());
     benchmark::DoNotOptimize(bits.data());
-    for (size_t i = 0; i < values.size(); ++i) {
-      values[i] = util::HalfBitsToFloat(bits[i]);
-    }
+    benchmark::ClobberMemory();
+    core::HalvesToFloats(bits.data(), values.data(), values.size());
     benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(int64_t(state.iterations()) *
                           int64_t(values.size()));

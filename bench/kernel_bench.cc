@@ -12,13 +12,16 @@
 //     for bandwidth-bound ones, with the FLOP/byte conventions spelled
 //     out at the definition site below.
 //
-// The run also enforces two regression guards, each exiting non-zero so
+// The run also enforces three regression guards, each exiting non-zero so
 // CI catches them:
 //   - GEMM variants: at every thread count, neither transposed variant may
 //     be more than 2x slower than the plain GEMM (packing absorbs the
 //     transposes, so they should be within noise of each other);
 //   - attention: the dispatched attention forward and backward on one
-//     thread must beat their serial double-precision references.
+//     thread must beat their serial double-precision references;
+//   - fp16 conversion, on the avx2 path only: the F16C converters must beat
+//     the scalar per-element functions (on the scalar path the dispatched
+//     converters are those functions).
 //
 // Usage: kernel_bench [output.json] [gemm_size]
 //   output.json defaults to BENCH_kernels.json in the working directory;
@@ -37,10 +40,12 @@
 
 #include "bench/bench_util.h"
 #include "core/adam.h"
+#include "core/dtype.h"
 #include "train/kernels.h"
 #include "train/simd/dispatch.h"
 #include "util/parallel_for.h"
 #include "util/random.h"
+#include "util/half.h"
 #include "util/thread_pool.h"
 
 namespace angelptm {
@@ -316,6 +321,37 @@ int Main(int argc, char** argv) {
                      },
                      nullptr});
 
+  // fp32 <-> fp16 conversion: bandwidth-bound, 4 bytes read and 2 written
+  // per element (2 and 4 the other way). 788,736 elements = one block of the
+  // paged_lockfree_ssd TinyTransformer (d_model 256, d_ffn 1024), the unit
+  // the engine stages and the updater installs. The converters do not use
+  // the compute pool, so every thread count times the same work. The
+  // reference rows are the scalar per-element functions.
+  const size_t halves = 788736;
+  std::vector<float> hf(halves), hf_back(halves);
+  rng.FillGaussian(&hf, 1.0);
+  std::vector<uint16_t> hh(halves);
+  core::FloatsToHalves(hf.data(), hh.data(), halves);
+  const std::string hshape = std::to_string(halves) + " elems";
+  kernels.push_back({"fp32_to_fp16", hshape, 0.0, 6.0 * double(halves),
+                     [&, halves] {
+                       core::FloatsToHalves(hf.data(), hh.data(), halves);
+                     },
+                     [&, halves] {
+                       for (size_t i = 0; i < halves; ++i) {
+                         hh[i] = util::FloatToHalfBits(hf[i]);
+                       }
+                     }});
+  kernels.push_back({"fp16_to_fp32", hshape, 0.0, 6.0 * double(halves),
+                     [&, halves] {
+                       core::HalvesToFloats(hh.data(), hf_back.data(), halves);
+                     },
+                     [&, halves] {
+                       for (size_t i = 0; i < halves; ++i) {
+                         hf_back[i] = util::HalfBitsToFloat(hh[i]);
+                       }
+                     }});
+
   const int reps = 3;
 
   // --- Reference (naive, serial) kernels: timed once on one thread. ---
@@ -366,18 +402,26 @@ int Main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Attention guard: one dispatched thread against the serial reference.
-  bool attention_ok = true;
-  for (const Measurement& ref : reference) {
-    if (ref.name.rfind("attention_", 0) != 0) continue;
-    for (const Measurement& m : blocks.front()) {
-      if (m.name != ref.name || m.ms < ref.ms) continue;
-      std::cerr << "REGRESSION: " << m.name << " takes " << FmtMs(m.ms)
-                << " on 1 thread, not faster than the reference's "
-                << FmtMs(ref.ms) << "\n";
-      attention_ok = false;
+  // Reference guards: one dispatched thread against the serial reference
+  // rows whose names start with `prefix`.
+  auto beats_reference = [&](const std::string& prefix) {
+    bool ok = true;
+    for (const Measurement& ref : reference) {
+      if (ref.name.rfind(prefix, 0) != 0) continue;
+      for (const Measurement& m : blocks.front()) {
+        if (m.name != ref.name || m.ms < ref.ms) continue;
+        std::cerr << "REGRESSION: " << m.name << " takes " << FmtMs(m.ms)
+                  << " on 1 thread, not faster than the reference's "
+                  << FmtMs(ref.ms) << "\n";
+        ok = false;
+      }
     }
-  }
+    return ok;
+  };
+  const bool attention_ok = beats_reference("attention_");
+  const bool conversion_ok = simd::Dispatch() != simd::IsaPath::kAvx2 ||
+                             (beats_reference("fp32_to_fp16") &
+                              beats_reference("fp16_to_fp32"));
 
   // --- JSON. ---
   std::ofstream out(out_path);
@@ -391,6 +435,8 @@ int Main(int argc, char** argv) {
       << ",\n";
   out << "  \"attention_faster_than_reference\": "
       << (attention_ok ? "true" : "false") << ",\n";
+  out << "  \"fp16_conversion_ok\": " << (conversion_ok ? "true" : "false")
+      << ",\n";
   out << "  \"reference\": [\n";
   for (size_t i = 0; i < reference.size(); ++i) {
     JsonEntry(out, reference[i], i + 1 == reference.size());
@@ -423,6 +469,10 @@ int Main(int argc, char** argv) {
   }
   if (!attention_ok) {
     std::cerr << "attention regression guard failed (see above)\n";
+    return 1;
+  }
+  if (!conversion_ok) {
+    std::cerr << "fp16 conversion regression guard failed (see above)\n";
     return 1;
   }
   return 0;

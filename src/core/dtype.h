@@ -37,6 +37,17 @@ inline constexpr const char* DTypeName(DType dtype) {
   return "unknown";
 }
 
+/// Bulk binary32 -> binary16 conversion: dst[i] = util::FloatToHalfBits(
+/// src[i]) for i < n, bit for bit on every input. Dispatched like
+/// core::AdamUpdate: F16C blocks on the avx2 path, the scalar function on
+/// the scalar path. Every fp16 tensor, the updater's fp16 mirror and the
+/// engine's staging convert through this pair.
+void FloatsToHalves(const float* src, uint16_t* dst, size_t n);
+
+/// Bulk binary16 -> binary32 conversion: dst[i] = util::HalfBitsToFloat(
+/// src[i]) for i < n, bit for bit on every input; dispatched likewise.
+void HalvesToFloats(const uint16_t* src, float* dst, size_t n);
+
 }  // namespace angelptm::core
 
 #endif  // ANGELPTM_CORE_DTYPE_H_

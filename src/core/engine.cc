@@ -86,9 +86,7 @@ util::Status Engine::StageWorkingTensor(int layer_index) {
         allocator_->Allocate({layer.count}, DType::kFp16,
                              mem::DeviceKind::kCpu));
   }
-  std::vector<float> params;
-  ANGEL_RETURN_IF_ERROR(updater_->FetchParams(layer_index, &params));
-  ANGEL_RETURN_IF_ERROR(layer.tensor->WriteFloats(params));
+  ANGEL_RETURN_IF_ERROR(updater_->FetchParams(layer_index, layer.tensor));
   layer.staged_this_step = true;
   return util::Status::OK();
 }

@@ -121,8 +121,8 @@ class Engine {
     Tensor* activation_stash = nullptr;  // fp16 boundary activations.
   };
 
-  /// Creates the layer's working tensor on the CPU tier with the current
-  /// buffered fp16 parameters.
+  /// Creates the layer's working tensor on the CPU tier and copies the
+  /// current buffered fp16 parameters into it, bit for bit.
   [[nodiscard]] util::Status StageWorkingTensor(int layer);
   /// Starts the asynchronous CPU->GPU movement of the layer's pages.
   [[nodiscard]] util::Status IssuePrefetch(int layer);

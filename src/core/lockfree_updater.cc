@@ -5,14 +5,17 @@
 
 #include "obs/trace.h"
 #include "util/fault_injector.h"
-#include "util/half.h"
 #include "util/logging.h"
 
 namespace angelptm::core {
 namespace {
 
-/// fp16 words per seqlock payload word (two halves packed per uint32_t).
+/// Seqlock payload words holding `count` fp16 values: the payload bytes
+/// are the fp16 array's bytes, two halves per uint32_t word.
 size_t MirrorWords(size_t count) { return (count + 1) / 2; }
+
+/// Halves converted per step of the fp32 FetchParams (a stack chunk).
+constexpr size_t kFetchChunk = 2048;
 
 }  // namespace
 
@@ -94,17 +97,12 @@ util::Result<int> LockFreeUpdater::AddLayer(
                            buffer_group));
 
   ANGEL_RETURN_IF_ERROR(layer->p32->WriteFloats(initial_params));
-  for (size_t s = 0; s < layer->slots.size(); ++s) {
-    const std::vector<float> slot_zeros(layer->slot_layout[s].count, 0.0f);
-    ANGEL_RETURN_IF_ERROR(layer->slots[s]->WriteFloats(slot_zeros));
-  }
-  const std::vector<float> zeros(layer->count, 0.0f);
-  ANGEL_RETURN_IF_ERROR(layer->buffered_params->WriteFloats(initial_params));
-  ANGEL_RETURN_IF_ERROR(layer->buffered_grads->WriteFloats(zeros));
+  for (Tensor* slot : layer->slots) ANGEL_RETURN_IF_ERROR(slot->Clear());
+  ANGEL_RETURN_IF_ERROR(layer->buffered_grads->Clear());
   layer->param_mirror.Reset(MirrorWords(layer->count));
   {
     util::MutexLock lock(layer->buffer_mutex);
-    PublishParams(*layer, initial_params);
+    ANGEL_RETURN_IF_ERROR(InstallParams(*layer, initial_params));
   }
 
   if (options_.master_device != mem::DeviceKind::kCpu) {
@@ -122,17 +120,20 @@ util::Result<int> LockFreeUpdater::AddLayer(
   return static_cast<int>(layers_.size()) - 1;
 }
 
-void LockFreeUpdater::PublishParams(Layer& layer,
-                                    const std::vector<float>& values) {
-  // The mirror stores the exact fp16 bit pattern the buffer tensor stores
-  // (same FloatToHalfBits rounding), so a lockless FetchParams returns
-  // bit-identical floats to the historic ReadFloats path.
-  std::vector<uint32_t> words(MirrorWords(layer.count), 0);
-  for (size_t i = 0; i < layer.count; ++i) {
-    const uint32_t bits = util::FloatToHalfBits(values[i]);
-    words[i / 2] |= bits << (16 * (i % 2));
-  }
-  layer.param_mirror.Write(words.data());
+util::Status LockFreeUpdater::InstallParams(
+    Layer& layer, const std::vector<float>& values) {
+  ANGEL_RETURN_IF_ERROR(layer.buffered_params->WriteFloats(values));
+  // The mirror publishes the very bits p'16 now holds, span by span, so a
+  // lockless FetchParams returns what a locked read of p'16 would.
+  util::Status status;
+  layer.param_mirror.WriteWith([&layer, &status](auto store) {
+    status = layer.buffered_params->ForEachSpan(
+        [&store](const std::byte* span, size_t bytes, size_t offset) {
+          store(offset, span, bytes);
+          return util::Status::OK();
+        });
+  });
+  return status;
 }
 
 util::Status LockFreeUpdater::FetchParams(int layer_index,
@@ -144,16 +145,42 @@ util::Status LockFreeUpdater::FetchParams(int layer_index,
   ANGEL_SPAN("updater", "fetch_params");
   const Layer& layer = *layers_[layer_index];
   // Lockless read (DESIGN.md §13): a consistent seqlock snapshot of the
-  // published fp16 bits, never contending with the buffering thread.
-  std::vector<uint32_t> words(layer.param_mirror.num_words());
-  layer.param_mirror.Read(words.data());
+  // published fp16 bits, never contending with the buffering thread,
+  // converted chunk by chunk straight out of the mirror.
   out->resize(layer.count);
-  for (size_t i = 0; i < layer.count; ++i) {
-    const uint16_t bits =
-        static_cast<uint16_t>(words[i / 2] >> (16 * (i % 2)));
-    (*out)[i] = util::HalfBitsToFloat(bits);
-  }
+  float* values = out->data();
+  const size_t count = layer.count;
+  layer.param_mirror.ReadWith([values, count](auto load) {
+    uint16_t chunk[kFetchChunk];
+    for (size_t i = 0; i < count; i += kFetchChunk) {
+      const size_t n = std::min(kFetchChunk, count - i);
+      load(2 * i, chunk, 2 * n);
+      HalvesToFloats(chunk, values + i, n);
+    }
+  });
   return util::Status::OK();
+}
+
+util::Status LockFreeUpdater::FetchParams(int layer_index, Tensor* out) const {
+  if (poisoned_.load(std::memory_order_acquire)) return status();
+  if (layer_index < 0 || layer_index >= num_layers()) {
+    return util::Status::InvalidArgument("bad layer index");
+  }
+  const Layer& layer = *layers_[layer_index];
+  if (out->dtype() != DType::kFp16 || out->NumElements() != layer.count) {
+    return util::Status::InvalidArgument(
+        "FetchParams needs an fp16 tensor of the layer's size");
+  }
+  ANGEL_SPAN("updater", "fetch_params");
+  util::Status status;
+  layer.param_mirror.ReadWith([out, &status](auto load) {
+    status = out->ForEachSpan(
+        [&load](std::byte* span, size_t bytes, size_t offset) {
+          load(offset, span, bytes);
+          return util::Status::OK();
+        });
+  });
+  return status;
 }
 
 util::Result<uint64_t> LockFreeUpdater::ParamsVersion(int layer_index) const {
@@ -229,6 +256,10 @@ util::Status LockFreeUpdater::OffloadGrads(int layer_index,
 
 void LockFreeUpdater::Start() {
   if (running_.exchange(true)) return;
+  {
+    util::MutexLock lock(queue_mutex_);
+    installs_closed_ = false;
+  }
   buffering_thread_ = std::thread([this] { BufferingThreadLoop(); });
   updating_thread_ = std::thread([this] { UpdatingThreadLoop(); });
 }
@@ -236,15 +267,14 @@ void LockFreeUpdater::Start() {
 void LockFreeUpdater::Stop() {
   if (!running_.exchange(false)) return;
   // Producer before consumer: the updating thread queues parameter installs
-  // for the buffering thread, so it is joined first; the buffering thread
-  // then applies every install still queued before it exits.
+  // for the buffering thread, so it is joined first; only then may the
+  // buffering thread exit, after applying every install still queued.
   backpressure_cv_.NotifyAll();
   SignalWork();
   if (updating_thread_.joinable()) updating_thread_.join();
   {
-    // Serializes with the buffering thread's predicate check, so it is
-    // either already waiting for this wakeup or sees running_ == false.
     util::MutexLock lock(queue_mutex_);
+    installs_closed_ = true;
   }
   queue_cv_.NotifyAll();
   if (buffering_thread_.joinable()) buffering_thread_.join();
@@ -258,7 +288,8 @@ void LockFreeUpdater::SignalWork() {
   work_cv_.NotifyAll();
 }
 
-util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
+util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
+                                                 bool queue_install) {
   ANGEL_SPAN("updater", "update_layer");
   Layer* layer = layers_[layer_index].get();
   // Snapshot-and-clear the accumulated fp16 gradients (see class comment).
@@ -268,8 +299,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     util::MutexLock lock(layer->buffer_mutex);
     if (layer->pending_batches == 0) return false;
     ANGEL_RETURN_IF_ERROR(layer->buffered_grads->ReadFloats(&grads));
-    const std::vector<float> zeros(layer->count, 0.0f);
-    ANGEL_RETURN_IF_ERROR(layer->buffered_grads->WriteFloats(zeros));
+    ANGEL_RETURN_IF_ERROR(layer->buffered_grads->Clear());
     batches_taken = layer->pending_batches;
     layer->pending_batches = 0;
   }
@@ -322,14 +352,13 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
 
     // Hand the fresh parameters to the buffering side (line 6), overlapping
     // with the SSD write-back (line 7).
-    if (running_.load()) {
+    if (queue_install) {
       util::MutexLock lock(queue_mutex_);
-      buffer_queue_.push_back(BufferTask{layer_index, true, p});
+      buffer_queue_.push_back(BufferTask{layer_index, true, std::move(p)});
       queue_cv_.NotifyOne();
     } else {
       util::MutexLock lock(layer->buffer_mutex);
-      ANGEL_RETURN_IF_ERROR(layer->buffered_params->WriteFloats(p));
-      PublishParams(*layer, p);
+      ANGEL_RETURN_IF_ERROR(InstallParams(*layer, p));
     }
 
     if (on_ssd) {
@@ -364,7 +393,7 @@ void LockFreeUpdater::UpdatingThreadLoop() {
     // Algorithm 2 line 3: walk layers in reverse (gradients arrive in
     // backward order, so the last layers are dirty first).
     for (int i = num_layers() - 1; i >= 0 && running_.load(); --i) {
-      auto updated = UpdateLayer(i);
+      auto updated = UpdateLayer(i, /*queue_install=*/true);
       if (!updated.ok()) {
         // An error here (e.g. an SSD failure that survived the retry
         // policy) is unrecoverable for this thread: poison the updater so
@@ -408,15 +437,12 @@ void LockFreeUpdater::BufferingThreadLoop() {
     BufferTask task;
     {
       util::MutexLock lock(queue_mutex_);
-      while (buffer_queue_.empty() && running_.load() &&
+      while (buffer_queue_.empty() && !installs_closed_ &&
              !poisoned_.load(std::memory_order_acquire)) {
         queue_cv_.Wait(queue_mutex_);
       }
       if (poisoned_.load(std::memory_order_acquire)) return;
-      if (buffer_queue_.empty()) {
-        if (!running_.load()) return;
-        continue;
-      }
+      if (buffer_queue_.empty()) return;  // Stop() closed the queue.
       task = std::move(buffer_queue_.front());
       buffer_queue_.pop_front();
     }
@@ -430,9 +456,7 @@ void LockFreeUpdater::BufferingThreadLoop() {
         // publish the new version through the seqlock mirror.
         util::Status status =
             util::FaultInjector::Instance().Check("updater.buffer_install");
-        if (status.ok()) {
-          status = layer.buffered_params->WriteFloats(task.data);
-        }
+        if (status.ok()) status = InstallParams(layer, task.data);
         if (!status.ok()) {
           // A failed install leaves the compute side reading stale (but
           // consistent) parameters forever; that is silent divergence, so
@@ -440,7 +464,6 @@ void LockFreeUpdater::BufferingThreadLoop() {
           Poison(status);
           return;
         }
-        PublishParams(layer, task.data);
         continue;
       }
       // Accumulate into g'16 (line 15).
@@ -474,7 +497,8 @@ util::Status LockFreeUpdater::UpdateOnce() {
         "UpdateOnce is the synchronous path; Stop() the threads first");
   }
   for (int i = num_layers() - 1; i >= 0; --i) {
-    const util::Status layer_status = UpdateLayer(i).status();
+    const util::Status layer_status =
+        UpdateLayer(i, /*queue_install=*/false).status();
     if (!layer_status.ok()) {
       Poison(layer_status);
       return layer_status;
@@ -643,10 +667,8 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   }
   // Refresh the compute-side fp16 view and drop stale gradients.
   util::MutexLock lock(layer.buffer_mutex);
-  ANGEL_RETURN_IF_ERROR(layer.buffered_params->WriteFloats(state.params));
-  PublishParams(layer, state.params);
-  const std::vector<float> zeros(layer.count, 0.0f);
-  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->WriteFloats(zeros));
+  ANGEL_RETURN_IF_ERROR(InstallParams(layer, state.params));
+  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->Clear());
   layer.pending_batches = 0;
   return util::Status::OK();
 }

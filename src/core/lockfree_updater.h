@@ -129,6 +129,10 @@ class LockFreeUpdater {
   /// with the buffering thread's install.
   [[nodiscard]] util::Status FetchParams(int layer,
                                          std::vector<float>* out) const;
+  /// Copies the buffered fp16 parameters bit for bit into `out`, an fp16
+  /// tensor of the layer's size on a memory tier: the engine's staging,
+  /// with no fp32 round trip. Lockless, like the fp32 form.
+  [[nodiscard]] util::Status FetchParams(int layer, Tensor* out) const;
 
   /// Publication version of a layer's buffered parameters (bumps by 2 per
   /// install — the seqlock sequence word). Lockless; lets the compute side
@@ -146,8 +150,9 @@ class LockFreeUpdater {
 
   /// Spawns the buffering and updating threads (asynchronous mode).
   void Start();
-  /// Joins the threads, the updating thread first, so no parameter install
-  /// it queued is left behind. Pending gradients stay buffered.
+  /// Joins the threads, the updating thread first; the buffering thread
+  /// then applies every install still queued, in order, before it exits.
+  /// Pending gradients stay buffered.
   void Stop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   bool running() const { return running_.load(); }
 
@@ -252,8 +257,13 @@ class LockFreeUpdater {
   };
 
   /// Applies one optimizer update to layer `layer_index` if it has pending
-  /// gradients. Returns true if an update was applied.
-  [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index)
+  /// gradients. Returns true if an update was applied. The fresh parameters
+  /// are queued for the buffering thread when `queue_install` (the updating
+  /// thread's sweep), else installed inline (UpdateOnce): the route comes
+  /// from the caller, never from running_, which Stop() can flip mid-update
+  /// and so land an inline install ahead of a queued older one.
+  [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index,
+                                               bool queue_install)
       ANGEL_EXCLUDES(queue_mutex_, staleness_mutex_, backpressure_mutex_);
   void UpdatingThreadLoop() ANGEL_EXCLUDES(work_mutex_);
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
@@ -262,9 +272,12 @@ class LockFreeUpdater {
       ANGEL_EXCLUDES(poison_mutex_, work_mutex_);
   /// Bumps the work epoch and wakes the updating thread.
   void SignalWork() ANGEL_EXCLUDES(work_mutex_);
-  /// Publishes `values` (as fp16 bits) into the layer's seqlock mirror.
-  /// Caller holds layer.buffer_mutex, which serializes mirror writers.
-  static void PublishParams(Layer& layer, const std::vector<float>& values)
+  /// Installs `values` as the layer's buffered parameters: one conversion,
+  /// straight into the p'16 pages, whose fp16 bits the seqlock mirror then
+  /// publishes. Caller holds layer.buffer_mutex, which serializes mirror
+  /// writers.
+  [[nodiscard]] static util::Status InstallParams(
+      Layer& layer, const std::vector<float>& values)
       ANGEL_REQUIRES(layer.buffer_mutex);
   /// Gradient batches offloaded but not yet applied.
   uint64_t pending_grad_batches() const;
@@ -289,6 +302,10 @@ class LockFreeUpdater {
                                    util::lockrank::kUpdaterQueue};
   util::CondVar queue_cv_;
   std::deque<BufferTask> buffer_queue_ ANGEL_GUARDED_BY(queue_mutex_);
+  /// True while no install can be queued: until Start(), and again once
+  /// Stop() has joined the updating thread. The buffering thread exits only
+  /// when this holds and the queue is empty, so no install is left behind.
+  bool installs_closed_ ANGEL_GUARDED_BY(queue_mutex_) = true;
 
   /// Wakeup channel for the updating thread (replaces the old idle-sleep
   /// poll): the epoch counts SignalWork calls, so a signal that lands

@@ -8,25 +8,13 @@
 namespace angelptm::core {
 namespace {
 
-/// Invokes `fn(page_data + slot_offset, span_bytes, tensor_offset)` for each
-/// of the tensor's page spans in byte order. Returns early on error.
-template <typename Fn>
-util::Status ForEachSpan(const Tensor& tensor, Fn&& fn) {
-  size_t tensor_offset = 0;
-  for (mem::Page* page : tensor.pages()) {
-    const mem::Page::Slot* slot = page->FindSlot(tensor.id());
-    if (slot == nullptr) {
-      return util::Status::Internal("tensor " + std::to_string(tensor.id()) +
-                                    " missing slot on page " +
-                                    std::to_string(page->id()));
-    }
-    if (page->device() == mem::DeviceKind::kSsd) {
-      return util::Status::FailedPrecondition(
-          "tensor " + std::to_string(tensor.id()) + " has page on SSD");
-    }
-    ANGEL_RETURN_IF_ERROR(
-        fn(page->data_ptr() + slot->offset, slot->bytes, tensor_offset));
-    tensor_offset += slot->bytes;
+/// A 16-bit tensor's page span must hold whole, aligned elements; only an
+/// odd page size can break that, and it is rejected rather than misread.
+util::Status CheckHalfSpan(const std::byte* span, size_t bytes) {
+  if (bytes % 2 != 0 ||
+      reinterpret_cast<uintptr_t>(span) % alignof(uint16_t) != 0) {
+    return util::Status::InvalidArgument(
+        "16-bit tensor span splits an element (odd page size)");
   }
   return util::Status::OK();
 }
@@ -83,8 +71,8 @@ util::Status Tensor::CopyOut(std::byte* dst, size_t bytes) const {
   if (bytes != SizeBytes()) {
     return util::Status::InvalidArgument("CopyOut size mismatch");
   }
-  return ForEachSpan(*this, [dst](const std::byte* src, size_t span_bytes,
-                                  size_t offset) {
+  return ForEachSpan([dst](const std::byte* src, size_t span_bytes,
+                           size_t offset) {
     std::memcpy(dst + offset, src, span_bytes);
     return util::Status::OK();
   });
@@ -94,27 +82,40 @@ util::Status Tensor::CopyIn(const std::byte* src, size_t bytes) {
   if (bytes != SizeBytes()) {
     return util::Status::InvalidArgument("CopyIn size mismatch");
   }
-  return ForEachSpan(*this, [src](std::byte* dst, size_t span_bytes,
-                                  size_t offset) {
+  return ForEachSpan([src](std::byte* dst, size_t span_bytes, size_t offset) {
     std::memcpy(dst, src + offset, span_bytes);
     return util::Status::OK();
   });
 }
 
+util::Status Tensor::Clear() {
+  return ForEachSpan([](std::byte* span, size_t bytes, size_t) {
+    std::memset(span, 0, bytes);
+    return util::Status::OK();
+  });
+}
+
 util::Status Tensor::ReadFloats(std::vector<float>* out) const {
-  const size_t n = NumElements();
-  out->resize(n);
+  out->resize(NumElements());
+  float* values = out->data();
   if (dtype_ == DType::kFp32) {
-    return CopyOut(reinterpret_cast<std::byte*>(out->data()), SizeBytes());
+    return CopyOut(reinterpret_cast<std::byte*>(values), SizeBytes());
   }
-  std::vector<uint16_t> raw(n);
-  ANGEL_RETURN_IF_ERROR(
-      CopyOut(reinterpret_cast<std::byte*>(raw.data()), SizeBytes()));
-  for (size_t i = 0; i < n; ++i) {
-    (*out)[i] = dtype_ == DType::kFp16 ? util::HalfBitsToFloat(raw[i])
-                                       : util::BFloat16BitsToFloat(raw[i]);
-  }
-  return util::Status::OK();
+  const bool fp16 = dtype_ == DType::kFp16;
+  return ForEachSpan([values, fp16](const std::byte* span, size_t bytes,
+                                    size_t offset) {
+    ANGEL_RETURN_IF_ERROR(CheckHalfSpan(span, bytes));
+    const auto* src = reinterpret_cast<const uint16_t*>(span);
+    float* dst = values + offset / 2;
+    if (fp16) {
+      HalvesToFloats(src, dst, bytes / 2);
+    } else {
+      for (size_t i = 0; i < bytes / 2; ++i) {
+        dst[i] = util::BFloat16BitsToFloat(src[i]);
+      }
+    }
+    return util::Status::OK();
+  });
 }
 
 util::Status Tensor::WriteFloats(const std::vector<float>& values) {
@@ -125,12 +126,21 @@ util::Status Tensor::WriteFloats(const std::vector<float>& values) {
     return CopyIn(reinterpret_cast<const std::byte*>(values.data()),
                   SizeBytes());
   }
-  std::vector<uint16_t> raw(values.size());
-  for (size_t i = 0; i < values.size(); ++i) {
-    raw[i] = dtype_ == DType::kFp16 ? util::FloatToHalfBits(values[i])
-                                    : util::FloatToBFloat16Bits(values[i]);
-  }
-  return CopyIn(reinterpret_cast<const std::byte*>(raw.data()), SizeBytes());
+  const bool fp16 = dtype_ == DType::kFp16;
+  return ForEachSpan([&values, fp16](std::byte* span, size_t bytes,
+                                     size_t offset) {
+    ANGEL_RETURN_IF_ERROR(CheckHalfSpan(span, bytes));
+    auto* dst = reinterpret_cast<uint16_t*>(span);
+    const float* src = values.data() + offset / 2;
+    if (fp16) {
+      FloatsToHalves(src, dst, bytes / 2);
+    } else {
+      for (size_t i = 0; i < bytes / 2; ++i) {
+        dst[i] = util::FloatToBFloat16Bits(src[i]);
+      }
+    }
+    return util::Status::OK();
+  });
 }
 
 }  // namespace angelptm::core

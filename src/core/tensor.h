@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/dtype.h"
@@ -56,12 +57,24 @@ class Tensor {
   std::byte* data();
   const std::byte* data() const;
 
+  /// Calls `fn(span, bytes, offset)` for each page span in byte order:
+  /// `span` points at the `bytes` bytes this tensor holds on that page,
+  /// which are bytes [offset, offset + bytes) of the tensor. Stops at the
+  /// first non-OK status `fn` returns; fails if a page is on the SSD tier.
+  /// Lets callers copy or convert straight into and out of the pages.
+  template <typename Fn>
+  [[nodiscard]] util::Status ForEachSpan(Fn&& fn) const;
+
   /// Gathers the tensor's bytes (resident pages, any layout) into `dst`.
   [[nodiscard]] util::Status CopyOut(std::byte* dst, size_t bytes) const;
   /// Scatters `src` into the tensor's pages.
   [[nodiscard]] util::Status CopyIn(const std::byte* src, size_t bytes);
+  /// Sets every byte to zero (0.0 in every dtype).
+  [[nodiscard]] util::Status Clear();
 
-  /// Typed convenience accessors over CopyOut/CopyIn.
+  /// Typed accessors: fp32 copies, fp16/bf16 convert span by span between
+  /// the pages and `values` (fp16 through core::FloatsToHalves/
+  /// HalvesToFloats), with no whole-tensor temporary.
   [[nodiscard]] util::Status ReadFloats(std::vector<float>* out) const;
   [[nodiscard]] util::Status WriteFloats(const std::vector<float>& values);
 
@@ -74,6 +87,27 @@ class Tensor {
   DType dtype_;
   std::vector<mem::Page*> pages_;
 };
+
+template <typename Fn>
+util::Status Tensor::ForEachSpan(Fn&& fn) const {
+  size_t offset = 0;
+  for (mem::Page* page : pages_) {
+    const mem::Page::Slot* slot = page->FindSlot(id_);
+    if (slot == nullptr) {
+      return util::Status::Internal("tensor " + std::to_string(id_) +
+                                    " missing slot on page " +
+                                    std::to_string(page->id()));
+    }
+    if (page->device() == mem::DeviceKind::kSsd) {
+      return util::Status::FailedPrecondition(
+          "tensor " + std::to_string(id_) + " has page on SSD");
+    }
+    ANGEL_RETURN_IF_ERROR(
+        fn(page->data_ptr() + slot->offset, slot->bytes, offset));
+    offset += slot->bytes;
+  }
+  return util::Status::OK();
+}
 
 }  // namespace angelptm::core
 

@@ -10,9 +10,12 @@
 namespace angelptm::simd {
 namespace {
 
-bool CpuHasAvx2Fma() {
+// F16C rides on the AVX2 requirement: every AVX2 CPU has it, and the
+// fp16 converters in the AVX2 TU use it.
+bool CpuHasAvx2FmaF16c() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("f16c");
 #else
   return false;
 #endif
@@ -26,7 +29,7 @@ std::atomic<int> g_force_override{-1};
 std::atomic<int> g_resolved{-1};
 
 IsaPath ResolveFromEnvAndCpu() {
-  const bool avx2_ok = avx2::Compiled() && CpuHasAvx2Fma();
+  const bool avx2_ok = avx2::Compiled() && CpuHasAvx2FmaF16c();
   // Precedence (util::EnvOverride contract): the ScopedForceIsa test
   // override in Dispatch() beats this env lookup, which beats CPU detection.
   if (util::EnvIsSet("ANGELPTM_SIMD")) {
@@ -34,10 +37,11 @@ IsaPath ResolveFromEnvAndCpu() {
     if (env == "scalar") return IsaPath::kScalar;
     if (env == "avx2") {
       if (avx2_ok) return IsaPath::kAvx2;
-      ANGEL_LOG(Warning) << "ANGELPTM_SIMD=avx2 requested but AVX2+FMA is "
-                         << (avx2::Compiled() ? "not supported by this CPU"
-                                              : "not compiled into this binary")
-                         << "; falling back to the scalar path";
+      ANGEL_LOG(Warning)
+          << "ANGELPTM_SIMD=avx2 requested but AVX2+FMA+F16C is "
+          << (avx2::Compiled() ? "not supported by this CPU"
+                               : "not compiled into this binary")
+          << "; falling back to the scalar path";
       return IsaPath::kScalar;
     }
     ANGEL_LOG(Warning) << "unknown ANGELPTM_SIMD value \"" << env
@@ -65,7 +69,7 @@ bool Supported(IsaPath path) {
     case IsaPath::kScalar:
       return true;
     case IsaPath::kAvx2:
-      return avx2::Compiled() && CpuHasAvx2Fma();
+      return avx2::Compiled() && CpuHasAvx2FmaF16c();
   }
   return false;
 }

@@ -1,19 +1,22 @@
 #include "train/simd/kernels_avx2.h"
 
-// The only translation unit built with -mavx2 -mfma (scoped in
+// The only translation unit built with -mavx2 -mfma -mf16c (scoped in
 // src/CMakeLists.txt) and the only place <immintrin.h> may be included
 // (enforced by scripts/lint.py rule `simd-include`). Everything here is a
 // leaf function: no STL containers, no inline helpers from shared headers,
 // so AVX2 codegen cannot escape into TUs that must stay runnable on
-// pre-AVX2 hosts.
+// pre-AVX2 hosts. The fp16 converters call the scalar util:: converters,
+// which are out-of-line functions compiled in util/half.cc.
 
-#if defined(__AVX2__) && defined(__FMA__)
+#if defined(__AVX2__) && defined(__FMA__) && defined(__F16C__)
 
 #include <immintrin.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+
+#include "util/half.h"
 
 namespace angelptm::simd::avx2 {
 namespace {
@@ -659,9 +662,48 @@ void AdamUpdateBlock(float* params, float* m, float* v, const float* grads,
   for (; i < end; ++i) scalar_lane(i);
 }
 
+void FloatToHalfBlock(const float* src, uint16_t* dst, size_t n) {
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m256 x = _mm256_loadu_ps(src + i);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + i),
+                     _mm256_cvtps_ph(x, _MM_FROUND_TO_NEAREST_INT));
+    // F16C keeps the top payload bits of a NaN; the scalar function emits
+    // one quiet NaN per sign.
+    unsigned nan_lanes = unsigned(
+        _mm256_movemask_ps(_mm256_cmp_ps(x, x, _CMP_UNORD_Q)));
+    while (nan_lanes != 0) {
+      const unsigned lane = unsigned(__builtin_ctz(nan_lanes));
+      dst[i + lane] = util::FloatToHalfBits(src[i + lane]);
+      nan_lanes &= nan_lanes - 1;
+    }
+  }
+  for (; i < n; ++i) dst[i] = util::FloatToHalfBits(src[i]);
+}
+
+void HalfToFloatBlock(const uint16_t* src, float* dst, size_t n) {
+  const __m128i exponent = _mm_set1_epi16(0x7C00);
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m128i h =
+        _mm_loadu_si128(reinterpret_cast<const __m128i*>(src + i));
+    _mm256_storeu_ps(dst + i, _mm256_cvtph_ps(h));
+    // Exponent 31 (inf/NaN): F16C quiets a signalling NaN, the scalar
+    // function keeps it signalling. Two mask bits per 16-bit lane.
+    unsigned special_lanes = unsigned(_mm_movemask_epi8(
+        _mm_cmpeq_epi16(_mm_and_si128(h, exponent), exponent)));
+    while (special_lanes != 0) {
+      const unsigned lane = unsigned(__builtin_ctz(special_lanes)) / 2;
+      dst[i + lane] = util::HalfBitsToFloat(src[i + lane]);
+      special_lanes &= ~(3u << (2 * lane));
+    }
+  }
+  for (; i < n; ++i) dst[i] = util::HalfBitsToFloat(src[i]);
+}
+
 }  // namespace angelptm::simd::avx2
 
-#else  // !(__AVX2__ && __FMA__)
+#else  // !(__AVX2__ && __FMA__ && __F16C__)
 
 #include <cstdio>
 #include <cstdlib>
@@ -729,7 +771,13 @@ void AdamUpdateBlock(float*, float*, float*, const float*, size_t, size_t,
                      float, float, float, float, float, float, float) {
   Unavailable("AdamUpdateBlock");
 }
+void FloatToHalfBlock(const float*, uint16_t*, size_t) {
+  Unavailable("FloatToHalfBlock");
+}
+void HalfToFloatBlock(const uint16_t*, float*, size_t) {
+  Unavailable("HalfToFloatBlock");
+}
 
 }  // namespace angelptm::simd::avx2
 
-#endif  // __AVX2__ && __FMA__
+#endif  // __AVX2__ && __FMA__ && __F16C__

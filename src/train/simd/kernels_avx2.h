@@ -2,12 +2,13 @@
 #define ANGELPTM_TRAIN_SIMD_KERNELS_AVX2_H_
 
 #include <cstddef>
+#include <cstdint>
 
 namespace angelptm::simd::avx2 {
 
-/// AVX2/FMA leaf kernels. This header is plain C++ and can be included
-/// anywhere; only kernels_avx2.cc is compiled with -mavx2 -mfma, and it
-/// deliberately contains *leaf* block functions with C-like signatures —
+/// AVX2/FMA/F16C leaf kernels. This header is plain C++ and can be included
+/// anywhere; only kernels_avx2.cc is compiled with -mavx2 -mfma -mf16c, and
+/// it deliberately contains *leaf* block functions with C-like signatures —
 /// no STL, no shared inline helpers — so no AVX2 code can leak into other
 /// translation units through inline-function comdat folding. Callers must
 /// route through simd::Dispatch(): invoking any of these when
@@ -20,8 +21,8 @@ namespace angelptm::simd::avx2 {
 /// layout.
 
 /// True when this binary contains the real AVX2 implementations (x86-64
-/// build with a compiler that accepted -mavx2 -mfma), false when the TU
-/// compiled as stubs.
+/// build with a compiler that accepted -mavx2 -mfma -mf16c), false when
+/// the TU compiled as stubs.
 bool Compiled();
 
 /// Micro-tile geometry: each micro-kernel invocation computes a
@@ -114,6 +115,18 @@ void AdamUpdateBlock(float* params, float* m, float* v, const float* grads,
                      size_t begin, size_t end, float lr, float beta1,
                      float beta2, float epsilon, float weight_decay,
                      float inv_bc1, float inv_bc2);
+
+/// dst[i] = util::FloatToHalfBits(src[i]) for i < n, bit for bit: F16C
+/// round-to-nearest-even, with every lane that holds a NaN (where F16C
+/// keeps payload bits the scalar function drops) redone by the scalar
+/// function, as is the tail past the last full vector.
+void FloatToHalfBlock(const float* src, uint16_t* dst, size_t n);
+
+/// dst[i] = util::HalfBitsToFloat(src[i]) for i < n, bit for bit: F16C,
+/// with every lane whose exponent is 31 (F16C quiets signalling NaNs, the
+/// scalar function does not) redone by the scalar function, as is the
+/// tail.
+void HalfToFloatBlock(const uint16_t* src, float* dst, size_t n);
 
 }  // namespace angelptm::simd::avx2
 

@@ -26,6 +26,20 @@ TEST(SimdDispatchTest, Avx2SupportRequiresCompiledKernels) {
   }
 }
 
+TEST(SimdDispatchTest, Avx2SupportRequiresF16c) {
+  // The avx2 path's fp16 converters are F16C blocks, so the path may only
+  // be supported where the CPU has F16C as well as AVX2 and FMA.
+#if defined(__x86_64__) || defined(__i386__)
+  if (Supported(IsaPath::kAvx2)) {
+    EXPECT_TRUE(__builtin_cpu_supports("avx2"));
+    EXPECT_TRUE(__builtin_cpu_supports("fma"));
+    EXPECT_TRUE(__builtin_cpu_supports("f16c"));
+  }
+#else
+  EXPECT_FALSE(Supported(IsaPath::kAvx2));
+#endif
+}
+
 TEST(SimdDispatchTest, ScopedForceOverridesAndRestores) {
   const IsaPath ambient = Dispatch();
   {

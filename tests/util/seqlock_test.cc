@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <thread>
 #include <vector>
 
@@ -35,6 +36,36 @@ TEST(SeqLockBufferTest, VersionBumpsByTwoPerWrite) {
   for (int i = 1; i <= 5; ++i) {
     buffer.Write(&word);
     EXPECT_EQ(buffer.version(), uint64_t(2 * i));
+  }
+}
+
+TEST(SeqLockBufferTest, ByteRangesCoverPartialWords) {
+  // The fp16 mirror stores and loads 2-byte-granular ranges: a range may
+  // start or end mid-word, and the bytes of that word outside it must keep
+  // their value.
+  SeqLockBuffer buffer;
+  buffer.Reset(4);
+  const uint32_t base[4] = {0x11111111u, 0x22222222u, 0x33333333u,
+                            0x44444444u};
+  buffer.Write(base);
+  const uint16_t patch[5] = {0xA0A1, 0xA2A3, 0xA4A5, 0xA6A7, 0xA8A9};
+  buffer.WriteWith([&patch](auto store) { store(2, patch, sizeof(patch)); });
+  EXPECT_EQ(buffer.version(), 4u);
+
+  uint16_t expected[8];
+  std::memcpy(expected, base, sizeof(base));
+  std::memcpy(expected + 1, patch, sizeof(patch));
+  // Loads at every 2-byte start and length see those bytes.
+  for (size_t first = 0; first < 8; ++first) {
+    for (size_t n = 0; first + n <= 8; ++n) {
+      uint16_t got[8] = {};
+      buffer.ReadWith(
+          [&got, first, n](auto load) { load(2 * first, got, 2 * n); });
+      for (size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(got[i], expected[first + i])
+            << "first " << first << ", n " << n;
+      }
+    }
   }
 }
 
