@@ -25,7 +25,8 @@
 #     honored end to end and that both code paths match their references
 #     on whatever host this runs on (the avx2-path tests skip themselves on
 #     hosts without AVX2+FMA+F16C); then a kernel_bench smoke runs its
-#     GEMM-variant, attention and fp16-conversion guards.
+#     GEMM-variant, attention and fp16-conversion guards on the dispatched
+#     path and again on the scalar path.
 #
 #   * An SSD pipeline pass (DESIGN.md §12): the pipeline bench runs in
 #     smoke mode, then the mem and engine suites re-run with
@@ -136,7 +137,10 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
   # their workload shapes. Exit 1 if a transposed GEMM is >2x slower than
   # gemm, the dispatched attention is not faster than its reference, or
   # (avx2 path) the fp16 converters are not faster than the scalar ones.
+  # Once per path: the scalar run is what a host without AVX2+FMA gets.
   ./build/bench/kernel_bench build/BENCH_kernels_smoke.json 256
+  ANGELPTM_SIMD=scalar \
+    ./build/bench/kernel_bench build/BENCH_kernels_smoke_scalar.json 256
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then
@@ -259,9 +263,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     ctest --test-dir build-tsan --output-on-failure \
       -R 'util_test|obs_test|train_test|runtime_test'
   # The crash/restart suite once more, explicitly: CheckpointManager::Save
-  # quiesces a *running* lock-free updater layer by layer, and the recovery
-  # loop tears threads down mid-error — any lock the snapshot path misses
-  # surfaces here (see DESIGN.md §9).
+  # cuts a *running* lock-free updater layer by layer and hands the
+  # persist to a background writer that reads pinned SSD frames while the
+  # updater rewrites the layers, and the recovery loop tears threads down
+  # mid-error — any lock the cut, the pins or the writer miss surfaces
+  # here (see DESIGN.md §9).
   # The suite is parameterized over both step backends (direct and paged),
   # so its names carry a prefix: Backends/RecoveryTest.<case>/<backend>.
   TSAN_OPTIONS="halt_on_error=1" \
@@ -269,6 +275,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test \
       --gtest_filter='CheckpointTest.*:CheckpointManagerTest.*'
+  # Copy-on-write under load: the persist reads pinned frames while the
+  # updating thread moves the same layers, 50 times over.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/runtime_test --gtest_repeat=50 \
+      --gtest_filter='CheckpointManagerTest.PinnedCut*:CheckpointManagerTest.SaveOnARunningUpdater*'
   # Stop() with updates in flight: every install the updating thread queued
   # must land, in order, before the buffering thread exits. The race this
   # guards lost about one run in five before it was fixed, so repeat it.
@@ -323,7 +334,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
     echo "--- perturbation sweep: ANGELPTM_PERTURB_SEED=$SEED ---"
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/runtime_test \
-        --gtest_filter='LockFreeUpdater*:EngineTest.*'
+        --gtest_filter='LockFreeUpdater*:EngineTest.*:Checkpoint*'
     ANGELPTM_PERTURB_SEED=$SEED ANGELPTM_PERTURB_PROB=0.05 \
       ./build-lockdep/tests/mem_test \
         --gtest_filter='CopyEngineTest.*:SsdTierTest.*'

@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -120,13 +121,21 @@ bool ReadString(Reader* reader, uint32_t max_bytes, std::string* out) {
   return len == 0 || reader->Read(out->data(), len);
 }
 
-/// Self-describing slot values: element count then fp32 payload.
-bool WriteFloatBlock(Writer* writer, const std::vector<float>& values) {
-  const uint64_t count = values.size();
-  return writer->Write(&count, sizeof(count)) &&
-         writer->Write(values.data(), count * sizeof(float));
+/// A cut tensor's fp32 payload in file order, read span by span through
+/// `buffer` (at least one span long).
+bool WriteSpans(Writer* writer, mem::SsdTier* ssd,
+                const LockFreeUpdater::MasterCut::Tensor& tensor,
+                std::vector<std::byte>* buffer, util::Status* read_status) {
+  for (const MasterSpan& span : tensor.spans) {
+    *read_status = ReadMasterSpan(ssd, span, buffer->data());
+    if (!read_status->ok() || !writer->Write(buffer->data(), span.bytes)) {
+      return false;
+    }
+  }
+  return true;
 }
 
+/// Self-describing slot values: element count then fp32 payload.
 bool ReadFloatBlock(Reader* reader, std::vector<float>* out) {
   uint64_t count = 0;
   if (!reader->Read(&count, sizeof(count))) return false;
@@ -134,46 +143,50 @@ bool ReadFloatBlock(Reader* reader, std::vector<float>* out) {
   return count == 0 || reader->Read(out->data(), count * sizeof(float));
 }
 
-}  // namespace
-
-util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
-                            const TrainProgress* progress,
-                            uint64_t* bytes_written) {
-  if (updater == nullptr) return util::Status::InvalidArgument("null updater");
+/// Writes the cut to `path` (see PersistCheckpoint), unpinning each layer
+/// once its bytes are in the file.
+util::Status WriteCut(CheckpointCut* cut, const std::string& path,
+                      uint64_t* bytes_written) {
   ANGEL_FAULT_CHECK("checkpoint.write");
+  size_t buffer_bytes = 0;
+  for (const LockFreeUpdater::MasterCut& layer : cut->layers) {
+    for (const LockFreeUpdater::MasterCut::Tensor& tensor : layer.tensors) {
+      for (const MasterSpan& span : tensor.spans) {
+        buffer_bytes = std::max(buffer_bytes, span.bytes);
+      }
+    }
+  }
+  std::vector<std::byte> buffer(buffer_bytes);
   const std::string tmp_path = path + ".tmp";
   std::FILE* file = std::fopen(tmp_path.c_str(), "wb");
   if (file == nullptr) {
     return util::Status::IoError("cannot open " + tmp_path);
   }
   Writer writer(file);
-  const uint32_t num_layers = uint32_t(updater->num_layers());
-  const TrainProgress defaults;
+  util::Status read_status;
+  const uint32_t num_layers = uint32_t(cut->layers.size());
   bool ok = writer.Write(kMagic, sizeof(kMagic)) &&
             writer.Write(&kVersion, sizeof(kVersion)) &&
-            WriteProgress(&writer, progress != nullptr ? *progress : defaults) &&
-            WriteString(&writer, updater->optimizer_rule()) &&
+            WriteProgress(&writer, cut->progress) &&
+            WriteString(&writer, cut->rule) &&
             writer.Write(&num_layers, sizeof(num_layers));
-  for (uint32_t l = 0; ok && l < num_layers; ++l) {
-    LockFreeUpdater::LayerState state;
-    // Per-layer quiesce: safe while the updater threads keep running.
-    const util::Status exported = updater->SnapshotLayerState(int(l), &state);
-    if (!exported.ok()) {
-      std::fclose(file);
-      std::remove(tmp_path.c_str());
-      return exported;
-    }
-    const uint64_t count = state.params.size();
-    const int64_t step = state.step;
-    const uint32_t num_slots = uint32_t(state.slots.size());
+  for (LockFreeUpdater::MasterCut& layer : cut->layers) {
+    if (!ok) break;
+    const LockFreeUpdater::MasterCut::Tensor& params = layer.tensors.front();
+    const uint64_t count = params.count;
+    const int64_t step = layer.step;
+    const uint32_t num_slots = uint32_t(layer.tensors.size() - 1);
     ok = writer.Write(&count, sizeof(count)) &&
          writer.Write(&step, sizeof(step)) &&
          writer.Write(&num_slots, sizeof(num_slots)) &&
-         writer.Write(state.params.data(), count * sizeof(float));
-    for (uint32_t s = 0; ok && s < num_slots; ++s) {
-      ok = WriteString(&writer, state.slots[s].name) &&
-           WriteFloatBlock(&writer, state.slots[s].values);
+         WriteSpans(&writer, layer.ssd, params, &buffer, &read_status);
+    for (size_t s = 1; ok && s < layer.tensors.size(); ++s) {
+      const LockFreeUpdater::MasterCut::Tensor& slot = layer.tensors[s];
+      ok = WriteString(&writer, slot.name) &&
+           writer.Write(&slot.count, sizeof(slot.count)) &&
+           WriteSpans(&writer, layer.ssd, slot, &buffer, &read_status);
     }
+    layer.Unpin();
   }
   ok = ok && writer.WriteChecksum();
   // Flush user-space buffers and force the data to stable storage before the
@@ -184,6 +197,7 @@ util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
   if (std::fclose(file) != 0) ok = false;
   if (!ok) {
     std::remove(tmp_path.c_str());
+    if (!read_status.ok()) return read_status;
     return util::Status::IoError("short write to " + tmp_path);
   }
   const util::Status rename_fault =
@@ -197,6 +211,40 @@ util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
   }
   if (bytes_written != nullptr) *bytes_written = writer.bytes();
   return util::Status::OK();
+}
+
+}  // namespace
+
+util::Status CutCheckpoint(LockFreeUpdater* updater,
+                           const TrainProgress* progress, CheckpointCut* out) {
+  if (updater == nullptr) return util::Status::InvalidArgument("null updater");
+  out->progress = progress != nullptr ? *progress : TrainProgress();
+  out->rule = updater->optimizer_rule();
+  out->layers.clear();
+  out->layers.resize(size_t(updater->num_layers()));
+  for (int l = 0; l < updater->num_layers(); ++l) {
+    const util::Status cut = updater->CutLayer(l, &out->layers[size_t(l)]);
+    if (!cut.ok()) {
+      out->layers.clear();  // Releases the pins taken so far.
+      return cut;
+    }
+  }
+  return util::Status::OK();
+}
+
+util::Status PersistCheckpoint(CheckpointCut* cut, const std::string& path,
+                               uint64_t* bytes_written) {
+  const util::Status written = WriteCut(cut, path, bytes_written);
+  for (LockFreeUpdater::MasterCut& layer : cut->layers) layer.Unpin();
+  return written;
+}
+
+util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
+                            const TrainProgress* progress,
+                            uint64_t* bytes_written) {
+  CheckpointCut cut;
+  ANGEL_RETURN_IF_ERROR(CutCheckpoint(updater, progress, &cut));
+  return PersistCheckpoint(&cut, path, bytes_written);
 }
 
 util::Status LoadCheckpoint(LockFreeUpdater* updater, const std::string& path,

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "core/lockfree_updater.h"
 #include "util/random.h"
@@ -61,12 +62,36 @@ struct TrainProgress {
   bool has_progress = false;
 };
 
-/// Writes every layer's fp32 master state (plus `progress`, when given) to
-/// `path` — atomic: writes `path.tmp`, fsyncs, then renames. Safe on a
-/// *running* updater: layers are snapshotted through the per-layer quiesce
-/// (LockFreeUpdater::SnapshotLayerState), so training continues while the
-/// checkpoint is cut. `bytes_written`, when non-null, receives the file
-/// size on success.
+/// Everything a checkpoint file holds, captured but not yet written: a save
+/// is a cut followed by a persist (DESIGN.md §9). SSD-resident master
+/// states stay in their tier frames, pinned, until the persist reads them;
+/// destroying the cut releases whatever is still pinned.
+struct CheckpointCut {
+  TrainProgress progress;
+  std::string rule;
+  std::vector<LockFreeUpdater::MasterCut> layers;
+};
+
+/// Cuts every layer through LockFreeUpdater::CutLayer (the per-layer
+/// quiesce), so it is safe on a *running* updater. `progress` defaults when
+/// null. On error nothing stays pinned.
+[[nodiscard]] util::Status CutCheckpoint(LockFreeUpdater* updater,
+                                         const TrainProgress* progress,
+                                         CheckpointCut* out);
+
+/// Serializes a cut to `path` in the v3 format — atomic: writes
+/// `path.tmp`, fsyncs, then renames. Pinned SSD spans are read through the
+/// tier into one span-sized buffer, and each layer is unpinned once its
+/// bytes are written; when this returns, error or not, nothing of the cut
+/// is pinned. `bytes_written`, when non-null, receives the file size on
+/// success. The checkpoint.write and checkpoint.rename failpoints fire
+/// here, on whichever thread persists.
+[[nodiscard]] util::Status PersistCheckpoint(CheckpointCut* cut,
+                                             const std::string& path,
+                                             uint64_t* bytes_written = nullptr);
+
+/// CutCheckpoint then PersistCheckpoint on the calling thread: writes every
+/// layer's fp32 master state (plus `progress`, when given) to `path`.
 [[nodiscard]] util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
                             const TrainProgress* progress = nullptr,
                             uint64_t* bytes_written = nullptr);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstring>
 
 #include "obs/trace.h"
 #include "util/fault_injector.h"
@@ -17,7 +18,43 @@ size_t MirrorWords(size_t count) { return (count + 1) / 2; }
 /// Halves converted per step of the fp32 FetchParams (a stack chunk).
 constexpr size_t kFetchChunk = 2048;
 
+/// Where `tensor`'s share of `page` lives: the page frame in memory, or
+/// the page's frame in the SSD tier file.
+util::Result<MasterSpan> SpanOf(const Tensor& tensor, const mem::Page& page) {
+  const mem::Page::Slot* slot = page.FindSlot(tensor.id());
+  if (slot == nullptr) {
+    return util::Status::Internal("tensor " + std::to_string(tensor.id()) +
+                                  " missing slot on page " +
+                                  std::to_string(page.id()));
+  }
+  MasterSpan span;
+  span.bytes = slot->bytes;
+  if (page.device() == mem::DeviceKind::kSsd) {
+    span.ssd_offset = page.ssd_offset() + slot->offset;
+  } else {
+    span.host = page.data_ptr() + slot->offset;
+  }
+  return span;
+}
+
 }  // namespace
+
+util::Status ReadMasterSpan(mem::SsdTier* ssd, const MasterSpan& span,
+                            std::byte* dst) {
+  if (span.host != nullptr) {
+    std::memcpy(dst, span.host, span.bytes);
+    return util::Status::OK();
+  }
+  if (ssd == nullptr) {
+    return util::Status::FailedPrecondition("SSD span without an SSD tier");
+  }
+  return ssd->ReadFrame(span.ssd_offset, dst, span.bytes);
+}
+
+void LockFreeUpdater::MasterCut::Unpin() {
+  if (!pinned.empty()) ssd->UnpinFrames(pinned);
+  pinned.clear();
+}
 
 LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
     : allocator_(allocator), options_(options) {
@@ -320,16 +357,12 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
 
   // Fetch fp32 states from the master device (Algorithm 2 line 4; a real
   // SSD read when the master tier is the SSD). The master mutex quiesces
-  // this one layer against concurrent checkpoint snapshots.
+  // this one layer against concurrent checkpoint cuts and master reads.
   const bool on_ssd = options_.master_device == mem::DeviceKind::kSsd;
   {
     util::MutexLock master_lock(layer->master_mutex);
     if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(
-          allocator_->Move(layer->p32, mem::DeviceKind::kCpu));
-      for (Tensor* tensor : layer->slots) {
-        ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
-      }
+      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
     }
     std::vector<float> p;
     ANGEL_RETURN_IF_ERROR(layer->p32->ReadFloats(&p));
@@ -362,11 +395,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
     }
 
     if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(
-          allocator_->Move(layer->p32, mem::DeviceKind::kSsd));
-      for (Tensor* tensor : layer->slots) {
-        ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
-      }
+      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kSsd));
     }
   }
   updates_applied_.fetch_add(1);
@@ -565,52 +594,93 @@ util::Status LockFreeUpdater::ReadMasterParams(int layer_index,
   }
   Layer& layer = *layers_[layer_index];
   util::MutexLock master_lock(layer.master_mutex);
-  const bool on_ssd = layer.p32->device_index() ==
-                      static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-  }
-  ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(out));
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
+  out->resize(layer.count);
+  auto* dst = reinterpret_cast<std::byte*>(out->data());
+  mem::SsdTier* ssd = allocator_->memory()->ssd();
+  for (const mem::Page* page : layer.p32->pages()) {
+    ANGEL_ASSIGN_OR_RETURN(const MasterSpan span, SpanOf(*layer.p32, *page));
+    ANGEL_RETURN_IF_ERROR(ReadMasterSpan(ssd, span, dst));
+    dst += span.bytes;
   }
   return util::Status::OK();
 }
 
-util::Status LockFreeUpdater::SnapshotLayerState(int layer_index,
-                                                 LayerState* out) {
+util::Status LockFreeUpdater::CutLayer(int layer_index, MasterCut* out) {
   if (layer_index < 0 || layer_index >= num_layers()) {
     return util::Status::InvalidArgument("bad layer index");
   }
-  ANGEL_SPAN("updater", "snapshot_layer");
+  ANGEL_SPAN("updater", "cut_layer");
   Layer& layer = *layers_[layer_index];
+  const std::vector<Tensor*> tensors = MasterTensors(layer);
   // The per-layer quiesce: while held, the updating thread cannot start or
   // finish this layer's master update, so params/slots/step are a
   // consistent cut. Everything else (other layers, the compute side, the
   // buffering thread) keeps running.
   util::MutexLock master_lock(layer.master_mutex);
-  const bool on_ssd = layer.p32->device_index() ==
-                      static_cast<int>(mem::DeviceKind::kSsd);
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
+  size_t copied_bytes = 0;
+  for (const Tensor* tensor : tensors) {
+    if (tensor->dtype() != DType::kFp32) {
+      return util::Status::FailedPrecondition(
+          "checkpoints store fp32 master states only");
+    }
+    for (const mem::Page* page : tensor->pages()) {
+      ANGEL_ASSIGN_OR_RETURN(const MasterSpan span, SpanOf(*tensor, *page));
+      if (span.host != nullptr) copied_bytes += span.bytes;
     }
   }
-  ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(&out->params));
-  out->slots.clear();
-  out->slots.resize(layer.slots.size());
-  for (size_t s = 0; s < layer.slots.size(); ++s) {
-    out->slots[s].name = layer.slot_layout[s].name;
-    ANGEL_RETURN_IF_ERROR(
-        layer.slots[s]->ReadFloats(&out->slots[s].values));
+  out->copied.resize(copied_bytes);
+  out->ssd = allocator_->memory()->ssd();
+  std::byte* copy_at = out->copied.data();
+  for (size_t t = 0; t < tensors.size(); ++t) {
+    MasterCut::Tensor& cut = out->tensors.emplace_back();
+    if (t > 0) cut.name = layer.slot_layout[t - 1].name;
+    cut.count = tensors[t]->NumElements();
+    for (const mem::Page* page : tensors[t]->pages()) {
+      ANGEL_ASSIGN_OR_RETURN(MasterSpan span, SpanOf(*tensors[t], *page));
+      if (span.host != nullptr) {
+        std::memcpy(copy_at, span.host, span.bytes);
+        span.host = copy_at;
+        copy_at += span.bytes;
+      } else {
+        out->pinned.push_back(page->ssd_offset());
+      }
+      cut.spans.push_back(span);
+    }
   }
+  if (!out->pinned.empty()) out->ssd->PinFrames(out->pinned);
   out->step = layer.step;
-  if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
+  return util::Status::OK();
+}
+
+std::vector<Tensor*> LockFreeUpdater::MasterTensors(const Layer& layer) {
+  std::vector<Tensor*> tensors = {layer.p32};
+  tensors.insert(tensors.end(), layer.slots.begin(), layer.slots.end());
+  return tensors;
+}
+
+util::Status LockFreeUpdater::MoveMasters(Layer& layer,
+                                          mem::DeviceKind target) {
+  const std::vector<Tensor*> tensors = MasterTensors(layer);
+  mem::SsdTier* ssd = allocator_->memory()->ssd();
+  if (target != mem::DeviceKind::kSsd && ssd != nullptr) {
+    // The frames the layer occupies; its next generation needs as many.
+    std::vector<uint64_t> frames;
+    for (const Tensor* tensor : tensors) {
+      for (const mem::Page* page : tensor->pages()) {
+        if (page->device() == mem::DeviceKind::kSsd) {
+          frames.push_back(page->ssd_offset());
+        }
+      }
     }
+    std::sort(frames.begin(), frames.end());
+    frames.erase(std::unique(frames.begin(), frames.end()), frames.end());
+    if (!frames.empty()) {
+      ssd->WaitForUnpin(frames, frames.size(),
+                        [this] { pin_waits_.fetch_add(1); });
+    }
+  }
+  for (Tensor* tensor : tensors) {
+    ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, target));
   }
   return util::Status::OK();
 }
@@ -649,10 +719,7 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   const bool on_ssd = layer.p32->device_index() ==
                       static_cast<int>(mem::DeviceKind::kSsd);
   if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kCpu));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kCpu));
-    }
+    ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kCpu));
   }
   ANGEL_RETURN_IF_ERROR(layer.p32->WriteFloats(state.params));
   for (size_t s = 0; s < layer.slots.size(); ++s) {
@@ -660,10 +727,7 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   }
   layer.step = state.step;
   if (on_ssd) {
-    ANGEL_RETURN_IF_ERROR(allocator_->Move(layer.p32, mem::DeviceKind::kSsd));
-    for (Tensor* tensor : layer.slots) {
-      ANGEL_RETURN_IF_ERROR(allocator_->Move(tensor, mem::DeviceKind::kSsd));
-    }
+    ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   }
   // Refresh the compute-side fp16 view and drop stale gradients.
   util::MutexLock lock(layer.buffer_mutex);
@@ -680,6 +744,7 @@ LockFreeUpdater::Stats LockFreeUpdater::Snapshot() const {
   stats.grad_batches_applied = grad_batches_applied_.load();
   stats.pending_grad_batches = pending_grad_batches();
   stats.backpressure_waits = backpressure_waits_.load();
+  stats.pin_waits = pin_waits_.load();
   {
     util::MutexLock lock(staleness_mutex_);
     stats.staleness = staleness_;

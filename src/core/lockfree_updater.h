@@ -13,6 +13,7 @@
 #include "core/allocator.h"
 #include "core/optimizer/optimizer.h"
 #include "mem/device.h"
+#include "mem/ssd_tier.h"
 #include "obs/metrics.h"
 #include "util/histogram.h"
 #include "util/seqlock.h"
@@ -20,6 +21,24 @@
 #include "util/thread_annotations.h"
 
 namespace angelptm::core {
+
+/// Where a run of fp32 master bytes lives: host memory, or a byte range of
+/// the SSD tier's backing file. A tensor's share of one page is one span,
+/// so a span never exceeds a frame.
+struct MasterSpan {
+  /// Null for an SSD span.
+  const std::byte* host = nullptr;
+  /// Tier-file byte offset of an SSD span.
+  uint64_t ssd_offset = 0;
+  size_t bytes = 0;
+};
+
+/// The span reader shared by checkpoint persists and master reads: copies
+/// the span's bytes into `dst`, host spans by memcpy and SSD spans through
+/// `ssd` in place (its retry policy and the "ssd.pread" failpoint apply).
+[[nodiscard]] util::Status ReadMasterSpan(mem::SsdTier* ssd,
+                                          const MasterSpan& span,
+                                          std::byte* dst);
 
 /// The Lock-Free Updating Mechanism of §4.3 (Algorithm 2), implemented with
 /// real threads over the page-based memory subsystem:
@@ -174,14 +193,15 @@ class LockFreeUpdater {
   /// of the poisoned_ flag publishes it, and never modified again.
   [[nodiscard]] util::Status status() const;
 
-  /// Reads the fp32 master parameters of a layer (test/checkpoint access;
-  /// moves them memory-side if they are on SSD and back).
+  /// Reads the fp32 master parameters of a layer under its master mutex.
+  /// SSD-resident bytes are read in place through the span reader: no tier
+  /// move, no write-back.
   [[nodiscard]] util::Status ReadMasterParams(int layer,
                                               std::vector<float>* out);
 
-  /// Full optimizer state of one layer, for checkpointing (§3.1 failure
-  /// recovery). Slots appear in the optimizer's SlotLayout order with their
-  /// declared names — the checkpoint v3 wire format serializes exactly this.
+  /// Full optimizer state of one layer, as LoadCheckpoint restores it (§3.1
+  /// failure recovery). Slots appear in the optimizer's SlotLayout order
+  /// with their declared names.
   struct LayerState {
     struct Slot {
       std::string name;
@@ -191,15 +211,43 @@ class LockFreeUpdater {
     std::vector<Slot> slots;
     long step = 0;
   };
-  /// Snapshots a layer's fp32 master state. Safe on a *running* updater: it
-  /// briefly quiesces that one layer (the updating thread's per-layer
-  /// master mutex) while the copy is taken, so training never stops
-  /// globally. Each layer's state is internally consistent (params/slots/
-  /// step from the same update count); different layers may be a few
-  /// updates apart — which the per-layer step records, so a restore is
-  /// still exact. This is the one snapshot API (the former stopped-only
-  /// ExportLayerState was retired in its favor).
-  [[nodiscard]] util::Status SnapshotLayerState(int layer, LayerState* out);
+
+  /// One layer's fp32 master state as a checkpoint cut captured it, in the
+  /// order checkpoint v3 serializes it (DESIGN.md §9): p32, then each slot
+  /// of the SlotLayout, each as byte spans in tensor order. An SSD-resident
+  /// page is not read: the cut pins its frame and records the tier-file
+  /// span. The updater's next write-back of the layer lands on fresh
+  /// frames, so the pinned bytes keep their cut-time values until Unpin()
+  /// or the destructor releases the pins. Memory-resident pages are copied
+  /// into `copied`.
+  struct MasterCut {
+    struct Tensor {
+      std::string name;  // The slot name; empty for p32.
+      uint64_t count = 0;
+      std::vector<MasterSpan> spans;
+    };
+    long step = 0;
+    std::vector<Tensor> tensors;
+    /// Bytes of the memory-resident pages; host spans point in here.
+    std::vector<std::byte> copied;
+    /// The tier the SSD spans name, and the frames the cut pinned.
+    mem::SsdTier* ssd = nullptr;
+    std::vector<uint64_t> pinned;
+
+    MasterCut() = default;
+    MasterCut(MasterCut&&) = default;
+    MasterCut& operator=(MasterCut&&) = delete;
+    ~MasterCut() { Unpin(); }
+    /// Releases the pins; idempotent.
+    void Unpin();
+  };
+  /// Cuts one layer for a checkpoint (`out` must be fresh). Safe on a
+  /// *running* updater: it holds that one layer's master mutex for the cut
+  /// — the per-layer quiesce — so training never stops globally. Each
+  /// layer's cut is internally consistent (params/slots/step from the same
+  /// update count); different layers may be a few updates apart, which the
+  /// per-layer step records, so a restore is still exact.
+  [[nodiscard]] util::Status CutLayer(int layer, MasterCut* out);
   /// Restores a layer's fp32 master state and refreshes its fp16 buffers.
   [[nodiscard]] util::Status ImportLayerState(int layer,
                                               const LayerState& state);
@@ -218,6 +266,10 @@ class LockFreeUpdater {
     /// OffloadGrads calls that hit the staleness valve and had to wait for
     /// the updating thread to catch up (0 on a healthy, unstarved updater).
     uint64_t backpressure_waits = 0;
+    /// Updates that waited for a checkpoint persist to unpin the layer,
+    /// because the SSD tier could not hold its next generation beside the
+    /// pinned one.
+    uint64_t pin_waits = 0;
     /// Distribution of gradient batches folded per update (1 = fully
     /// fresh; larger = the compute side ran ahead).
     util::Histogram staleness;
@@ -256,6 +308,15 @@ class LockFreeUpdater {
     long step ANGEL_GUARDED_BY(master_mutex) = 0;
   };
 
+  /// p32 followed by the slot tensors: the master state, in checkpoint
+  /// order.
+  static std::vector<Tensor*> MasterTensors(const Layer& layer);
+  /// Moves the layer's master tensors to `target`. Before moving them off
+  /// the SSD tier it waits, outside the allocator mutex, while a checkpoint
+  /// cut still pins them and the tier could not hold their next generation
+  /// (counted in pin_waits), so the write-back never fails for frames.
+  [[nodiscard]] util::Status MoveMasters(Layer& layer, mem::DeviceKind target)
+      ANGEL_REQUIRES(layer.master_mutex);
   /// Applies one optimizer update to layer `layer_index` if it has pending
   /// gradients. Returns true if an update was applied. The fresh parameters
   /// are queued for the buffering thread when `queue_install` (the updating
@@ -325,6 +386,7 @@ class LockFreeUpdater {
   std::vector<uint64_t> inflight_batches_
       ANGEL_GUARDED_BY(backpressure_mutex_);
   std::atomic<uint64_t> backpressure_waits_{0};
+  std::atomic<uint64_t> pin_waits_{0};
 
   std::atomic<uint64_t> updates_applied_{0};
   std::atomic<uint64_t> grad_batches_offloaded_{0};

@@ -94,10 +94,14 @@ util::Status SsdTier::Open(const Options& options) {
   metric_pwrite_us_ = registry.GetHistogram("ssd/pwrite_us");
   metric_queue_depth_ = registry.GetHistogram("ssd/queue_depth");
   metric_batch_frames_ = registry.GetHistogram("ssd/batch_frames");
-  free_list_.clear();
-  free_list_.reserve(total_frames_);
-  for (size_t i = total_frames_; i > 0; --i) {
-    free_list_.push_back(static_cast<uint32_t>(i - 1));
+  {
+    util::MutexLock lock(mutex_);
+    free_list_.clear();
+    free_list_.reserve(total_frames_);
+    for (size_t i = total_frames_; i > 0; --i) {
+      free_list_.push_back(static_cast<uint32_t>(i - 1));
+    }
+    pins_.clear();
   }
   {
     util::MutexLock lock(io_mutex_);
@@ -148,12 +152,64 @@ size_t SsdTier::free_frames() const {
   return free_list_.size();
 }
 
-void SsdTier::ReleaseFrame(uint64_t offset) {
+uint32_t SsdTier::FrameIndex(uint64_t offset) const {
   ANGEL_CHECK(offset % frame_bytes_ == 0) << "misaligned ssd frame offset";
   const uint64_t index = offset / frame_bytes_;
   ANGEL_CHECK(index < total_frames_) << "ssd frame offset out of range";
+  return static_cast<uint32_t>(index);
+}
+
+void SsdTier::ReleaseFrame(uint64_t offset) {
+  const uint32_t index = FrameIndex(offset);
   util::MutexLock lock(mutex_);
-  free_list_.push_back(static_cast<uint32_t>(index));
+  const auto pin = pins_.find(index);
+  if (pin != pins_.end()) {
+    pin->second.released = true;
+    return;
+  }
+  free_list_.push_back(index);
+}
+
+void SsdTier::PinFrames(const std::vector<uint64_t>& offsets) {
+  util::MutexLock lock(mutex_);
+  for (const uint64_t offset : offsets) pins_[FrameIndex(offset)].count += 1;
+}
+
+void SsdTier::UnpinFrames(const std::vector<uint64_t>& offsets) {
+  {
+    util::MutexLock lock(mutex_);
+    for (const uint64_t offset : offsets) {
+      const auto pin = pins_.find(FrameIndex(offset));
+      ANGEL_CHECK(pin != pins_.end()) << "unpinning an unpinned ssd frame";
+      if (--pin->second.count > 0) continue;
+      if (pin->second.released) free_list_.push_back(pin->first);
+      pins_.erase(pin);
+    }
+  }
+  unpin_cv_.NotifyAll();
+}
+
+void SsdTier::WaitForUnpin(const std::vector<uint64_t>& offsets,
+                           size_t needed,
+                           const std::function<void()>& on_block) {
+  util::MutexLock lock(mutex_);
+  const auto any_pinned = [&]() ANGEL_REQUIRES(mutex_) {
+    for (const uint64_t offset : offsets) {
+      if (pins_.count(FrameIndex(offset)) > 0) return true;
+    }
+    return false;
+  };
+  bool blocked = false;
+  while (free_list_.size() < needed && any_pinned()) {
+    if (!blocked) on_block();
+    blocked = true;
+    unpin_cv_.Wait(mutex_);
+  }
+}
+
+size_t SsdTier::pinned_frames() const {
+  util::MutexLock lock(mutex_);
+  return pins_.size();
 }
 
 template <typename Attempt>

@@ -5,10 +5,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <future>
 #include <memory>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "mem/device.h"
@@ -122,14 +124,38 @@ class SsdTier {
 
   /// Acquires a free frame, returning its byte offset in the backing file.
   [[nodiscard]] util::Result<uint64_t> AcquireFrame() ANGEL_EXCLUDES(mutex_);
+  /// Returns a frame to the free list — or, while the frame is pinned,
+  /// defers that to its last UnpinFrames.
   void ReleaseFrame(uint64_t offset) ANGEL_EXCLUDES(mutex_);
+
+  /// Frame pins (DESIGN.md §12.2): a pinned frame keeps its bytes until
+  /// the last unpin, even if its page moves off it meanwhile.
+  /// HierarchicalMemory writes a page to the tier only onto a freshly
+  /// acquired frame, so a pin is a copy-on-write snapshot of the frame: a
+  /// checkpoint cut pins the frames holding the master states, and its
+  /// persist reads them later. Offsets are frame offsets; a frame may be
+  /// pinned more than once.
+  void PinFrames(const std::vector<uint64_t>& offsets) ANGEL_EXCLUDES(mutex_);
+  /// Drops one pin of each frame, all under one lock hold so a waiter sees
+  /// the whole set released at once; frees frames released while pinned.
+  void UnpinFrames(const std::vector<uint64_t>& offsets)
+      ANGEL_EXCLUDES(mutex_);
+  /// Blocks while fewer than `needed` frames are free and a frame in
+  /// `offsets` is still pinned: the wait of a writer whose next generation
+  /// of those frames would not fit beside the pinned one. `on_block` runs
+  /// once, under the tier lock, before it first blocks.
+  void WaitForUnpin(const std::vector<uint64_t>& offsets, size_t needed,
+                    const std::function<void()>& on_block)
+      ANGEL_EXCLUDES(mutex_);
+  /// Frames currently pinned (0 once every cut is persisted).
+  size_t pinned_frames() const ANGEL_EXCLUDES(mutex_);
 
   /// Writes `bytes` from `src` to the frame at `offset`. Blocks until the
   /// write completed (through the queue when the async backend is on).
   [[nodiscard]] util::Status WriteFrame(uint64_t offset, const std::byte* src,
                                         size_t bytes) ANGEL_EXCLUDES(io_mutex_);
-  /// Reads `bytes` into `dst` from the frame at `offset` (blocking, like
-  /// WriteFrame).
+  /// Reads `bytes` into `dst` from byte `offset` of the backing file —
+  /// a frame, or a span inside one (blocking, like WriteFrame).
   [[nodiscard]] util::Status ReadFrame(uint64_t offset, std::byte* dst,
                                        size_t bytes) ANGEL_EXCLUDES(io_mutex_);
 
@@ -170,6 +196,9 @@ class SsdTier {
   };
 
   [[nodiscard]] util::Status ValidateIo(size_t bytes) const;
+  /// Frame index of a frame offset; aborts on a misaligned or out-of-range
+  /// offset (a programming error).
+  uint32_t FrameIndex(uint64_t offset) const;
   /// Submits to the queue (async backend) or executes inline (sync backend).
   [[nodiscard]] std::future<util::Status> Submit(IoRequest request)
       ANGEL_EXCLUDES(io_mutex_);
@@ -201,8 +230,17 @@ class SsdTier {
   int io_op_latency_us_ = 0;
   std::vector<std::thread> io_threads_;
 
+  /// A pinned frame: its pin count, and whether ReleaseFrame ran while it
+  /// was pinned (the free then happens at the last unpin).
+  struct FramePin {
+    uint32_t count = 0;
+    bool released = false;
+  };
+
   mutable util::Mutex mutex_{"ssd.state", util::lockrank::kSsdState};
   std::vector<uint32_t> free_list_ ANGEL_GUARDED_BY(mutex_);
+  std::unordered_map<uint32_t, FramePin> pins_ ANGEL_GUARDED_BY(mutex_);
+  util::CondVar unpin_cv_;  // WaitForUnpin waits here.
 
   mutable util::Mutex io_mutex_{"ssd.io", util::lockrank::kSsdIoQueue};
   util::CondVar io_work_cv_;   // Workers wait here for requests.

@@ -122,6 +122,31 @@ void GemmTransBRowBlock(const float* a, const float* b, float* c, size_t i0,
   }
 }
 
+/// The lower triangle (j <= i) of C = A * B^T for one s x k head panel
+/// pair — the only part causal attention reads: the scalar path's
+/// S = Q K^T and dP = dO V^T. Float dot products with four independent
+/// accumulators; the upper triangle of C is left unwritten.
+void CausalGemmTransB(const float* a, const float* b, float* c, size_t s,
+                      size_t k) {
+  for (size_t i = 0; i < s; ++i) {
+    const float* a_row = a + i * k;
+    float* c_row = c + i * s;
+    for (size_t j = 0; j <= i; ++j) {
+      const float* b_row = b + j * k;
+      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
+      size_t p = 0;
+      for (; p + 4 <= k; p += 4) {
+        s0 += a_row[p] * b_row[p];
+        s1 += a_row[p + 1] * b_row[p + 1];
+        s2 += a_row[p + 2] * b_row[p + 2];
+        s3 += a_row[p + 3] * b_row[p + 3];
+      }
+      for (; p < k; ++p) s0 += a_row[p] * b_row[p];
+      c_row[j] = (s0 + s1) + (s2 + s3);
+    }
+  }
+}
+
 // Macro-tile sizes for the packed AVX2 GEMM (DESIGN.md §11): each grid
 // cell owns an MC x NC block of C; per cell the A block (MC x KC packed,
 // ~120 KiB) stays L2-resident while KC x NR micro-panels of the packed B
@@ -198,20 +223,20 @@ void CausalSoftmax(const float* scores, float* probs, size_t s, float scale,
     simd::avx2::CausalSoftmax(scores, probs, s, scale);
     return;
   }
+  // Float exponentials; the row sum stays in double.
   for (size_t i = 0; i < s; ++i) {
     const float* row = scores + i * s;
     float* p = probs + i * s;
-    double max_score = row[0];
-    for (size_t j = 1; j <= i; ++j) {
-      max_score = std::max<double>(max_score, row[j]);
-    }
+    float max_score = row[0];
+    for (size_t j = 1; j <= i; ++j) max_score = std::max(max_score, row[j]);
     double denom = 0.0;
     for (size_t j = 0; j <= i; ++j) {
-      const double e = std::exp(scale * (row[j] - max_score));
-      p[j] = float(e);
+      const float e = std::exp(scale * (row[j] - max_score));
+      p[j] = e;
       denom += e;
     }
-    for (size_t j = 0; j <= i; ++j) p[j] = float(p[j] / denom);
+    const float inv = float(1.0 / denom);
+    for (size_t j = 0; j <= i; ++j) p[j] *= inv;
     std::memset(p + i + 1, 0, (s - i - 1) * sizeof(float));
   }
 }
@@ -574,7 +599,11 @@ void CausalAttention(const float* q, const float* k, const float* v,
           GatherHead(q + offset, d, s, dh, qp);
           GatherHead(k + offset, d, s, dh, kp);
           GatherHead(v + offset, d, s, dh, vp);
-          GemmTransB(qp, kp, scores, s, dh, s);  // S = Q K^T.
+          if (use_avx2) {
+            GemmTransB(qp, kp, scores, s, dh, s);  // S = Q K^T.
+          } else {
+            CausalGemmTransB(qp, kp, scores, s, dh);
+          }
           CausalSoftmax(scores, p, s, scale, use_avx2);
           Gemm(p, vp, op, s, s, dh);  // O = P V.
           ScatterHead(op, s, dh, out + offset, d);
@@ -607,7 +636,11 @@ void CausalAttentionBackward(const float* q, const float* k, const float* v,
           GatherHead(k + offset, d, s, dh, kp);
           GatherHead(v + offset, d, s, dh, vp);
           GatherHead(dout + offset, d, s, dh, dop);
-          GemmTransB(dop, vp, ds, s, dh, s);   // dP = dO V^T.
+          if (use_avx2) {
+            GemmTransB(dop, vp, ds, s, dh, s);  // dP = dO V^T.
+          } else {
+            CausalGemmTransB(dop, vp, ds, s, dh);
+          }
           GemmTransA(p, dop, dvp, s, s, dh);   // dV = P^T dO.
           CausalSoftmaxBackward(p, ds, s, scale, use_avx2);  // dS * scale.
           Gemm(ds, kp, dqp, s, s, dh);         // dQ = dS K.

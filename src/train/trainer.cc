@@ -169,6 +169,8 @@ util::Status Trainer::Recover(const util::Status& cause) {
                      << recoveries_ << "/" << options_.max_recoveries
                      << "): " << cause.ToString();
 
+  // No persist may still be reading the old masters' frames.
+  FlushCheckpoints();
   // Tear down the dead state; the destructors stop the threads and release
   // every tensor so the rebuild fits in the same memory budget. The paged
   // backend drops the whole engine: its memory hierarchy and copy engine
@@ -331,6 +333,17 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
 util::Status Trainer::TrainRange(const SyntheticRegression& dataset,
                                  int64_t base_step, int64_t target_step,
                                  TrainReport* report) {
+  const util::Status stepped =
+      RunSteps(dataset, base_step, target_step, report);
+  // The last checkpoint's persist must land before the range ends: the
+  // caller may recover, load, validate or tear the state down next.
+  FlushCheckpoints();
+  return stepped;
+}
+
+util::Status Trainer::RunSteps(const SyntheticRegression& dataset,
+                               int64_t base_step, int64_t target_step,
+                               TrainReport* report) {
   core::LockFreeUpdater* updater = this->updater();
   if (options_.lock_free) updater->Start();
   std::vector<float> x, y;
@@ -354,15 +367,15 @@ util::Status Trainer::TrainRange(const SyntheticRegression& dataset,
     }
     if (ckpt_manager_ != nullptr && options_.checkpoint_every_n_steps > 0 &&
         global_step_ % options_.checkpoint_every_n_steps == 0) {
-      // The cut is taken with the updater threads still running (per-layer
-      // quiesce); in lock-free mode the optimizer keeps folding gradients
-      // while the file is written. A failed save is a warning, not a dead
-      // run — the previous rotated checkpoint still covers recovery.
+      // Only the cut runs here, with the updater threads still running
+      // (per-layer quiesce); the file is written by the manager's
+      // background writer while training continues. A failed save is a
+      // warning, not a dead run — the previous rotated checkpoint still
+      // covers recovery. The error may be an earlier persist's.
       const util::Status saved =
           ckpt_manager_->Save(updater, CurrentProgress());
       if (!saved.ok()) {
-        ANGEL_LOG(Warning) << "checkpoint at step " << global_step_
-                           << " failed: " << saved.ToString();
+        ANGEL_LOG(Warning) << "checkpoint failed: " << saved.ToString();
       }
     }
   }
@@ -377,6 +390,14 @@ util::Status Trainer::TrainRange(const SyntheticRegression& dataset,
   // BeginStep, or the next TrainRange, starts them again.
   updater->Stop();
   return drained;
+}
+
+void Trainer::FlushCheckpoints() {
+  if (ckpt_manager_ == nullptr) return;
+  const util::Status flushed = ckpt_manager_->Flush();
+  if (!flushed.ok()) {
+    ANGEL_LOG(Warning) << "checkpoint failed: " << flushed.ToString();
+  }
 }
 
 util::Result<TrainReport> Trainer::Train(const SyntheticRegression& dataset,
@@ -449,22 +470,30 @@ util::Result<double> Trainer::Validate(const SyntheticRegression& dataset,
   ANGEL_SPAN("train", "validate");
   const bool bf16 = options_.compute_precision == ComputePrecision::kBf16;
   util::Rng validation_rng(options_.seed ^ 0x5EEDF00Dull);
-  double total = 0.0;
-  std::vector<float> x, y, params;
+  // Layers outermost, so each layer's masters are read once per call; every
+  // batch keeps its activations between layers.
+  std::vector<std::vector<float>> acts(batches), targets(batches);
   for (int i = 0; i < batches; ++i) {
-    dataset.GenBatch(&validation_rng, options_.batch_size, &x, &y);
-    std::vector<float> acts = x;
-    for (int l = 0; l < model_->num_layers(); ++l) {
-      ANGEL_RETURN_IF_ERROR(updater()->ReadMasterParams(l, &params));
-      if (bf16) RoundToBf16(&params);
+    dataset.GenBatch(&validation_rng, options_.batch_size, &acts[i],
+                     &targets[i]);
+  }
+  std::vector<float> params;
+  for (int l = 0; l < model_->num_layers(); ++l) {
+    ANGEL_RETURN_IF_ERROR(updater()->ReadMasterParams(l, &params));
+    if (bf16) RoundToBf16(&params);
+    for (std::vector<float>& batch_acts : acts) {
       std::vector<float> next;
-      model_->Forward(l, params.data(), acts, options_.batch_size, &next,
-                      nullptr);
+      model_->Forward(l, params.data(), batch_acts, options_.batch_size,
+                      &next, nullptr);
       if (bf16) RoundToBf16(&next);
-      acts = std::move(next);
+      batch_acts = std::move(next);
     }
-    std::vector<float> grad(acts.size());
-    total += MseLoss(acts.data(), y.data(), grad.data(), acts.size());
+  }
+  double total = 0.0;
+  for (int i = 0; i < batches; ++i) {
+    std::vector<float> grad(acts[i].size());
+    total += MseLoss(acts[i].data(), targets[i].data(), grad.data(),
+                     acts[i].size());
   }
   return total / batches;
 }

@@ -40,8 +40,9 @@ struct TrainLoopOptions {
 
   // --- Fault tolerance (§3.1 failure recovery; DESIGN.md §9) ---
   /// Cut a checkpoint every N completed steps (0 disables). Saves go
-  /// through CheckpointManager: atomic, checksummed, rotated, and taken
-  /// through the per-layer quiesce so lock-free training never pauses.
+  /// through CheckpointManager: atomic, checksummed, rotated, cut through
+  /// the per-layer quiesce so lock-free training never pauses, and written
+  /// by a background writer while training continues.
   int checkpoint_every_n_steps = 0;
   /// Where the rotated checkpoints live. Required when checkpointing or
   /// auto-recovery is on.
@@ -169,8 +170,8 @@ class Trainer {
                                   int steps);
 
   /// Mean validation loss over `batches` fresh batches using the *master*
-  /// fp32 parameters (what a checkpoint would contain), read one layer at a
-  /// time.
+  /// fp32 parameters (what a checkpoint would contain), read once per
+  /// layer: all batches advance through a layer before the next is read.
   [[nodiscard]] util::Result<double> Validate(const SyntheticRegression& dataset,
                                 int batches);
 
@@ -214,12 +215,20 @@ class Trainer {
   /// Engine — and registers every model layer (shared by Init and the
   /// recovery rebuild; `rng` provides the initial parameters).
   [[nodiscard]] util::Status BuildState(util::Rng* rng);
-  /// The step loop from global_step_ to `target_step`, including periodic
-  /// checkpoints and the end-of-run flush or drain. `base_step` anchors
-  /// the accumulation cadence across recoveries.
+  /// RunSteps, then waits for the last checkpoint's persist, whatever
+  /// RunSteps returned.
   [[nodiscard]] util::Status TrainRange(const SyntheticRegression& dataset,
                           int64_t base_step, int64_t target_step,
                           TrainReport* report);
+  /// The step loop from global_step_ to `target_step`, including periodic
+  /// checkpoint cuts and the end-of-run update or drain. `base_step`
+  /// anchors the accumulation cadence across recoveries.
+  [[nodiscard]] util::Status RunSteps(const SyntheticRegression& dataset,
+                                      int64_t base_step, int64_t target_step,
+                                      TrainReport* report);
+  /// Waits for the checkpoint writer; a failed persist is logged, as a
+  /// failed save is.
+  void FlushCheckpoints();
   /// Tears down the poisoned state and restores the latest checkpoint into
   /// a fresh one. Returns `cause` unchanged when recovery is not possible
   /// (no manager, budget exhausted, not a poisoning).

@@ -38,7 +38,9 @@ namespace angelptm::util {
 namespace lockrank {
 inline constexpr int kNoRank = 0;  // Unranked: graph edges only, no order check.
 
-// Tier A — outermost: per-layer update transaction.
+// Tier A — outermost: a checkpoint cut (held across every layer's master
+// lock) and the per-layer update transaction.
+inline constexpr int kCheckpointSave = 8;
 inline constexpr int kUpdaterMaster = 10;
 // Tier B — allocation / page-movement entry points (PageTransport delivers
 // into HierarchicalMemory — CreatePage/MovePageSync — under its own lock).

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "checkpoint_test_util.h"
 #include "train/dataset.h"
 #include "train/mlp.h"
 #include "train/trainer.h"
@@ -390,7 +391,7 @@ TEST_F(CheckpointTest, RandomizedLayoutsRoundTrip) {
     EXPECT_EQ(loaded.loss_scale, progress.loss_scale);
     for (int l = 0; l < num_layers; ++l) {
       LockFreeUpdater::LayerState got;
-      ASSERT_TRUE(recovered->SnapshotLayerState(l, &got).ok());
+      ASSERT_TRUE(ReadLayerState(recovered.get(), l, &got).ok());
       EXPECT_EQ(got.step, want[l].step) << "layer " << l;
       EXPECT_EQ(got.params, want[l].params) << "layer " << l;
       ASSERT_EQ(got.slots.size(), 2u) << "layer " << l;
@@ -445,7 +446,7 @@ TEST_F(CheckpointTest, V1CheckpointStillLoads) {
   EXPECT_FALSE(progress.has_progress);
   EXPECT_EQ(progress.global_step, 0);
   LockFreeUpdater::LayerState got;
-  ASSERT_TRUE(updater.SnapshotLayerState(0, &got).ok());
+  ASSERT_TRUE(ReadLayerState(&updater, 0, &got).ok());
   EXPECT_EQ(got.params, p);
   ASSERT_EQ(got.slots.size(), 2u);
   EXPECT_EQ(got.slots[0].name, "m");
@@ -516,7 +517,7 @@ TEST_F(CheckpointTest, V2CheckpointLoadsAsAdam) {
   EXPECT_EQ(progress.global_step, 42);
   EXPECT_EQ(progress.loss_scale, 1024.0);
   LockFreeUpdater::LayerState got;
-  ASSERT_TRUE(updater.SnapshotLayerState(0, &got).ok());
+  ASSERT_TRUE(ReadLayerState(&updater, 0, &got).ok());
   EXPECT_EQ(got.params, p);
   ASSERT_EQ(got.slots.size(), 2u);
   EXPECT_EQ(got.slots[0].values, m);
@@ -560,7 +561,7 @@ TEST_F(CheckpointTest, V3RoundTripPreservesRuleAndSlots) {
   ASSERT_TRUE(updater->OffloadGrads(0, std::vector<float>(20, 0.3f)).ok());
   ASSERT_TRUE(updater->UpdateOnce().ok());
   LockFreeUpdater::LayerState want;
-  ASSERT_TRUE(updater->SnapshotLayerState(0, &want).ok());
+  ASSERT_TRUE(ReadLayerState(updater.get(), 0, &want).ok());
   ASSERT_EQ(want.slots.size(), 2u);
   EXPECT_EQ(want.slots[0].name, "row");
   EXPECT_EQ(want.slots[1].name, "col");
@@ -570,7 +571,7 @@ TEST_F(CheckpointTest, V3RoundTripPreservesRuleAndSlots) {
   auto recovered = make();
   ASSERT_TRUE(LoadCheckpoint(recovered.get(), path).ok());
   LockFreeUpdater::LayerState got;
-  ASSERT_TRUE(recovered->SnapshotLayerState(0, &got).ok());
+  ASSERT_TRUE(ReadLayerState(recovered.get(), 0, &got).ok());
   EXPECT_EQ(got.params, want.params);
   EXPECT_EQ(got.step, want.step);
   ASSERT_EQ(got.slots.size(), 2u);

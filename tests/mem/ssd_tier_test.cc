@@ -378,5 +378,62 @@ TEST(SsdTierTest, DeleteOnCloseRemovesFile) {
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
 }
 
+TEST(SsdTierTest, PinnedFrameKeepsItsBytesUntilTheLastUnpin) {
+  SsdTier tier;
+  ASSERT_TRUE(tier.Open(MakeOptions("pin", 2 * kFrame)).ok());
+  auto frame = tier.AcquireFrame();
+  ASSERT_TRUE(frame.ok());
+  std::vector<std::byte> bytes(kFrame, std::byte{0x5A});
+  ASSERT_TRUE(tier.WriteFrame(*frame, bytes.data(), kFrame).ok());
+
+  // Pinned twice, then released: the frame stays out of the free list,
+  // readable, until the second unpin.
+  tier.PinFrames({*frame, *frame});
+  EXPECT_EQ(tier.pinned_frames(), 1u);
+  tier.ReleaseFrame(*frame);
+  EXPECT_EQ(tier.free_frames(), 1u);
+  tier.UnpinFrames({*frame});
+  EXPECT_EQ(tier.free_frames(), 1u);
+  std::vector<std::byte> read(16);
+  ASSERT_TRUE(tier.ReadFrame(*frame + 8, read.data(), read.size()).ok());
+  EXPECT_EQ(read, std::vector<std::byte>(16, std::byte{0x5A}));
+  tier.UnpinFrames({*frame});
+  EXPECT_EQ(tier.pinned_frames(), 0u);
+  EXPECT_EQ(tier.free_frames(), 2u);
+
+  // A frame unpinned before its release is freed by the release itself.
+  tier.PinFrames({*frame});
+  tier.UnpinFrames({*frame});
+  EXPECT_EQ(tier.free_frames(), 2u);
+}
+
+TEST(SsdTierTest, WaitForUnpinBlocksOnlyWhilePinnedAndShort) {
+  SsdTier tier;
+  ASSERT_TRUE(tier.Open(MakeOptions("pinwait", 3 * kFrame)).ok());
+  auto a = tier.AcquireFrame();
+  auto b = tier.AcquireFrame();
+  ASSERT_TRUE(a.ok() && b.ok());
+  int blocked = 0;
+  const auto count = [&blocked] { ++blocked; };
+  // One frame free: enough for a one-frame generation, so no wait even
+  // though the frame is pinned; unpinned frames never wait.
+  tier.PinFrames({*a});
+  tier.WaitForUnpin({*a}, 1, count);
+  tier.WaitForUnpin({*b}, 2, count);
+  EXPECT_EQ(blocked, 0);
+
+  // Two frames needed, one free, `a` pinned: blocks until the unpin.
+  tier.ReleaseFrame(*a);  // Deferred: still pinned.
+  std::future<void> waiter = std::async(std::launch::async, [&] {
+    tier.WaitForUnpin({*a, *b}, 2, count);
+  });
+  EXPECT_EQ(waiter.wait_for(std::chrono::milliseconds(50)),
+            std::future_status::timeout);
+  tier.UnpinFrames({*a});
+  waiter.get();
+  EXPECT_EQ(blocked, 1);
+  EXPECT_EQ(tier.free_frames(), 2u);
+}
+
 }  // namespace
 }  // namespace angelptm::mem

@@ -1,17 +1,22 @@
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
+#include <csignal>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/allocator.h"
 #include "core/checkpoint.h"
+#include "core/checkpoint_manager.h"
 #include "train/engine_trainer.h"
 #include "train/mlp.h"
 #include "train/trainer.h"
@@ -30,9 +35,13 @@ std::string BackendName(Backend backend) {
   return backend == Backend::kDirect ? "Direct" : "Paged";
 }
 
-mem::HierarchicalMemoryOptions MemoryOptions(const std::string& tag) {
+/// `ssd_bytes_per_sec` > 0 throttles the SSD tier, on small pages so the
+/// masters still move quickly enough to train.
+mem::HierarchicalMemoryOptions MemoryOptions(const std::string& tag,
+                                             double ssd_bytes_per_sec = 0) {
   mem::HierarchicalMemoryOptions o;
-  o.page_bytes = 64 * 1024;
+  o.page_bytes = ssd_bytes_per_sec > 0 ? 4 * 1024 : 64 * 1024;
+  o.ssd_bandwidth_bytes_per_sec = ssd_bytes_per_sec;
   o.gpu_capacity_bytes = 8ull << 20;
   o.cpu_capacity_bytes = 64ull << 20;
   o.ssd_capacity_bytes = 64ull << 20;
@@ -95,11 +104,12 @@ class RecoveryTest : public ::testing::TestWithParam<Backend> {
   /// A trainer on the backend under test. The paged backend takes the loop
   /// options, the update rule, lock-free mode and master tier from
   /// `options`, and offloads activations as it does by default.
-  Harness Make(const std::string& tag, const TrainerOptions& options) const {
+  Harness Make(const std::string& tag, const TrainerOptions& options,
+               double ssd_bytes_per_sec = 0) const {
     Harness harness;
     if (GetParam() == Backend::kDirect) {
-      harness.memory =
-          std::make_unique<mem::HierarchicalMemory>(MemoryOptions(Name(tag)));
+      harness.memory = std::make_unique<mem::HierarchicalMemory>(
+          MemoryOptions(Name(tag), ssd_bytes_per_sec));
       harness.allocator =
           std::make_unique<core::Allocator>(harness.memory.get());
       harness.trainer = std::make_unique<Trainer>(harness.allocator.get(),
@@ -108,7 +118,7 @@ class RecoveryTest : public ::testing::TestWithParam<Backend> {
     }
     EngineTrainerOptions paged;
     static_cast<TrainLoopOptions&>(paged) = options;
-    paged.engine.memory = MemoryOptions(Name(tag));
+    paged.engine.memory = MemoryOptions(Name(tag), ssd_bytes_per_sec);
     paged.engine.optimizer = options.optimizer;
     paged.engine.lock_free = options.lock_free;
     paged.engine.master_device = options.master_device;
@@ -379,6 +389,67 @@ TEST_P(RecoveryTest, RecoveryBudgetExhaustionPropagatesLoudly) {
   EXPECT_NE(report.status().message().find("recovery budget of 1 exhausted"),
             std::string::npos)
       << report.status();
+  std::filesystem::remove_all(options.checkpoint_dir);
+}
+
+TEST_P(RecoveryTest, KillDuringPersistResumesFromThePreviousCheckpoint) {
+  // A SIGKILL while the background writer is mid-persist. A child process
+  // trains 2 steps with a checkpoint after each, on a throttled SSD tier
+  // that keeps every persist slow, and a watcher thread kills it as soon
+  // as the step-2 persist has opened its tmp file. The restart must
+  // resume from step 1 — bit for bit the masters of a 1-step run — and
+  // its Init must delete the dead persist's tmp file.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SyntheticRegression dataset(16, 32, 4, 99);
+  TrainerOptions options = BaseOptions();
+  options.master_device = mem::DeviceKind::kSsd;
+  options.checkpoint_every_n_steps = 1;
+  // The death-test child is a fresh exec of this binary that re-runs the
+  // test up to EXPECT_EXIT; the parent's directory reaches it through the
+  // environment.
+  constexpr char kDirVar[] = "ANGELPTM_RECOVERY_TEST_KILL_DIR";
+  const char* inherited = std::getenv(kDirVar);
+  options.checkpoint_dir =
+      inherited != nullptr ? std::string(inherited) : TempDir("kill");
+  core::CheckpointManager::Options naming;
+  naming.dir = options.checkpoint_dir;
+  const std::string tmp = core::CheckpointManager(naming).PathForStep(2) +
+                          ".tmp";
+  ::setenv(kDirVar, options.checkpoint_dir.c_str(), 1);
+  EXPECT_EXIT(
+      {
+        constexpr double kSlowSsd = 256 * 1024;
+        Harness child = Make("kill_child", options, kSlowSsd);
+        if (!child->Init().ok()) std::exit(1);
+        std::thread([&tmp] {
+          while (!std::filesystem::exists(tmp)) {
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+          }
+          ::kill(::getpid(), SIGKILL);
+        }).detach();
+        (void)child->Train(dataset, 2);
+        std::exit(0);  // The persist outran the watcher: fail loudly.
+      },
+      ::testing::KilledBySignal(SIGKILL), "");
+  ::unsetenv(kDirVar);
+  EXPECT_TRUE(std::filesystem::exists(tmp));
+
+  TrainerOptions reference_options = options;
+  reference_options.checkpoint_dir.clear();
+  reference_options.checkpoint_every_n_steps = 0;
+  Harness reference = Make("kill_ref", reference_options);
+  ASSERT_TRUE(reference->Init().ok());
+  ASSERT_TRUE(reference->Train(dataset, 1).ok());
+
+  Harness restarted = Make("kill_restart", options);
+  ASSERT_TRUE(restarted->Init().ok());
+  EXPECT_FALSE(std::filesystem::exists(tmp));
+  auto resumed = restarted->TryResume();
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(*resumed);
+  EXPECT_EQ(restarted->global_step(), 1);
+  EXPECT_EQ(MasterParams(restarted->updater()),
+            MasterParams(reference->updater()));
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
