@@ -8,7 +8,6 @@
 #include "obs/metrics.h"
 #include "sim/hardware.h"
 #include "train/trainer.h"
-#include "util/histogram.h"
 
 namespace angelptm::bench {
 
@@ -32,14 +31,6 @@ inline std::string MetricsJson() {
   return obs::Registry::Instance().Snapshot().ToJson();
 }
 
-inline std::string HistogramJson(const util::Histogram& h) {
-  std::ostringstream out;
-  out << "{\"count\":" << h.count() << ",\"mean\":" << h.Mean()
-      << ",\"p50\":" << h.Percentile(0.5) << ",\"p95\":" << h.Percentile(0.95)
-      << ",\"max\":" << h.Max() << "}";
-  return out.str();
-}
-
 /// JSON for a TrainReport's nested telemetry snapshot: phase timing
 /// histograms, updater counters + staleness, per-tier memory usage, and the
 /// SSD / copy-engine stats when those subsystems were active.
@@ -53,7 +44,7 @@ inline std::string TelemetryJson(const train::TelemetrySnapshot& t) {
       << ",\"grad_batches_offloaded\":" << t.updater.grad_batches_offloaded
       << ",\"grad_batches_applied\":" << t.updater.grad_batches_applied
       << ",\"pending_grad_batches\":" << t.updater.pending_grad_batches
-      << ",\"staleness\":" << HistogramJson(t.updater.staleness) << "}";
+      << ",\"staleness\":" << t.updater.staleness.ToJson() << "}";
   out << ",\"memory\":{\"live_pages\":" << t.memory.live_pages
       << ",\"fragmented_bytes\":" << t.memory.fragmented_bytes;
   static constexpr const char* kTierNames[] = {"gpu", "cpu", "ssd"};

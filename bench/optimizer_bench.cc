@@ -38,7 +38,7 @@
 #include "core/lockfree_updater.h"
 #include "core/optimizer/optimizer.h"
 #include "mem/hierarchical_memory.h"
-#include "util/histogram.h"
+#include "obs/metrics.h"
 #include "util/logging.h"
 #include "util/random.h"
 
@@ -55,8 +55,8 @@ struct RuleResult {
   double wall_ms = 0.0;
   uint64_t reader_fetches = 0;
   core::LockFreeUpdater::Stats stats;
-  util::Histogram fetch_us;
-  util::Histogram offload_us;
+  obs::HistogramData fetch_us;
+  obs::HistogramData offload_us;
 };
 
 uint64_t NowUs() {
@@ -175,9 +175,9 @@ int main(int argc, char** argv) {
         << ", \"grad_batches_applied\": " << r.stats.grad_batches_applied
         << ", \"reader_fetches\": " << r.reader_fetches
         << ", \"backpressure_waits\": " << r.stats.backpressure_waits
-        << ", \"fetch_us\": " << bench::HistogramJson(r.fetch_us)
-        << ", \"offload_us\": " << bench::HistogramJson(r.offload_us)
-        << ", \"staleness\": " << bench::HistogramJson(r.stats.staleness)
+        << ", \"fetch_us\": " << r.fetch_us.ToJson()
+        << ", \"offload_us\": " << r.offload_us.ToJson()
+        << ", \"staleness\": " << r.stats.staleness.ToJson()
         << "}" << (i + 1 < results.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project lint for angelptm (DESIGN.md §10, §15).
 
-Eight rules over src/ (tests and benches are exempt unless noted):
+Nine rules over src/ (tests and benches are exempt unless noted):
 
   mutex       Every mutex-like member must participate in the thread-safety
               contract: raw std::mutex / std::condition_variable declarations
@@ -48,6 +48,12 @@ Eight rules over src/ (tests and benches are exempt unless noted):
               constants in src/util/lockdep.h — in both directions, like
               the failpoint rule. Waive a classless mutex with
               `// lint: lock-class (<reason>)`.
+
+  orphan-module  Every header under src/ must be #included by some file
+              outside its own .h/.cc pair: a file in src/, or in bench/,
+              examples/, tools/ or perfbench/ beside it. Includes from
+              tests/ do not count, so a module whose only caller is its own
+              test is flagged for deletion.
 
 Exit code 0 when clean, 1 with one finding per line otherwise.
 
@@ -130,6 +136,12 @@ SMART_WRAP_RE = re.compile(
     r"std::(unique_ptr|shared_ptr)\s*<|\breset\s*\(\s*new\b")
 LOCK_USE_RE = re.compile(
     r"std::(?:lock_guard|unique_lock|scoped_lock)\s*<[^>]*>")
+# A quoted include; src/ headers are always included by their path under
+# src/ ("core/engine.h").
+QUOTED_INCLUDE_RE = re.compile(r'^\s*#\s*include\s*"([^"]+)"')
+# Directories beside src/ whose files count as callers for orphan-module.
+ORPHAN_CONSUMER_DIRS = ("bench", "examples", "tools", "perfbench")
+
 # Rows of the §10 table: | `site.name` | where | meaning |
 TABLE_ROW_RE = re.compile(r"^\|\s*`([\w.]+)`\s*\|")
 # The heading that introduces the canonical failpoint table; only rows
@@ -432,10 +444,46 @@ def lint_lock_classes(src_dir, design_path, findings):
                     f"{const} = {consts[const]}")
 
 
+def lint_orphan_modules(src_dir, findings):
+    """Flags src/ headers that no file outside their own .h/.cc pair and
+    outside tests/ includes (ORPHAN_CONSUMER_DIRS beside src/ count)."""
+    src_dir = os.path.normpath(src_dir)
+    root = os.path.dirname(src_dir)
+    consumers = [src_dir] + [os.path.join(root, d)
+                             for d in ORPHAN_CONSUMER_DIRS]
+    included = set()
+    for consumer in consumers:
+        if not os.path.isdir(consumer):
+            continue
+        for path in iter_source_files(consumer, (".h", ".cc", ".cpp")):
+            # A file under src/ does not count for its own pair.
+            own_stem = None
+            if consumer == src_dir:
+                own_stem = os.path.splitext(os.path.relpath(path, src_dir))[0]
+            with open(path, encoding="utf-8") as f:
+                for line in f:
+                    m = QUOTED_INCLUDE_RE.match(line)
+                    if not m:
+                        continue
+                    header = os.path.normpath(m.group(1))
+                    if os.path.splitext(header)[0] != own_stem:
+                        included.add(header)
+    callers = ", ".join(d + "/" for d in ("src",) + ORPHAN_CONSUMER_DIRS[:-1])
+    callers += f" or {ORPHAN_CONSUMER_DIRS[-1]}/"
+    for path in iter_source_files(src_dir, (".h",)):
+        header = os.path.relpath(path, src_dir)
+        if header not in included:
+            findings.append(
+                f"{path}:1: [orphan-module] `{header}` is included only by "
+                f"its own .h/.cc pair or by tests/; call it from {callers}, "
+                f"or delete it")
+
+
 def run(src_dir, design_path):
     findings = []
     for path in iter_source_files(src_dir):
         lint_file(path, findings, src_dir)
+    lint_orphan_modules(src_dir, findings)
     if os.path.exists(design_path):
         lint_failpoints(src_dir, design_path, findings)
         lint_lock_classes(src_dir, design_path, findings)

@@ -68,9 +68,6 @@ util::Status Engine::BeginStep() {
     layer.uses_this_step = 0;
     layer.staged_this_step = false;
   }
-  if (steps_completed_ == 0) {
-    tracer_.Reset();
-  }
   planner_.BeginStep();
   if (options_.lock_free && !updater_->running()) {
     updater_->Start();
@@ -183,23 +180,13 @@ util::Result<std::vector<float>> Engine::UseLayerParams(int layer_index) {
   const bool tracing = schedule_ == nullptr;
 
   if (tracing) {
-    tracer_.BeginOp("use_layer_" + std::to_string(layer_index));
-    ANGEL_RETURN_IF_ERROR(tracer_.RecordAccess(layer_index, 2 * layer.count));
+    // The warmup record: the planner's learned order is both Algorithm 1's
+    // input (BuildScheduleFromTrace) and the eviction model.
     planner_.RecordAccess(static_cast<uint64_t>(layer_index));
-    // Measure production costs for the trace (§5: cpu_time = staging the
-    // fp16 copy, gpu_time = the tier movement).
-    const auto stage_start = std::chrono::steady_clock::now();
     if (!layer.staged_this_step) {
       ANGEL_RETURN_IF_ERROR(StageWorkingTensor(layer_index));
     }
-    const auto move_start = std::chrono::steady_clock::now();
     ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
-    const auto move_end = std::chrono::steady_clock::now();
-    tracer_.RecordProduceTime(
-        layer_index,
-        std::chrono::duration<double>(move_start - stage_start).count(),
-        std::chrono::duration<double>(move_end - move_start).count());
-    layer.total_uses += 1;
   } else {
     // Advance the access-order model past this use first, so eviction
     // ranking inside MoveWithEviction sees distances relative to the
@@ -325,49 +312,49 @@ util::Status Engine::ReleaseWorkingTensor(int layer_index) {
 }
 
 util::Status Engine::BuildScheduleFromTrace() {
+  // One schedule step per warmup use, in the planner's learned order; each
+  // step reads all of its layer's fp16 pages. Page ids are dense: layer l's
+  // pages follow layer l-1's.
+  const std::vector<uint64_t>& order = planner_.learned_order();
+  const size_t page_bytes = memory_->page_bytes();
+  std::vector<std::vector<PageRef>> layer_pages(layers_.size());
+  uint64_t next_page = 0;
+  for (size_t l = 0; l < layers_.size(); ++l) {
+    for (uint64_t remaining = 2 * layers_[l].count; remaining > 0;) {
+      const uint64_t bytes = std::min<uint64_t>(remaining, page_bytes);
+      layer_pages[l].push_back({next_page++, bytes});
+      remaining -= bytes;
+    }
+  }
   ScheduleInput input;
   input.world_size = 1;
   input.gpu_memory_budget = memory_->capacity_bytes(mem::DeviceKind::kGpu);
-  const size_t page_bytes = memory_->page_bytes();
-
-  // One schedule step per traced access, in trace (op) order.
-  const auto traces = tracer_.Traces();
-  std::vector<std::vector<PageRef>> layer_pages(layers_.size());
-  for (size_t l = 0; l < layers_.size(); ++l) {
-    uint64_t remaining = 2 * layers_[l].count;  // fp16 bytes.
-    size_t k = 0;
-    while (remaining > 0) {
-      const uint64_t bytes = std::min<uint64_t>(remaining, page_bytes);
-      layer_pages[l].push_back({l * 10000 + k, bytes});
-      remaining -= bytes;
-      ++k;
-    }
+  for (auto& layer : layers_) {
+    layer.total_uses = 0;
+    layer.issue_trigger = -1;
   }
-  // Recover the op -> layer mapping from the op names recorded in trace
-  // mode ("use_layer_<index>").
-  for (const std::string& name : tracer_.op_names()) {
-    const int layer = std::stoi(name.substr(std::string("use_layer_").size()));
+  for (const uint64_t layer : order) {
     SchedStep step;
     step.param_pages = layer_pages[layer];
-    input.steps.push_back(step);
+    input.steps.push_back(std::move(step));
+    layers_[layer].total_uses += 1;
   }
 
   ANGEL_ASSIGN_OR_RETURN(Schedule schedule, BuildSchedule(input));
   schedule_ = std::make_unique<Schedule>(std::move(schedule));
 
   // Earliest movement trigger per layer; layers with no movement task stay
-  // on demand.
-  for (auto& layer : layers_) layer.issue_trigger = -1;
+  // on demand. A move task's step is a step that reads its page, so that
+  // step's layer owns the page.
   for (const Task& task : schedule_->tasks) {
     if (task.op != TaskOp::kMoveToGpu) continue;
-    const int layer = static_cast<int>(task.page_id / 10000);
-    if (layers_[layer].issue_trigger < 0 ||
-        task.trigger_id < layers_[layer].issue_trigger) {
-      layers_[layer].issue_trigger = task.trigger_id;
+    WorkingLayer& layer = layers_[order[task.step]];
+    if (layer.issue_trigger < 0 || task.trigger_id < layer.issue_trigger) {
+      layer.issue_trigger = task.trigger_id;
     }
   }
-  // The warmup trace is now the planner's learned periodic order; from the
-  // next step on, MoveWithEviction ranks victims by predicted next use.
+  // From the next step on, MoveWithEviction ranks victims by predicted
+  // next use.
   planner_.FinishWarmup();
   return util::Status::OK();
 }

@@ -8,7 +8,6 @@
 #include "core/lockfree_updater.h"
 #include "core/optimizer/optimizer.h"
 #include "core/schedule.h"
-#include "core/tracer.h"
 #include "mem/copy_engine.h"
 #include "mem/hierarchical_memory.h"
 #include "mem/prefetch_planner.h"
@@ -33,8 +32,8 @@ struct EngineOptions {
 /// optimizer, config)`): callers register layers once, then drive steps with
 /// the Use/Push protocol and the engine handles everything the paper's
 /// runtime handles — staging fp16 working parameters into the fast tier,
-/// tracing the first iteration to learn tensor life-times (§5 Tracer),
-/// building the Algorithm-1 schedule from the trace, prefetching
+/// tracing the first iteration's layer order into the PrefetchPlanner (§5
+/// Tracer), building the Algorithm-1 schedule from that order, prefetching
 /// asynchronously on later iterations, releasing working tensors after
 /// their last use, and updating through the (optionally lock-free) Adam.
 ///
@@ -82,8 +81,8 @@ class Engine {
 
   // --- Introspection ---
   /// The unified schedule (null until the traced first step completed).
+  /// Page ids are dense: layer l's fp16 pages follow layer l-1's.
   const Schedule* schedule() const { return schedule_.get(); }
-  const Tracer& tracer() const { return tracer_; }
   LockFreeUpdater* updater() { return updater_.get(); }
   Allocator* allocator() { return allocator_.get(); }
   mem::HierarchicalMemory* memory() { return memory_.get(); }
@@ -103,7 +102,7 @@ class Engine {
   /// Each such layer stays CPU-resident and recovers through the on-demand
   /// path at its next use, so these are counted, not propagated.
   uint64_t prefetch_move_failures() const { return prefetch_move_failures_; }
-  /// Trace-driven access-order model: trained from the warmup step, then
+  /// The warmup record: its learned order is Algorithm 1's input, then it
   /// drives Belady-style eviction in MoveWithEviction (DESIGN.md §12).
   const mem::PrefetchPlanner& planner() const { return planner_; }
 
@@ -115,7 +114,7 @@ class Engine {
     Tensor* tensor = nullptr;  // fp16 staging/working tensor (null = none).
     std::vector<std::future<util::Status>> pending_moves;
     int uses_this_step = 0;
-    int total_uses = 0;    // Learned from the trace.
+    int total_uses = 0;    // Uses per step, from the learned order.
     int issue_trigger = -1;  // Earliest move trigger from the schedule.
     bool staged_this_step = false;
     Tensor* activation_stash = nullptr;  // fp16 boundary activations.
@@ -144,10 +143,8 @@ class Engine {
   std::unique_ptr<Allocator> allocator_;
   std::unique_ptr<mem::CopyEngine> copy_engine_;
   std::unique_ptr<LockFreeUpdater> updater_;
-  Tracer tracer_;
   std::unique_ptr<Schedule> schedule_;
   mem::PrefetchPlanner planner_;
-  /// layer -> earliest move trigger, from the schedule.
   std::vector<WorkingLayer> layers_;
 
   bool step_active_ = false;

@@ -15,7 +15,6 @@
 #include "mem/device.h"
 #include "mem/ssd_tier.h"
 #include "obs/metrics.h"
-#include "util/histogram.h"
 #include "util/seqlock.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -272,7 +271,7 @@ class LockFreeUpdater {
     uint64_t pin_waits = 0;
     /// Distribution of gradient batches folded per update (1 = fully
     /// fresh; larger = the compute side ran ahead).
-    util::Histogram staleness;
+    obs::HistogramData staleness;
   };
 
   /// Point-in-time copy of this instance's statistics.
@@ -404,7 +403,7 @@ class LockFreeUpdater {
 
   mutable util::Mutex staleness_mutex_{"updater.staleness",
                                        util::lockrank::kUpdaterStaleness};
-  util::Histogram staleness_ ANGEL_GUARDED_BY(staleness_mutex_);
+  obs::HistogramData staleness_ ANGEL_GUARDED_BY(staleness_mutex_);
 
   // Process-wide series (obs registry handles; set once in the ctor).
   obs::Counter* metric_updates_applied_ = nullptr;

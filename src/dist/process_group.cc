@@ -155,7 +155,8 @@ util::Status ProcessGroup::RendezvousRoot() {
     wire::Header hello;
     std::vector<std::byte> payload;
     util::Status received =
-        wire::RecvFrame(fd, &hello, &payload, options_.connect_timeout_ms);
+        wire::RecvFrame(fd, &hello, &payload, sizeof(uint32_t),
+                        options_.connect_timeout_ms);
     if (received.ok() && hello.op != wire::Op::kHello) {
       received = util::Status::InvalidArgument(
           "rendezvous: expected a hello frame");
@@ -245,8 +246,8 @@ util::Status ProcessGroup::RendezvousPeer() {
   ANGEL_RETURN_IF_ERROR(wire::SendFrame(fd, hello, &world));
   wire::Header welcome;
   std::vector<std::byte> payload;
-  ANGEL_RETURN_IF_ERROR(
-      wire::RecvFrame(fd, &welcome, &payload, options_.connect_timeout_ms));
+  ANGEL_RETURN_IF_ERROR(wire::RecvFrame(fd, &welcome, &payload, 0,
+                                        options_.connect_timeout_ms));
   if (welcome.op != wire::Op::kWelcome) {
     return util::Status::Internal("rendezvous: expected a welcome frame");
   }
@@ -284,6 +285,7 @@ util::Status ProcessGroup::SendChecked(int fd, uint16_t op, uint32_t seq,
 util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
                                        uint32_t expect_seq,
                                        uint16_t expect_rank,
+                                       size_t max_bytes,
                                        std::vector<std::byte>* payload) {
   wire::Header header;
   util::Status last;
@@ -298,7 +300,8 @@ util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
     last = injector.enabled() ? injector.Check("pg.recv")
                               : util::Status::OK();
     if (last.ok()) {
-      last = wire::RecvFrame(fd, &header, payload, options_.io_timeout_ms);
+      last = wire::RecvFrame(fd, &header, payload, max_bytes,
+                             options_.io_timeout_ms);
     }
     if (last.ok()) break;
     if (!Retryable(last)) return last;
@@ -332,7 +335,7 @@ util::Status ProcessGroup::HubCollect(uint16_t op, const void* send,
   if (bytes > 0) std::memcpy(gathered_[0].data(), send, bytes);
   for (int r = 1; r < options_.world_size; ++r) {
     ANGEL_RETURN_IF_ERROR(
-        RecvChecked(fds_[r], op, seq_, uint16_t(r), &gathered_[r]));
+        RecvChecked(fds_[r], op, seq_, uint16_t(r), bytes, &gathered_[r]));
     if (gathered_[r].size() != bytes) {
       return util::Status::Internal(
           "collective size mismatch: rank " + std::to_string(r) + " sent " +
@@ -344,10 +347,11 @@ util::Status ProcessGroup::HubCollect(uint16_t op, const void* send,
 }
 
 util::Status ProcessGroup::PeerExchange(uint16_t op, const void* send,
-                                        size_t bytes,
+                                        size_t bytes, size_t reply_bytes,
                                         std::vector<std::byte>* reply) {
   ANGEL_RETURN_IF_ERROR(SendChecked(fds_[0], op, seq_, send, bytes));
-  return RecvChecked(fds_[0], uint16_t(wire::Op::kResult), seq_, 0, reply);
+  return RecvChecked(fds_[0], uint16_t(wire::Op::kResult), seq_, 0,
+                     reply_bytes, reply);
 }
 
 util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
@@ -377,7 +381,8 @@ util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
   } else {
     std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
-        PeerExchange(uint16_t(wire::Op::kAllGather), send, bytes, &reply));
+        PeerExchange(uint16_t(wire::Op::kAllGather), send, bytes,
+                     size_t(world) * bytes, &reply));
     if (reply.size() != size_t(world) * bytes) {
       return util::Status::Internal("all-gather result size mismatch");
     }
@@ -440,7 +445,8 @@ util::Status ProcessGroup::ReduceScatter(const float* send,
   } else {
     std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(PeerExchange(uint16_t(wire::Op::kReduceScatter),
-                                       send, bytes, &reply));
+                                       send, bytes, chunk * sizeof(float),
+                                       &reply));
     if (reply.size() != chunk * sizeof(float)) {
       return util::Status::Internal("reduce-scatter result size mismatch");
     }
@@ -487,7 +493,8 @@ util::Status ProcessGroup::AllReduce(float* data, size_t count) {
   } else {
     std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
-        PeerExchange(uint16_t(wire::Op::kAllReduce), data, bytes, &reply));
+        PeerExchange(uint16_t(wire::Op::kAllReduce), data, bytes, bytes,
+                     &reply));
     if (reply.size() != bytes) {
       return util::Status::Internal("all-reduce result size mismatch");
     }
@@ -518,7 +525,7 @@ util::Status ProcessGroup::Barrier() {
   } else {
     std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
-        PeerExchange(uint16_t(wire::Op::kBarrier), nullptr, 0, &reply));
+        PeerExchange(uint16_t(wire::Op::kBarrier), nullptr, 0, 0, &reply));
   }
   ++seq_;
   ++collectives_;

@@ -45,9 +45,10 @@ struct ProcessGroupOptions {
 /// the N-thread in-process run, which is what the cross-backend tests
 /// compare (tests/dist/).
 ///
-/// Wire format: mem/wire_format.h frames (the PageTransport framing), one
-/// frame per message, sequence-numbered per connection so a desynchronized
-/// stream is detected instead of mis-delivered.
+/// Wire format: mem/wire_format.h frames, one frame per message,
+/// sequence-numbered per connection so a desynchronized stream is detected
+/// instead of mis-delivered. Every receive is bounded by the payload size
+/// the protocol expects, so a peer's header cannot make it allocate more.
 ///
 /// Failure model: fail-stop. A dead peer surfaces as an IoError matching
 /// IsPeerLoss() on every rank that touches the broken connection; the
@@ -128,12 +129,14 @@ class ProcessGroup {
   [[nodiscard]] util::Status RendezvousPeer();
 
   /// Frame send/recv with the §7 retry policy and the pg.send / pg.recv
-  /// failpoints applied per attempt.
+  /// failpoints applied per attempt. RecvChecked rejects a payload larger
+  /// than `max_bytes`.
   [[nodiscard]] util::Status SendChecked(int fd, uint16_t op, uint32_t seq,
                                          const void* payload, size_t bytes);
   [[nodiscard]] util::Status RecvChecked(int fd, uint16_t expect_op,
                                          uint32_t expect_seq,
                                          uint16_t expect_rank,
+                                         size_t max_bytes,
                                          std::vector<std::byte>* payload);
 
   /// Root half of a hub round: receives every non-root rank's `bytes`-sized
@@ -142,9 +145,9 @@ class ProcessGroup {
   [[nodiscard]] util::Status HubCollect(uint16_t op, const void* send,
                                         size_t bytes);
   /// Non-root half: sends this rank's contribution and receives the
-  /// root's kResult reply into `reply`.
+  /// root's kResult reply, at most `reply_bytes`, into `reply`.
   [[nodiscard]] util::Status PeerExchange(uint16_t op, const void* send,
-                                          size_t bytes,
+                                          size_t bytes, size_t reply_bytes,
                                           std::vector<std::byte>* reply);
 
   ProcessGroupOptions options_;

@@ -23,8 +23,10 @@ inline constexpr uint64_t kInvalidSsdOffset = ~0ull;
 
 /// The fine-grained memory unit of Angel-PTM (paper Fig. 3). A Page is the
 /// minimum unit of every memory operation on hierarchical storage:
-/// allocation, release, movement between tiers, and remote send/receive.
-/// Tensors are composed of pages; a page hosts at most two tensors.
+/// allocation, release and movement between tiers. (Fig. 3's remote
+/// send/receive has no page-level transport here; collectives move buffers
+/// over dist::ProcessGroup.) Tensors are composed of pages; a page hosts at
+/// most two tensors.
 ///
 /// A page has a *logical identity* (its id and tensor slots) and a *physical
 /// residence* (which tier, and either a host pointer or an SSD file offset).

@@ -108,7 +108,7 @@ util::Result<Header> DecodeHeader(const std::byte* in) {
         "wire: bad frame magic (desynchronized or corrupt stream)");
   }
   const uint16_t op = GetU16(in + 4);
-  if (op < uint16_t(Op::kPage) || op > uint16_t(Op::kResult)) {
+  if (op < uint16_t(Op::kHello) || op > uint16_t(Op::kResult)) {
     return util::Status::InvalidArgument("wire: unknown frame op " +
                                          std::to_string(op));
   }
@@ -118,16 +118,6 @@ util::Result<Header> DecodeHeader(const std::byte* in) {
   header.seq = GetU32(in + 8);
   header.payload_bytes = GetU64(in + 16);
   return header;
-}
-
-std::vector<std::byte> EncodeFrame(const Header& header,
-                                   const void* payload) {
-  std::vector<std::byte> frame(kHeaderBytes + header.payload_bytes);
-  EncodeHeader(header, frame.data());
-  if (header.payload_bytes > 0) {
-    std::memcpy(frame.data() + kHeaderBytes, payload, header.payload_bytes);
-  }
-  return frame;
 }
 
 util::Status SendFrame(int fd, const Header& header, const void* payload) {
@@ -141,10 +131,17 @@ util::Status SendFrame(int fd, const Header& header, const void* payload) {
 }
 
 util::Status RecvFrame(int fd, Header* header,
-                       std::vector<std::byte>* payload, int timeout_ms) {
+                       std::vector<std::byte>* payload,
+                       uint64_t max_payload_bytes, int timeout_ms) {
   std::byte head[kHeaderBytes];
   ANGEL_RETURN_IF_ERROR(ReadFull(fd, head, kHeaderBytes, timeout_ms));
   ANGEL_ASSIGN_OR_RETURN(*header, DecodeHeader(head));
+  if (header->payload_bytes > max_payload_bytes) {
+    return util::Status::InvalidArgument(
+        "wire: frame claims " + std::to_string(header->payload_bytes) +
+        " payload bytes, the receiver accepts at most " +
+        std::to_string(max_payload_bytes));
+  }
   payload->resize(header->payload_bytes);
   if (header->payload_bytes > 0) {
     ANGEL_RETURN_IF_ERROR(

@@ -9,12 +9,10 @@
 
 namespace angelptm::mem::wire {
 
-/// The one wire framing shared by every transport in the system: the
-/// in-process PageTransport queue (mem/page_transport.cc) and the
-/// multi-process socket collectives (dist/process_group.cc) prepend the
-/// same fixed-size header to every payload, so a page on the wire and a
-/// collective message on the wire are parsed by the same code and carry
-/// the same integrity checks.
+/// The wire framing of the multi-process socket collectives
+/// (dist/process_group.cc): a fixed-size header before every payload, with
+/// its integrity checks (magic, known op, a payload size the receiver
+/// accepts) applied before any payload byte is read.
 ///
 /// Layout (24 bytes, host byte order — the transport never leaves one
 /// host, see DESIGN.md §14.2):
@@ -29,10 +27,9 @@ namespace angelptm::mem::wire {
 inline constexpr uint32_t kMagic = 0x4150544Du;
 inline constexpr size_t kHeaderBytes = 24;
 
-/// Message kinds. kPage frames PageTransport payloads; the rest belong to
-/// dist::ProcessGroup's hub protocol.
+/// Message kinds of dist::ProcessGroup's hub protocol. Op 1 is retired:
+/// DecodeHeader rejects it like any unknown op.
 enum class Op : uint16_t {
-  kPage = 1,
   kHello = 2,          // rank -> root at rendezvous; payload: u32 world_size
   kWelcome = 3,        // root -> rank once the full world has joined
   kAllGather = 4,      // rank -> root: my contribution
@@ -43,7 +40,7 @@ enum class Op : uint16_t {
 };
 
 struct Header {
-  Op op = Op::kPage;
+  Op op = Op::kHello;
   uint16_t rank = 0;
   uint32_t seq = 0;
   uint64_t payload_bytes = 0;
@@ -57,12 +54,7 @@ void EncodeHeader(const Header& header, std::byte* out);
 /// resynchronized.
 [[nodiscard]] util::Result<Header> DecodeHeader(const std::byte* in);
 
-/// Convenience: header + payload in one contiguous buffer (the in-process
-/// PageTransport wire representation).
-[[nodiscard]] std::vector<std::byte> EncodeFrame(const Header& header,
-                                                 const void* payload);
-
-// --- Framed socket I/O (used by dist::ProcessGroup) ---
+// --- Framed socket I/O ---
 
 /// Writes header + `header.payload_bytes` of `payload` to `fd`, looping
 /// over partial writes and EINTR. Uses MSG_NOSIGNAL so a dead peer surfaces
@@ -72,11 +64,15 @@ void EncodeHeader(const Header& header, std::byte* out);
                                      const void* payload);
 
 /// Reads one frame from `fd` into `header` and `payload` (resized to the
-/// frame's payload size). `timeout_ms` < 0 waits forever; on expiry returns
-/// DeadlineExceeded. EOF (peer process died) returns an IoError whose
-/// message contains kPeerClosedMsg.
+/// frame's payload size). A header claiming more than `max_payload_bytes`
+/// returns InvalidArgument before anything is allocated: the size comes
+/// from the peer, so the caller bounds it by what it expects to receive.
+/// `timeout_ms` < 0 waits forever; on expiry returns DeadlineExceeded. EOF
+/// (peer process died) returns an IoError whose message contains
+/// kPeerClosedMsg.
 [[nodiscard]] util::Status RecvFrame(int fd, Header* header,
                                      std::vector<std::byte>* payload,
+                                     uint64_t max_payload_bytes,
                                      int timeout_ms);
 
 /// Substring that marks an IoError as "the peer went away" (fail-stop

@@ -122,27 +122,69 @@ void GemmTransBRowBlock(const float* a, const float* b, float* c, size_t i0,
   }
 }
 
+// The scalar path's causal attention products (below) run on these two
+// row primitives. Their fixed 8-wide inner blocks over restrict pointers
+// let the compiler use the baseline vector unit (SSE2 on x86-64) without
+// an ISA-specific build; lane q of Dot8 accumulates elements q, q+8, ... in
+// order, so the result does not depend on whether it vectorized.
+
+/// y += a * x over n floats.
+void Axpy8(float a, const float* __restrict x, float* __restrict y,
+           size_t n) {
+  size_t p = 0;
+  for (; p + 8 <= n; p += 8) {
+    for (size_t q = 0; q < 8; ++q) y[p + q] += a * x[p + q];
+  }
+  for (; p < n; ++p) y[p] += a * x[p];
+}
+
+/// Dot product of two n-float rows with 8 independent accumulators.
+float Dot8(const float* __restrict x, const float* __restrict y, size_t n) {
+  float acc[8] = {};
+  size_t p = 0;
+  for (; p + 8 <= n; p += 8) {
+    for (size_t q = 0; q < 8; ++q) acc[q] += x[p + q] * y[p + q];
+  }
+  float sum = ((acc[0] + acc[4]) + (acc[1] + acc[5])) +
+              ((acc[2] + acc[6]) + (acc[3] + acc[7]));
+  for (; p < n; ++p) sum += x[p] * y[p];
+  return sum;
+}
+
 /// The lower triangle (j <= i) of C = A * B^T for one s x k head panel
 /// pair — the only part causal attention reads: the scalar path's
-/// S = Q K^T and dP = dO V^T. Float dot products with four independent
-/// accumulators; the upper triangle of C is left unwritten.
+/// S = Q K^T and dP = dO V^T. The upper triangle of C is left unwritten.
 void CausalGemmTransB(const float* a, const float* b, float* c, size_t s,
                       size_t k) {
   for (size_t i = 0; i < s; ++i) {
-    const float* a_row = a + i * k;
-    float* c_row = c + i * s;
     for (size_t j = 0; j <= i; ++j) {
-      const float* b_row = b + j * k;
-      float s0 = 0.0f, s1 = 0.0f, s2 = 0.0f, s3 = 0.0f;
-      size_t p = 0;
-      for (; p + 4 <= k; p += 4) {
-        s0 += a_row[p] * b_row[p];
-        s1 += a_row[p + 1] * b_row[p + 1];
-        s2 += a_row[p + 2] * b_row[p + 2];
-        s3 += a_row[p + 3] * b_row[p + 3];
-      }
-      for (; p < k; ++p) s0 += a_row[p] * b_row[p];
-      c_row[j] = (s0 + s1) + (s2 + s3);
+      c[i * s + j] = Dot8(a + i * k, b + j * k, k);
+    }
+  }
+}
+
+/// C = A * B for a lower-triangular s x s A (zero above the diagonal) and
+/// an s x k B: the scalar path's O = P V and dQ = dS K. Row i sums only
+/// j <= i, in ascending order.
+void CausalGemm(const float* a, const float* b, float* c, size_t s,
+                size_t k) {
+  for (size_t i = 0; i < s; ++i) {
+    std::memset(c + i * k, 0, k * sizeof(float));
+    for (size_t j = 0; j <= i; ++j) {
+      Axpy8(a[i * s + j], b + j * k, c + i * k, k);
+    }
+  }
+}
+
+/// C = A^T * B for the same lower-triangular A: the scalar path's
+/// dV = P^T dO and dK = dS^T Q. Row j of C sums rows i >= j of B, in
+/// ascending order.
+void CausalGemmTransA(const float* a, const float* b, float* c, size_t s,
+                      size_t k) {
+  std::memset(c, 0, s * k * sizeof(float));
+  for (size_t i = 0; i < s; ++i) {
+    for (size_t j = 0; j <= i; ++j) {
+      Axpy8(a[i * s + j], b + i * k, c + j * k, k);
     }
   }
 }
@@ -601,11 +643,13 @@ void CausalAttention(const float* q, const float* k, const float* v,
           GatherHead(v + offset, d, s, dh, vp);
           if (use_avx2) {
             GemmTransB(qp, kp, scores, s, dh, s);  // S = Q K^T.
+            CausalSoftmax(scores, p, s, scale, use_avx2);
+            Gemm(p, vp, op, s, s, dh);  // O = P V.
           } else {
             CausalGemmTransB(qp, kp, scores, s, dh);
+            CausalSoftmax(scores, p, s, scale, use_avx2);
+            CausalGemm(p, vp, op, s, dh);
           }
-          CausalSoftmax(scores, p, s, scale, use_avx2);
-          Gemm(p, vp, op, s, s, dh);  // O = P V.
           ScatterHead(op, s, dh, out + offset, d);
         }
       });
@@ -638,13 +682,17 @@ void CausalAttentionBackward(const float* q, const float* k, const float* v,
           GatherHead(dout + offset, d, s, dh, dop);
           if (use_avx2) {
             GemmTransB(dop, vp, ds, s, dh, s);  // dP = dO V^T.
+            GemmTransA(p, dop, dvp, s, s, dh);  // dV = P^T dO.
+            CausalSoftmaxBackward(p, ds, s, scale, use_avx2);  // dS * scale.
+            Gemm(ds, kp, dqp, s, s, dh);        // dQ = dS K.
+            GemmTransA(ds, qp, dkp, s, s, dh);  // dK = dS^T Q.
           } else {
             CausalGemmTransB(dop, vp, ds, s, dh);
+            CausalGemmTransA(p, dop, dvp, s, dh);
+            CausalSoftmaxBackward(p, ds, s, scale, use_avx2);
+            CausalGemm(ds, kp, dqp, s, dh);
+            CausalGemmTransA(ds, qp, dkp, s, dh);
           }
-          GemmTransA(p, dop, dvp, s, s, dh);   // dV = P^T dO.
-          CausalSoftmaxBackward(p, ds, s, scale, use_avx2);  // dS * scale.
-          Gemm(ds, kp, dqp, s, s, dh);         // dQ = dS K.
-          GemmTransA(ds, qp, dkp, s, s, dh);   // dK = dS^T Q.
           ScatterHead(dqp, s, dh, dq + offset, d);
           ScatterHead(dkp, s, dh, dk + offset, d);
           ScatterHead(dvp, s, dh, dv + offset, d);

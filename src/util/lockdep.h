@@ -42,11 +42,9 @@ inline constexpr int kNoRank = 0;  // Unranked: graph edges only, no order check
 // lock) and the per-layer update transaction.
 inline constexpr int kCheckpointSave = 8;
 inline constexpr int kUpdaterMaster = 10;
-// Tier B — allocation / page-movement entry points (PageTransport delivers
-// into HierarchicalMemory — CreatePage/MovePageSync — under its own lock).
+// Tier B — allocation / page-movement entry points.
 inline constexpr int kAllocState = 20;
 inline constexpr int kCopyPage = 22;
-inline constexpr int kPageTransport = 24;
 // Tier C — updater pipeline internals reached under a master lock.
 inline constexpr int kUpdaterQueue = 30;
 inline constexpr int kUpdaterBuffer = 32;

@@ -20,7 +20,7 @@ size_t DefaultComputeThreads() {
 
 ThreadPool* DefaultComputePool() {
   // Leaked on purpose: compute kernels may run from other static-lifetime
-  // threads (lock-free updater, executor streams), so tearing the pool down
+  // threads (lock-free updater, copy engine), so tearing the pool down
   // during static destruction would be an ordering hazard.
   static ThreadPool* pool =
       new ThreadPool(DefaultComputeThreads());  // lint: naked-new (leaked singleton)

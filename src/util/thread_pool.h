@@ -12,7 +12,8 @@
 namespace angelptm::util {
 
 /// A fixed-size worker pool with a FIFO task queue. Used by the copy engine
-/// and the executor to run asynchronous page movements and CPU computations.
+/// for asynchronous page movements and by the compute kernels
+/// (util/parallel_for.h).
 class ThreadPool {
  public:
   explicit ThreadPool(size_t num_threads);

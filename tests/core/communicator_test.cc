@@ -1,72 +1,12 @@
-#include <atomic>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/communicator.h"
-#include "core/executor.h"
 
 namespace angelptm::core {
 namespace {
-
-TEST(ExecutorTest, StreamRunsInSubmissionOrder) {
-  Executor executor;
-  std::vector<int> order;
-  std::mutex mutex;
-  std::vector<std::future<util::Status>> futures;
-  for (int i = 0; i < 50; ++i) {
-    futures.push_back(executor.Submit(mem::DeviceKind::kGpu, [&, i] {
-      std::lock_guard<std::mutex> lock(mutex);
-      order.push_back(i);
-      return util::Status::OK();
-    }));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(order[i], i);
-  EXPECT_EQ(executor.tasks_completed(mem::DeviceKind::kGpu), 50u);
-}
-
-TEST(ExecutorTest, StreamsRunConcurrently) {
-  Executor executor;
-  std::atomic<bool> cpu_started{false};
-  std::atomic<bool> gpu_may_finish{false};
-  // The GPU task spins until the CPU task starts: only passes if the two
-  // streams genuinely overlap.
-  auto gpu = executor.Submit(mem::DeviceKind::kGpu, [&] {
-    while (!cpu_started.load()) std::this_thread::yield();
-    gpu_may_finish = true;
-    return util::Status::OK();
-  });
-  auto cpu = executor.Submit(mem::DeviceKind::kCpu, [&] {
-    cpu_started = true;
-    return util::Status::OK();
-  });
-  ASSERT_TRUE(gpu.get().ok());
-  ASSERT_TRUE(cpu.get().ok());
-  EXPECT_TRUE(gpu_may_finish.load());
-}
-
-TEST(ExecutorTest, FailureStatusPropagates) {
-  Executor executor;
-  auto future = executor.Submit(mem::DeviceKind::kCpu, [] {
-    return util::Status::Internal("boom");
-  });
-  EXPECT_EQ(future.get().code(), util::StatusCode::kInternal);
-}
-
-TEST(ExecutorTest, SynchronizeWaits) {
-  Executor executor;
-  std::atomic<int> done{0};
-  for (int i = 0; i < 10; ++i) {
-    executor.Submit(mem::DeviceKind::kGpu, [&] {
-      done.fetch_add(1);
-      return util::Status::OK();
-    });
-  }
-  executor.SynchronizeAll();
-  EXPECT_EQ(done.load(), 10);
-}
 
 class CommunicatorTest : public ::testing::TestWithParam<int> {};
 

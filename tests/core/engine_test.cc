@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -87,14 +88,59 @@ TEST(EngineTest, ScheduleBuiltAfterTracedFirstStep) {
   EXPECT_EQ((*engine)->schedule(), nullptr);
   TrainThroughEngine(engine->get(), model, 1, &rng);
   ASSERT_NE((*engine)->schedule(), nullptr);
-  // Trace saw 2 accesses per layer (forward + backward) = 4 ops.
-  EXPECT_EQ((*engine)->tracer().num_ops(), 4);
-  const auto traces = (*engine)->tracer().Traces();
-  ASSERT_EQ(traces.size(), 2u);
-  EXPECT_EQ(traces[0].first_id, 0);
-  EXPECT_EQ(traces[0].end_id, 3);  // Layer 0: first fwd op, last bwd op.
-  EXPECT_EQ(traces[1].first_id, 1);
-  EXPECT_EQ(traces[1].end_id, 2);
+  // The warmup recorded 2 accesses per layer (forward + backward), and
+  // Algorithm 1 scheduled one step per access.
+  const std::vector<uint64_t> expected = {0, 1, 1, 0};
+  EXPECT_EQ((*engine)->planner().learned_order(), expected);
+  int compute_steps = 0;
+  for (const Task& task : (*engine)->schedule()->tasks) {
+    if (task.op == TaskOp::kCompute) ++compute_steps;
+  }
+  EXPECT_EQ(compute_steps, 4);
+}
+
+TEST(EngineTest, ScheduleMintsDistinctPagesForLargeLayers) {
+  // 330,000 fp16 parameters at 64-byte pages is 10,313 pages per layer:
+  // more than any fixed per-layer id stride of 10,000 can hold. Every page
+  // must get its own id, and every move task must serve a step of the
+  // layer that owns its page.
+  constexpr size_t kCount = 330000;
+  constexpr uint64_t kPageBytes = 64;
+  constexpr uint64_t kPagesPerLayer =
+      (2 * kCount + kPageBytes - 1) / kPageBytes;
+  static_assert(kPagesPerLayer == 10313);
+  EngineOptions options;
+  options.memory.page_bytes = kPageBytes;
+  // Room for both layers plus one step's gather: no move is deferred.
+  options.memory.gpu_capacity_bytes = 4 * kPagesPerLayer * kPageBytes;
+  options.memory.cpu_capacity_bytes = 16ull << 20;
+  auto engine = Engine::Create(options);
+  ASSERT_TRUE(engine.ok());
+  for (int l = 0; l < 2; ++l) {
+    ASSERT_TRUE(
+        (*engine)->RegisterLayer(std::vector<float>(kCount, 0.5f)).ok());
+  }
+  ASSERT_TRUE((*engine)->BeginStep().ok());
+  for (const int l : {0, 1, 1, 0}) {
+    ASSERT_TRUE((*engine)->UseLayerParams(l).ok());
+  }
+  for (const int l : {1, 0}) {
+    ASSERT_TRUE(
+        (*engine)->PushGrads(l, std::vector<float>(kCount, 0.01f)).ok());
+  }
+  const util::Status ended = (*engine)->EndStep();
+  ASSERT_TRUE(ended.ok()) << ended;
+
+  const std::vector<uint64_t>& order = (*engine)->planner().learned_order();
+  std::set<uint64_t> move_pages;
+  for (const Task& task : (*engine)->schedule()->tasks) {
+    if (task.op != TaskOp::kMoveToGpu) continue;
+    move_pages.insert(task.page_id);
+    // Dense ids: layer l owns [l * kPagesPerLayer, (l + 1) * kPagesPerLayer).
+    ASSERT_EQ(task.page_id / kPagesPerLayer, order[task.step])
+        << "page " << task.page_id << " moved for step " << task.step;
+  }
+  EXPECT_EQ(move_pages.size(), 2 * kPagesPerLayer);
 }
 
 TEST(EngineTest, PrefetchesHitAfterWarmup) {
@@ -192,23 +238,6 @@ TEST(EngineTest, TransformerTrainsThroughEngine) {
     ASSERT_TRUE((*engine)->EndStep().ok());
   }
   EXPECT_LT(loss, first_loss);
-}
-
-TEST(EngineTest, TraceRecordsProduceTimes) {
-  auto engine = Engine::Create(SmallEngineOptions());
-  ASSERT_TRUE(engine.ok());
-  train::MlpModel model({{16, 32, 4}});
-  util::Rng rng(31);
-  for (int l = 0; l < model.num_layers(); ++l) {
-    ASSERT_TRUE(
-        (*engine)->RegisterLayer(model.InitLayerParams(l, &rng)).ok());
-  }
-  TrainThroughEngine(engine->get(), model, 1, &rng);
-  for (const auto& trace : (*engine)->tracer().Traces()) {
-    EXPECT_GE(trace.cpu_time, 0.0);
-    EXPECT_GT(trace.gpu_time, 0.0);  // The tier move took real time.
-    EXPECT_GT(trace.bytes, 0u);
-  }
 }
 
 TEST(EngineTest, GpuCachedMasterStates) {

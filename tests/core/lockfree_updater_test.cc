@@ -112,7 +112,7 @@ TEST_F(LockFreeUpdaterTest, AccumulatedBatchesAreAveraged) {
   const LockFreeUpdater::Stats stats = updater.Snapshot();
   EXPECT_EQ(stats.updates_applied, 1u);
   // Both batches folded into the one update: staleness of 2.
-  EXPECT_EQ(stats.staleness.count(), 1u);
+  EXPECT_EQ(stats.staleness.count, 1u);
 }
 
 TEST_F(LockFreeUpdaterTest, NoGradientsMeansNoUpdate) {
@@ -221,7 +221,7 @@ TEST_F(LockFreeUpdaterTest, StalenessValveBoundsPerLayerBacklog) {
   updater.Stop();
   const LockFreeUpdater::Stats stats = updater.Snapshot();
   EXPECT_EQ(stats.grad_batches_applied, 100u);
-  EXPECT_LE(stats.staleness.Max(), 4u);
+  EXPECT_LE(stats.staleness.max, 4u);
 }
 
 TEST_F(LockFreeUpdaterTest, ValveDisabledAllowsUnboundedBacklog) {

@@ -6,8 +6,11 @@
 #include "dist/process_group.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -15,6 +18,7 @@
 #include <vector>
 
 #include "core/communicator.h"
+#include "mem/wire_format.h"
 #include "util/half.h"
 #include "util/random.h"
 
@@ -282,6 +286,48 @@ TEST(ProcessGroupTest, PeerDeathSurfacesAsPeerLoss) {
   EXPECT_FALSE(ProcessGroup::IsPeerLoss(util::Status::OK()));
   EXPECT_FALSE(
       ProcessGroup::IsPeerLoss(util::Status::IoError("disk on fire")));
+}
+
+TEST(ProcessGroupTest, RootRejectsOversizeHello) {
+  // The root reads a hello header from anything that connects to the
+  // rendezvous socket. One claiming 2^40 payload bytes must fail the
+  // rendezvous with a Status before the root allocates anything.
+  const std::string path = RendezvousPath("oh");
+  util::Status root_status;
+  std::thread root([&] {
+    ProcessGroupOptions options;
+    options.rank = 0;
+    options.world_size = 2;
+    options.rendezvous = path;
+    options.connect_timeout_ms = 5000;
+    root_status = ProcessGroup::Connect(options).status();
+  });
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  int fd = -1;
+  for (int attempt = 0; attempt < 1000 && fd < 0; ++attempt) {
+    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) !=
+        0) {
+      ::close(fd);
+      fd = -1;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    }
+  }
+  EXPECT_GE(fd, 0) << "root never bound " << path;
+  if (fd >= 0) {
+    mem::wire::Header hello;
+    hello.op = mem::wire::Op::kHello;
+    hello.rank = 1;
+    hello.payload_bytes = uint64_t{1} << 40;
+    std::byte head[mem::wire::kHeaderBytes];
+    mem::wire::EncodeHeader(hello, head);
+    EXPECT_EQ(::write(fd, head, sizeof(head)), ssize_t(sizeof(head)));
+  }
+  root.join();
+  if (fd >= 0) ::close(fd);
+  EXPECT_TRUE(root_status.IsInvalidArgument()) << root_status;
 }
 
 TEST(ProcessGroupTest, StatsCountTraffic) {

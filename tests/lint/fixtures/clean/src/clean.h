@@ -7,6 +7,10 @@
 #include <memory>
 #include <mutex>
 
+// Callers in src/ for the orphan-module rule.
+#include "util/lockdep.h"
+#include "util/locks.h"
+
 namespace demo {
 
 class Clean {

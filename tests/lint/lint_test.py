@@ -57,12 +57,13 @@ def main():
     # (the std::mutex member, an unguarded-waived local, and its
     # lock_guard site), and the lock-class drift in all directions
     # (classless mutex, class missing from the table, constant mismatch,
-    # stale table row).
+    # stale table row), and two orphan headers (bad.h, which nothing
+    # includes, and lonely.h, included only by its own .cc and a test).
     for tag, expected in [("[mutex]", 2), ("[nodiscard]", 1),
                           ("[naked-new]", 1), ("[simd-include]", 1),
                           ("[optimizer-registry]", 1),
                           ("[failpoint]", 2), ("[raw-mutex]", 3),
-                          ("[lock-class]", 4)]:
+                          ("[lock-class]", 4), ("[orphan-module]", 2)]:
         count = dirty.stdout.count(f": {tag}")  # "[[nodiscard]]" in the
         # message body would double-count a bare substring search.
         check(f"dirty fixture yields {expected} {tag} finding(s)",
@@ -72,6 +73,7 @@ def main():
     check("undeclared lock class is named", "demo.rogue" in dirty.stdout)
     check("stale lock-class row is named", "demo.stale_lock" in dirty.stdout)
     check("rank-constant mismatch is named", "kMismatch" in dirty.stdout)
+    check("test-only module is named", "`lonely.h`" in dirty.stdout)
 
     repo = subprocess.run([sys.executable, lint, "--root", args.root],
                           capture_output=True, text=True)

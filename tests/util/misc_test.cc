@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "util/bandwidth_throttle.h"
-#include "util/histogram.h"
 #include "util/random.h"
 #include "util/table_printer.h"
 #include "util/units.h"
@@ -135,44 +134,6 @@ TEST(TablePrinterTest, ShortRowsPadded) {
 TEST(FormatDoubleTest, Precision) {
   EXPECT_EQ(FormatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(FormatDouble(3.14159, 4), "3.1416");
-}
-
-TEST(HistogramTest, RecordsMomentsAndPercentiles) {
-  Histogram histogram(16);
-  for (uint64_t v : {1, 1, 2, 2, 2, 3, 5, 9}) histogram.Record(v);
-  EXPECT_EQ(histogram.count(), 8u);
-  EXPECT_NEAR(histogram.Mean(), 25.0 / 8, 1e-9);
-  EXPECT_EQ(histogram.Max(), 9u);
-  EXPECT_EQ(histogram.Percentile(0.5), 2u);
-  EXPECT_EQ(histogram.Percentile(1.0), 9u);
-  EXPECT_NE(histogram.Summary().find("count=8"), std::string::npos);
-}
-
-TEST(HistogramTest, OverflowBucketClampsButTracksMax) {
-  Histogram histogram(4);
-  histogram.Record(100);
-  EXPECT_EQ(histogram.Max(), 100u);
-  EXPECT_EQ(histogram.Percentile(1.0), 4u);  // Clamped to last bucket.
-}
-
-TEST(HistogramTest, MergeAndReset) {
-  Histogram a(8), b(8);
-  a.Record(1);
-  b.Record(3);
-  b.Record(3);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_EQ(a.Percentile(1.0), 3u);
-  a.Reset();
-  EXPECT_EQ(a.count(), 0u);
-  EXPECT_EQ(a.Mean(), 0.0);
-}
-
-TEST(HistogramTest, EmptyHistogram) {
-  Histogram histogram;
-  EXPECT_EQ(histogram.count(), 0u);
-  EXPECT_EQ(histogram.Percentile(0.5), 0u);
-  EXPECT_EQ(histogram.Mean(), 0.0);
 }
 
 TEST(BandwidthThrottleTest, ZeroRateDoesNotSleep) {
