@@ -41,7 +41,8 @@
 #     smoke run of the updater-contention bench across all rules.
 #
 #   * A dist pass (DESIGN.md §14): the socket-collective property tests,
-#     shard-checkpoint suite, and the fork/exec multi-process tests (4-rank
+#     the ZeRO checkpoint cases of ShardedDpTest (each rank's shards as a
+#     v3 checkpoint), and the fork/exec multi-process tests (4-rank
 #     bitwise match vs single-process, SIGKILL-one-rank gang restart), plus
 #     an angel_worker launcher smoke at 2 and 4 real ranks whose rank-0
 #     result file must match the single-process run byte for byte.
@@ -198,9 +199,10 @@ if [ "$MODE" = all ] || [ "$MODE" = --dist ]; then
     cmake --build build -j --target dist_test angel_worker
   fi
   # The full dist suite: socket-collective property tests (50+ random
-  # layouts bitwise vs the in-process Communicator), shard checkpoints,
-  # and the fork/exec multi-process tests (4-rank bitwise match plus the
-  # SIGKILL-one-rank recovery drill).
+  # layouts bitwise vs the in-process Communicator), ZeRO shard
+  # checkpoints in the v3 format (ShardedDpTest), and the fork/exec
+  # multi-process tests (4-rank bitwise match plus the SIGKILL-one-rank
+  # recovery drill).
   ./build/tests/dist_test
   # Launcher smoke: every rank is a real OS process rendezvousing over a
   # Unix-domain socket; the rank-0 result file (losses, validation loss,

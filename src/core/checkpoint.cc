@@ -6,9 +6,13 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
+#include <memory>
+#include <system_error>
 #include <vector>
 
 #include "util/fault_injector.h"
+#include "util/logging.h"
 
 namespace angelptm::core {
 namespace {
@@ -20,6 +24,8 @@ constexpr uint32_t kMinVersion = 1;
 /// with a clear error instead of a giant allocation.
 constexpr uint32_t kMaxRuleNameBytes = 256;
 constexpr uint32_t kMaxSlots = 64;
+/// The smallest layer any version writes: its count and step.
+constexpr uint64_t kMinLayerBytes = 16;
 
 /// Incremental FNV-1a over byte spans.
 class Fnv1a {
@@ -60,22 +66,28 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::FILE* file) : file_(file) {}
+  Reader(std::FILE* file, uint64_t size) : file_(file), left_(size) {}
   bool Read(void* data, size_t bytes) {
-    if (std::fread(data, 1, bytes, file_) != bytes) return false;
+    if (bytes > left_ || std::fread(data, 1, bytes, file_) != bytes) {
+      return false;
+    }
+    left_ -= bytes;
     checksum_.Update(data, bytes);
     return true;
   }
+  /// Bytes not read yet, the stored checksum included.
+  uint64_t left() const { return left_; }
+  /// True when exactly the stored checksum is left, and it matches.
   bool VerifyChecksum() {
     uint64_t stored = 0;
-    if (std::fread(&stored, 1, sizeof(stored), file_) != sizeof(stored)) {
-      return false;
-    }
-    return stored == checksum_.value();
+    return left_ == sizeof(stored) &&
+           std::fread(&stored, 1, sizeof(stored), file_) == sizeof(stored) &&
+           stored == checksum_.value();
   }
 
  private:
   std::FILE* file_;
+  uint64_t left_;
   Fnv1a checksum_;
 };
 
@@ -124,7 +136,7 @@ bool ReadString(Reader* reader, uint32_t max_bytes, std::string* out) {
 /// A cut tensor's fp32 payload in file order, read span by span through
 /// `buffer` (at least one span long).
 bool WriteSpans(Writer* writer, mem::SsdTier* ssd,
-                const LockFreeUpdater::MasterCut::Tensor& tensor,
+                const MasterCut::Tensor& tensor,
                 std::vector<std::byte>* buffer, util::Status* read_status) {
   for (const MasterSpan& span : tensor.spans) {
     *read_status = ReadMasterSpan(ssd, span, buffer->data());
@@ -135,12 +147,22 @@ bool WriteSpans(Writer* writer, mem::SsdTier* ssd,
   return true;
 }
 
-/// Self-describing slot values: element count then fp32 payload.
-bool ReadFloatBlock(Reader* reader, std::vector<float>* out) {
-  uint64_t count = 0;
-  if (!reader->Read(&count, sizeof(count))) return false;
+/// Reads `count` fp32 values of `section` into `out`, after checking they
+/// fit in the bytes left: a corrupt count fails here, before it can size an
+/// allocation.
+util::Status ReadFloats(Reader* reader, uint64_t count, const std::string& path,
+                        const std::string& section, std::vector<float>* out) {
+  if (count > reader->left() / sizeof(float)) {
+    return util::Status::IoError(
+        path + ": " + section + " count " + std::to_string(count) +
+        " exceeds the " + std::to_string(reader->left()) +
+        " bytes left in the file");
+  }
   out->resize(count);
-  return count == 0 || reader->Read(out->data(), count * sizeof(float));
+  if (count > 0 && !reader->Read(out->data(), count * sizeof(float))) {
+    return util::Status::IoError(path + ": truncated in " + section);
+  }
+  return util::Status::OK();
 }
 
 /// Writes the cut to `path` (see PersistCheckpoint), unpinning each layer
@@ -149,8 +171,8 @@ util::Status WriteCut(CheckpointCut* cut, const std::string& path,
                       uint64_t* bytes_written) {
   ANGEL_FAULT_CHECK("checkpoint.write");
   size_t buffer_bytes = 0;
-  for (const LockFreeUpdater::MasterCut& layer : cut->layers) {
-    for (const LockFreeUpdater::MasterCut::Tensor& tensor : layer.tensors) {
+  for (const MasterCut& layer : cut->layers) {
+    for (const MasterCut::Tensor& tensor : layer.tensors) {
       for (const MasterSpan& span : tensor.spans) {
         buffer_bytes = std::max(buffer_bytes, span.bytes);
       }
@@ -170,9 +192,9 @@ util::Status WriteCut(CheckpointCut* cut, const std::string& path,
             WriteProgress(&writer, cut->progress) &&
             WriteString(&writer, cut->rule) &&
             writer.Write(&num_layers, sizeof(num_layers));
-  for (LockFreeUpdater::MasterCut& layer : cut->layers) {
+  for (MasterCut& layer : cut->layers) {
     if (!ok) break;
-    const LockFreeUpdater::MasterCut::Tensor& params = layer.tensors.front();
+    const MasterCut::Tensor& params = layer.tensors.front();
     const uint64_t count = params.count;
     const int64_t step = layer.step;
     const uint32_t num_slots = uint32_t(layer.tensors.size() - 1);
@@ -181,7 +203,7 @@ util::Status WriteCut(CheckpointCut* cut, const std::string& path,
          writer.Write(&num_slots, sizeof(num_slots)) &&
          WriteSpans(&writer, layer.ssd, params, &buffer, &read_status);
     for (size_t s = 1; ok && s < layer.tensors.size(); ++s) {
-      const LockFreeUpdater::MasterCut::Tensor& slot = layer.tensors[s];
+      const MasterCut::Tensor& slot = layer.tensors[s];
       ok = WriteString(&writer, slot.name) &&
            writer.Write(&slot.count, sizeof(slot.count)) &&
            WriteSpans(&writer, layer.ssd, slot, &buffer, &read_status);
@@ -215,6 +237,77 @@ util::Status WriteCut(CheckpointCut* cut, const std::string& path,
 
 }  // namespace
 
+util::Result<MasterSpan> SpanOf(const Tensor& tensor, const mem::Page& page) {
+  const mem::Page::Slot* slot = page.FindSlot(tensor.id());
+  if (slot == nullptr) {
+    return util::Status::Internal("tensor " + std::to_string(tensor.id()) +
+                                  " missing slot on page " +
+                                  std::to_string(page.id()));
+  }
+  MasterSpan span;
+  span.bytes = slot->bytes;
+  if (page.device() == mem::DeviceKind::kSsd) {
+    span.ssd_offset = page.ssd_offset() + slot->offset;
+  } else {
+    span.host = page.data_ptr() + slot->offset;
+  }
+  return span;
+}
+
+util::Status ReadMasterSpan(mem::SsdTier* ssd, const MasterSpan& span,
+                            std::byte* dst) {
+  if (span.host != nullptr) {
+    std::memcpy(dst, span.host, span.bytes);
+    return util::Status::OK();
+  }
+  if (ssd == nullptr) {
+    return util::Status::FailedPrecondition("SSD span without an SSD tier");
+  }
+  return ssd->ReadFrame(span.ssd_offset, dst, span.bytes);
+}
+
+void MasterCut::Unpin() {
+  if (!pinned.empty()) ssd->UnpinFrames(pinned);
+  pinned.clear();
+}
+
+util::Status CutMasters(const std::vector<Tensor*>& tensors,
+                        const std::vector<SlotSpec>& slot_layout,
+                        mem::SsdTier* ssd, MasterCut* out) {
+  size_t copied_bytes = 0;
+  for (const Tensor* tensor : tensors) {
+    if (tensor->dtype() != DType::kFp32) {
+      return util::Status::FailedPrecondition(
+          "checkpoints store fp32 master states only");
+    }
+    for (const mem::Page* page : tensor->pages()) {
+      ANGEL_ASSIGN_OR_RETURN(const MasterSpan span, SpanOf(*tensor, *page));
+      if (span.host != nullptr) copied_bytes += span.bytes;
+    }
+  }
+  out->copied.resize(copied_bytes);
+  out->ssd = ssd;
+  std::byte* copy_at = out->copied.data();
+  for (size_t t = 0; t < tensors.size(); ++t) {
+    MasterCut::Tensor& cut = out->tensors.emplace_back();
+    if (t > 0) cut.name = slot_layout[t - 1].name;
+    cut.count = tensors[t]->NumElements();
+    for (const mem::Page* page : tensors[t]->pages()) {
+      ANGEL_ASSIGN_OR_RETURN(MasterSpan span, SpanOf(*tensors[t], *page));
+      if (span.host != nullptr) {
+        std::memcpy(copy_at, span.host, span.bytes);
+        span.host = copy_at;
+        copy_at += span.bytes;
+      } else {
+        out->pinned.push_back(page->ssd_offset());
+      }
+      cut.spans.push_back(span);
+    }
+  }
+  if (!out->pinned.empty()) out->ssd->PinFrames(out->pinned);
+  return util::Status::OK();
+}
+
 util::Status CutCheckpoint(LockFreeUpdater* updater,
                            const TrainProgress* progress, CheckpointCut* out) {
   if (updater == nullptr) return util::Status::InvalidArgument("null updater");
@@ -235,7 +328,7 @@ util::Status CutCheckpoint(LockFreeUpdater* updater,
 util::Status PersistCheckpoint(CheckpointCut* cut, const std::string& path,
                                uint64_t* bytes_written) {
   const util::Status written = WriteCut(cut, path, bytes_written);
-  for (LockFreeUpdater::MasterCut& layer : cut->layers) layer.Unpin();
+  for (MasterCut& layer : cut->layers) layer.Unpin();
   return written;
 }
 
@@ -247,6 +340,96 @@ util::Status SaveCheckpoint(LockFreeUpdater* updater, const std::string& path,
   return PersistCheckpoint(&cut, path, bytes_written);
 }
 
+util::Result<ParsedCheckpoint> ParseCheckpoint(const std::string& path) {
+  const std::unique_ptr<std::FILE, int (*)(std::FILE*)> file(
+      std::fopen(path.c_str(), "rb"), &std::fclose);
+  if (file == nullptr) {
+    return util::Status::NotFound("no checkpoint at " + path);
+  }
+  std::fseek(file.get(), 0, SEEK_END);
+  const long size = std::ftell(file.get());
+  std::rewind(file.get());
+  Reader reader(file.get(), size > 0 ? uint64_t(size) : 0);
+  const auto truncated = [&path](const std::string& section) {
+    return util::Status::IoError(path + ": truncated in " + section);
+  };
+  char magic[8];
+  uint32_t version = 0, num_layers = 0;
+  if (!reader.Read(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return util::Status::InvalidArgument(path + " is not a checkpoint");
+  }
+  if (!reader.Read(&version, sizeof(version)) || version < kMinVersion ||
+      version > kVersion) {
+    return util::Status::InvalidArgument(
+        path + ": unsupported checkpoint version " + std::to_string(version) +
+        " (this build reads v" + std::to_string(kMinVersion) + "..v" +
+        std::to_string(kVersion) + ")");
+  }
+  ParsedCheckpoint parsed;
+  if (version >= 2 && !ReadProgress(&reader, &parsed.progress)) {
+    return truncated("the progress block");
+  }
+  // v1/v2 predate self-describing optimizer state: they are Adam layers
+  // ({m, v}) by construction.
+  parsed.rule = "adam";
+  if (version >= 3 && !ReadString(&reader, kMaxRuleNameBytes, &parsed.rule)) {
+    return truncated("the rule name");
+  }
+  if (!reader.Read(&num_layers, sizeof(num_layers))) {
+    return truncated("the header");
+  }
+  if (num_layers > reader.left() / kMinLayerBytes) {
+    return util::Status::IoError(
+        path + ": layer count " + std::to_string(num_layers) +
+        " exceeds the " + std::to_string(reader.left()) +
+        " bytes left in the file");
+  }
+  parsed.layers.resize(num_layers);
+  for (uint32_t l = 0; l < num_layers; ++l) {
+    const std::string layer_name = "layer " + std::to_string(l);
+    LockFreeUpdater::LayerState& state = parsed.layers[l];
+    uint64_t count = 0;
+    int64_t step = 0;
+    uint32_t num_slots = 0;
+    if (!reader.Read(&count, sizeof(count)) ||
+        !reader.Read(&step, sizeof(step)) ||
+        (version >= 3 && (!reader.Read(&num_slots, sizeof(num_slots)) ||
+                          num_slots > kMaxSlots))) {
+      return truncated(layer_name + " header");
+    }
+    state.step = long(step);
+    ANGEL_RETURN_IF_ERROR(
+        ReadFloats(&reader, count, path, layer_name + " p32", &state.params));
+    if (version < 3) {
+      // v1/v2 fixed layer layout: count | (adam_)step | p32 | m32 | v32.
+      state.slots = {{"m", {}}, {"v", {}}};
+      for (LockFreeUpdater::LayerState::Slot& slot : state.slots) {
+        ANGEL_RETURN_IF_ERROR(ReadFloats(&reader, count, path,
+                                         layer_name + " " + slot.name,
+                                         &slot.values));
+      }
+      continue;
+    }
+    state.slots.resize(num_slots);
+    for (uint32_t s = 0; s < num_slots; ++s) {
+      const std::string slot_name = layer_name + " slot " + std::to_string(s);
+      uint64_t slot_count = 0;
+      if (!ReadString(&reader, kMaxRuleNameBytes, &state.slots[s].name) ||
+          !reader.Read(&slot_count, sizeof(slot_count))) {
+        return truncated(slot_name);
+      }
+      ANGEL_RETURN_IF_ERROR(ReadFloats(&reader, slot_count, path, slot_name,
+                                       &state.slots[s].values));
+    }
+  }
+  if (!reader.VerifyChecksum()) {
+    return util::Status::IoError(
+        path + ": checksum mismatch (corrupt or torn checkpoint)");
+  }
+  return parsed;
+}
+
 util::Status LoadCheckpoint(LockFreeUpdater* updater, const std::string& path,
                             TrainProgress* progress) {
   if (updater == nullptr) return util::Status::InvalidArgument("null updater");
@@ -255,124 +438,72 @@ util::Status LoadCheckpoint(LockFreeUpdater* updater, const std::string& path,
         "Stop() the updater before restoring");
   }
   if (progress != nullptr) *progress = TrainProgress();
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) {
-    return util::Status::NotFound("no checkpoint at " + path);
-  }
-  Reader reader(file);
-  char magic[8];
-  uint32_t version = 0, num_layers = 0;
-  if (!reader.Read(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    std::fclose(file);
-    return util::Status::InvalidArgument(path + " is not a checkpoint");
-  }
-  if (!reader.Read(&version, sizeof(version)) || version < kMinVersion ||
-      version > kVersion) {
-    std::fclose(file);
+  // Everything is read and verified before the updater is touched, so a
+  // corrupt file cannot leave it half-restored.
+  ANGEL_ASSIGN_OR_RETURN(const ParsedCheckpoint parsed, ParseCheckpoint(path));
+  if (parsed.rule != updater->optimizer_rule()) {
     return util::Status::InvalidArgument(
-        path + ": unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads v" + std::to_string(kMinVersion) + "..v" +
-        std::to_string(kVersion) + ")");
-  }
-  TrainProgress loaded_progress;
-  if (version >= 2 && !ReadProgress(&reader, &loaded_progress)) {
-    std::fclose(file);
-    return util::Status::IoError(path + ": truncated in the progress block");
-  }
-  // v1/v2 predate self-describing optimizer state: they are Adam layers
-  // ({m, v}) by construction.
-  std::string rule = "adam";
-  if (version >= 3 && !ReadString(&reader, kMaxRuleNameBytes, &rule)) {
-    std::fclose(file);
-    return util::Status::IoError(path + ": truncated in the rule name");
-  }
-  if (rule != updater->optimizer_rule()) {
-    std::fclose(file);
-    return util::Status::InvalidArgument(
-        path + " holds optimizer rule '" + rule +
+        path + " holds optimizer rule '" + parsed.rule +
         "' but the updater is configured for '" + updater->optimizer_rule() +
         "'");
   }
-  if (!reader.Read(&num_layers, sizeof(num_layers))) {
-    std::fclose(file);
-    return util::Status::IoError(path + ": truncated in the header");
-  }
-  if (int(num_layers) != updater->num_layers()) {
-    std::fclose(file);
+  if (int(parsed.layers.size()) != updater->num_layers()) {
     return util::Status::InvalidArgument(
-        path + " has " + std::to_string(num_layers) + " layers, model has " +
-        std::to_string(updater->num_layers()));
+        path + " has " + std::to_string(parsed.layers.size()) +
+        " layers, model has " + std::to_string(updater->num_layers()));
   }
-
-  // Read everything (and verify the checksum) before touching the updater,
-  // so a corrupt file cannot leave it half-restored.
-  std::vector<LockFreeUpdater::LayerState> states(num_layers);
-  for (uint32_t l = 0; l < num_layers; ++l) {
-    uint64_t count = 0;
-    int64_t step = 0;
-    if (!reader.Read(&count, sizeof(count)) ||
-        !reader.Read(&step, sizeof(step))) {
-      std::fclose(file);
-      return util::Status::IoError(path + ": truncated in layer " +
-                                   std::to_string(l) + " header");
-    }
-    LockFreeUpdater::LayerState& state = states[l];
-    state.step = long(step);
-    if (version >= 3) {
-      uint32_t num_slots = 0;
-      if (!reader.Read(&num_slots, sizeof(num_slots)) ||
-          num_slots > kMaxSlots) {
-        std::fclose(file);
-        return util::Status::IoError(path + ": truncated in layer " +
-                                     std::to_string(l) + " header");
-      }
-      state.params.resize(count);
-      if (!reader.Read(state.params.data(), count * sizeof(float))) {
-        std::fclose(file);
-        return util::Status::IoError(path + ": truncated in layer " +
-                                     std::to_string(l) + " payload");
-      }
-      state.slots.resize(num_slots);
-      for (uint32_t s = 0; s < num_slots; ++s) {
-        if (!ReadString(&reader, kMaxRuleNameBytes, &state.slots[s].name) ||
-            !ReadFloatBlock(&reader, &state.slots[s].values)) {
-          std::fclose(file);
-          return util::Status::IoError(path + ": truncated in layer " +
-                                       std::to_string(l) + " slot " +
-                                       std::to_string(s));
-        }
-      }
-    } else {
-      // v1/v2 fixed layer layout: count | (adam_)step | p32 | m32 | v32.
-      state.params.resize(count);
-      state.slots.resize(2);
-      state.slots[0].name = "m";
-      state.slots[0].values.resize(count);
-      state.slots[1].name = "v";
-      state.slots[1].values.resize(count);
-      if (!reader.Read(state.params.data(), count * sizeof(float)) ||
-          !reader.Read(state.slots[0].values.data(),
-                       count * sizeof(float)) ||
-          !reader.Read(state.slots[1].values.data(),
-                       count * sizeof(float))) {
-        std::fclose(file);
-        return util::Status::IoError(path + ": truncated in layer " +
-                                     std::to_string(l) + " payload");
-      }
-    }
+  for (size_t l = 0; l < parsed.layers.size(); ++l) {
+    ANGEL_RETURN_IF_ERROR(updater->ImportLayerState(int(l), parsed.layers[l]));
   }
-  const bool checksum_ok = reader.VerifyChecksum();
-  std::fclose(file);
-  if (!checksum_ok) {
-    return util::Status::IoError(
-        path + ": checksum mismatch (corrupt or torn checkpoint)");
-  }
-  for (uint32_t l = 0; l < num_layers; ++l) {
-    ANGEL_RETURN_IF_ERROR(updater->ImportLayerState(int(l), states[l]));
-  }
-  if (progress != nullptr) *progress = loaded_progress;
+  if (progress != nullptr) *progress = parsed.progress;
   return util::Status::OK();
+}
+
+std::string CheckpointFiles::PathForStep(int64_t step) const {
+  char digits[32];
+  std::snprintf(digits, sizeof(digits), "%09lld",
+                static_cast<long long>(step));
+  return dir + "/" + stem + "-" + digits + ".ckpt";
+}
+
+int64_t CheckpointFiles::StepOf(const std::string& file_name) const {
+  const size_t first = stem.size() + 1;
+  if (file_name.compare(0, first, stem + "-") != 0) return -1;
+  int64_t step = 0;
+  // At most 18 digits, so the value cannot overflow.
+  for (size_t i = first; i < file_name.size() && i < first + 18 &&
+                         file_name[i] >= '0' && file_name[i] <= '9';
+       ++i) {
+    step = step * 10 + (file_name[i] - '0');
+  }
+  return dir + "/" + file_name == PathForStep(step) ? step : -1;
+}
+
+std::vector<int64_t> CheckpointFiles::Steps() const {
+  std::vector<int64_t> steps;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const int64_t step = StepOf(entry.path().filename().string());
+    if (step >= 0) steps.push_back(step);
+  }
+  std::sort(steps.begin(), steps.end());
+  return steps;
+}
+
+uint64_t CheckpointFiles::Rotate(int keep_last) const {
+  if (keep_last < 1) return 0;
+  const std::vector<int64_t> steps = Steps();
+  uint64_t failures = 0;
+  for (size_t i = 0; i + size_t(keep_last) < steps.size(); ++i) {
+    const std::string path = PathForStep(steps[i]);
+    std::error_code ec;
+    if (!std::filesystem::remove(path, ec) || ec) {
+      ANGEL_LOG(Warning) << "checkpoint rotation could not delete " << path
+                         << ": " << ec.message();
+      failures += 1;
+    }
+  }
+  return failures;
 }
 
 }  // namespace angelptm::core

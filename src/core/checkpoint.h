@@ -6,6 +6,9 @@
 #include <vector>
 
 #include "core/lockfree_updater.h"
+#include "core/optimizer/optimizer.h"
+#include "core/tensor.h"
+#include "mem/ssd_tier.h"
 #include "util/random.h"
 #include "util/status.h"
 
@@ -14,6 +17,10 @@ namespace angelptm::core {
 /// Checkpointing for failure recovery (§3.1: with hundreds of GPUs and
 /// multi-week runs, "pre-training tasks would encounter GPU failure with a
 /// high probability, and should be restarted after failure").
+///
+/// One format serves every writer: the trainer's CheckpointManager, and each
+/// ZeRO rank (dist::ShardedDataParallel), whose file holds its shard of
+/// every layer as that layer (DESIGN.md §9, §14.4).
 ///
 /// Format (little-endian binary), version 3 (DESIGN.md §13):
 ///   magic "APTMCKPT" | version u32 |
@@ -31,7 +38,7 @@ namespace angelptm::core {
 /// The slot blocks are self-describing (named, independently sized), so a
 /// rule with a different master-state footprint — sgdm's single m,
 /// adafactor's factored row/col — round-trips without format changes.
-/// Loading fails up front when the file's rule differs from the updater's.
+/// Loading fails when the file's rule differs from the updater's.
 ///
 /// Older versions still load: v2 files (fixed count|adam_step|p32|m32|v32
 /// layers) are read as Adam states with {m, v} slots; v1 files additionally
@@ -40,7 +47,9 @@ namespace angelptm::core {
 /// the master states and restarts its step counter and data stream at 0.
 ///
 /// The checksum makes torn/corrupt checkpoints detectable — a restart after
-/// a mid-write crash must fail loudly, not resume from garbage.
+/// a mid-write crash must fail loudly, not resume from garbage. The parser
+/// bounds every count by the bytes left in the file before it allocates,
+/// so a corrupt count fails like any other corruption.
 
 /// Trainer-side progress captured alongside the optimizer state so a resume
 /// is exact, not approximate: the step counter, the data-stream RNG cursor,
@@ -62,6 +71,68 @@ struct TrainProgress {
   bool has_progress = false;
 };
 
+/// Where a run of fp32 master bytes lives: host memory, or a byte range of
+/// the SSD tier's backing file. A tensor's share of one page is one span,
+/// so a span never exceeds a frame.
+struct MasterSpan {
+  /// Null for an SSD span.
+  const std::byte* host = nullptr;
+  /// Tier-file byte offset of an SSD span.
+  uint64_t ssd_offset = 0;
+  size_t bytes = 0;
+};
+
+/// Where `tensor`'s share of `page` lives: the page frame in memory, or the
+/// page's frame in the SSD tier file.
+[[nodiscard]] util::Result<MasterSpan> SpanOf(const Tensor& tensor,
+                                              const mem::Page& page);
+
+/// The span reader shared by checkpoint persists and master reads: copies
+/// the span's bytes into `dst`, host spans by memcpy and SSD spans through
+/// `ssd` in place (its retry policy and the "ssd.pread" failpoint apply).
+[[nodiscard]] util::Status ReadMasterSpan(mem::SsdTier* ssd,
+                                          const MasterSpan& span,
+                                          std::byte* dst);
+
+/// One layer's fp32 master state as a checkpoint cut captured it, in the
+/// order checkpoint v3 serializes it (DESIGN.md §9): p32, then each slot
+/// of the SlotLayout, each as byte spans in tensor order. An SSD-resident
+/// page is not read: the cut pins its frame and records the tier-file
+/// span. The updater's next write-back of the layer lands on fresh
+/// frames, so the pinned bytes keep their cut-time values until Unpin()
+/// or the destructor releases the pins. Memory-resident pages are copied
+/// into `copied`.
+struct MasterCut {
+  struct Tensor {
+    std::string name;  // The slot name; empty for p32.
+    uint64_t count = 0;
+    std::vector<MasterSpan> spans;
+  };
+  long step = 0;
+  std::vector<Tensor> tensors;
+  /// Bytes of the memory-resident pages; host spans point in here.
+  std::vector<std::byte> copied;
+  /// The tier the SSD spans name, and the frames the cut pinned.
+  mem::SsdTier* ssd = nullptr;
+  std::vector<uint64_t> pinned;
+
+  MasterCut() = default;
+  MasterCut(MasterCut&&) = default;
+  MasterCut& operator=(MasterCut&&) = delete;
+  ~MasterCut() { Unpin(); }
+  /// Releases the pins; idempotent.
+  void Unpin();
+};
+
+/// The span collection every cut runs: records `tensors` (p32, then one
+/// fp32 tensor per `slot_layout` entry, named after it) into a fresh
+/// `out`, copying memory-resident pages and pinning SSD-resident ones on
+/// `ssd`. The caller keeps the tensors from changing while it runs (the
+/// updater holds the layer's master mutex) and sets out->step.
+[[nodiscard]] util::Status CutMasters(const std::vector<Tensor*>& tensors,
+                                      const std::vector<SlotSpec>& slot_layout,
+                                      mem::SsdTier* ssd, MasterCut* out);
+
 /// Everything a checkpoint file holds, captured but not yet written: a save
 /// is a cut followed by a persist (DESIGN.md §9). SSD-resident master
 /// states stay in their tier frames, pinned, until the persist reads them;
@@ -69,7 +140,7 @@ struct TrainProgress {
 struct CheckpointCut {
   TrainProgress progress;
   std::string rule;
-  std::vector<LockFreeUpdater::MasterCut> layers;
+  std::vector<MasterCut> layers;
 };
 
 /// Cuts every layer through LockFreeUpdater::CutLayer (the per-layer
@@ -96,13 +167,48 @@ struct CheckpointCut {
                             const TrainProgress* progress = nullptr,
                             uint64_t* bytes_written = nullptr);
 
-/// Restores every layer's state from `path` into an updater with the same
-/// layer layout, filling `progress` (v1 files leave it defaulted). Fails on
-/// layer-count/size mismatch, truncation, or checksum error — always with a
-/// message naming the file and the section that broke. The updater must be
-/// stopped: importing under a live updating thread would race.
+/// A checkpoint file read into memory and verified.
+struct ParsedCheckpoint {
+  TrainProgress progress;
+  std::string rule;
+  std::vector<LockFreeUpdater::LayerState> layers;
+};
+
+/// Reads `path` (v1..v3) and verifies its checksum; needs no updater.
+/// Fails on a bad magic or version, truncation, a count larger than the
+/// bytes left in the file, or a checksum error — always with a message
+/// naming the file and the section that broke.
+[[nodiscard]] util::Result<ParsedCheckpoint> ParseCheckpoint(
+    const std::string& path);
+
+/// ParseCheckpoint, then restores every layer's state into an updater with
+/// the same rule and layer layout, filling `progress` (v1 files leave it
+/// defaulted). A file that fails to parse, or holds another rule or layer
+/// count, leaves the updater untouched. The updater must be stopped:
+/// importing under a live updating thread would race.
 [[nodiscard]] util::Status LoadCheckpoint(LockFreeUpdater* updater, const std::string& path,
                             TrainProgress* progress = nullptr);
+
+/// The step-stamped files of one checkpoint series,
+/// "<dir>/<stem>-<step padded to 9>.ckpt": the naming, listing and rotation
+/// CheckpointManager and ZeRO's per-rank shard files share. Only exact
+/// names count, so another stem's files and the ".ckpt.tmp" a killed
+/// persist leaves are never listed, loaded or rotated.
+struct CheckpointFiles {
+  std::string dir;
+  std::string stem;
+
+  std::string PathForStep(int64_t step) const;
+  /// The step `file_name` stamps, or -1 unless it is this series' name for
+  /// that step.
+  int64_t StepOf(const std::string& file_name) const;
+  /// Steps on disk, ascending; empty when `dir` is missing.
+  std::vector<int64_t> Steps() const;
+  /// Deletes all but the newest `keep_last` files (keep_last < 1 keeps
+  /// every file) and returns how many deletes failed, each logged: a file
+  /// left behind costs disk, not correctness.
+  uint64_t Rotate(int keep_last) const;
+};
 
 }  // namespace angelptm::core
 

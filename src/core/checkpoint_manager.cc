@@ -1,8 +1,6 @@
 #include "core/checkpoint_manager.h"
 
-#include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <filesystem>
 #include <system_error>
 
@@ -21,27 +19,10 @@ uint64_t NowUs() {
           .count());
 }
 
-/// Parses "<stem>-NNNNNNNNN.ckpt" -> step; -1 when `name` does not match.
-int64_t StepFromFilename(const std::string& stem, const std::string& name) {
-  const std::string prefix = stem + "-";
-  const std::string suffix = ".ckpt";
-  if (name.size() <= prefix.size() + suffix.size()) return -1;
-  if (name.compare(0, prefix.size(), prefix) != 0) return -1;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return -1;
-  }
-  int64_t step = 0;
-  for (size_t i = prefix.size(); i < name.size() - suffix.size(); ++i) {
-    if (name[i] < '0' || name[i] > '9') return -1;
-    step = step * 10 + (name[i] - '0');
-  }
-  return step;
-}
-
 }  // namespace
 
 CheckpointManager::CheckpointManager(const Options& options)
-    : options_(options) {
+    : options_(options), files_{options.dir, options.basename} {
   if (options_.keep_last < 1) options_.keep_last = 1;
   obs::Registry& registry = obs::Registry::Instance();
   metric_saves_ = registry.GetCounter("checkpoint/saves");
@@ -78,14 +59,13 @@ util::Status CheckpointManager::Init() {
   }
   // A persist killed before its rename leaves its tmp file behind; no
   // loader reads it, so it would only take disk.
-  const std::string prefix = options_.basename + "-";
-  const std::string suffix = ".ckpt.tmp";
+  const std::string suffix = ".tmp";
   for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
     const std::string name = entry.path().filename().string();
-    if (name.size() > prefix.size() + suffix.size() &&
-        name.compare(0, prefix.size(), prefix) == 0 &&
+    if (name.size() > suffix.size() &&
         name.compare(name.size() - suffix.size(), suffix.size(), suffix) ==
-            0) {
+            0 &&
+        files_.StepOf(name.substr(0, name.size() - suffix.size())) >= 0) {
       std::error_code remove_ec;
       fs::remove(entry.path(), remove_ec);
       ANGEL_LOG(Warning) << "removed partial checkpoint " << entry.path()
@@ -96,23 +76,14 @@ util::Status CheckpointManager::Init() {
 }
 
 std::string CheckpointManager::PathForStep(int64_t step) const {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%09lld", static_cast<long long>(step));
-  return options_.dir + "/" + options_.basename + "-" + buf + ".ckpt";
+  return files_.PathForStep(step);
 }
 
 std::vector<std::string> CheckpointManager::ListCheckpoints() const {
-  std::vector<std::pair<int64_t, std::string>> found;
-  std::error_code ec;
-  for (const auto& entry : fs::directory_iterator(options_.dir, ec)) {
-    const std::string name = entry.path().filename().string();
-    const int64_t step = StepFromFilename(options_.basename, name);
-    if (step >= 0) found.emplace_back(step, entry.path().string());
-  }
-  std::sort(found.begin(), found.end());
   std::vector<std::string> paths;
-  paths.reserve(found.size());
-  for (auto& [step, path] : found) paths.push_back(std::move(path));
+  for (const int64_t step : files_.Steps()) {
+    paths.push_back(files_.PathForStep(step));
+  }
   return paths;
 }
 
@@ -205,20 +176,10 @@ void CheckpointManager::Persist(PersistJob* job) {
 
   // Rotate: drop the oldest files beyond keep_last. The new file is already
   // durable, so deleting old ones cannot lose the only good checkpoint. A
-  // failed delete is not a failed save — the extra file costs disk, not
-  // correctness — but it must not pass silently (an undeletable directory
-  // would otherwise fill the disk one checkpoint at a time).
-  uint64_t rotate_failures = 0;
-  std::vector<std::string> checkpoints = ListCheckpoints();
-  while (checkpoints.size() > static_cast<size_t>(options_.keep_last)) {
-    std::error_code ec;
-    if (!fs::remove(checkpoints.front(), ec) || ec) {
-      ANGEL_LOG(Warning) << "checkpoint rotation could not delete "
-                         << checkpoints.front() << ": " << ec.message();
-      rotate_failures += 1;
-    }
-    checkpoints.erase(checkpoints.begin());
-  }
+  // failed delete is not a failed save, but it must not pass silently (an
+  // undeletable directory would otherwise fill the disk one checkpoint at
+  // a time).
+  const uint64_t rotate_failures = files_.Rotate(options_.keep_last);
 
   util::MutexLock lock(mutex_);
   stats_.saves += 1;

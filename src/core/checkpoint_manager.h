@@ -41,7 +41,8 @@ class CheckpointManager {
   struct Options {
     /// Directory holding the rotated files (created by Init).
     std::string dir;
-    /// File stem: files are "<stem>-<step padded to 9>.ckpt".
+    /// File stem: files are "<stem>-<step padded to 9>.ckpt"
+    /// (core::CheckpointFiles).
     std::string basename = "ckpt";
     /// How many checkpoints to keep; older ones are deleted after a
     /// successful save. Minimum 1.
@@ -130,6 +131,7 @@ class CheckpointManager {
   [[nodiscard]] util::Status TakeError() ANGEL_EXCLUDES(mutex_);
 
   Options options_;
+  const CheckpointFiles files_;
 
   /// Serializes Save/Flush/LoadLatest/Init: one cut or load at a time.
   /// Held across a cut, which takes every layer's master mutex.

@@ -9,6 +9,12 @@
 #include "util/logging.h"
 
 namespace angelptm::core {
+namespace {
+
+/// Copy-engine threads moving pages between tiers.
+constexpr size_t kCopyThreads = 2;
+
+}  // namespace
 
 Engine::Engine(const EngineOptions& options) : options_(options) {}
 
@@ -28,7 +34,7 @@ util::Result<std::unique_ptr<Engine>> Engine::Create(
       std::make_unique<mem::HierarchicalMemory>(options.memory);
   engine->allocator_ = std::make_unique<Allocator>(engine->memory_.get());
   engine->copy_engine_ = std::make_unique<mem::CopyEngine>(
-      engine->memory_.get(), options.copy_threads);
+      engine->memory_.get(), kCopyThreads);
   LockFreeUpdater::Options updater_options;
   updater_options.optimizer = options.optimizer;
   updater_options.master_device = options.master_device;

@@ -25,7 +25,6 @@ struct EngineOptions {
   bool lock_free = false;
   /// Tier holding the fp32 master states (kSsd for §6.5's extreme scale).
   mem::DeviceKind master_device = mem::DeviceKind::kCpu;
-  size_t copy_threads = 2;
 };
 
 /// The training façade of Fig. 6 (`model = angelptm.initialize(model,

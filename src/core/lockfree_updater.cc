@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstring>
 
+#include "core/checkpoint.h"
 #include "obs/trace.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
@@ -18,43 +18,11 @@ size_t MirrorWords(size_t count) { return (count + 1) / 2; }
 /// Halves converted per step of the fp32 FetchParams (a stack chunk).
 constexpr size_t kFetchChunk = 2048;
 
-/// Where `tensor`'s share of `page` lives: the page frame in memory, or
-/// the page's frame in the SSD tier file.
-util::Result<MasterSpan> SpanOf(const Tensor& tensor, const mem::Page& page) {
-  const mem::Page::Slot* slot = page.FindSlot(tensor.id());
-  if (slot == nullptr) {
-    return util::Status::Internal("tensor " + std::to_string(tensor.id()) +
-                                  " missing slot on page " +
-                                  std::to_string(page.id()));
-  }
-  MasterSpan span;
-  span.bytes = slot->bytes;
-  if (page.device() == mem::DeviceKind::kSsd) {
-    span.ssd_offset = page.ssd_offset() + slot->offset;
-  } else {
-    span.host = page.data_ptr() + slot->offset;
-  }
-  return span;
-}
+/// How long the updating thread waits after an idle wakeup before it
+/// sweeps (see the class comment).
+constexpr std::chrono::microseconds kCoalesceWindow(50);
 
 }  // namespace
-
-util::Status ReadMasterSpan(mem::SsdTier* ssd, const MasterSpan& span,
-                            std::byte* dst) {
-  if (span.host != nullptr) {
-    std::memcpy(dst, span.host, span.bytes);
-    return util::Status::OK();
-  }
-  if (ssd == nullptr) {
-    return util::Status::FailedPrecondition("SSD span without an SSD tier");
-  }
-  return ssd->ReadFrame(span.ssd_offset, dst, span.bytes);
-}
-
-void LockFreeUpdater::MasterCut::Unpin() {
-  if (!pinned.empty()) ssd->UnpinFrames(pinned);
-  pinned.clear();
-}
 
 LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
     : allocator_(allocator), options_(options) {
@@ -218,13 +186,6 @@ util::Status LockFreeUpdater::FetchParams(int layer_index, Tensor* out) const {
         });
   });
   return status;
-}
-
-util::Result<uint64_t> LockFreeUpdater::ParamsVersion(int layer_index) const {
-  if (layer_index < 0 || layer_index >= num_layers()) {
-    return util::Status::InvalidArgument("bad layer index");
-  }
-  return layers_[layer_index]->param_mirror.version();
 }
 
 util::Status LockFreeUpdater::OffloadGrads(int layer_index,
@@ -448,14 +409,13 @@ void LockFreeUpdater::UpdatingThreadLoop() {
         }
         woken_by_work = work_epoch_ != epoch_seen;
       }
-      if (woken_by_work && options_.updater_coalesce_us > 0 &&
-          running_.load() && !poisoned_.load(std::memory_order_acquire)) {
+      if (woken_by_work && running_.load() &&
+          !poisoned_.load(std::memory_order_acquire)) {
         // Coalescing window (see the class comment): the signal was the
         // first gradient of a backward pass; give the rest of the pass a
         // moment to land so the sweep folds them into one update instead
         // of degenerating into per-gradient single-batch updates.
-        std::this_thread::sleep_for(
-            std::chrono::microseconds(options_.updater_coalesce_us));
+        std::this_thread::sleep_for(kCoalesceWindow);
       }
     }
   }
@@ -611,43 +571,13 @@ util::Status LockFreeUpdater::CutLayer(int layer_index, MasterCut* out) {
   }
   ANGEL_SPAN("updater", "cut_layer");
   Layer& layer = *layers_[layer_index];
-  const std::vector<Tensor*> tensors = MasterTensors(layer);
   // The per-layer quiesce: while held, the updating thread cannot start or
   // finish this layer's master update, so params/slots/step are a
   // consistent cut. Everything else (other layers, the compute side, the
   // buffering thread) keeps running.
   util::MutexLock master_lock(layer.master_mutex);
-  size_t copied_bytes = 0;
-  for (const Tensor* tensor : tensors) {
-    if (tensor->dtype() != DType::kFp32) {
-      return util::Status::FailedPrecondition(
-          "checkpoints store fp32 master states only");
-    }
-    for (const mem::Page* page : tensor->pages()) {
-      ANGEL_ASSIGN_OR_RETURN(const MasterSpan span, SpanOf(*tensor, *page));
-      if (span.host != nullptr) copied_bytes += span.bytes;
-    }
-  }
-  out->copied.resize(copied_bytes);
-  out->ssd = allocator_->memory()->ssd();
-  std::byte* copy_at = out->copied.data();
-  for (size_t t = 0; t < tensors.size(); ++t) {
-    MasterCut::Tensor& cut = out->tensors.emplace_back();
-    if (t > 0) cut.name = layer.slot_layout[t - 1].name;
-    cut.count = tensors[t]->NumElements();
-    for (const mem::Page* page : tensors[t]->pages()) {
-      ANGEL_ASSIGN_OR_RETURN(MasterSpan span, SpanOf(*tensors[t], *page));
-      if (span.host != nullptr) {
-        std::memcpy(copy_at, span.host, span.bytes);
-        span.host = copy_at;
-        copy_at += span.bytes;
-      } else {
-        out->pinned.push_back(page->ssd_offset());
-      }
-      cut.spans.push_back(span);
-    }
-  }
-  if (!out->pinned.empty()) out->ssd->PinFrames(out->pinned);
+  ANGEL_RETURN_IF_ERROR(CutMasters(MasterTensors(layer), layer.slot_layout,
+                                   allocator_->memory()->ssd(), out));
   out->step = layer.step;
   return util::Status::OK();
 }

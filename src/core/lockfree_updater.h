@@ -13,7 +13,6 @@
 #include "core/allocator.h"
 #include "core/optimizer/optimizer.h"
 #include "mem/device.h"
-#include "mem/ssd_tier.h"
 #include "obs/metrics.h"
 #include "util/seqlock.h"
 #include "util/status.h"
@@ -21,23 +20,8 @@
 
 namespace angelptm::core {
 
-/// Where a run of fp32 master bytes lives: host memory, or a byte range of
-/// the SSD tier's backing file. A tensor's share of one page is one span,
-/// so a span never exceeds a frame.
-struct MasterSpan {
-  /// Null for an SSD span.
-  const std::byte* host = nullptr;
-  /// Tier-file byte offset of an SSD span.
-  uint64_t ssd_offset = 0;
-  size_t bytes = 0;
-};
-
-/// The span reader shared by checkpoint persists and master reads: copies
-/// the span's bytes into `dst`, host spans by memcpy and SSD spans through
-/// `ssd` in place (its retry policy and the "ssd.pread" failpoint apply).
-[[nodiscard]] util::Status ReadMasterSpan(mem::SsdTier* ssd,
-                                          const MasterSpan& span,
-                                          std::byte* dst);
+/// One layer's cut for a checkpoint (core/checkpoint.h).
+struct MasterCut;
 
 /// The Lock-Free Updating Mechanism of §4.3 (Algorithm 2), implemented with
 /// real threads over the page-based memory subsystem:
@@ -74,16 +58,15 @@ struct MasterSpan {
 /// is far above what a healthy updater accumulates, so it only engages when
 /// the updater is starved (observable via Stats.backpressure_waits).
 ///
-/// The condvar wakeup pairs with a small coalescing window
-/// (Options.updater_coalesce_us): waking on the *first* gradient of a
-/// backward pass would apply it alone and then re-update per layer per
-/// gradient, which collapses the mechanism into a slower synchronous
-/// optimizer (every update averages one batch, so none of the gradient
-/// noise reduction that batching buys). Waiting a few tens of
-/// microseconds after the wakeup lets the rest of the pass's gradients
-/// land in the same sweep, restoring the multi-batch updates the paper's
-/// GPU/CPU speed gap produces naturally — with zero CPU burned while
-/// idle, unlike the fixed-period poll this replaced.
+/// The condvar wakeup pairs with a fixed 50 µs coalescing window: waking
+/// on the *first* gradient of a backward pass would apply it alone and
+/// then re-update per layer per gradient, which collapses the mechanism
+/// into a slower synchronous optimizer (every update averages one batch,
+/// so none of the gradient noise reduction that batching buys). Waiting a
+/// few tens of microseconds after the wakeup lets the rest of the pass's
+/// gradients land in the same sweep, restoring the multi-batch updates the
+/// paper's GPU/CPU speed gap produces naturally — with zero CPU burned
+/// while idle, unlike the fixed-period poll this replaced.
 ///
 /// Read-mostly hot paths are lockless (DESIGN.md §13): FetchParams reads a
 /// seqlock-published fp16 mirror of p'16 (no mutex, retry on the rare
@@ -115,12 +98,6 @@ class LockFreeUpdater {
     /// the target layer already has this many batches offloaded but not yet
     /// folded into the master parameters. 0 disables the valve.
     size_t max_pending_batches_per_layer = 8;
-    /// Coalescing window: after an idle condvar wakeup, the updating thread
-    /// waits this long before sweeping, so the rest of the backward pass's
-    /// gradients land in the same update instead of each triggering its
-    /// own single-batch update (see the class comment). 0 disables
-    /// coalescing (sweep immediately on wakeup).
-    uint64_t updater_coalesce_us = 50;
   };
 
   LockFreeUpdater(Allocator* allocator, const Options& options);
@@ -151,11 +128,6 @@ class LockFreeUpdater {
   /// tensor of the layer's size on a memory tier: the engine's staging,
   /// with no fp32 round trip. Lockless, like the fp32 form.
   [[nodiscard]] util::Status FetchParams(int layer, Tensor* out) const;
-
-  /// Publication version of a layer's buffered parameters (bumps by 2 per
-  /// install — the seqlock sequence word). Lockless; lets the compute side
-  /// skip a refetch when nothing was installed since the last step.
-  [[nodiscard]] util::Result<uint64_t> ParamsVersion(int layer) const;
 
   /// Accumulates gradients into the layer's fp16 buffer and marks it dirty
   /// (lines 24 / 14-15). Never blocks on the updating thread unless the
@@ -211,38 +183,10 @@ class LockFreeUpdater {
     long step = 0;
   };
 
-  /// One layer's fp32 master state as a checkpoint cut captured it, in the
-  /// order checkpoint v3 serializes it (DESIGN.md §9): p32, then each slot
-  /// of the SlotLayout, each as byte spans in tensor order. An SSD-resident
-  /// page is not read: the cut pins its frame and records the tier-file
-  /// span. The updater's next write-back of the layer lands on fresh
-  /// frames, so the pinned bytes keep their cut-time values until Unpin()
-  /// or the destructor releases the pins. Memory-resident pages are copied
-  /// into `copied`.
-  struct MasterCut {
-    struct Tensor {
-      std::string name;  // The slot name; empty for p32.
-      uint64_t count = 0;
-      std::vector<MasterSpan> spans;
-    };
-    long step = 0;
-    std::vector<Tensor> tensors;
-    /// Bytes of the memory-resident pages; host spans point in here.
-    std::vector<std::byte> copied;
-    /// The tier the SSD spans name, and the frames the cut pinned.
-    mem::SsdTier* ssd = nullptr;
-    std::vector<uint64_t> pinned;
-
-    MasterCut() = default;
-    MasterCut(MasterCut&&) = default;
-    MasterCut& operator=(MasterCut&&) = delete;
-    ~MasterCut() { Unpin(); }
-    /// Releases the pins; idempotent.
-    void Unpin();
-  };
-  /// Cuts one layer for a checkpoint (`out` must be fresh). Safe on a
-  /// *running* updater: it holds that one layer's master mutex for the cut
-  /// — the per-layer quiesce — so training never stops globally. Each
+  /// Cuts one layer for a checkpoint (`out` must be fresh) through
+  /// core::CutMasters. Safe on a *running* updater: it holds that one
+  /// layer's master mutex for the cut — the per-layer quiesce — so training
+  /// never stops globally. Each
   /// layer's cut is internally consistent (params/slots/step from the same
   /// update count); different layers may be a few updates apart, which the
   /// per-layer step records, so a restore is still exact.

@@ -1,13 +1,21 @@
 #include "dist/sharded_data_parallel.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <filesystem>
+#include <system_error>
 #include <thread>
 
-#include "dist/shard_checkpoint.h"
 #include "train/kernels.h"
 #include "util/logging.h"
 
 namespace angelptm::dist {
+
+std::string ShardCheckpointStem(int world_size, int rank) {
+  char stem[32];
+  std::snprintf(stem, sizeof(stem), "shard-w%05d-r%05d", world_size, rank);
+  return stem;
+}
 
 ShardedDataParallel::ShardedDataParallel(core::Allocator* allocator,
                                          const train::LayeredModel* model,
@@ -108,8 +116,8 @@ util::Status ShardedDataParallel::Init() {
     // Each rank's shard carries its own optimizer state, laid out by the
     // rule for the shard's element count (ZeRO: optimizer states shard
     // with the parameters).
-    const std::vector<core::SlotSpec> layout =
-        optimizer_->SlotLayout(shard.shard_count);
+    shard.layout = optimizer_->SlotLayout(shard.shard_count);
+    const std::vector<core::SlotSpec>& layout = shard.layout;
     shard.p32.assign(size_t(world), nullptr);
     shard.slots.resize(layout.size());
     for (auto& slot : shard.slots) slot.assign(size_t(world), nullptr);
@@ -286,24 +294,73 @@ util::Status ShardedDataParallel::RankLoop(
   return util::Status::OK();
 }
 
+core::CheckpointFiles ShardedDataParallel::RankFiles(int rank) const {
+  return {options_.checkpoint_dir,
+          ShardCheckpointStem(options_.world_size, rank)};
+}
+
 util::Status ShardedDataParallel::SaveRankShards(int rank, int step) {
-  ShardState state;
-  state.rank = rank;
-  state.world_size = options_.world_size;
-  state.step = step;
-  state.layers.resize(shards_.size());
+  core::CheckpointCut cut;
+  cut.progress.global_step = step;
+  cut.rule = optimizer_->name();
+  cut.layers.resize(shards_.size());
   for (size_t l = 0; l < shards_.size(); ++l) {
     const Shard& shard = shards_[l];
-    ShardLayerState& layer = state.layers[l];
-    ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&layer.p32));
-    layer.slots.resize(shard.slots.size());
-    for (size_t s = 0; s < shard.slots.size(); ++s) {
-      ANGEL_RETURN_IF_ERROR(
-          shard.SlotTensor(s, rank)->ReadFloats(&layer.slots[s]));
+    std::vector<core::Tensor*> tensors = {shard.p32[rank]};
+    for (const std::vector<core::Tensor*>& slot : shard.slots) {
+      tensors.push_back(slot[size_t(rank)]);
+    }
+    ANGEL_RETURN_IF_ERROR(core::CutMasters(tensors, shard.layout,
+                                           allocator_->memory()->ssd(),
+                                           &cut.layers[l]));
+    cut.layers[l].step = step;
+  }
+  const core::CheckpointFiles files = RankFiles(rank);
+  std::error_code ec;
+  std::filesystem::create_directories(files.dir, ec);
+  if (ec) {
+    return util::Status::IoError("cannot create checkpoint dir " + files.dir +
+                                 ": " + ec.message());
+  }
+  ANGEL_RETURN_IF_ERROR(
+      core::PersistCheckpoint(&cut, files.PathForStep(step)));
+  files.Rotate(options_.checkpoint_keep_last);
+  return util::Status::OK();
+}
+
+util::Status ShardedDataParallel::CheckShardFile(
+    const core::ParsedCheckpoint& file, int step,
+    const std::string& path) const {
+  if (file.rule != optimizer_->name()) {
+    return util::Status::InvalidArgument(
+        path + " holds optimizer rule '" + file.rule + "', this job runs '" +
+        optimizer_->name() + "'");
+  }
+  if (file.progress.global_step != step) {
+    return util::Status::InvalidArgument(
+        path + " holds step " + std::to_string(file.progress.global_step));
+  }
+  if (file.layers.size() != shards_.size()) {
+    return util::Status::InvalidArgument(
+        path + " has " + std::to_string(file.layers.size()) +
+        " layers, model has " + std::to_string(shards_.size()));
+  }
+  for (size_t l = 0; l < shards_.size(); ++l) {
+    const Shard& shard = shards_[l];
+    const core::LockFreeUpdater::LayerState& layer = file.layers[l];
+    bool fits = layer.params.size() == shard.shard_count &&
+                layer.slots.size() == shard.layout.size();
+    for (size_t s = 0; fits && s < shard.layout.size(); ++s) {
+      fits = layer.slots[s].name == shard.layout[s].name &&
+             layer.slots[s].values.size() == shard.layout[s].count;
+    }
+    if (!fits) {
+      return util::Status::InvalidArgument(
+          path + ": layer " + std::to_string(l) +
+          " does not match this job's shard layout");
     }
   }
-  return SaveShardState(options_.checkpoint_dir, state,
-                        options_.checkpoint_keep_last);
+  return util::Status::OK();
 }
 
 util::Result<int> ShardedDataParallel::TryResume() {
@@ -311,12 +368,30 @@ util::Result<int> ShardedDataParallel::TryResume() {
       options_.checkpoint_dir.empty()) {
     return 0;
   }
+  // Another world size's files mean the job changed shape: refuse rather
+  // than start over beside them.
+  std::error_code ec;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(options_.checkpoint_dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    int world = 0, rank = 0;
+    if (std::sscanf(name.c_str(), "shard-w%5d-r%5d-", &world, &rank) == 2 &&
+        world != options_.world_size &&
+        core::CheckpointFiles{"", ShardCheckpointStem(world, rank)}.StepOf(
+            name) >= 0) {
+      return util::Status::InvalidArgument(
+          options_.checkpoint_dir + " holds shard checkpoints of a " +
+          std::to_string(world) + "-rank world (" + name + "); this job has " +
+          std::to_string(options_.world_size) + " ranks");
+    }
+  }
   // The resume point is the newest step EVERY rank has on disk: a rank that
   // died mid-save leaves the job one interval behind, never inconsistent.
+  const std::vector<int> local_ranks = LocalRanks();
   int local_min = -1;
-  for (int r : LocalRanks()) {
-    ANGEL_ASSIGN_OR_RETURN(const int step,
-                           LatestShardStep(options_.checkpoint_dir, r));
+  for (int r : local_ranks) {
+    const std::vector<int64_t> steps = RankFiles(r).Steps();
+    const int step = steps.empty() ? 0 : int(steps.back());
     local_min = local_min < 0 ? step : std::min(local_min, step);
   }
   int agreed = std::max(local_min, 0);
@@ -330,33 +405,23 @@ util::Result<int> ShardedDataParallel::TryResume() {
   }
   if (agreed <= 0) return 0;
 
-  for (int r : LocalRanks()) {
-    ANGEL_ASSIGN_OR_RETURN(
-        ShardState state,
-        LoadShardState(options_.checkpoint_dir, r, agreed));
-    if (state.world_size != options_.world_size ||
-        state.layers.size() != shards_.size()) {
-      return util::Status::InvalidArgument(
-          "shard checkpoint topology mismatch: saved world " +
-          std::to_string(state.world_size) + ", " +
-          std::to_string(state.layers.size()) + " layers");
-    }
+  std::vector<core::ParsedCheckpoint> files;
+  for (int r : local_ranks) {
+    const std::string path = RankFiles(r).PathForStep(agreed);
+    ANGEL_ASSIGN_OR_RETURN(core::ParsedCheckpoint file,
+                           core::ParseCheckpoint(path));
+    ANGEL_RETURN_IF_ERROR(CheckShardFile(file, agreed, path));
+    files.push_back(std::move(file));
+  }
+  for (size_t i = 0; i < local_ranks.size(); ++i) {
+    const int r = local_ranks[i];
     for (size_t l = 0; l < shards_.size(); ++l) {
       const Shard& shard = shards_[l];
-      ShardLayerState& layer = state.layers[l];
-      if (layer.p32.size() != shard.shard_count ||
-          layer.slots.size() != shard.slots.size()) {
-        return util::Status::InvalidArgument(
-            "shard checkpoint layout mismatch at layer " + std::to_string(l));
-      }
-      ANGEL_RETURN_IF_ERROR(shard.p32[r]->WriteFloats(layer.p32));
+      const core::LockFreeUpdater::LayerState& layer = files[i].layers[l];
+      ANGEL_RETURN_IF_ERROR(shard.p32[r]->WriteFloats(layer.params));
       for (size_t s = 0; s < shard.slots.size(); ++s) {
-        if (layer.slots[s].size() != shard.SlotTensor(s, r)->NumElements()) {
-          return util::Status::InvalidArgument(
-              "shard checkpoint slot mismatch at layer " + std::to_string(l));
-        }
         ANGEL_RETURN_IF_ERROR(
-            shard.SlotTensor(s, r)->WriteFloats(layer.slots[s]));
+            shard.SlotTensor(s, r)->WriteFloats(layer.slots[s].values));
       }
     }
   }
@@ -381,7 +446,7 @@ util::Result<int> ShardedDataParallel::TryResume() {
           full.insert(full.end(), slice.begin(), slice.end());
         }
       }
-      for (int r : LocalRanks()) {
+      for (int r : local_ranks) {
         ANGEL_RETURN_IF_ERROR(shard.replica[r]->WriteFloats(full));
       }
     }

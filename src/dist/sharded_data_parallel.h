@@ -7,6 +7,7 @@
 
 #include "core/adam.h"
 #include "core/allocator.h"
+#include "core/checkpoint.h"
 #include "core/communicator.h"
 #include "core/optimizer/optimizer.h"
 #include "dist/collectives.h"
@@ -82,12 +83,19 @@ struct ShardedDpOptions {
   size_t batch_per_rank = 8;
   uint64_t seed = 1234;
   /// Fault tolerance (both backends): when > 0, every rank writes its
-  /// shard state to `checkpoint_dir` every N completed steps, and Train()
+  /// shard state to `checkpoint_dir` every N completed steps, as a v3
+  /// checkpoint in its own file series (ShardCheckpointStem), and Train()
   /// resumes from the latest step all ranks agree on (DESIGN.md §14.4).
   int checkpoint_every_n_steps = 0;
   std::string checkpoint_dir;
+  /// Newest files kept per rank; < 1 keeps every file.
   int checkpoint_keep_last = 3;
 };
+
+/// The file stem of `rank`'s shard checkpoints in a job of `world_size`
+/// ranks, e.g. "shard-w00004-r00001": the rank's files are the
+/// core::CheckpointFiles series of that stem in the checkpoint directory.
+std::string ShardCheckpointStem(int world_size, int rank);
 
 struct DpReport {
   std::vector<double> losses;  // Global mean loss per step.
@@ -149,6 +157,9 @@ class ShardedDataParallel {
     /// Per-rank optimizer master state, indexed [slot][rank]; one entry
     /// per SlotLayout(shard_count) slot of the configured rule.
     std::vector<std::vector<core::Tensor*>> slots;
+    /// The rule's SlotLayout(shard_count): what `slots` hold, and how a
+    /// checkpoint names them.
+    std::vector<core::SlotSpec> layout;
     core::Tensor* SlotTensor(size_t slot, int rank) const {
       return slots[slot][size_t(rank)];
     }
@@ -168,12 +179,22 @@ class ShardedDataParallel {
   /// Ranks whose shards live in this process.
   [[nodiscard]] std::vector<int> LocalRanks() const;
 
-  /// Writes `rank`'s current shard state as a checkpoint for step `step`.
+  /// `rank`'s shard checkpoint files.
+  core::CheckpointFiles RankFiles(int rank) const;
+  /// Writes `rank`'s current shard state as a checkpoint for step `step`,
+  /// then rotates the rank's files.
   [[nodiscard]] util::Status SaveRankShards(int rank, int step);
   /// Agrees on the latest step every rank has a checkpoint for (collective
   /// in kProcessGroup mode), loads it into the local shards, and returns
-  /// it; returns 0 on a fresh start.
+  /// it; returns 0 on a fresh start. Fails with InvalidArgument when the
+  /// directory holds another world size's files. Every local rank's file
+  /// is parsed and checked against the job before any shard is written.
   [[nodiscard]] util::Result<int> TryResume();
+  /// Checks a parsed shard file of step `step` against this job: the rule,
+  /// the step, the layer count, and every p32 and slot size.
+  [[nodiscard]] util::Status CheckShardFile(
+      const core::ParsedCheckpoint& file, int step,
+      const std::string& path) const;
 
   core::Allocator* allocator_;
   const train::LayeredModel* model_;

@@ -10,8 +10,7 @@ namespace angelptm::mem {
 
 HierarchicalMemory::HierarchicalMemory(
     const HierarchicalMemoryOptions& options)
-    : options_(options),
-      pcie_throttle_(options.pcie_bandwidth_bytes_per_sec) {
+    : options_(options) {
   obs::Registry& registry = obs::Registry::Instance();
   metric_pages_created_ = registry.GetCounter("mem/pages_created");
   metric_page_moves_ = registry.GetCounter("mem/page_moves");
@@ -143,7 +142,6 @@ util::Status HierarchicalMemory::MovePageSync(Page* page, DeviceKind target) {
     ANGEL_ASSIGN_OR_RETURN(std::byte* frame,
                            MutableArena(target).AcquireFrame());
     std::memcpy(frame, page->data_ptr(), bytes);
-    pcie_throttle_.Consume(bytes);
     MutableArena(source).ReleaseFrame(page->data_ptr());
     page->SetResidence(target, frame);
   }

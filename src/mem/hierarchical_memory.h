@@ -14,7 +14,6 @@
 #include "mem/page_arena.h"
 #include "mem/ssd_tier.h"
 #include "obs/metrics.h"
-#include "util/bandwidth_throttle.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -28,8 +27,7 @@ struct HierarchicalMemoryOptions {
   /// 0 disables the SSD tier entirely.
   uint64_t ssd_capacity_bytes = 0;
   std::string ssd_path = "/tmp/angelptm_ssd.bin";
-  /// Emulated link speeds; 0 = unthrottled (the default for tests).
-  double pcie_bandwidth_bytes_per_sec = 0.0;
+  /// Emulated SSD speed; 0 = unthrottled (the default for tests).
   double ssd_bandwidth_bytes_per_sec = 0.0;
   /// Retry policy for transient SSD I/O errors (see SsdTier::RetryPolicy).
   SsdTier::RetryPolicy ssd_retry;
@@ -147,7 +145,6 @@ class HierarchicalMemory {
   std::unique_ptr<PageArena> cpu_arena_;
   SsdTier ssd_;
   bool ssd_enabled_ = false;
-  util::BandwidthThrottle pcie_throttle_;
 
   mutable util::Mutex registry_mutex_{"hmem.registry",
                                       util::lockrank::kHmemRegistry};

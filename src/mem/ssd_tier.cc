@@ -75,7 +75,6 @@ util::Status SsdTier::Open(const Options& options) {
   fd_ = fd;
   path_ = options.path;
   throttle_.set_rate(options.throttle_bytes_per_sec);
-  delete_on_close_ = options.delete_on_close;
   retry_ = options.retry;
   io_queue_depth_ =
       std::max<size_t>(1, EnvSizeOr("ANGELPTM_SSD_IO_QUEUE_DEPTH",
@@ -131,7 +130,7 @@ void SsdTier::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-    if (delete_on_close_) ::unlink(path_.c_str());
+    ::unlink(path_.c_str());
   }
 }
 

@@ -65,7 +65,6 @@ class SsdTier {
     uint64_t capacity_bytes = 0;
     size_t frame_bytes = 0;
     double throttle_bytes_per_sec = 0.0;
-    bool delete_on_close = true;
     RetryPolicy retry;
     /// Submission-queue backend: worker threads draining the request queue.
     /// 0 = synchronous legacy path (one inline syscall per call). Overridden
@@ -117,8 +116,9 @@ class SsdTier {
   /// workers when the async backend is enabled.
   [[nodiscard]] util::Status Open(const Options& options)
       ANGEL_EXCLUDES(mutex_, io_mutex_);
-  /// Drains every pending queued request, stops the workers, and closes the
-  /// backing file. Concurrent I/O calls during Close are not supported.
+  /// Drains every pending queued request, stops the workers, and closes and
+  /// deletes the backing file. Concurrent I/O calls during Close are not
+  /// supported.
   void Close() ANGEL_EXCLUDES(io_mutex_);
   bool is_open() const { return fd_ >= 0; }
 
@@ -223,7 +223,6 @@ class SsdTier {
   std::string path_;
   size_t frame_bytes_ = 0;
   size_t total_frames_ = 0;
-  bool delete_on_close_ = true;
   RetryPolicy retry_;
   size_t io_queue_depth_ = 0;
   size_t io_max_coalesce_ = 1;

@@ -6,7 +6,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 /// Seqlock / double-buffer publication for read-mostly hot paths
@@ -167,64 +166,6 @@ class SeqLockBuffer {
 
   std::atomic<uint64_t> seq_{0};
   std::vector<std::atomic<uint32_t>> words_;
-};
-
-/// Fixed-type seqlock cell: publishes whole values of a trivially copyable
-/// `T` (padded to whole uint32_t words internally). Same writer/reader
-/// contract as SeqLockBuffer.
-template <typename T>
-class SeqLock {
-  static_assert(std::is_trivially_copyable_v<T>,
-                "SeqLock payload must be trivially copyable");
-  static constexpr size_t kWords = (sizeof(T) + 3) / 4;
-
- public:
-  SeqLock() : SeqLock(T{}) {}
-  explicit SeqLock(const T& initial) {
-    uint32_t words[kWords] = {};
-    std::memcpy(words, &initial, sizeof(T));
-    for (size_t i = 0; i < kWords; ++i) {
-      words_[i].store(words[i], std::memory_order_relaxed);
-    }
-  }
-  SeqLock(const SeqLock&) = delete;
-  SeqLock& operator=(const SeqLock&) = delete;
-
-  uint64_t version() const { return seq_.load(std::memory_order_acquire); }
-
-  /// Publishes `value`. Writers must be serialized externally.
-  void Write(const T& value) {
-    uint32_t words[kWords] = {};
-    std::memcpy(words, &value, sizeof(T));
-    const uint64_t s = seq_.load(std::memory_order_relaxed);
-    seq_.store(s + 1, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    for (size_t i = 0; i < kWords; ++i) {
-      words_[i].store(words[i], std::memory_order_relaxed);
-    }
-    seq_.store(s + 2, std::memory_order_release);
-  }
-
-  /// Lock-free consistent read (retries across overlapping writes).
-  T Read() const {
-    uint32_t words[kWords];
-    for (;;) {
-      const uint64_t s1 = seq_.load(std::memory_order_acquire);
-      if (s1 & 1) continue;
-      for (size_t i = 0; i < kWords; ++i) {
-        words[i] = words_[i].load(std::memory_order_relaxed);
-      }
-      std::atomic_thread_fence(std::memory_order_acquire);
-      if (seq_.load(std::memory_order_relaxed) == s1) break;
-    }
-    T value;
-    std::memcpy(&value, words, sizeof(T));
-    return value;
-  }
-
- private:
-  std::atomic<uint64_t> seq_{0};
-  std::atomic<uint32_t> words_[kWords];
 };
 
 }  // namespace angelptm::util

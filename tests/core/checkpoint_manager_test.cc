@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -164,6 +165,54 @@ TEST_F(CheckpointManagerTest, LoadLatestFallsBackPastCorruptNewest) {
   EXPECT_EQ(manager.Snapshot().fallbacks, 1u);
   EXPECT_EQ(manager.Snapshot().loads, 1u);
   EXPECT_TRUE(std::filesystem::exists(manager.PathForStep(20)));
+}
+
+TEST_F(CheckpointManagerTest, LoadLatestFallsBackPastAnImplausibleCount) {
+  // The newest file claims 2^62 parameters in its one layer (the p32 count
+  // sits at byte 101). Loading it must fail like any corruption, not abort
+  // or allocate, so the restart falls back to the previous file.
+  CheckpointManager::Options options;
+  options.dir = FreshDir("count");
+  CheckpointManager manager(options);
+  ASSERT_TRUE(manager.Init().ok());
+  auto updater = MakeUpdater();
+  ASSERT_TRUE(manager.Save(updater.get(), ProgressAt(10)).ok());
+  ASSERT_TRUE(updater->OffloadGrads(0, {1.0f, 1.0f, 1.0f}).ok());
+  ASSERT_TRUE(updater->UpdateOnce().ok());
+  ASSERT_TRUE(manager.Save(updater.get(), ProgressAt(20)).ok());
+  ASSERT_TRUE(manager.Flush().ok());
+  {
+    std::fstream file(manager.PathForStep(20),
+                      std::ios::in | std::ios::out | std::ios::binary);
+    uint64_t count = 0;
+    file.seekg(101);
+    file.read(reinterpret_cast<char*>(&count), sizeof(count));
+    ASSERT_EQ(count, 3u);
+    count = uint64_t(1) << 62;
+    file.seekp(101);
+    file.write(reinterpret_cast<const char*>(&count), sizeof(count));
+  }
+
+  auto recovered = MakeUpdater();
+  auto progress = manager.LoadLatest(recovered.get());
+  ASSERT_TRUE(progress.ok()) << progress.status();
+  EXPECT_EQ(progress->global_step, 10);
+  EXPECT_EQ(manager.Snapshot().fallbacks, 1u);
+}
+
+TEST_F(CheckpointManagerTest, KeepLastBelowOneKeepsOne) {
+  CheckpointManager::Options options;
+  options.dir = FreshDir("keepzero");
+  options.keep_last = 0;
+  CheckpointManager manager(options);
+  ASSERT_TRUE(manager.Init().ok());
+  auto updater = MakeUpdater();
+  for (int64_t step : {10, 20}) {
+    ASSERT_TRUE(manager.Save(updater.get(), ProgressAt(step)).ok());
+  }
+  ASSERT_TRUE(manager.Flush().ok());
+  EXPECT_EQ(manager.ListCheckpoints(),
+            std::vector<std::string>{manager.PathForStep(20)});
 }
 
 TEST_F(CheckpointManagerTest, EmptyDirectoryIsNotFound) {

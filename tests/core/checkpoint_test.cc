@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -177,6 +178,11 @@ TEST_F(CheckpointTest, CorruptCheckpointRejected) {
   const util::Status loaded = LoadCheckpoint(recovered.get(), path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_TRUE(loaded.IsIoError()) << loaded;
+
+  // An intact file with a byte after its checksum is corrupt too.
+  ASSERT_TRUE(SaveCheckpoint(updater.get(), path).ok());
+  std::ofstream(path, std::ios::binary | std::ios::app).put('x');
+  EXPECT_TRUE(LoadCheckpoint(recovered.get(), path).IsIoError());
   std::remove(path.c_str());
 }
 
@@ -577,6 +583,50 @@ TEST_F(CheckpointTest, V3RoundTripPreservesRuleAndSlots) {
   ASSERT_EQ(got.slots.size(), 2u);
   EXPECT_EQ(got.slots[0].values, want.slots[0].values);
   EXPECT_EQ(got.slots[1].values, want.slots[1].values);
+  std::remove(path.c_str());
+}
+
+TEST_F(CheckpointTest, CountLargerThanTheFileIsRejectedBeforeAllocating) {
+  // A one-layer, 100-parameter Adam checkpoint: the p32 count sits at byte
+  // 101 (after the 97-byte header and the layer count), the first slot's
+  // count at 526 (after p32 and the slot name "m"). A count of 2^62 is
+  // corruption the loader must reject from the bytes left in the file,
+  // before it sizes anything by it.
+  const std::string path = TempPath("count");
+  LockFreeUpdater::Options options;
+  LockFreeUpdater updater(&allocator_, options);
+  ASSERT_TRUE(updater.AddLayer(std::vector<float>(100, 0.5f)).ok());
+  ASSERT_TRUE(SaveCheckpoint(&updater, path).ok());
+  std::vector<char> bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  const struct {
+    size_t offset;
+    const char* section;
+  } cases[] = {{101, "layer 0 p32"}, {526, "layer 0 slot 0"}};
+  for (const auto& c : cases) {
+    uint64_t count = 0;
+    std::memcpy(&count, bytes.data() + c.offset, sizeof(count));
+    ASSERT_EQ(count, 100u) << "offset " << c.offset << " is not a count";
+    std::vector<char> corrupt = bytes;
+    const uint64_t implausible = uint64_t(1) << 62;
+    std::memcpy(corrupt.data() + c.offset, &implausible, sizeof(implausible));
+    const std::string corrupt_path = TempPath("count_case");
+    std::ofstream(corrupt_path, std::ios::binary)
+        .write(corrupt.data(), long(corrupt.size()));
+
+    LockFreeUpdater recovered(&allocator_, options);
+    ASSERT_TRUE(recovered.AddLayer(std::vector<float>(100, 0.0f)).ok());
+    const util::Status loaded = LoadCheckpoint(&recovered, corrupt_path);
+    EXPECT_TRUE(loaded.IsIoError()) << loaded;
+    EXPECT_NE(loaded.message().find(corrupt_path), std::string::npos)
+        << loaded;
+    EXPECT_NE(loaded.message().find(c.section), std::string::npos) << loaded;
+    std::remove(corrupt_path.c_str());
+  }
   std::remove(path.c_str());
 }
 

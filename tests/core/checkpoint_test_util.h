@@ -3,6 +3,7 @@
 
 #include <cstddef>
 
+#include "core/checkpoint.h"
 #include "core/lockfree_updater.h"
 #include "util/status.h"
 
@@ -13,7 +14,7 @@ namespace angelptm::core {
 /// would hold.
 inline util::Status ReadLayerState(LockFreeUpdater* updater, int layer,
                                    LockFreeUpdater::LayerState* out) {
-  LockFreeUpdater::MasterCut cut;
+  MasterCut cut;
   ANGEL_RETURN_IF_ERROR(updater->CutLayer(layer, &cut));
   out->step = cut.step;
   out->slots.clear();

@@ -17,8 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/checkpoint.h"
 #include "dist/proc_harness.h"
-#include "dist/shard_checkpoint.h"
+#include "dist/sharded_data_parallel.h"
 
 namespace angelptm {
 namespace {
@@ -161,11 +162,12 @@ TEST_F(MultiProcTest, KillOneRankRecoversFromCheckpoint) {
     harness.Launch(specs_for(false));
     const auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    const core::CheckpointFiles victim_files{
+        ckpt_dir, dist::ShardCheckpointStem(world, victim)};
     bool armed = false;
     while (std::chrono::steady_clock::now() < deadline) {
-      auto latest = dist::LatestShardStep(ckpt_dir, victim);
-      ASSERT_TRUE(latest.ok()) << latest.status();
-      if (*latest >= 2 * every) {
+      const std::vector<int64_t> steps = victim_files.Steps();
+      if (!steps.empty() && steps.back() >= 2 * every) {
         armed = true;
         break;
       }

@@ -4,12 +4,17 @@
 
 #include <cmath>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <map>
 #include <thread>
 
 #include <gtest/gtest.h>
 
+#include "core/checkpoint.h"
 #include "train/mlp.h"
 #include "train/transformer.h"
+#include "util/fault_injector.h"
 
 namespace angelptm::dist {
 namespace {
@@ -357,6 +362,283 @@ TEST(ShardedDpTest, CheckpointResumeStaysOnTrajectory) {
   }
   std::error_code ec;
   std::filesystem::remove_all(ckpt_dir, ec);
+}
+
+/// A scratch directory, removed with its contents at scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    char pattern[] = "/tmp/aptm-zckpt-XXXXXX";
+    EXPECT_NE(::mkdtemp(pattern), nullptr);
+    path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Options of a job that checkpoints into `dir` every 2 steps.
+ShardedDpOptions CheckpointingOptions(int world, const std::string& dir) {
+  ShardedDpOptions options = DpOptions(world);
+  options.checkpoint_every_n_steps = 2;
+  options.checkpoint_dir = dir;
+  return options;
+}
+
+/// One incarnation of a job: its own memory, allocator, model and data.
+struct Job {
+  explicit Job(const ShardedDpOptions& options,
+               std::vector<size_t> dims = {16, 32, 4})
+      : memory(MemoryOptions()),
+        allocator(&memory),
+        model({std::move(dims)}),
+        dataset(16, 32, 4, 99),
+        dp(&allocator, &model, options) {}
+
+  /// Every layer's full parameters.
+  std::vector<std::vector<float>> Params() {
+    std::vector<std::vector<float>> params;
+    for (int l = 0; l < model.num_layers(); ++l) {
+      auto gathered = dp.GatherLayerParams(l);
+      EXPECT_TRUE(gathered.ok()) << gathered.status();
+      params.push_back(gathered.ok() ? *gathered : std::vector<float>());
+    }
+    return params;
+  }
+
+  mem::HierarchicalMemory memory;
+  core::Allocator allocator;
+  train::MlpModel model;
+  train::SyntheticRegression dataset;
+  ShardedDataParallel dp;
+};
+
+core::CheckpointFiles RankFiles(const std::string& dir, int world, int rank) {
+  return {dir, ShardCheckpointStem(world, rank)};
+}
+
+/// Every file in `dir` with its bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> contents;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    contents[entry.path().filename().string()] = std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return contents;
+}
+
+TEST(ShardedDpTest, ShardFilesAreV3CheckpointsOfEachRanksSlice) {
+  // Each rank's file is an ordinary v3 checkpoint that the trainer's parse
+  // step reads: the completed step, the rule, and the rank's slice of
+  // every layer with the rule's named slots. Together the ranks' slices
+  // are the full parameters, so no rank's file holds another's.
+  TempDir dir;
+  Job job(CheckpointingOptions(2, dir.path()));
+  ASSERT_TRUE(job.dp.Init().ok());
+  ASSERT_TRUE(job.dp.Train(job.dataset, 4).ok());
+  const std::vector<std::vector<float>> params = job.Params();
+
+  std::vector<std::vector<float>> joined(params.size());
+  for (int r = 0; r < 2; ++r) {
+    const core::CheckpointFiles files = RankFiles(dir.path(), 2, r);
+    EXPECT_EQ(files.Steps(), (std::vector<int64_t>{2, 4}));
+    auto file = core::ParseCheckpoint(files.PathForStep(4));
+    ASSERT_TRUE(file.ok()) << file.status();
+    EXPECT_EQ(file->progress.global_step, 4);
+    EXPECT_EQ(file->rule, "adam");
+    ASSERT_EQ(file->layers.size(), params.size());
+    for (size_t l = 0; l < params.size(); ++l) {
+      const core::LockFreeUpdater::LayerState& layer = file->layers[l];
+      const size_t shard_count = (params[l].size() + 1) / 2;
+      EXPECT_EQ(layer.step, 4);
+      ASSERT_EQ(layer.params.size(), shard_count) << "layer " << l;
+      ASSERT_EQ(layer.slots.size(), 2u) << "layer " << l;
+      EXPECT_EQ(layer.slots[0].name, "m");
+      EXPECT_EQ(layer.slots[1].name, "v");
+      for (const auto& slot : layer.slots) {
+        EXPECT_EQ(slot.values.size(), shard_count) << "layer " << l;
+      }
+      joined[l].insert(joined[l].end(), layer.params.begin(),
+                       layer.params.end());
+    }
+  }
+  for (size_t l = 0; l < params.size(); ++l) {
+    joined[l].resize(params[l].size());
+    EXPECT_EQ(joined[l], params[l]) << "layer " << l;
+  }
+}
+
+TEST(ShardedDpTest, RotationKeepsEachRanksNewestFiles) {
+  // The directory does not exist yet: a fresh start that creates it. Each
+  // rank rotates only its own files; keep_last < 1 keeps all of them.
+  for (const int keep_last : {2, 0}) {
+    SCOPED_TRACE(keep_last);
+    TempDir scratch;
+    const std::string dir = scratch.path() + "/not/yet";
+    ShardedDpOptions options = CheckpointingOptions(2, dir);
+    options.checkpoint_keep_last = keep_last;
+    Job job(options);
+    ASSERT_TRUE(job.dp.Init().ok());
+    auto report = job.dp.Train(job.dataset, 8);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->resumed_step, 0);
+    const std::vector<int64_t> kept =
+        keep_last == 2 ? std::vector<int64_t>{6, 8}
+                       : std::vector<int64_t>{2, 4, 6, 8};
+    for (int r = 0; r < 2; ++r) {
+      EXPECT_EQ(RankFiles(dir, 2, r).Steps(), kept) << "rank " << r;
+    }
+    EXPECT_EQ(DirContents(dir).size(), 2 * kept.size());
+  }
+}
+
+/// Saves at `saved_world`, then resumes in the same directory at
+/// `resumed_world`. The world size is in every file name, so the restarted
+/// job finds none of its own files; it must refuse rather than start over,
+/// loading nothing and writing or deleting nothing.
+void ExpectResumeAtAnotherWorldFails(int saved_world, int resumed_world) {
+  TempDir dir;
+  {
+    Job job(CheckpointingOptions(saved_world, dir.path()));
+    ASSERT_TRUE(job.dp.Init().ok());
+    ASSERT_TRUE(job.dp.Train(job.dataset, 4).ok());
+  }
+  const auto saved = DirContents(dir.path());
+  ASSERT_EQ(saved.size(), size_t(2 * saved_world));
+
+  Job job(CheckpointingOptions(resumed_world, dir.path()));
+  ASSERT_TRUE(job.dp.Init().ok());
+  const auto initial = job.Params();
+  auto report = job.dp.Train(job.dataset, 4);
+  EXPECT_TRUE(report.status().IsInvalidArgument()) << report.status();
+  EXPECT_EQ(job.Params(), initial);
+  EXPECT_EQ(DirContents(dir.path()), saved);
+}
+
+TEST(ShardedDpTest, ResumeAtALargerWorldFailsAndTouchesNothing) {
+  ExpectResumeAtAnotherWorldFails(2, 4);
+}
+
+TEST(ShardedDpTest, ResumeAtASmallerWorldFailsAndTouchesNothing) {
+  ExpectResumeAtAnotherWorldFails(4, 2);
+}
+
+TEST(ShardedDpTest, ResumeChecksTheFilesBeforeWritingAnyShard) {
+  // A file of another rule, layer count, layer shape or step fails the
+  // resume before any shard is written.
+  TempDir dir;
+  {
+    Job job(CheckpointingOptions(2, dir.path()));
+    ASSERT_TRUE(job.dp.Init().ok());
+    ASSERT_TRUE(job.dp.Train(job.dataset, 4).ok());
+  }
+  const auto expect_refused = [](const ShardedDpOptions& options,
+                                 std::vector<size_t> dims,
+                                 const std::string& expect) {
+    SCOPED_TRACE(expect);
+    Job job(options, std::move(dims));
+    ASSERT_TRUE(job.dp.Init().ok());
+    const auto initial = job.Params();
+    auto report = job.dp.Train(job.dataset, 6);
+    ASSERT_TRUE(report.status().IsInvalidArgument()) << report.status();
+    EXPECT_NE(report.status().message().find(expect), std::string::npos)
+        << report.status();
+    EXPECT_EQ(job.Params(), initial);
+  };
+  const ShardedDpOptions options = CheckpointingOptions(2, dir.path());
+  ShardedDpOptions sgdm = options;
+  sgdm.optimizer.rule = "sgdm";
+  expect_refused(sgdm, {16, 32, 4}, "optimizer rule 'adam'");
+  expect_refused(options, {16, 32, 32, 4}, "2 layers");
+  expect_refused(options, {16, 24, 4}, "layer 0");
+  // Step-4 files under step-6 names.
+  for (int r = 0; r < 2; ++r) {
+    const core::CheckpointFiles files = RankFiles(dir.path(), 2, r);
+    std::filesystem::rename(files.PathForStep(4), files.PathForStep(6));
+  }
+  expect_refused(options, {16, 32, 4}, "holds step 4");
+}
+
+TEST(ShardedDpTest, CorruptOrTruncatedShardFileFailsTheResume) {
+  // A damaged file at the agreed step fails the resume loudly, naming the
+  // file, and leaves every shard as Init made it.
+  for (const bool truncate : {false, true}) {
+    SCOPED_TRACE(truncate ? "truncated" : "corrupt");
+    TempDir dir;
+    {
+      Job job(CheckpointingOptions(2, dir.path()));
+      ASSERT_TRUE(job.dp.Init().ok());
+      ASSERT_TRUE(job.dp.Train(job.dataset, 4).ok());
+    }
+    const std::string path = RankFiles(dir.path(), 2, 1).PathForStep(4);
+    if (truncate) {
+      std::filesystem::resize_file(path, std::filesystem::file_size(path) / 2);
+    } else {
+      std::fstream file(path, std::ios::in | std::ios::out | std::ios::binary);
+      char byte = 0;
+      file.seekg(200);
+      file.read(&byte, 1);
+      byte = char(byte ^ 0x40);
+      file.seekp(200);
+      file.write(&byte, 1);
+    }
+    Job job(CheckpointingOptions(2, dir.path()));
+    ASSERT_TRUE(job.dp.Init().ok());
+    const auto initial = job.Params();
+    auto report = job.dp.Train(job.dataset, 6);
+    ASSERT_TRUE(report.status().IsIoError()) << report.status();
+    EXPECT_NE(report.status().message().find(path), std::string::npos)
+        << report.status();
+    if (!truncate) {
+      EXPECT_NE(report.status().message().find("checksum"), std::string::npos)
+          << report.status();
+    }
+    EXPECT_EQ(job.Params(), initial);
+  }
+}
+
+TEST(ShardedDpTest, FailedShardSaveLeavesTheLastCommonStep) {
+  // A write or rename fault on one rank's step-4 save fails the job and
+  // leaves no partial file: that rank still holds step 2, so the restart
+  // agrees on step 2 and resumes from it.
+  auto& injector = util::FaultInjector::Instance();
+  for (const char* site : {"checkpoint.write", "checkpoint.rename"}) {
+    SCOPED_TRACE(site);
+    injector.Reset();
+    TempDir dir;
+    {
+      Job job(CheckpointingOptions(2, dir.path()));
+      ASSERT_TRUE(job.dp.Init().ok());
+      util::FaultRule rule;
+      rule.nth_call = 3;  // The first of the two step-4 saves.
+      injector.Arm(site, rule);
+      EXPECT_FALSE(job.dp.Train(job.dataset, 4).ok());
+      injector.Reset();
+    }
+    size_t step4_files = 0;
+    for (int r = 0; r < 2; ++r) {
+      const std::vector<int64_t> steps = RankFiles(dir.path(), 2, r).Steps();
+      ASSERT_FALSE(steps.empty());
+      EXPECT_EQ(steps.front(), 2);
+      step4_files += steps.back() == 4 ? 1 : 0;
+    }
+    EXPECT_EQ(step4_files, 1u);
+    for (const auto& [name, bytes] : DirContents(dir.path())) {
+      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+    }
+
+    Job job(CheckpointingOptions(2, dir.path()));
+    ASSERT_TRUE(job.dp.Init().ok());
+    auto report = job.dp.Train(job.dataset, 4);
+    ASSERT_TRUE(report.ok()) << report.status();
+    EXPECT_EQ(report->resumed_step, 2);
+  }
 }
 
 }  // namespace

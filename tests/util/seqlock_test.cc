@@ -122,43 +122,5 @@ TEST(SeqLockBufferTest, NoTornReadsUnderConcurrentWrites) {
   EXPECT_EQ(buffer.version(), uint64_t(2 * 20001));
 }
 
-struct Pair {
-  uint64_t a = 0;
-  uint64_t b = 0;
-};
-
-TEST(SeqLockTest, TypedCellRoundTrip) {
-  SeqLock<Pair> cell(Pair{1, 2});
-  Pair got = cell.Read();
-  EXPECT_EQ(got.a, 1u);
-  EXPECT_EQ(got.b, 2u);
-  cell.Write(Pair{10, 20});
-  got = cell.Read();
-  EXPECT_EQ(got.a, 10u);
-  EXPECT_EQ(got.b, 20u);
-  EXPECT_EQ(cell.version(), 2u);
-}
-
-TEST(SeqLockTest, TypedCellNeverTearsAcrossFields) {
-  // Writer publishes {g, ~g}; readers must never observe fields from two
-  // different writes.
-  SeqLock<Pair> cell(Pair{0, ~uint64_t(0)});
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> torn{0};
-  std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        const Pair got = cell.Read();
-        if (got.b != ~got.a) torn.fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-  }
-  for (uint64_t g = 1; g <= 50000; ++g) cell.Write(Pair{g, ~g});
-  stop.store(true, std::memory_order_relaxed);
-  for (auto& reader : readers) reader.join();
-  EXPECT_EQ(torn.load(), 0u);
-}
-
 }  // namespace
 }  // namespace angelptm::util
