@@ -5,7 +5,6 @@
 #include <sstream>
 #include <string>
 
-#include "obs/metrics.h"
 #include "sim/hardware.h"
 #include "train/trainer.h"
 
@@ -23,12 +22,6 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref,
             << sim::DescribeHardware(hw) << "\n"
             << "==============================================================="
                "=\n\n";
-}
-
-/// JSON for the process-wide metrics registry, so every BENCH_*.json records
-/// the counters/gauges/histograms accumulated by the run that produced it.
-inline std::string MetricsJson() {
-  return obs::Registry::Instance().Snapshot().ToJson();
 }
 
 /// JSON for a TrainReport's nested telemetry snapshot: phase timing

@@ -451,8 +451,7 @@ int Main(int argc, char** argv) {
     }
     out << "    ]}" << (bi + 1 == blocks.size() ? "" : ",") << "\n";
   }
-  out << "  ],\n";
-  out << "  \"metrics\": " << bench::MetricsJson() << "\n";
+  out << "  ]\n";
   out << "}\n";
   if (!out.flush()) {
     std::cerr << "error: could not write " << out_path << "\n";

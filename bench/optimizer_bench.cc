@@ -1,7 +1,7 @@
 // Updater-contention microbenchmark across every registered update rule
 // (DESIGN.md §13): a compute thread offloads gradients and fetches buffered
 // parameters against a *running* LockFreeUpdater while extra reader threads
-// hammer the seqlock-published parameter mirror, which is exactly the
+// hammer the seqlock-published fp16 parameters (p'16), which is exactly the
 // read-mostly hot path the lockless FetchParams redesign targets.
 //
 // Per rule it records, into BENCH_optimizer.json:
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
   bench::PrintHeader(
       "Optimizer-rule contention microbenchmark",
       "SS4.3 Algorithm 2 (lock-free updating) x DESIGN.md SS13 (pluggable "
-      "rules, seqlock parameter mirror)");
+      "rules, seqlock-published p'16)");
 
   std::vector<RuleResult> results;
   for (const std::string& rule : core::RegisteredOptimizers()) {

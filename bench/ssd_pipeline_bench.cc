@@ -375,8 +375,7 @@ int Main(int argc, char** argv) {
   JsonMode(out, async_mode, cfg);
   out << ",\n";
   out << "  \"speedup\": " << speedup << ",\n";
-  out << "  \"speedup_ok\": " << (speedup_ok ? "true" : "false") << ",\n";
-  out << "  \"metrics\": " << bench::MetricsJson() << "\n";
+  out << "  \"speedup_ok\": " << (speedup_ok ? "true" : "false") << "\n";
   out << "}\n";
   if (!out.flush()) {
     std::cerr << "error: could not write " << out_path << "\n";

@@ -152,8 +152,7 @@ void RealConvergencePart(const std::string& json_path) {
 
   std::ofstream out(json_path);
   out << "{\n  \"bench\": \"table6_ssd_lockfree\",\n  \"modes\": [\n"
-      << json.str() << "\n  ],\n  \"metrics\": " << bench::MetricsJson()
-      << "\n}\n";
+      << json.str() << "\n  ]\n}\n";
   if (out.flush()) {
     std::cout << "Wrote " << json_path << "\n";
   } else {

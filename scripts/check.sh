@@ -3,8 +3,8 @@
 # fault-injection configurations:
 #
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
-#     kernels, ParallelFor, thread pool, lock-free updater, and the obs::
-#     metrics registry / span tracer hot paths).
+#     kernels, ParallelFor, thread pool, lock-free updater, the components'
+#     atomic stats counters and the obs:: span tracer hot path).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -154,9 +154,10 @@ if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then
   # Smoke config: tiny working set, no 2x guard (the full bench enforces
   # it); this proves the read-ahead pipeline runs end to end on this host.
   ./build/bench/ssd_pipeline_bench build/BENCH_ssd_pipeline_smoke.json --smoke
-  # The whole mem suite (incl. tests written against the sync default) on
-  # the async backend: the env override beats every in-test io_workers
-  # setting, so every ReadFrame/WriteFrame goes through the queue.
+  # The whole mem suite on a 4-worker queue (the default is 2), including
+  # the tests that pin the sync backend (io_workers = 0): the env override
+  # beats every in-test io_workers setting, so every ReadFrame/WriteFrame
+  # goes through the queue.
   ANGELPTM_SSD_IO_WORKERS=4 ./build/tests/mem_test
   # Fault injection against the queue: a transient fault on the first
   # pwrite of every tier must be absorbed by the per-attempt retry policy

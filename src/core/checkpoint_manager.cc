@@ -24,15 +24,6 @@ uint64_t NowUs() {
 CheckpointManager::CheckpointManager(const Options& options)
     : options_(options), files_{options.dir, options.basename} {
   if (options_.keep_last < 1) options_.keep_last = 1;
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_saves_ = registry.GetCounter("checkpoint/saves");
-  metric_save_failures_ = registry.GetCounter("checkpoint/save_failures");
-  metric_bytes_written_ = registry.GetCounter("checkpoint/bytes_written");
-  metric_loads_ = registry.GetCounter("checkpoint/loads");
-  metric_fallbacks_ = registry.GetCounter("checkpoint/fallbacks");
-  metric_busy_waits_ = registry.GetCounter("checkpoint/busy_waits");
-  metric_save_us_ = registry.GetHistogram("checkpoint/save_us");
-  metric_persist_us_ = registry.GetHistogram("checkpoint/persist_us");
 }
 
 CheckpointManager::~CheckpointManager() {
@@ -94,10 +85,7 @@ util::Status CheckpointManager::Save(LockFreeUpdater* updater,
   const uint64_t start = NowUs();
   {
     util::MutexLock lock(mutex_);
-    if (busy_) {
-      stats_.busy_waits += 1;
-      metric_busy_waits_->Increment();
-    }
+    if (busy_) stats_.busy_waits += 1;
   }
   JoinWriter();
   util::Status unreported = TakeError();
@@ -110,13 +98,11 @@ util::Status CheckpointManager::Save(LockFreeUpdater* updater,
     cut = CutCheckpoint(updater, &progress, &job->cut);
   }
   if (!cut.ok()) {
-    metric_save_failures_->Increment();
     util::MutexLock lock(mutex_);
     stats_.save_failures += 1;
     return unreported.ok() ? cut : unreported;
   }
   const uint64_t elapsed = NowUs() - start;
-  metric_save_us_->Record(elapsed);
   {
     util::MutexLock lock(mutex_);
     stats_.save_us.Record(elapsed);
@@ -160,7 +146,6 @@ void CheckpointManager::Persist(PersistJob* job) {
   const util::Status persisted =
       PersistCheckpoint(&job->cut, job->path, &bytes);
   if (!persisted.ok()) {
-    metric_save_failures_->Increment();
     util::MutexLock lock(mutex_);
     stats_.save_failures += 1;
     if (error_.ok()) {
@@ -170,9 +155,6 @@ void CheckpointManager::Persist(PersistJob* job) {
     return;
   }
   const uint64_t elapsed = NowUs() - start;
-  metric_saves_->Increment();
-  metric_bytes_written_->Increment(bytes);
-  metric_persist_us_->Record(elapsed);
 
   // Rotate: drop the oldest files beyond keep_last. The new file is already
   // durable, so deleting old ones cannot lose the only good checkpoint. A
@@ -202,7 +184,6 @@ util::Result<TrainProgress> CheckpointManager::LoadLatest(
     TrainProgress progress;
     const util::Status loaded = LoadCheckpoint(updater, *it, &progress);
     if (loaded.ok()) {
-      metric_loads_->Increment();
       util::MutexLock lock(mutex_);
       stats_.loads += 1;
       return progress;
@@ -212,7 +193,6 @@ util::Result<TrainProgress> CheckpointManager::LoadLatest(
     }
     ANGEL_LOG(Warning) << "checkpoint " << *it << " unusable ("
                        << loaded.ToString() << "); falling back";
-    metric_fallbacks_->Increment();
     {
       util::MutexLock lock(mutex_);
       stats_.fallbacks += 1;

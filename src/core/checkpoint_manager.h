@@ -34,8 +34,8 @@ namespace angelptm::core {
 /// The updater and the memory its masters live in must outlive the
 /// persist: Flush() (or destroy the manager) before destroying them.
 ///
-/// Durations, sizes, and fallback/recovery counters are published through
-/// the obs:: registry under "checkpoint/*" and mirrored in Snapshot().
+/// Durations, sizes, and fallback/recovery counters are read through
+/// Snapshot().
 class CheckpointManager {
  public:
   struct Options {
@@ -146,16 +146,6 @@ class CheckpointManager {
   bool busy_ ANGEL_GUARDED_BY(mutex_) = false;
   /// The first writer error no Save or Flush returned yet.
   util::Status error_ ANGEL_GUARDED_BY(mutex_);
-
-  // Process-wide series (obs registry handles; set once in the ctor).
-  obs::Counter* metric_saves_ = nullptr;
-  obs::Counter* metric_save_failures_ = nullptr;
-  obs::Counter* metric_bytes_written_ = nullptr;
-  obs::Counter* metric_loads_ = nullptr;
-  obs::Counter* metric_fallbacks_ = nullptr;
-  obs::Counter* metric_busy_waits_ = nullptr;
-  obs::Histogram* metric_save_us_ = nullptr;
-  obs::Histogram* metric_persist_us_ = nullptr;
 };
 
 }  // namespace angelptm::core

@@ -40,7 +40,7 @@ inline constexpr const char* DTypeName(DType dtype) {
 /// Bulk binary32 -> binary16 conversion: dst[i] = util::FloatToHalfBits(
 /// src[i]) for i < n, bit for bit on every input. Dispatched like
 /// core::AdamUpdate: F16C blocks on the avx2 path, the scalar function on
-/// the scalar path. Every fp16 tensor, the updater's fp16 mirror and the
+/// the scalar path. Every fp16 tensor, the updater's p'16 and the
 /// engine's staging convert through this pair.
 void FloatsToHalves(const float* src, uint16_t* dst, size_t n);
 

@@ -32,6 +32,7 @@ util::Result<std::unique_ptr<Engine>> Engine::Create(
   std::unique_ptr<Engine> engine(new Engine(options));
   engine->memory_ =
       std::make_unique<mem::HierarchicalMemory>(options.memory);
+  ANGEL_RETURN_IF_ERROR(engine->memory_->ssd_open_status());
   engine->allocator_ = std::make_unique<Allocator>(engine->memory_.get());
   engine->copy_engine_ = std::make_unique<mem::CopyEngine>(
       engine->memory_.get(), kCopyThreads);
@@ -40,8 +41,6 @@ util::Result<std::unique_ptr<Engine>> Engine::Create(
   updater_options.master_device = options.master_device;
   engine->updater_ = std::make_unique<LockFreeUpdater>(
       engine->allocator_.get(), updater_options);
-  engine->metric_prefetch_move_failures_ =
-      obs::Registry::Instance().GetCounter("engine/prefetch_move_failures");
   return engine;
 }
 
@@ -117,7 +116,6 @@ void Engine::SettlePendingMoves(WorkingLayer& layer) {
     const util::Status status = future.get();
     if (!status.ok()) {
       ++prefetch_move_failures_;
-      metric_prefetch_move_failures_->Increment();
       ANGEL_LOG(Warning) << "prefetch move failed: " << status.ToString();
     }
   }

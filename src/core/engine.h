@@ -11,7 +11,6 @@
 #include "mem/copy_engine.h"
 #include "mem/hierarchical_memory.h"
 #include "mem/prefetch_planner.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace angelptm::core {
@@ -153,7 +152,6 @@ class Engine {
   uint64_t prefetch_waits_ = 0;
   uint64_t scheduled_uses_ = 0;
   uint64_t prefetch_move_failures_ = 0;
-  obs::Counter* metric_prefetch_move_failures_ = nullptr;
 };
 
 }  // namespace angelptm::core

@@ -13,10 +13,11 @@ namespace {
 
 /// Seqlock payload words holding `count` fp16 values: the payload bytes
 /// are the fp16 array's bytes, two halves per uint32_t word.
-size_t MirrorWords(size_t count) { return (count + 1) / 2; }
+size_t HalfWords(size_t count) { return (count + 1) / 2; }
 
-/// Halves converted per step of the fp32 FetchParams (a stack chunk).
-constexpr size_t kFetchChunk = 2048;
+/// Halves converted per stack chunk between fp32 values and p'16
+/// (FetchParams reads, InstallParams writes).
+constexpr size_t kConvertChunk = 2048;
 
 /// How long the updating thread waits after an idle wakeup before it
 /// sweeps (see the class comment).
@@ -26,13 +27,6 @@ constexpr std::chrono::microseconds kCoalesceWindow(50);
 
 LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
     : allocator_(allocator), options_(options) {
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_updates_applied_ = registry.GetCounter("updater/updates_applied");
-  metric_grad_batches_offloaded_ =
-      registry.GetCounter("updater/grad_batches_offloaded");
-  metric_pending_batches_ = registry.GetGauge("updater/pending_batches");
-  metric_staleness_ = registry.GetHistogram("updater/staleness");
-
   auto optimizer = Optimizer::Create(options_.optimizer);
   if (optimizer.ok()) {
     optimizer_ = std::move(optimizer).value();
@@ -46,8 +40,7 @@ LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
 LockFreeUpdater::~LockFreeUpdater() {
   Stop();
   for (auto& layer : layers_) {
-    for (Tensor* tensor : {layer->p32, layer->buffered_params,
-                           layer->buffered_grads}) {
+    for (Tensor* tensor : {layer->p32, layer->buffered_grads}) {
       if (tensor != nullptr) (void)allocator_->Release(tensor);
     }
     for (Tensor* tensor : layer->slots) {
@@ -74,11 +67,10 @@ util::Result<int> LockFreeUpdater::AddLayer(
   layer->count = initial_params.size();
   layer->slot_layout = optimizer_->SlotLayout(layer->count);
   const std::vector<size_t> shape = {layer->count};
-  // Masters and fp16 buffers get distinct groups: grouped tensors share
-  // tail pages and therefore co-migrate, and the buffers must stay on the
-  // CPU tier while the masters move to the master device.
+  // The masters share one group (grouped tensors share tail pages and
+  // therefore co-migrate); g'16 stays on the CPU tier while they move to
+  // the master device, so it gets pages of its own.
   const uint64_t group = 1000 + 2 * layers_.size();
-  const uint64_t buffer_group = group + 1;
 
   // Master states start on the CPU tier so they can be initialized, then
   // migrate to the configured master device (a real file write for SSD).
@@ -93,21 +85,16 @@ util::Result<int> LockFreeUpdater::AddLayer(
     layer->slots.push_back(slot);
   }
   ANGEL_ASSIGN_OR_RETURN(
-      layer->buffered_params,
-      allocator_->Allocate(shape, DType::kFp16, mem::DeviceKind::kCpu,
-                           buffer_group));
-  ANGEL_ASSIGN_OR_RETURN(
       layer->buffered_grads,
-      allocator_->Allocate(shape, DType::kFp16, mem::DeviceKind::kCpu,
-                           buffer_group));
+      allocator_->Allocate(shape, DType::kFp16, mem::DeviceKind::kCpu));
 
   ANGEL_RETURN_IF_ERROR(layer->p32->WriteFloats(initial_params));
   for (Tensor* slot : layer->slots) ANGEL_RETURN_IF_ERROR(slot->Clear());
   ANGEL_RETURN_IF_ERROR(layer->buffered_grads->Clear());
-  layer->param_mirror.Reset(MirrorWords(layer->count));
+  layer->buffered_params.Reset(HalfWords(layer->count));
   {
     util::MutexLock lock(layer->buffer_mutex);
-    ANGEL_RETURN_IF_ERROR(InstallParams(*layer, initial_params));
+    InstallParams(*layer, initial_params);
   }
 
   if (options_.master_device != mem::DeviceKind::kCpu) {
@@ -125,20 +112,20 @@ util::Result<int> LockFreeUpdater::AddLayer(
   return static_cast<int>(layers_.size()) - 1;
 }
 
-util::Status LockFreeUpdater::InstallParams(
-    Layer& layer, const std::vector<float>& values) {
-  ANGEL_RETURN_IF_ERROR(layer.buffered_params->WriteFloats(values));
-  // The mirror publishes the very bits p'16 now holds, span by span, so a
-  // lockless FetchParams returns what a locked read of p'16 would.
-  util::Status status;
-  layer.param_mirror.WriteWith([&layer, &status](auto store) {
-    status = layer.buffered_params->ForEachSpan(
-        [&store](const std::byte* span, size_t bytes, size_t offset) {
-          store(offset, span, bytes);
-          return util::Status::OK();
-        });
+void LockFreeUpdater::InstallParams(Layer& layer,
+                                    const std::vector<float>& values) {
+  // The reverse of the fp32 FetchParams: convert chunk by chunk on the
+  // stack, straight into p'16's seqlock payload.
+  const float* src = values.data();
+  const size_t count = layer.count;
+  layer.buffered_params.WriteWith([src, count](auto store) {
+    uint16_t chunk[kConvertChunk];
+    for (size_t i = 0; i < count; i += kConvertChunk) {
+      const size_t n = std::min(kConvertChunk, count - i);
+      FloatsToHalves(src + i, chunk, n);
+      store(2 * i, chunk, 2 * n);
+    }
   });
-  return status;
 }
 
 util::Status LockFreeUpdater::FetchParams(int layer_index,
@@ -151,14 +138,14 @@ util::Status LockFreeUpdater::FetchParams(int layer_index,
   const Layer& layer = *layers_[layer_index];
   // Lockless read (DESIGN.md §13): a consistent seqlock snapshot of the
   // published fp16 bits, never contending with the buffering thread,
-  // converted chunk by chunk straight out of the mirror.
+  // converted chunk by chunk straight out of p'16.
   out->resize(layer.count);
   float* values = out->data();
   const size_t count = layer.count;
-  layer.param_mirror.ReadWith([values, count](auto load) {
-    uint16_t chunk[kFetchChunk];
-    for (size_t i = 0; i < count; i += kFetchChunk) {
-      const size_t n = std::min(kFetchChunk, count - i);
+  layer.buffered_params.ReadWith([values, count](auto load) {
+    uint16_t chunk[kConvertChunk];
+    for (size_t i = 0; i < count; i += kConvertChunk) {
+      const size_t n = std::min(kConvertChunk, count - i);
       load(2 * i, chunk, 2 * n);
       HalvesToFloats(chunk, values + i, n);
     }
@@ -178,7 +165,7 @@ util::Status LockFreeUpdater::FetchParams(int layer_index, Tensor* out) const {
   }
   ANGEL_SPAN("updater", "fetch_params");
   util::Status status;
-  layer.param_mirror.ReadWith([out, &status](auto load) {
+  layer.buffered_params.ReadWith([out, &status](auto load) {
     status = out->ForEachSpan(
         [&load](std::byte* span, size_t bytes, size_t offset) {
           load(offset, span, bytes);
@@ -223,9 +210,6 @@ util::Status LockFreeUpdater::OffloadGrads(int layer_index,
       if (waited) backpressure_waits_.fetch_add(1);
     }
     grad_batches_offloaded_.fetch_add(1);
-    metric_grad_batches_offloaded_->Increment();
-    metric_pending_batches_->Set(
-        static_cast<int64_t>(pending_grad_batches()));
     {
       util::MutexLock lock(queue_mutex_);
       buffer_queue_.push_back(BufferTask{layer_index, false, grads});
@@ -239,9 +223,6 @@ util::Status LockFreeUpdater::OffloadGrads(int layer_index,
   // Synchronous mode: accumulate inline (the buffering thread's job). No
   // valve — UpdateOnce applies inline, so nothing can run ahead.
   grad_batches_offloaded_.fetch_add(1);
-  metric_grad_batches_offloaded_->Increment();
-  metric_pending_batches_->Set(
-      static_cast<int64_t>(pending_grad_batches()));
   Layer& layer = *layers_[layer_index];
   util::MutexLock lock(layer.buffer_mutex);
   std::vector<float> accumulated;
@@ -352,7 +333,7 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
       queue_cv_.NotifyOne();
     } else {
       util::MutexLock lock(layer->buffer_mutex);
-      ANGEL_RETURN_IF_ERROR(InstallParams(*layer, p));
+      InstallParams(*layer, p);
     }
 
     if (on_ssd) {
@@ -361,10 +342,6 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
   }
   updates_applied_.fetch_add(1);
   grad_batches_applied_.fetch_add(batches_taken);
-  metric_updates_applied_->Increment();
-  metric_staleness_->Record(batches_taken);
-  metric_pending_batches_->Set(
-      static_cast<int64_t>(pending_grad_batches()));
   {
     util::MutexLock lock(staleness_mutex_);
     staleness_.Record(batches_taken);
@@ -441,11 +418,10 @@ void LockFreeUpdater::BufferingThreadLoop() {
     {
       util::MutexLock lock(layer.buffer_mutex);
       if (task.is_params) {
-        // Install updated parameters into p'16 (Algorithm 2 line 13) and
-        // publish the new version through the seqlock mirror.
-        util::Status status =
+        // Install updated parameters into p'16 (Algorithm 2 line 13): one
+        // new seqlock version.
+        const util::Status status =
             util::FaultInjector::Instance().Check("updater.buffer_install");
-        if (status.ok()) status = InstallParams(layer, task.data);
         if (!status.ok()) {
           // A failed install leaves the compute side reading stale (but
           // consistent) parameters forever; that is silent divergence, so
@@ -453,6 +429,7 @@ void LockFreeUpdater::BufferingThreadLoop() {
           Poison(status);
           return;
         }
+        InstallParams(layer, task.data);
         continue;
       }
       // Accumulate into g'16 (line 15).
@@ -661,7 +638,7 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
   }
   // Refresh the compute-side fp16 view and drop stale gradients.
   util::MutexLock lock(layer.buffer_mutex);
-  ANGEL_RETURN_IF_ERROR(InstallParams(layer, state.params));
+  InstallParams(layer, state.params);
   ANGEL_RETURN_IF_ERROR(layer.buffered_grads->Clear());
   layer.pending_batches = 0;
   return util::Status::OK();

@@ -68,11 +68,11 @@ struct MasterCut;
 /// paper's GPU/CPU speed gap produces naturally — with zero CPU burned
 /// while idle, unlike the fixed-period poll this replaced.
 ///
-/// Read-mostly hot paths are lockless (DESIGN.md §13): FetchParams reads a
-/// seqlock-published fp16 mirror of p'16 (no mutex, retry on the rare
-/// overlapping install), and status() reads the write-once poison status
-/// published by a release store. The mutexes remain on the *write* side
-/// only, where they already serialized mutation.
+/// Read-mostly hot paths are lockless (DESIGN.md §13): p'16 is a
+/// seqlock-published fp16 buffer, so FetchParams takes no mutex (it retries
+/// the rare read that overlaps an install), and status() reads the
+/// write-once poison status published by a release store. The mutexes
+/// remain on the *write* side only, where they already serialized mutation.
 ///
 /// The mechanism trades bounded staleness for throughput; staleness is
 /// observable via Snapshot().pending_grad_batches. §6.5 shows convergence is
@@ -120,8 +120,8 @@ class LockFreeUpdater {
   // --- Compute-side interface (Algorithm 2 lines 18-24) ---
 
   /// Reads the buffered fp16 parameters, cast to fp32 (line 20). Lockless:
-  /// the read comes from the layer's seqlock mirror, so it never contends
-  /// with the buffering thread's install.
+  /// p'16 is seqlock-published, so the read never contends with the
+  /// buffering thread's install.
   [[nodiscard]] util::Status FetchParams(int layer,
                                          std::vector<float>* out) const;
   /// Copies the buffered fp16 parameters bit for bit into `out`, an fp16
@@ -197,8 +197,8 @@ class LockFreeUpdater {
 
   // --- Introspection ---
 
-  /// Structured statistics of this updater instance. The same series are
-  /// published process-wide through the obs:: registry ("updater/*").
+  /// Structured statistics of this updater instance; Snapshot() is the
+  /// only place they are read (DESIGN.md §8).
   struct Stats {
     uint64_t updates_applied = 0;
     uint64_t grad_batches_offloaded = 0;
@@ -229,19 +229,18 @@ class LockFreeUpdater {
     /// m; adafactor: row, col). Allocated per the optimizer's SlotLayout.
     std::vector<Tensor*> slots;
     std::vector<SlotSpec> slot_layout;
-    /// Algorithm 2's CPU buffers, as fp16 tensors on the CPU tier. The
-    /// pointers are set once in AddLayer; the *bytes* they reach are what
+    /// Algorithm 2's gradient buffer g'16, an fp16 tensor on the CPU tier.
+    /// The pointer is set once in AddLayer; the *bytes* it reaches are what
     /// buffer_mutex guards, a method-call-level relationship (ReadFloats/
     /// WriteFloats) the analysis cannot see through Tensor's interface.
-    Tensor* buffered_params = nullptr;  // p'16
-    Tensor* buffered_grads = nullptr;   // g'16
+    Tensor* buffered_grads = nullptr;
     mutable util::Mutex buffer_mutex{"updater.buffer",
                                      util::lockrank::kUpdaterBuffer};
     uint64_t pending_batches ANGEL_GUARDED_BY(buffer_mutex) = 0;
-    /// Lockless read mirror of p'16: the same fp16 bits the buffer holds,
-    /// published via seqlock. Writers (install/import, both under
-    /// buffer_mutex) are serialized; FetchParams reads with no lock.
-    util::SeqLockBuffer param_mirror;
+    /// Algorithm 2's parameter buffer p'16: the fp16 bits, published via
+    /// seqlock. Writers (install/import, both under buffer_mutex) are
+    /// serialized; FetchParams reads with no lock.
+    util::SeqLockBuffer buffered_params;
     /// Serializes access to the fp32 master states (p32 and the slots,
     /// including their tier moves) between the updating path and concurrent
     /// checkpoint snapshots / master reads. Held only for the master-state
@@ -276,12 +275,10 @@ class LockFreeUpdater {
       ANGEL_EXCLUDES(poison_mutex_, work_mutex_);
   /// Bumps the work epoch and wakes the updating thread.
   void SignalWork() ANGEL_EXCLUDES(work_mutex_);
-  /// Installs `values` as the layer's buffered parameters: one conversion,
-  /// straight into the p'16 pages, whose fp16 bits the seqlock mirror then
-  /// publishes. Caller holds layer.buffer_mutex, which serializes mirror
-  /// writers.
-  [[nodiscard]] static util::Status InstallParams(
-      Layer& layer, const std::vector<float>& values)
+  /// Installs `values` (layer.count of them) as the layer's buffered
+  /// parameters: one conversion, straight into p'16. Caller holds
+  /// layer.buffer_mutex, which serializes p'16's writers.
+  static void InstallParams(Layer& layer, const std::vector<float>& values)
       ANGEL_REQUIRES(layer.buffer_mutex);
   /// Gradient batches offloaded but not yet applied.
   uint64_t pending_grad_batches() const;
@@ -348,12 +345,6 @@ class LockFreeUpdater {
   mutable util::Mutex staleness_mutex_{"updater.staleness",
                                        util::lockrank::kUpdaterStaleness};
   obs::HistogramData staleness_ ANGEL_GUARDED_BY(staleness_mutex_);
-
-  // Process-wide series (obs registry handles; set once in the ctor).
-  obs::Counter* metric_updates_applied_ = nullptr;
-  obs::Counter* metric_grad_batches_offloaded_ = nullptr;
-  obs::Gauge* metric_pending_batches_ = nullptr;
-  obs::Histogram* metric_staleness_ = nullptr;
 };
 
 }  // namespace angelptm::core

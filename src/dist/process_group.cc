@@ -10,7 +10,6 @@
 #include <thread>
 
 #include "mem/wire_format.h"
-#include "obs/metrics.h"
 #include "util/env_override.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
@@ -360,7 +359,6 @@ util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
   const int world = options_.world_size;
   if (world == 1) {
     if (bytes > 0) std::memcpy(recv, send, bytes);
-    ++collectives_;
     ++stats_.collectives;
     return util::Status::OK();
   }
@@ -389,10 +387,8 @@ util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
     if (!reply.empty()) std::memcpy(out, reply.data(), reply.size());
   }
   ++seq_;
-  ++collectives_;
   ++stats_.collectives;
   stats_.collective_us += uint64_t(NowUs() - start);
-  obs::Registry::Instance().GetCounter("pg/collectives")->Increment();
   return util::Status::OK();
 }
 
@@ -413,7 +409,6 @@ util::Status ProcessGroup::ReduceScatter(const float* send,
   if (world == 1) {
     // Sum of one rank, same arithmetic as the multi-rank path.
     for (size_t i = 0; i < chunk; ++i) recv[i] = float(double(send[i]));
-    ++collectives_;
     ++stats_.collectives;
     return util::Status::OK();
   }
@@ -453,10 +448,8 @@ util::Status ProcessGroup::ReduceScatter(const float* send,
     std::memcpy(recv, reply.data(), reply.size());
   }
   ++seq_;
-  ++collectives_;
   ++stats_.collectives;
   stats_.collective_us += uint64_t(NowUs() - start);
-  obs::Registry::Instance().GetCounter("pg/collectives")->Increment();
   return util::Status::OK();
 }
 
@@ -465,7 +458,6 @@ util::Status ProcessGroup::AllReduce(float* data, size_t count) {
   const int world = options_.world_size;
   if (world == 1) {
     for (size_t i = 0; i < count; ++i) data[i] = float(double(data[i]));
-    ++collectives_;
     ++stats_.collectives;
     return util::Status::OK();
   }
@@ -501,17 +493,14 @@ util::Status ProcessGroup::AllReduce(float* data, size_t count) {
     std::memcpy(data, reply.data(), bytes);
   }
   ++seq_;
-  ++collectives_;
   ++stats_.collectives;
   stats_.collective_us += uint64_t(NowUs() - start);
-  obs::Registry::Instance().GetCounter("pg/collectives")->Increment();
   return util::Status::OK();
 }
 
 util::Status ProcessGroup::Barrier() {
   const int world = options_.world_size;
   if (world == 1) {
-    ++collectives_;
     ++stats_.collectives;
     return util::Status::OK();
   }
@@ -528,7 +517,6 @@ util::Status ProcessGroup::Barrier() {
         PeerExchange(uint16_t(wire::Op::kBarrier), nullptr, 0, 0, &reply));
   }
   ++seq_;
-  ++collectives_;
   ++stats_.collectives;
   return util::Status::OK();
 }

@@ -105,7 +105,7 @@ class ProcessGroup {
   /// Rendezvous with no data.
   [[nodiscard]] util::Status Barrier();
 
-  uint64_t collectives_completed() const { return collectives_; }
+  uint64_t collectives_completed() const { return stats_.collectives; }
 
   struct Stats {
     uint64_t collectives = 0;
@@ -156,7 +156,6 @@ class ProcessGroup {
   std::vector<int> fds_;
   int listen_fd_ = -1;
   uint32_t seq_ = 0;
-  uint64_t collectives_ = 0;
   Stats stats_;
   /// Root-side scratch: every rank's contribution of the current round.
   std::vector<std::vector<std::byte>> gathered_;

@@ -10,12 +10,7 @@
 namespace angelptm::mem {
 
 CopyEngine::CopyEngine(HierarchicalMemory* memory, size_t num_threads)
-    : memory_(memory), pool_(num_threads) {
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_moves_completed_ = registry.GetCounter("copy/moves_completed");
-  metric_moves_failed_ = registry.GetCounter("copy/moves_failed");
-  metric_queue_depth_ = registry.GetGauge("copy/queue_depth");
-}
+    : memory_(memory), pool_(num_threads) {}
 
 CopyEngine::~CopyEngine() { Drain(); }
 
@@ -25,7 +20,6 @@ std::future<util::Status> CopyEngine::MoveAsync(Page* page,
   std::future<util::Status> future = promise->get_future();
   auto mutex = PageMutex(page->id());
   queue_depth_.fetch_add(1, std::memory_order_relaxed);
-  metric_queue_depth_->Add(1);
   const bool accepted =
       pool_.Submit([this, page, target, promise,
                     mutex = std::move(mutex)] {
@@ -41,22 +35,17 @@ std::future<util::Status> CopyEngine::MoveAsync(Page* page,
         }
         if (status.ok()) {
           moves_completed_.fetch_add(1, std::memory_order_relaxed);
-          metric_moves_completed_->Increment();
         } else {
           moves_failed_.fetch_add(1, std::memory_order_relaxed);
-          metric_moves_failed_->Increment();
         }
         queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-        metric_queue_depth_->Add(-1);
         promise->set_value(std::move(status));
       });
   if (!accepted) {
     // The pool was shut down; fail the move instead of returning a future
     // that never resolves.
     queue_depth_.fetch_sub(1, std::memory_order_relaxed);
-    metric_queue_depth_->Add(-1);
     moves_failed_.fetch_add(1, std::memory_order_relaxed);
-    metric_moves_failed_->Increment();
     ANGEL_LOG(Warning) << "copy engine rejected move for page " << page->id()
                        << ": pool is shut down";
     promise->set_value(util::Status(util::StatusCode::kCancelled,

@@ -10,7 +10,6 @@
 #include "mem/device.h"
 #include "mem/hierarchical_memory.h"
 #include "mem/page.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
@@ -27,9 +26,8 @@ namespace angelptm::mem {
 /// always waits for a page's previous move before issuing another).
 class CopyEngine {
  public:
-  /// Structured statistics of this engine instance. The same series are
-  /// published process-wide through the obs:: registry ("copy/moves_*",
-  /// gauge "copy/queue_depth").
+  /// Structured statistics of this engine instance; Snapshot() is the only
+  /// place they are read (DESIGN.md §8).
   struct Stats {
     uint64_t moves_completed = 0;
     uint64_t moves_failed = 0;
@@ -73,11 +71,6 @@ class CopyEngine {
   std::atomic<uint64_t> moves_completed_{0};
   std::atomic<uint64_t> moves_failed_{0};
   std::atomic<size_t> queue_depth_{0};
-
-  // Process-wide series (obs registry handles; set once in the ctor).
-  obs::Counter* metric_moves_completed_ = nullptr;
-  obs::Counter* metric_moves_failed_ = nullptr;
-  obs::Gauge* metric_queue_depth_ = nullptr;
 
   mutable util::Mutex page_mutex_map_mutex_{"copy.page_map",
                                             util::lockrank::kCopyPageMap};

@@ -11,10 +11,6 @@ namespace angelptm::mem {
 HierarchicalMemory::HierarchicalMemory(
     const HierarchicalMemoryOptions& options)
     : options_(options) {
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_pages_created_ = registry.GetCounter("mem/pages_created");
-  metric_page_moves_ = registry.GetCounter("mem/page_moves");
-  metric_page_move_bytes_ = registry.GetCounter("mem/page_move_bytes");
   gpu_arena_ = std::make_unique<PageArena>(
       DeviceKind::kGpu, options.gpu_capacity_bytes, options.page_bytes);
   cpu_arena_ = std::make_unique<PageArena>(
@@ -30,20 +26,23 @@ HierarchicalMemory::HierarchicalMemory(
     ssd_options.io_queue_depth = options.ssd_io_queue_depth;
     ssd_options.io_max_coalesce = options.ssd_io_coalesce;
     ssd_options.io_op_latency_us = options.ssd_io_op_latency_us;
-    ANGEL_CHECK_OK(ssd_.Open(ssd_options));
-    ssd_enabled_ = true;
+    ssd_open_status_ = ssd_.Open(ssd_options);
+    ssd_enabled_ = ssd_open_status_.ok();
   }
 }
 
 HierarchicalMemory::~HierarchicalMemory() = default;
 
+util::Status HierarchicalMemory::SsdUnavailable() const {
+  if (!ssd_open_status_.ok()) return ssd_open_status_;
+  return util::Status::FailedPrecondition("SSD tier not configured");
+}
+
 util::Result<Page*> HierarchicalMemory::CreatePage(DeviceKind initial_device) {
   auto page =
       std::make_unique<Page>(next_page_id_.fetch_add(1), options_.page_bytes);
   if (initial_device == DeviceKind::kSsd) {
-    if (!ssd_enabled_) {
-      return util::Status::FailedPrecondition("SSD tier not configured");
-    }
+    if (!ssd_enabled_) return SsdUnavailable();
     ANGEL_ASSIGN_OR_RETURN(uint64_t offset, ssd_.AcquireFrame());
     page->SetSsdResidence(offset);
   } else {
@@ -52,7 +51,6 @@ util::Result<Page*> HierarchicalMemory::CreatePage(DeviceKind initial_device) {
     page->SetResidence(initial_device, frame);
   }
   Page* raw = page.get();
-  metric_pages_created_->Increment();
   util::MutexLock lock(registry_mutex_);
   pages_.emplace(raw->id(), std::move(page));
   return raw;
@@ -68,7 +66,6 @@ util::Result<std::vector<Page*>> HierarchicalMemory::CreateContiguousPages(
                          MutableArena(device).AcquireContiguousFrames(count));
   std::vector<Page*> result;
   result.reserve(count);
-  metric_pages_created_->Increment(count);
   util::MutexLock lock(registry_mutex_);
   for (size_t i = 0; i < count; ++i) {
     auto page = std::make_unique<Page>(next_page_id_.fetch_add(1),
@@ -109,10 +106,9 @@ util::Status HierarchicalMemory::MovePageSync(Page* page, DeviceKind target) {
   ANGEL_SPAN("mem", "move_page");
   const size_t bytes = page->total_bytes();
 
-  if (target == DeviceKind::kSsd || source == DeviceKind::kSsd) {
-    if (!ssd_enabled_) {
-      return util::Status::FailedPrecondition("SSD tier not configured");
-    }
+  if ((target == DeviceKind::kSsd || source == DeviceKind::kSsd) &&
+      !ssd_enabled_) {
+    return SsdUnavailable();
   }
 
   if (target == DeviceKind::kSsd) {
@@ -146,8 +142,6 @@ util::Status HierarchicalMemory::MovePageSync(Page* page, DeviceKind target) {
     page->SetResidence(target, frame);
   }
 
-  metric_page_moves_->Increment();
-  metric_page_move_bytes_->Increment(bytes);
   {
     util::MutexLock lock(stats_mutex_);
     auto& cell = move_stats_[static_cast<int>(source)][static_cast<int>(target)];

@@ -13,7 +13,6 @@
 #include "mem/page.h"
 #include "mem/page_arena.h"
 #include "mem/ssd_tier.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
 
@@ -116,6 +115,10 @@ class HierarchicalMemory {
   const PageArena& cpu_arena() const { return *cpu_arena_; }
   SsdTier* ssd() { return ssd_enabled_ ? &ssd_ : nullptr; }
   bool ssd_enabled() const { return ssd_enabled_; }
+  /// Why a configured SSD tier could not be opened (a bad ssd_path, a
+  /// capacity below one page); OK when it opened or none is configured.
+  /// Every SSD page creation and move then fails with this status.
+  const util::Status& ssd_open_status() const { return ssd_open_status_; }
 
   size_t page_bytes() const { return options_.page_bytes; }
   size_t num_live_pages() const ANGEL_EXCLUDES(registry_mutex_);
@@ -139,12 +142,15 @@ class HierarchicalMemory {
 
  private:
   PageArena& MutableArena(DeviceKind device);
+  /// The error an SSD page operation returns when the tier is off.
+  [[nodiscard]] util::Status SsdUnavailable() const;
 
   HierarchicalMemoryOptions options_;
   std::unique_ptr<PageArena> gpu_arena_;
   std::unique_ptr<PageArena> cpu_arena_;
   SsdTier ssd_;
   bool ssd_enabled_ = false;
+  util::Status ssd_open_status_;
 
   mutable util::Mutex registry_mutex_{"hmem.registry",
                                       util::lockrank::kHmemRegistry};
@@ -156,11 +162,6 @@ class HierarchicalMemory {
                                    util::lockrank::kHmemStats};
   std::array<std::array<MoveStats, kNumDeviceKinds>, kNumDeviceKinds>
       move_stats_ ANGEL_GUARDED_BY(stats_mutex_){};
-
-  // Process-wide series (obs registry handles; set once in the ctor).
-  obs::Counter* metric_pages_created_ = nullptr;
-  obs::Counter* metric_page_moves_ = nullptr;
-  obs::Counter* metric_page_move_bytes_ = nullptr;
 };
 
 }  // namespace angelptm::mem

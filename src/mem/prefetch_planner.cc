@@ -4,12 +4,6 @@
 
 namespace angelptm::mem {
 
-PrefetchPlanner::PrefetchPlanner() {
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_predicted_hits_ = registry.GetCounter("planner/predicted_hits");
-  metric_mispredicts_ = registry.GetCounter("planner/mispredicts");
-}
-
 void PrefetchPlanner::RecordAccess(uint64_t key) {
   if (trained_) return;
   order_.push_back(key);
@@ -33,12 +27,10 @@ void PrefetchPlanner::OnUse(uint64_t key) {
   const size_t period = order_.size();
   if (cursor_ < period && order_[cursor_] == key) {
     ++predicted_hits_;
-    metric_predicted_hits_->Increment();
     ++cursor_;
     return;
   }
   ++mispredicts_;
-  metric_mispredicts_->Increment();
   // Resync: jump past this key's next occurrence at-or-after the cursor
   // (wrapping), so the rest of the step predicts from the right place.
   const auto it = positions_.find(key);

@@ -6,8 +6,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "obs/metrics.h"
-
 namespace angelptm::mem {
 
 /// Trace-driven access-order model (DESIGN.md §12). Training steps visit
@@ -32,8 +30,7 @@ namespace angelptm::mem {
 /// internal locking), matching Engine's one-trainer-thread model.
 class PrefetchPlanner {
  public:
-  /// Prediction quality counters; also published process-wide as
-  /// "planner/predicted_hits" / "planner/mispredicts".
+  /// Prediction quality counters of this planner.
   struct Stats {
     uint64_t recorded_accesses = 0;
     uint64_t predicted_hits = 0;
@@ -43,8 +40,6 @@ class PrefetchPlanner {
 
   /// Distance returned for keys the learned order never visits.
   static constexpr size_t kNeverUsed = static_cast<size_t>(-1);
-
-  PrefetchPlanner();
 
   /// Appends one access to the warmup trace. Ignored after FinishWarmup().
   void RecordAccess(uint64_t key);
@@ -96,9 +91,6 @@ class PrefetchPlanner {
   uint64_t recorded_accesses_ = 0;
   uint64_t predicted_hits_ = 0;
   uint64_t mispredicts_ = 0;
-
-  obs::Counter* metric_predicted_hits_ = nullptr;
-  obs::Counter* metric_mispredicts_ = nullptr;
 };
 
 }  // namespace angelptm::mem

@@ -15,11 +15,6 @@ ReadAheadExecutor::ReadAheadExecutor(HierarchicalMemory* memory,
     : memory_(memory), engine_(engine), planner_(planner), options_(options) {
   ANGEL_CHECK(options_.window > 0) << "read-ahead window must be positive";
   ANGEL_CHECK(options_.max_resident > 0) << "frame budget must be positive";
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_hits_ = registry.GetCounter("readahead/hits");
-  metric_waits_ = registry.GetCounter("readahead/waits");
-  metric_covered_ = registry.GetCounter("readahead/covered");
-  metric_evictions_ = registry.GetCounter("readahead/evictions");
 }
 
 void ReadAheadExecutor::Bind(uint64_t key, Page* page) {
@@ -30,7 +25,7 @@ void ReadAheadExecutor::Bind(uint64_t key, Page* page) {
 void ReadAheadExecutor::BeginStep() {
   planner_->BeginStep();
   SettleMoves(/*block=*/false);
-  TopUp();
+  TopUp(PrefetchPlanner::kNoVictim);
 }
 
 bool ReadAheadExecutor::OccupiesFetchTier(const Entry& entry) const {
@@ -85,7 +80,6 @@ util::Status ReadAheadExecutor::EvictOneSync(uint64_t protect) {
   ANGEL_RETURN_IF_ERROR(
       memory_->MovePageSync(entries_[victim].page, options_.backing_device));
   ++stats_.evictions;
-  metric_evictions_->Increment();
   return util::Status::OK();
 }
 
@@ -103,9 +97,7 @@ util::Result<Page*> ReadAheadExecutor::Acquire(uint64_t key) {
   if (entry.op == OpState::kFetching) {
     // Prefetch was issued but has not landed: covered, but we block.
     ++stats_.covered;
-    metric_covered_->Increment();
     ++stats_.waits;
-    metric_waits_->Increment();
     const util::Status status = entry.move.get();
     entry.op = OpState::kIdle;
     if (!status.ok()) {
@@ -119,17 +111,13 @@ util::Result<Page*> ReadAheadExecutor::Acquire(uint64_t key) {
     entry.op = OpState::kIdle;
     if (!status.ok()) ++stats_.failed_moves;
     ++stats_.waits;
-    metric_waits_->Increment();
     need_sync_fetch = entry.page->device() != options_.fetch_device;
   } else if (entry.page->device() == options_.fetch_device) {
     ++stats_.hits;
-    metric_hits_->Increment();
     ++stats_.covered;
-    metric_covered_->Increment();
   } else {
     // No prefetch was ever issued: plain miss.
     ++stats_.waits;
-    metric_waits_->Increment();
     need_sync_fetch = true;
   }
 
@@ -148,16 +136,17 @@ util::Result<Page*> ReadAheadExecutor::Acquire(uint64_t key) {
     }
   }
 
-  TopUp();
+  TopUp(key);
   return entry.page;
 }
 
-void ReadAheadExecutor::TopUp() {
+void ReadAheadExecutor::TopUp(uint64_t in_use) {
   if (!planner_->trained()) return;
   const std::vector<uint64_t> lookahead =
       planner_->LookaheadKeys(options_.window);
-  const std::unordered_set<uint64_t> protected_keys(lookahead.begin(),
-                                                    lookahead.end());
+  std::unordered_set<uint64_t> protected_keys(lookahead.begin(),
+                                              lookahead.end());
+  protected_keys.insert(in_use);
   size_t occupied = OccupiedCount();
   for (const uint64_t key : lookahead) {
     const auto it = entries_.find(key);
@@ -183,7 +172,6 @@ void ReadAheadExecutor::TopUp() {
           engine_->MoveAsync(victim_entry.page, options_.backing_device);
       victim_entry.op = OpState::kEvicting;
       ++stats_.evictions;
-      metric_evictions_->Increment();
       break;
     }
     entry.move = engine_->MoveAsync(entry.page, options_.fetch_device);

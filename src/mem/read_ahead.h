@@ -12,7 +12,6 @@
 #include "mem/hierarchical_memory.h"
 #include "mem/page.h"
 #include "mem/prefetch_planner.h"
-#include "obs/metrics.h"
 #include "util/status.h"
 
 namespace angelptm::mem {
@@ -48,7 +47,7 @@ class ReadAheadExecutor {
     DeviceKind backing_device = DeviceKind::kSsd;
   };
 
-  /// Outcome counters; also published process-wide as "readahead/*".
+  /// Outcome counters of this executor.
   struct Stats {
     /// Acquires whose page was already resident (or whose prefetch had
     /// completed) on the fetch tier — no blocking.
@@ -84,8 +83,9 @@ class ReadAheadExecutor {
   void BeginStep();
 
   /// Blocks until `key`'s page is resident on the fetch tier, then issues
-  /// read-ahead for the upcoming window. Returns the page, or the error that
-  /// both the async move and the sync fallback died with.
+  /// read-ahead for the upcoming window. Returns the page, which stays
+  /// resident at least until the next Acquire or BeginStep, or the error
+  /// that both the async move and the sync fallback died with.
   [[nodiscard]] util::Result<Page*> Acquire(uint64_t key);
 
   /// Settles every in-flight move (prefetches and evictions). Call before
@@ -109,8 +109,10 @@ class ReadAheadExecutor {
   /// Harvests completed futures; with `block`, waits for them all.
   void SettleMoves(bool block);
   /// Issues prefetches for the planner's lookahead window, evicting
-  /// farthest-next-use residents as needed within the frame budget.
-  void TopUp();
+  /// farthest-next-use residents as needed within the frame budget. Never
+  /// evicts `in_use`, the page Acquire is about to return
+  /// (PrefetchPlanner::kNoVictim when there is none).
+  void TopUp(uint64_t in_use);
   /// Synchronous eviction of the best victim outside `protect`; used by the
   /// on-demand path when the budget is exhausted.
   [[nodiscard]] util::Status EvictOneSync(uint64_t protect);
@@ -122,10 +124,6 @@ class ReadAheadExecutor {
   std::unordered_map<uint64_t, Entry> entries_;
 
   Stats stats_;
-  obs::Counter* metric_hits_ = nullptr;
-  obs::Counter* metric_waits_ = nullptr;
-  obs::Counter* metric_covered_ = nullptr;
-  obs::Counter* metric_evictions_ = nullptr;
 };
 
 }  // namespace angelptm::mem

@@ -20,13 +20,6 @@
 namespace angelptm::mem {
 namespace {
 
-uint64_t NowUs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::microseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
-
 // The ANGELPTM_SSD_IO_* knobs below follow the util::EnvOverride precedence
 // contract: env wins over Options so a whole test binary can be re-pointed
 // at the async backend without code changes (scripts/check.sh --ssd relies
@@ -84,15 +77,6 @@ util::Status SsdTier::Open(const Options& options) {
   io_op_latency_us_ = static_cast<int>(
       EnvSizeOr("ANGELPTM_SSD_IO_OP_LATENCY_US",
                 static_cast<size_t>(std::max(0, options.io_op_latency_us))));
-  obs::Registry& registry = obs::Registry::Instance();
-  metric_bytes_read_ = registry.GetCounter("ssd/bytes_read");
-  metric_bytes_written_ = registry.GetCounter("ssd/bytes_written");
-  metric_io_retries_ = registry.GetCounter("ssd/io_retries");
-  metric_queued_requests_ = registry.GetCounter("ssd/async_requests");
-  metric_pread_us_ = registry.GetHistogram("ssd/pread_us");
-  metric_pwrite_us_ = registry.GetHistogram("ssd/pwrite_us");
-  metric_queue_depth_ = registry.GetHistogram("ssd/queue_depth");
-  metric_batch_frames_ = registry.GetHistogram("ssd/batch_frames");
   {
     util::MutexLock lock(mutex_);
     free_list_.clear();
@@ -223,7 +207,6 @@ util::Status SsdTier::WithRetries(const char* site, Attempt&& attempt) {
     if (status.ok() || !status.IsIoError()) return status;
     if (try_no == max_attempts) break;
     io_retries_.fetch_add(1, std::memory_order_relaxed);
-    metric_io_retries_->Increment();
     ANGEL_LOG(Warning) << site << " attempt " << try_no << "/" << max_attempts
                        << " failed (" << status.ToString() << "), retrying in "
                        << backoff_us << "us";
@@ -312,20 +295,15 @@ util::Status SsdTier::ExecuteBatchOnce(const std::vector<IoRequest>& batch) {
 void SsdTier::RunBatch(std::vector<IoRequest>& batch) {
   const bool is_write = batch.front().is_write;
   ANGEL_SPAN("ssd", is_write ? "pwritev" : "preadv");
-  const uint64_t start_us = NowUs();
   util::Status status = WithRetries(is_write ? "ssd.pwrite" : "ssd.pread",
                                     [&] { return ExecuteBatchOnce(batch); });
   if (status.ok()) {
     size_t total = 0;
     for (const IoRequest& request : batch) total += request.bytes;
     if (is_write) {
-      metric_pwrite_us_->Record(NowUs() - start_us);
       bytes_written_.fetch_add(total, std::memory_order_relaxed);
-      metric_bytes_written_->Increment(total);
     } else {
-      metric_pread_us_->Record(NowUs() - start_us);
       bytes_read_.fetch_add(total, std::memory_order_relaxed);
-      metric_bytes_read_->Increment(total);
     }
     throttle_.Consume(total);
   }
@@ -371,7 +349,6 @@ void SsdTier::WorkerLoop() {
     }
     io_space_cv_.NotifyAll();
     io_batches_.fetch_add(1, std::memory_order_relaxed);
-    metric_batch_frames_->Record(batch.size());
     RunBatch(batch);
   }
 }
@@ -396,12 +373,9 @@ std::future<util::Status> SsdTier::Submit(IoRequest request) {
       return future;
     }
     io_queue_.push_back(std::move(request));
-    const size_t depth = io_queue_.size();
-    max_queue_depth_ = std::max(max_queue_depth_, depth);
-    metric_queue_depth_->Record(depth);
+    max_queue_depth_ = std::max(max_queue_depth_, io_queue_.size());
   }
   queued_requests_.fetch_add(1, std::memory_order_relaxed);
-  metric_queued_requests_->Increment();
   io_work_cv_.NotifyOne();
   return future;
 }

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "mem/device.h"
-#include "obs/metrics.h"
 #include "util/bandwidth_throttle.h"
 #include "util/status.h"
 #include "util/thread_annotations.h"
@@ -84,11 +83,8 @@ class SsdTier {
     int io_op_latency_us = 0;
   };
 
-  /// Structured I/O statistics of this tier instance. The same series are
-  /// published process-wide through the obs:: registry ("ssd/bytes_read",
-  /// "ssd/io_retries", latency histograms "ssd/pread_us"/"ssd/pwrite_us",
-  /// queue-depth histogram "ssd/queue_depth", batch-size histogram
-  /// "ssd/batch_frames").
+  /// Structured I/O statistics of this tier instance; Snapshot() is the
+  /// only place they are read (DESIGN.md §8).
   struct Stats {
     uint64_t bytes_read = 0;
     uint64_t bytes_written = 0;
@@ -254,16 +250,6 @@ class SsdTier {
   std::atomic<uint64_t> queued_requests_{0};
   std::atomic<uint64_t> io_batches_{0};
   util::BandwidthThrottle throttle_;
-
-  // Process-wide series (obs registry handles; set once in Open).
-  obs::Counter* metric_bytes_read_ = nullptr;
-  obs::Counter* metric_bytes_written_ = nullptr;
-  obs::Counter* metric_io_retries_ = nullptr;
-  obs::Counter* metric_queued_requests_ = nullptr;
-  obs::Histogram* metric_pread_us_ = nullptr;
-  obs::Histogram* metric_pwrite_us_ = nullptr;
-  obs::Histogram* metric_queue_depth_ = nullptr;
-  obs::Histogram* metric_batch_frames_ = nullptr;
 };
 
 }  // namespace angelptm::mem

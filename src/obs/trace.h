@@ -77,8 +77,8 @@ struct TraceCounts {
 TraceCounts CurrentTraceCounts();
 
 /// RAII span; use via ANGEL_SPAN below. Category should be the subsystem
-/// ("mem", "copy", "ssd", "updater", "train", "engine"), matching the
-/// metric name prefixes of obs/metrics.h.
+/// ("mem", "copy", "ssd", "updater", "train", "engine"), one name per
+/// subsystem, so a trace viewer can select all of its spans at once.
 class ScopedSpan {
  public:
   ScopedSpan(const char* category, const char* name) {

@@ -43,25 +43,13 @@ TrainerOptions LoopOptions(const EngineTrainerOptions& paged) {
 
 }  // namespace
 
-void Trainer::PhaseTimer::RecordSince(uint64_t start_us) {
-  const uint64_t elapsed = NowUs() - start_us;
-  run.Record(elapsed);
-  metric->Record(elapsed);
-}
-
 Trainer::Trainer(core::Allocator* allocator, const LayeredModel* model,
                  const TrainerOptions& options)
     : allocator_(allocator),
       model_(model),
       options_(options),
       scaler_(options.loss_scaler),
-      rng_(options.seed) {
-  obs::Registry& registry = obs::Registry::Instance();
-  fwd_us_.metric = registry.GetHistogram("train/fwd_us");
-  bwd_us_.metric = registry.GetHistogram("train/bwd_us");
-  opt_us_.metric = registry.GetHistogram("train/opt_us");
-  metric_recoveries_ = registry.GetCounter("train/recoveries");
-}
+      rng_(options.seed) {}
 
 Trainer::Trainer(const LayeredModel* model,
                  const EngineTrainerOptions& options)
@@ -164,7 +152,6 @@ util::Status Trainer::Recover(const util::Status& cause) {
                             " exhausted)");
   }
   recoveries_ += 1;
-  metric_recoveries_->Increment();
   ANGEL_LOG(Warning) << "recovering from poisoned updater (attempt "
                      << recoveries_ << "/" << options_.max_recoveries
                      << "): " << cause.ToString();
@@ -216,7 +203,7 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
       acts = std::move(next);
     }
   }
-  fwd_us_.RecordSince(fwd_start);
+  fwd_us_.Record(NowUs() - fwd_start);
 
   std::vector<float> grad(acts.size());
   const double loss = MseLoss(acts.data(), y.data(), grad.data(), acts.size());
@@ -247,7 +234,7 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
       }
     }
   }
-  bwd_us_.RecordSince(bwd_start);
+  bwd_us_.Record(NowUs() - bwd_start);
   // A skipped (overflowed) step offloads nothing but still counts toward
   // the accumulation cadence.
   const bool apply = !options_.use_loss_scaling || scaler_.Update(overflowed);
@@ -264,7 +251,7 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
     ANGEL_SPAN("train", "update_once");
     const uint64_t opt_start = NowUs();
     ANGEL_RETURN_IF_ERROR(updater_->UpdateOnce());
-    opt_us_.RecordSince(opt_start);
+    opt_us_.Record(NowUs() - opt_start);
   }
   return loss;
 }
@@ -295,7 +282,7 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
       acts = std::move(next);
     }
   }
-  fwd_us_.RecordSince(fwd_start);
+  fwd_us_.Record(NowUs() - fwd_start);
 
   std::vector<float> grad(acts.size());
   const double loss =
@@ -322,11 +309,11 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
       grad = std::move(grad_in);
     }
   }
-  bwd_us_.RecordSince(bwd_start);
+  bwd_us_.Record(NowUs() - bwd_start);
   // EndStep runs the drain and (in synchronous mode) the optimizer pass.
   const uint64_t opt_start = NowUs();
   ANGEL_RETURN_IF_ERROR(engine_->EndStep());
-  opt_us_.RecordSince(opt_start);
+  opt_us_.Record(NowUs() - opt_start);
   return loss;
 }
 
@@ -406,8 +393,8 @@ util::Result<TrainReport> Trainer::Train(const SyntheticRegression& dataset,
     return util::Status::FailedPrecondition("Init() not called");
   }
   TrainReport report;
-  for (PhaseTimer* phase : {&fwd_us_, &bwd_us_, &opt_us_}) {
-    phase->run = obs::HistogramData();
+  for (obs::HistogramData* phase : {&fwd_us_, &bwd_us_, &opt_us_}) {
+    *phase = obs::HistogramData();
   }
   const int64_t base_step = global_step_;
   const int64_t target_step = base_step + steps;
@@ -439,9 +426,9 @@ util::Result<TrainReport> Trainer::Train(const SyntheticRegression& dataset,
   ANGEL_ASSIGN_OR_RETURN(report.validation_loss, Validate(dataset, 8));
 
   TelemetrySnapshot& telemetry = report.telemetry;
-  telemetry.fwd_us = fwd_us_.run;
-  telemetry.bwd_us = bwd_us_.run;
-  telemetry.opt_us = opt_us_.run;
+  telemetry.fwd_us = fwd_us_;
+  telemetry.bwd_us = bwd_us_;
+  telemetry.opt_us = opt_us_;
   telemetry.updater = updater()->Snapshot();
   telemetry.recoveries = recoveries_ - recoveries_at_entry;
   if (ckpt_manager_ != nullptr) {

@@ -191,15 +191,6 @@ class Trainer {
   uint64_t recoveries() const { return recoveries_; }
 
  private:
-  /// One step phase's wall time: this run's distribution (reset at Train())
-  /// plus the process-wide registry histogram of the same series
-  /// ("train/fwd_us" etc.).
-  struct PhaseTimer {
-    obs::HistogramData run;
-    obs::Histogram* metric = nullptr;
-    void RecordSince(uint64_t start_us);
-  };
-
   /// One direct training step: fetch every layer's fp16 parameters,
   /// forward, backward, offload the gradients; then, when `update` is set
   /// (synchronous mode, end of an accumulation window), one optimizer pass.
@@ -253,10 +244,10 @@ class Trainer {
   int64_t global_step_ = 0;
   uint64_t recoveries_ = 0;
 
-  PhaseTimer fwd_us_;
-  PhaseTimer bwd_us_;
-  PhaseTimer opt_us_;
-  obs::Counter* metric_recoveries_ = nullptr;
+  /// Each step phase's wall time over this Train() call, microseconds.
+  obs::HistogramData fwd_us_;
+  obs::HistogramData bwd_us_;
+  obs::HistogramData opt_us_;
 };
 
 }  // namespace angelptm::train

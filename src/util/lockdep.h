@@ -67,7 +67,6 @@ inline constexpr int kCopyPageMap = 74;
 inline constexpr int kThreadPool = 76;
 inline constexpr int kCommunicator = 80;
 inline constexpr int kCheckpointStats = 82;
-inline constexpr int kObsRegistry = 84;
 // Tier G — tracing: spans can end while *any* other lock is held, so the
 // trace log is the innermost class in the system.
 inline constexpr int kTraceRegistry = 86;

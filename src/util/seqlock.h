@@ -57,11 +57,11 @@ class SeqLockBuffer {
   /// Publishes through `fill(store)`: `fill` calls `store(offset, src,
   /// bytes)` to copy `bytes` bytes from `src` into payload bytes
   /// [offset, offset + bytes), which must lie within 4 * num_words(); bytes
-  /// it does not store keep their previous value. For payloads held in
-  /// another layout (the updater's fp16 mirror is filled straight from its
-  /// parameter pages), so no caller stages them in one flat buffer. Callers
-  /// must serialize writers externally (two concurrent writes are a logic
-  /// error).
+  /// it does not store keep their previous value. For payloads produced
+  /// piecewise (the updater converts its fp16 parameters into the payload
+  /// one stack chunk at a time), so no caller stages them in one flat
+  /// buffer. Callers must serialize writers externally (two concurrent
+  /// writes are a logic error).
   template <typename Fill>
   void WriteWith(Fill&& fill) {
     const uint64_t s = seq_.load(std::memory_order_relaxed);

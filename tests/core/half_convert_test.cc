@@ -18,7 +18,7 @@ namespace angelptm::core {
 namespace {
 
 /// The bulk converters must equal the scalar util:: functions bit for bit on
-/// every input, on both ISA paths: fp16 tensors, the updater's mirror and
+/// every input, on both ISA paths: fp16 tensors, the updater's p'16 and
 /// the engine's staging all convert through them, and resume and the
 /// direct-vs-paged trainer tests compare bits.
 class HalfConvertGoldenTest : public ::testing::TestWithParam<simd::IsaPath> {

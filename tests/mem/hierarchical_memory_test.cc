@@ -42,6 +42,32 @@ TEST(HierarchicalMemoryTest, CreateOnSsdWithoutTierFails) {
             util::StatusCode::kFailedPrecondition);
 }
 
+TEST(HierarchicalMemoryTest, FailedSsdOpenFailsEverySsdPageOperation) {
+  HierarchicalMemoryOptions options = SmallOptions();
+  options.ssd_capacity_bytes = kPage - 1;  // Not even one frame.
+  HierarchicalMemory hm(options);
+  const util::Status open = hm.ssd_open_status();
+  ASSERT_EQ(open.code(), util::StatusCode::kInvalidArgument) << open;
+  EXPECT_FALSE(hm.ssd_enabled());
+  EXPECT_EQ(hm.ssd(), nullptr);
+  EXPECT_EQ(hm.capacity_bytes(DeviceKind::kSsd), 0u);
+  // Creation and moves in either direction report the open error, not
+  // "SSD tier not configured".
+  EXPECT_EQ(hm.CreatePage(DeviceKind::kSsd).status().ToString(),
+            open.ToString());
+  auto page = hm.CreatePage(DeviceKind::kCpu);
+  ASSERT_TRUE(page.ok());
+  EXPECT_EQ(hm.MovePageSync(*page, DeviceKind::kSsd).ToString(),
+            open.ToString());
+  EXPECT_EQ((*page)->device(), DeviceKind::kCpu);
+  // The memory tiers work as usual.
+  EXPECT_TRUE(hm.MovePageSync(*page, DeviceKind::kGpu).ok());
+  // A memory without an SSD tier has nothing to report.
+  EXPECT_TRUE(HierarchicalMemory(SmallOptions(/*with_ssd=*/false))
+                  .ssd_open_status()
+                  .ok());
+}
+
 TEST(HierarchicalMemoryTest, GpuExhaustionSurfacesAsResourceExhausted) {
   HierarchicalMemory hm(SmallOptions());
   for (int i = 0; i < 4; ++i) {

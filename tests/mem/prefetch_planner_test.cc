@@ -270,6 +270,43 @@ TEST_F(ReadAheadTest, WorkingSetLargerThanFetchTierStillRoundTrips) {
   EXPECT_GT(memory.ssd()->Snapshot().queued_requests, 0u);
 }
 
+TEST_F(ReadAheadTest, AcquiredPageIsNotEvictedByTheReadAheadItIssues) {
+  // A window as large as the frame budget leaves the page just acquired as
+  // the only resident outside the window: the read-ahead that Acquire
+  // issues must not pick it as the victim, or the caller would read a page
+  // that is moving back to the SSD tier.
+  HierarchicalMemory memory(MemoryOptions("inuse", 6));
+  CopyEngine engine(&memory, 2);
+  PrefetchPlanner planner;
+  ReadAheadExecutor::Options options;
+  options.window = 4;
+  options.max_resident = 4;
+  ReadAheadExecutor executor(&memory, &engine, &planner, options);
+
+  const std::vector<Page*> pages = MakeSsdWorkingSet(&memory);
+  for (uint64_t i = 0; i < kPages; ++i) executor.Bind(i, pages[i]);
+  const std::vector<uint64_t> order = SawtoothOrder(kPages);
+  for (const uint64_t key : order) {
+    planner.RecordAccess(key);
+    ASSERT_TRUE(executor.Acquire(key).ok());
+  }
+  planner.FinishWarmup();
+
+  for (int step = 0; step < 2; ++step) {
+    executor.BeginStep();
+    for (const uint64_t key : order) {
+      auto page = executor.Acquire(key);
+      ASSERT_TRUE(page.ok());
+      // Settle every move Acquire issued: the page must still be resident.
+      ASSERT_TRUE(executor.Drain().ok());
+      ASSERT_EQ((*page)->device(), DeviceKind::kCpu)
+          << "step " << step << " key " << key;
+      EXPECT_EQ((*page)->data_ptr()[0], std::byte(key + 1));
+    }
+  }
+  EXPECT_GT(executor.Snapshot().evictions, 0u);
+}
+
 TEST_F(ReadAheadTest, AcquireOfUnboundKeyFails) {
   HierarchicalMemory memory(MemoryOptions("unbound", 4));
   CopyEngine engine(&memory, 1);

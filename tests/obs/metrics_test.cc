@@ -1,76 +1,11 @@
 #include "obs/metrics.h"
 
 #include <string>
-#include <vector>
 
 #include <gtest/gtest.h>
 
-#include "util/parallel_for.h"
-
 namespace angelptm::obs {
 namespace {
-
-TEST(MetricsRegistryTest, HandlesAreDeduplicatedByName) {
-  Registry& registry = Registry::Instance();
-  Counter* a = registry.GetCounter("test/dedup_counter");
-  Counter* b = registry.GetCounter("test/dedup_counter");
-  EXPECT_EQ(a, b);
-  EXPECT_NE(a, registry.GetCounter("test/dedup_counter_other"));
-  // The same name in different metric kinds names different series.
-  Gauge* g = registry.GetGauge("test/dedup_counter");
-  Histogram* h = registry.GetHistogram("test/dedup_counter");
-  EXPECT_NE(static_cast<void*>(a), static_cast<void*>(g));
-  EXPECT_NE(static_cast<void*>(g), static_cast<void*>(h));
-}
-
-TEST(MetricsRegistryTest, CounterExactUnderConcurrentHammering) {
-  Counter* counter = Registry::Instance().GetCounter("test/hammer_counter");
-  counter->Reset();
-  constexpr size_t kIters = 200000;
-  util::ParallelForChunks(util::ComputePool(), 0, kIters, 1000,
-                          [&](size_t, size_t lo, size_t hi) {
-                            for (size_t i = lo; i < hi; ++i) {
-                              counter->Increment();
-                            }
-                          });
-  EXPECT_EQ(counter->Value(), kIters);
-}
-
-TEST(MetricsRegistryTest, GaugeNetsToZeroUnderConcurrentAddSub) {
-  Gauge* gauge = Registry::Instance().GetGauge("test/hammer_gauge");
-  gauge->Reset();
-  constexpr size_t kIters = 100000;
-  util::ParallelForChunks(util::ComputePool(), 0, kIters, 500,
-                          [&](size_t, size_t lo, size_t hi) {
-                            for (size_t i = lo; i < hi; ++i) {
-                              gauge->Add(3);
-                              gauge->Add(-3);
-                            }
-                          });
-  EXPECT_EQ(gauge->Value(), 0);
-  gauge->Set(-42);
-  EXPECT_EQ(gauge->Value(), -42);
-}
-
-TEST(MetricsRegistryTest, HistogramCountExactUnderConcurrentRecords) {
-  Histogram* histogram =
-      Registry::Instance().GetHistogram("test/hammer_histogram");
-  histogram->Reset();
-  constexpr size_t kIters = 100000;
-  util::ParallelForChunks(util::ComputePool(), 0, kIters, 500,
-                          [&](size_t, size_t lo, size_t hi) {
-                            for (size_t i = lo; i < hi; ++i) {
-                              histogram->Record(i % 13);
-                            }
-                          });
-  const HistogramData data = histogram->Snapshot();
-  EXPECT_EQ(data.count, kIters);
-  EXPECT_EQ(data.max, 12u);
-  // Every sample landed in exactly one bucket.
-  uint64_t total = 0;
-  for (const uint64_t bucket : data.buckets) total += bucket;
-  EXPECT_EQ(total, kIters);
-}
 
 TEST(HistogramBucketTest, ExponentialBoundaries) {
   // Bucket 0 holds the value 0; bucket i holds [2^(i-1), 2^i).
@@ -128,29 +63,6 @@ TEST(HistogramDataTest, RecordMergeAndStats) {
   const std::string json = h.ToJson();
   EXPECT_NE(json.find("\"count\":5"), std::string::npos);
   EXPECT_NE(json.find("\"max\":200"), std::string::npos);
-}
-
-TEST(MetricsRegistryTest, SnapshotIsSortedAndSerializes) {
-  Registry& registry = Registry::Instance();
-  registry.GetCounter("test/json_b")->Reset();
-  registry.GetCounter("test/json_a")->Increment(5);
-  registry.GetGauge("test/json_gauge")->Set(-7);
-  registry.GetHistogram("test/json_histogram")->Record(3);
-
-  const MetricsSnapshot snapshot = registry.Snapshot();
-  for (size_t i = 1; i < snapshot.counters.size(); ++i) {
-    EXPECT_LT(snapshot.counters[i - 1].first, snapshot.counters[i].first);
-  }
-  const std::string json = snapshot.ToJson();
-  EXPECT_NE(json.find("\"test/json_a\":5"), std::string::npos);
-  EXPECT_NE(json.find("\"test/json_gauge\":-7"), std::string::npos);
-  EXPECT_NE(json.find("\"test/json_histogram\":{\"count\":"),
-            std::string::npos);
-  EXPECT_NE(json.find("\"counters\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\":{"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\":{"), std::string::npos);
-
-  registry.GetCounter("test/json_a")->Reset();
 }
 
 }  // namespace

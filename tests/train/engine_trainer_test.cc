@@ -136,6 +136,47 @@ TEST(EngineTrainerTest, TransformerThroughFullStack) {
   EXPECT_LT(report->final_train_loss, report->losses.front());
 }
 
+/// A paged trainer with SSD masters whose SSD tier is `ssd_capacity_bytes`
+/// at `ssd_path`, on 4 KiB pages.
+EngineTrainerOptions SsdMasterOptions(const std::string& ssd_path,
+                                      uint64_t ssd_capacity_bytes) {
+  EngineTrainerOptions options = BaseOptions();
+  options.engine.memory.page_bytes = 4096;
+  options.engine.memory.gpu_capacity_bytes = 64 * 4096;
+  options.engine.memory.ssd_path = ssd_path;
+  options.engine.memory.ssd_capacity_bytes = ssd_capacity_bytes;
+  options.engine.master_device = mem::DeviceKind::kSsd;
+  return options;
+}
+
+TEST(EngineTrainerTest, InitReturnsTheSsdOpenError) {
+  // The tier file cannot be created: Init reports why instead of ending
+  // the process.
+  const std::string missing_dir = "/tmp/angelptm_missing_dir_" +
+                                  std::to_string(::getpid()) + "_none";
+  ASSERT_NE(::access(missing_dir.c_str(), F_OK), 0);
+  const MlpModel model({{16, 32, 8}});
+  EngineTrainer trainer(&model,
+                        SsdMasterOptions(missing_dir + "/ssd.bin", 1ull << 20));
+  const util::Status status = trainer.Init();
+  EXPECT_TRUE(status.IsIoError()) << status;
+  EXPECT_NE(status.message().find(missing_dir), std::string::npos) << status;
+  EXPECT_EQ(trainer.engine(), nullptr);
+}
+
+TEST(EngineTrainerTest, InitRejectsAnSsdTierSmallerThanOnePage) {
+  const MlpModel model({{16, 32, 8}});
+  EngineTrainer trainer(
+      &model, SsdMasterOptions("/tmp/angelptm_tiny_ssd_" +
+                                   std::to_string(::getpid()) + ".bin",
+                               /*ssd_capacity_bytes=*/1000));
+  const util::Status status = trainer.Init();
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument) << status;
+  EXPECT_NE(status.message().find("smaller than one frame"),
+            std::string::npos)
+      << status;
+}
+
 TEST(EngineTrainerTest, TrainBeforeInitFails) {
   const MlpModel model({{4, 4}});
   EngineTrainer trainer(&model, BaseOptions());

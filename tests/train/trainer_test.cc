@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -117,6 +118,48 @@ TEST(TrainerTest, SsdMasterStatesTrainForReal) {
   // The report carries the same telemetry without poking getters.
   EXPECT_GT(report->telemetry.ssd.bytes_written, 0u);
   EXPECT_TRUE(report->telemetry.has_ssd);
+}
+
+TEST(TrainerTest, SsdTelemetryIsExactAndPerInstance) {
+  // Synchronous SSD-master training: Init writes every master page to the
+  // tier once; each step's update moves each page to the CPU tier and back;
+  // validation then reads each layer's p32 bytes in place. Each run's
+  // telemetry counts its own memory only, so a second identical run in the
+  // same process reports the same numbers.
+  constexpr uint64_t kSteps = 5;
+  uint64_t param_bytes = 0;
+  for (int l = 0; l < TestModel().num_layers(); ++l) {
+    param_bytes += TestModel().LayerParamCount(l) * sizeof(float);
+  }
+  constexpr mem::DeviceKind kCpu = mem::DeviceKind::kCpu;
+  constexpr mem::DeviceKind kSsd = mem::DeviceKind::kSsd;
+  SyntheticRegression dataset(16, 32, 4, 99);
+  std::vector<uint64_t> runs[2];
+  for (int run = 0; run < 2; ++run) {
+    mem::HierarchicalMemory memory(
+        MemoryOptions(run == 0 ? "exact0" : "exact1"));
+    core::Allocator allocator(&memory);
+    TrainerOptions options = BaseOptions();
+    options.master_device = kSsd;
+    Trainer trainer(&allocator, &TestModel(), options);
+    ASSERT_TRUE(trainer.Init().ok());
+    const uint64_t pages = memory.Snapshot().tier(kSsd).pages;
+    const uint64_t page_bytes = memory.page_bytes();
+    ASSERT_GT(pages, 0u);
+    auto report = trainer.Train(dataset, int(kSteps));
+    ASSERT_TRUE(report.ok()) << report.status();
+    const TelemetrySnapshot& t = report->telemetry;
+    ASSERT_TRUE(t.has_ssd);
+    EXPECT_EQ(t.ssd.bytes_written, pages * page_bytes * (kSteps + 1));
+    EXPECT_EQ(t.ssd.bytes_read, pages * page_bytes * kSteps + param_bytes);
+    EXPECT_EQ(t.memory.link(kCpu, kSsd).moves, pages * (kSteps + 1));
+    EXPECT_EQ(t.memory.link(kSsd, kCpu).moves, pages * kSteps);
+    EXPECT_EQ(t.memory.link(kCpu, kSsd).bytes, t.ssd.bytes_written);
+    runs[run] = {pages, t.ssd.bytes_read, t.ssd.bytes_written,
+                 t.memory.link(kCpu, kSsd).moves,
+                 t.memory.link(kSsd, kCpu).moves};
+  }
+  EXPECT_EQ(runs[0], runs[1]);
 }
 
 TEST(TrainerTest, DeterministicAcrossRuns) {

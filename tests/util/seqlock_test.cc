@@ -40,7 +40,7 @@ TEST(SeqLockBufferTest, VersionBumpsByTwoPerWrite) {
 }
 
 TEST(SeqLockBufferTest, ByteRangesCoverPartialWords) {
-  // The fp16 mirror stores and loads 2-byte-granular ranges: a range may
+  // The updater's p'16 stores and loads 2-byte-granular ranges: a range may
   // start or end mid-word, and the bytes of that word outside it must keep
   // their value.
   SeqLockBuffer buffer;
