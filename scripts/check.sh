@@ -28,11 +28,10 @@
 #     GEMM-variant, attention and fp16-conversion guards on the dispatched
 #     path and again on the scalar path.
 #
-#   * An SSD pipeline pass (DESIGN.md §12): the pipeline bench runs in
-#     smoke mode, then the mem and engine suites re-run with
-#     ANGELPTM_SSD_IO_WORKERS forcing the async submission-queue backend,
-#     including the fault-injection suite with a transient fault armed —
-#     proving the retry policy still fires per attempt behind the queue.
+#   * An SSD pipeline pass (DESIGN.md §12): the full SSD tier bench runs
+#     (about a second of emulated device latency) and enforces its bar:
+#     a layer's frames submitted together through the queue must be at
+#     least 2x faster than one blocking request at a time.
 #
 #   * An optimizer pass (DESIGN.md §13): the golden suite for every
 #     registered update rule (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
@@ -70,15 +69,15 @@ MODE="${1:-all}"
 if [ "$MODE" = all ] || [ "$MODE" = --tier1-only ]; then
   echo "=== tier-1: build + full test suite ==="
   cmake -B build -S .
-  cmake --build build -j
+  cmake --build build -j "$(nproc)"
   (cd build && ctest --output-on-failure -j)
 
   echo "=== fault injection: env-driven failpoints ==="
   # The env probe proves ANGELPTM_FAULT_SITES is parsed and armed end to end.
   ANGELPTM_FAULT_SITES="check.env_probe=always" \
     ./build/tests/util_test --gtest_filter='FaultInjectorTest.EnvSpec*'
-  # A transient fault on the first pwrite of every tier: the retry policy
-  # must absorb it and the whole mem suite still passes.
+  # A transient fault on the binary's first pwrite: the retry policy must
+  # absorb it and the whole mem suite still passes.
   ANGELPTM_FAULT_SITES="ssd.pwrite=nth:1" ./build/tests/mem_test
 fi
 
@@ -118,8 +117,8 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
   if [ ! -x build/tests/train_test ] || [ ! -x build/tests/core_test ] || \
      [ ! -x build/tests/util_test ] || [ ! -x build/bench/kernel_bench ]; then
     cmake -B build -S .
-    cmake --build build -j --target train_test core_test util_test \
-      kernel_bench
+    cmake --build build -j "$(nproc)" --target train_test core_test \
+      util_test kernel_bench
   fi
   # The dispatch cache resolves the env var once per process, so each
   # forced path gets its own process. The golden suite is parameterized
@@ -145,29 +144,14 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then
-  echo "=== SSD pipeline: smoke bench + suites on the async backend ==="
-  if [ ! -x build/bench/ssd_pipeline_bench ] || \
-     [ ! -x build/tests/mem_test ] || [ ! -x build/tests/runtime_test ]; then
+  echo "=== SSD pipeline: per-layer queued I/O vs one request at a time ==="
+  if [ ! -x build/bench/ssd_pipeline_bench ]; then
     cmake -B build -S .
-    cmake --build build -j --target ssd_pipeline_bench mem_test runtime_test
+    cmake --build build -j "$(nproc)" --target ssd_pipeline_bench
   fi
-  # Smoke config: tiny working set, no 2x guard (the full bench enforces
-  # it); this proves the read-ahead pipeline runs end to end on this host.
-  ./build/bench/ssd_pipeline_bench build/BENCH_ssd_pipeline_smoke.json --smoke
-  # The whole mem suite on a 4-worker queue (the default is 2), including
-  # the tests that pin the sync backend (io_workers = 0): the env override
-  # beats every in-test io_workers setting, so every ReadFrame/WriteFrame
-  # goes through the queue.
-  ANGELPTM_SSD_IO_WORKERS=4 ./build/tests/mem_test
-  # Fault injection against the queue: a transient fault on the first
-  # pwrite of every tier must be absorbed by the per-attempt retry policy
-  # even when the attempt runs on a queue worker inside a coalesced batch.
-  ANGELPTM_SSD_IO_WORKERS=4 ANGELPTM_FAULT_SITES="ssd.pwrite=nth:1" \
-    ./build/tests/mem_test --gtest_filter='MemFaultInjectionTest.*'
-  # The engine paths (trace -> planner -> Belady eviction) on the async
-  # backend, including the failed-prefetch accounting regression test.
-  ANGELPTM_SSD_IO_WORKERS=4 ./build/tests/runtime_test \
-    --gtest_filter='EngineTest.*'
+  # Full config: exits 1 unless per_layer is >= 2x per_request steady
+  # state. The record goes to build/, leaving the committed one alone.
+  ./build/bench/ssd_pipeline_bench build/BENCH_ssd_pipeline.json
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --optimizers ]; then
@@ -176,8 +160,8 @@ if [ "$MODE" = all ] || [ "$MODE" = --optimizers ]; then
      [ ! -x build/tests/runtime_test ] || \
      [ ! -x build/bench/optimizer_bench ]; then
     cmake -B build -S .
-    cmake --build build -j --target core_test util_test runtime_test \
-      optimizer_bench
+    cmake --build build -j "$(nproc)" --target core_test util_test \
+      runtime_test optimizer_bench
   fi
   # Every registered rule against its reference (Adam must be bitwise
   # identical to the SIMD kernel path) plus thread-count invariance.
@@ -197,7 +181,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --dist ]; then
   echo "=== dist: multi-process ZeRO over sockets (DESIGN.md §14) ==="
   if [ ! -x build/tests/dist_test ] || [ ! -x build/tools/angel_worker ]; then
     cmake -B build -S .
-    cmake --build build -j --target dist_test angel_worker
+    cmake --build build -j "$(nproc)" --target dist_test angel_worker
   fi
   # The full dist suite: socket-collective property tests (50+ random
   # layouts bitwise vs the in-process Communicator), ZeRO shard
@@ -233,7 +217,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --trace-smoke ]; then
   echo "=== trace smoke: ANGELPTM_TRACE produces loadable JSON ==="
   if [ ! -x build/examples/quickstart ]; then
     cmake -B build -S .
-    cmake --build build -j --target quickstart
+    cmake --build build -j "$(nproc)" --target quickstart
   fi
   TRACE_OUT="build/trace_smoke.json"
   rm -f "$TRACE_OUT"
@@ -257,8 +241,8 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
-  cmake --build build-tsan -j --target util_test obs_test train_test \
-    runtime_test
+  cmake --build build-tsan -j "$(nproc)" --target util_test obs_test \
+    train_test runtime_test
   # Deterministically exercise the parallel code paths even on small CI
   # hosts: the kernels split work as if 4 workers were present.
   ANGELPTM_COMPUTE_THREADS=4 \
@@ -305,7 +289,8 @@ if [ "$MODE" = all ] || [ "$MODE" = --asan-only ]; then
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=$SAN_CHECKS -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=$SAN_CHECKS"
-  cmake --build build-asan -j --target util_test mem_test runtime_test
+  cmake --build build-asan -j "$(nproc)" --target util_test mem_test \
+    runtime_test
   ASAN_OPTIONS="detect_leaks=1" \
     UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1:suppressions=$(pwd)/scripts/ubsan.supp" \
     ctest --test-dir build-asan --output-on-failure \
@@ -315,7 +300,7 @@ fi
 if [ "$MODE" = all ] || [ "$MODE" = --lockdep ]; then
   echo "=== lockdep: lock-order analysis + perturbation (DESIGN.md §15) ==="
   cmake -B build-lockdep -S . -DANGELPTM_LOCKDEP=ON
-  cmake --build build-lockdep -j
+  cmake --build build-lockdep -j "$(nproc)"
   # Full suite under the instrumented mutexes: any lock-order cycle, rank
   # inversion, recursive or same-class nesting aborts the offending test.
   (cd build-lockdep && ctest --output-on-failure)

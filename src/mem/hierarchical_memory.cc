@@ -22,10 +22,6 @@ HierarchicalMemory::HierarchicalMemory(
     ssd_options.frame_bytes = options.page_bytes;
     ssd_options.throttle_bytes_per_sec = options.ssd_bandwidth_bytes_per_sec;
     ssd_options.retry = options.ssd_retry;
-    ssd_options.io_workers = options.ssd_io_workers;
-    ssd_options.io_queue_depth = options.ssd_io_queue_depth;
-    ssd_options.io_max_coalesce = options.ssd_io_coalesce;
-    ssd_options.io_op_latency_us = options.ssd_io_op_latency_us;
     ssd_open_status_ = ssd_.Open(ssd_options);
     ssd_enabled_ = ssd_open_status_.ok();
   }

@@ -30,12 +30,6 @@ struct HierarchicalMemoryOptions {
   double ssd_bandwidth_bytes_per_sec = 0.0;
   /// Retry policy for transient SSD I/O errors (see SsdTier::RetryPolicy).
   SsdTier::RetryPolicy ssd_retry;
-  /// Submission-queue backend knobs forwarded to SsdTier::Options (see the
-  /// field docs there; each has an ANGELPTM_SSD_IO_* env override).
-  size_t ssd_io_workers = 2;
-  size_t ssd_io_queue_depth = 64;
-  size_t ssd_io_coalesce = 8;
-  int ssd_io_op_latency_us = 0;
 };
 
 /// Movement statistics per (source, target) tier pair.

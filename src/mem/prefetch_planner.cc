@@ -55,20 +55,6 @@ size_t PrefetchPlanner::NextUseDistance(uint64_t key) const {
   return period - cursor + occurrences.front();
 }
 
-std::vector<uint64_t> PrefetchPlanner::LookaheadKeys(size_t max_keys) const {
-  std::vector<uint64_t> keys;
-  if (!trained_ || max_keys == 0) return keys;
-  const size_t period = order_.size();
-  keys.reserve(std::min(max_keys, period));
-  for (size_t step = 0; step < period && keys.size() < max_keys; ++step) {
-    const uint64_t key = order_[(cursor_ + step) % period];
-    if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-      keys.push_back(key);
-    }
-  }
-  return keys;
-}
-
 std::vector<uint64_t> PrefetchPlanner::RankEvictionCandidates(
     const std::vector<uint64_t>& candidates) const {
   std::vector<uint64_t> ranked = candidates;
@@ -77,14 +63,6 @@ std::vector<uint64_t> PrefetchPlanner::RankEvictionCandidates(
                      return NextUseDistance(a) > NextUseDistance(b);
                    });
   return ranked;
-}
-
-uint64_t PrefetchPlanner::PickEvictionVictim(
-    const std::vector<uint64_t>& candidates) const {
-  if (candidates.empty()) return kNoVictim;
-  // The immediately-next key (distance 0) has the minimum possible distance,
-  // so it sorts last and is only ever picked as the sole candidate.
-  return RankEvictionCandidates(candidates).front();
 }
 
 PrefetchPlanner::Stats PrefetchPlanner::Snapshot() const {

@@ -16,10 +16,10 @@ namespace angelptm::mem {
 ///
 /// Lifecycle: RecordAccess() during the warmup step, FinishWarmup() once, then
 /// per steady-state step: BeginStep() resets the cursor and OnUse() advances
-/// it as uses actually happen. Queries (NextUseDistance, LookaheadKeys,
-/// RankEvictionCandidates) are all relative to the current cursor, which makes
-/// the eviction policy Belady-style: evict the candidate whose next predicted
-/// use is farthest in the future, never the immediately-next one.
+/// it as uses actually happen. Queries (NextUseDistance,
+/// RankEvictionCandidates) are relative to the current cursor, which makes
+/// the engine's eviction Belady-style: evict the candidate whose next
+/// predicted use is farthest in the future, never the immediately-next one.
 ///
 /// OnUse() tolerates schedule drift: a use that does not match the predicted
 /// next key counts as a mispredict and resyncs the cursor to that key's next
@@ -61,21 +61,11 @@ class PrefetchPlanner {
   /// occurrence is behind the cursor returns (period - cursor + position).
   size_t NextUseDistance(uint64_t key) const;
 
-  /// The next `max_keys` *distinct* keys the schedule will visit from the
-  /// cursor (wrapping), in visit order — the read-ahead window.
-  std::vector<uint64_t> LookaheadKeys(size_t max_keys) const;
-
   /// Orders eviction candidates by descending next-use distance (Belady:
   /// farthest-next-use first, immediately-next last). Keys the order never
   /// visits sort first — they are free to evict. Stable for ties.
   std::vector<uint64_t> RankEvictionCandidates(
       const std::vector<uint64_t>& candidates) const;
-
-  /// The best single victim among `candidates`: the farthest-next-use key.
-  /// Never returns the immediately-next key unless it is the sole candidate.
-  /// Returns kNoVictim when `candidates` is empty.
-  static constexpr uint64_t kNoVictim = static_cast<uint64_t>(-1);
-  uint64_t PickEvictionVictim(const std::vector<uint64_t>& candidates) const;
 
   const std::vector<uint64_t>& learned_order() const { return order_; }
   size_t cursor() const { return cursor_; }

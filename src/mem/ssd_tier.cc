@@ -7,26 +7,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <thread>
 
 #include "obs/trace.h"
-#include "util/env_override.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
 
 namespace angelptm::mem {
-namespace {
-
-// The ANGELPTM_SSD_IO_* knobs below follow the util::EnvOverride precedence
-// contract: env wins over Options so a whole test binary can be re-pointed
-// at the async backend without code changes (scripts/check.sh --ssd relies
-// on this).
-using util::EnvSizeOr;
-
-}  // namespace
 
 SsdTier::~SsdTier() { Close(); }
 
@@ -69,14 +58,7 @@ util::Status SsdTier::Open(const Options& options) {
   path_ = options.path;
   throttle_.set_rate(options.throttle_bytes_per_sec);
   retry_ = options.retry;
-  io_queue_depth_ =
-      std::max<size_t>(1, EnvSizeOr("ANGELPTM_SSD_IO_QUEUE_DEPTH",
-                                    options.io_queue_depth));
-  io_max_coalesce_ = std::max<size_t>(
-      1, EnvSizeOr("ANGELPTM_SSD_IO_COALESCE", options.io_max_coalesce));
-  io_op_latency_us_ = static_cast<int>(
-      EnvSizeOr("ANGELPTM_SSD_IO_OP_LATENCY_US",
-                static_cast<size_t>(std::max(0, options.io_op_latency_us))));
+  io_op_latency_us_ = std::max(0, options.io_op_latency_us);
   {
     util::MutexLock lock(mutex_);
     free_list_.clear();
@@ -91,10 +73,8 @@ util::Status SsdTier::Open(const Options& options) {
     io_stop_ = false;
     max_queue_depth_ = 0;
   }
-  const size_t workers =
-      EnvSizeOr("ANGELPTM_SSD_IO_WORKERS", options.io_workers);
-  io_threads_.reserve(workers);
-  for (size_t i = 0; i < workers; ++i) {
+  io_threads_.reserve(kIoWorkers);
+  for (size_t i = 0; i < kIoWorkers; ++i) {
     io_threads_.emplace_back([this] { WorkerLoop(); });
   }
   return util::Status::OK();
@@ -324,7 +304,7 @@ std::vector<SsdTier::IoRequest> SsdTier::NextBatchLocked() {
   // operation. Later out-of-order arrivals stay queued for the next batch.
   uint64_t tail = batch.front().offset + batch.front().bytes;
   for (auto it = io_queue_.begin();
-       it != io_queue_.end() && batch.size() < io_max_coalesce_;) {
+       it != io_queue_.end() && batch.size() < kIoMaxCoalesce;) {
     if (it->is_write == batch.front().is_write && it->offset == tail) {
       tail += it->bytes;
       batch.push_back(std::move(*it));
@@ -355,16 +335,9 @@ void SsdTier::WorkerLoop() {
 
 std::future<util::Status> SsdTier::Submit(IoRequest request) {
   std::future<util::Status> future = request.done->get_future();
-  if (io_threads_.empty()) {
-    // Synchronous legacy backend: execute inline, one syscall per request.
-    std::vector<IoRequest> batch;
-    batch.push_back(std::move(request));
-    RunBatch(batch);
-    return future;
-  }
   {
     util::MutexLock lock(io_mutex_);
-    while (io_queue_.size() >= io_queue_depth_ && !io_stop_) {
+    while (io_queue_.size() >= kIoQueueDepth && !io_stop_) {
       io_space_cv_.Wait(io_mutex_);
     }
     if (io_stop_) {

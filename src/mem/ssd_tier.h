@@ -25,29 +25,25 @@ namespace angelptm::mem {
 /// file; reads and writes are real pread/pwrite calls so the lock-free
 /// updating mechanism contends with genuine I/O latency.
 ///
-/// I/O goes through a *submission-queue backend* (DESIGN.md §12): callers
+/// All I/O goes through one *submission queue* (DESIGN.md §12.2): callers
 /// enqueue requests (ReadFrameAsync / WriteFrameAsync, or the blocking
-/// ReadFrame / WriteFrame wrappers) and a small worker pool drains a deep
-/// request queue, merging requests that target adjacent frames into one
-/// preadv/pwritev — the DeepNVMe-style batching that replaces one blocking
-/// syscall per page. `io_workers = 0` selects the legacy synchronous path
-/// (one inline syscall per call), which the SSD pipeline bench uses as its
-/// baseline.
+/// ReadFrame / WriteFrame wrappers) and kIoWorkers threads drain it, merging
+/// requests that target adjacent frames into one preadv/pwritev — the
+/// DeepNVMe-style batching that replaces one blocking syscall per page.
 ///
 /// An optional bandwidth throttle (bytes/second) emulates the 3.5 GB/s SSD of
 /// the paper's A100 servers when the local disk is faster; 0 disables it.
 /// An optional per-operation latency (`io_op_latency_us`) emulates the NVMe
 /// command overhead that makes deep queues and coalescing pay off on real
-/// devices; it is charged once per syscall *attempt*, on both backends, so
-/// sync-vs-async comparisons model the same device.
+/// devices; it is charged once per syscall *attempt*.
 ///
 /// Transient I/O failures (flaky NVMe, EIO under pressure) are absorbed by a
 /// retry-with-exponential-backoff policy at the request boundary; only errors
 /// that persist across every attempt reach the caller. The failpoints
-/// "ssd.pread" / "ssd.pwrite" (util::FaultInjector) fire per *attempt* on
-/// both backends, so an nth-call rule models exactly one transient fault. A
-/// batch that exhausts its retries fails every request it coalesced with the
-/// same status.
+/// "ssd.pread" / "ssd.pwrite" (util::FaultInjector) fire per *attempt*, so
+/// an nth-call rule models exactly one transient fault. A batch that
+/// exhausts its retries fails every request it coalesced with the same
+/// status.
 class SsdTier {
  public:
   /// Retry policy for transient IoErrors on pread/pwrite. Attempt k waits
@@ -65,23 +61,20 @@ class SsdTier {
     size_t frame_bytes = 0;
     double throttle_bytes_per_sec = 0.0;
     RetryPolicy retry;
-    /// Submission-queue backend: worker threads draining the request queue.
-    /// 0 = synchronous legacy path (one inline syscall per call). Overridden
-    /// by the ANGELPTM_SSD_IO_WORKERS environment variable when set.
-    size_t io_workers = 2;
-    /// Maximum queued (not yet picked up) requests before submitters block —
-    /// the backpressure bound on queue depth. Overridden by
-    /// ANGELPTM_SSD_IO_QUEUE_DEPTH when set.
-    size_t io_queue_depth = 64;
-    /// Maximum requests merged into one preadv/pwritev when they target
-    /// adjacent byte ranges of the backing file. 1 disables coalescing.
-    /// Overridden by ANGELPTM_SSD_IO_COALESCE when set.
-    size_t io_max_coalesce = 8;
     /// Emulated per-syscall device command latency in microseconds, charged
-    /// once per attempt on both backends (0 = none). Makes batching wins
-    /// reproducible on hosts whose /tmp is a fast tmpfs.
+    /// once per attempt (0 = none). Makes batching wins reproducible when
+    /// the backing file sits in the page cache or on a tmpfs.
     int io_op_latency_us = 0;
   };
+
+  /// Worker threads draining the submission queue.
+  static constexpr size_t kIoWorkers = 2;
+  /// Queued (not yet picked up) requests before submitters block — the
+  /// backpressure bound on queue depth.
+  static constexpr size_t kIoQueueDepth = 64;
+  /// Most requests merged into one preadv/pwritev when they target adjacent
+  /// byte ranges of the backing file.
+  static constexpr size_t kIoMaxCoalesce = 8;
 
   /// Structured I/O statistics of this tier instance; Snapshot() is the
   /// only place they are read (DESIGN.md §8).
@@ -90,7 +83,7 @@ class SsdTier {
     uint64_t bytes_written = 0;
     /// Transient I/O failures absorbed by the retry policy (not surfaced).
     uint64_t io_retries = 0;
-    /// Requests executed through the submission queue (0 on the sync path).
+    /// Requests executed through the submission queue.
     uint64_t queued_requests = 0;
     /// Syscall batches issued by the queue workers; queued_requests /
     /// io_batches is the achieved coalescing factor.
@@ -109,7 +102,7 @@ class SsdTier {
 
   /// Creates (or truncates) the backing file sized to hold
   /// floor(capacity / frame_bytes) frames, and spawns the submission-queue
-  /// workers when the async backend is enabled.
+  /// workers.
   [[nodiscard]] util::Status Open(const Options& options)
       ANGEL_EXCLUDES(mutex_, io_mutex_);
   /// Drains every pending queued request, stops the workers, and closes and
@@ -147,7 +140,7 @@ class SsdTier {
   size_t pinned_frames() const ANGEL_EXCLUDES(mutex_);
 
   /// Writes `bytes` from `src` to the frame at `offset`. Blocks until the
-  /// write completed (through the queue when the async backend is on).
+  /// queued write completed.
   [[nodiscard]] util::Status WriteFrame(uint64_t offset, const std::byte* src,
                                         size_t bytes) ANGEL_EXCLUDES(io_mutex_);
   /// Reads `bytes` into `dst` from byte `offset` of the backing file —
@@ -156,8 +149,7 @@ class SsdTier {
                                        size_t bytes) ANGEL_EXCLUDES(io_mutex_);
 
   /// Enqueues a frame write and returns the completion future. `src` must
-  /// stay valid until the future resolves. On the sync backend the request
-  /// is executed inline and the future is already resolved.
+  /// stay valid until the future resolves.
   [[nodiscard]] std::future<util::Status> WriteFrameAsync(uint64_t offset,
                                                           const std::byte* src,
                                                           size_t bytes)
@@ -174,7 +166,7 @@ class SsdTier {
   uint64_t capacity_bytes() const {
     return uint64_t{total_frames_} * frame_bytes_;
   }
-  /// Workers actually running (after the env override); 0 = sync backend.
+  /// Queue workers running: kIoWorkers while open, 0 once closed.
   size_t io_workers() const { return io_threads_.size(); }
 
   /// Point-in-time copy of this instance's I/O statistics.
@@ -195,12 +187,12 @@ class SsdTier {
   /// Frame index of a frame offset; aborts on a misaligned or out-of-range
   /// offset (a programming error).
   uint32_t FrameIndex(uint64_t offset) const;
-  /// Submits to the queue (async backend) or executes inline (sync backend).
+  /// Enqueues `request`, blocking while the queue is full.
   [[nodiscard]] std::future<util::Status> Submit(IoRequest request)
       ANGEL_EXCLUDES(io_mutex_);
   void WorkerLoop() ANGEL_EXCLUDES(io_mutex_);
   /// Pops the next request plus every queued request that chains onto it
-  /// (same op, adjacent offsets), up to io_max_coalesce.
+  /// (same op, adjacent offsets), up to kIoMaxCoalesce.
   std::vector<IoRequest> NextBatchLocked() ANGEL_REQUIRES(io_mutex_);
   /// Executes one batch under the retry policy and resolves its promises.
   void RunBatch(std::vector<IoRequest>& batch);
@@ -220,8 +212,6 @@ class SsdTier {
   size_t frame_bytes_ = 0;
   size_t total_frames_ = 0;
   RetryPolicy retry_;
-  size_t io_queue_depth_ = 0;
-  size_t io_max_coalesce_ = 1;
   int io_op_latency_us_ = 0;
   std::vector<std::thread> io_threads_;
 

@@ -7,8 +7,8 @@
 /// Central parsing for the `ANGELPTM_*` environment knobs (DESIGN.md §13).
 ///
 /// Precedence contract, uniform across every subsystem that honours an env
-/// knob (SsdTier's ANGELPTM_SSD_IO_*, simd::Dispatch's ANGELPTM_SIMD,
-/// ParallelFor's ANGELPTM_COMPUTE_THREADS, ...):
+/// knob (simd::Dispatch's ANGELPTM_SIMD, ParallelFor's
+/// ANGELPTM_COMPUTE_THREADS, ...):
 ///
 ///   1. test override        (ScopedForceIsa, SetComputePoolOverride, ...)
 ///   2. environment variable (so a whole test binary or bench can be

@@ -226,9 +226,7 @@ TEST_F(MemFaultInjectionTest, CopyEngineMoveFailureSurfacesThroughFuture) {
 
 TEST_F(MemFaultInjectionTest, AsyncBackendRetriesTransientFaultPerAttempt) {
   SsdTier tier;
-  auto options = TierOptions("asynctrans", 4);
-  options.io_workers = 2;
-  ASSERT_TRUE(tier.Open(options).ok());
+  ASSERT_TRUE(tier.Open(TierOptions("asynctrans", 4)).ok());
   auto offset = tier.AcquireFrame();
   ASSERT_TRUE(offset.ok());
   ArmNth("ssd.pwrite", 1);  // First attempt fails inside the queue worker.
@@ -236,8 +234,7 @@ TEST_F(MemFaultInjectionTest, AsyncBackendRetriesTransientFaultPerAttempt) {
   std::vector<std::byte> data(kFrame, std::byte{0x6B});
   auto future = tier.WriteFrameAsync(*offset, data.data(), kFrame);
   ASSERT_TRUE(future.get().ok());
-  // The failpoint fired per *attempt* in the worker: failed attempt + retry,
-  // exactly like the synchronous backend.
+  // The failpoint fired per *attempt* in the worker: failed attempt + retry.
   EXPECT_EQ(fi().calls("ssd.pwrite"), 2u);
   EXPECT_EQ(fi().fires("ssd.pwrite"), 1u);
   EXPECT_EQ(tier.Snapshot().io_retries, 1u);
@@ -250,7 +247,6 @@ TEST_F(MemFaultInjectionTest, AsyncBackendRetriesTransientFaultPerAttempt) {
 TEST_F(MemFaultInjectionTest, AsyncBackendSurfacesPermanentFaultInFuture) {
   SsdTier tier;
   auto options = TierOptions("asyncperm", 4);
-  options.io_workers = 1;
   options.retry.max_attempts = 3;
   ASSERT_TRUE(tier.Open(options).ok());
   auto offset = tier.AcquireFrame();
@@ -269,8 +265,8 @@ TEST_F(MemFaultInjectionTest, AsyncBackendSurfacesPermanentFaultInFuture) {
 TEST_F(MemFaultInjectionTest, CoalescedBatchFailsEveryRequestItCarried) {
   SsdTier tier;
   auto options = TierOptions("batchfail", 8);
-  options.io_workers = 1;
-  options.io_op_latency_us = 10000;  // Stall the worker so requests coalesce.
+  // Stall both workers in their first batch so the rest coalesce.
+  options.io_op_latency_us = 10000;
   options.retry.max_attempts = 1;
   ASSERT_TRUE(tier.Open(options).ok());
   ArmPermanent("ssd.pwrite");

@@ -3,13 +3,14 @@
 #include <unistd.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "util/fault_injector.h"
 
 namespace angelptm::mem {
 namespace {
@@ -30,38 +31,6 @@ SsdTier::Options MakeOptions(const char* tag, uint64_t capacity,
   o.throttle_bytes_per_sec = throttle;
   return o;
 }
-
-/// Pins an env var for one test and restores the previous value on exit.
-/// Tests asserting on a *specific* backend must pin ANGELPTM_SSD_IO_WORKERS
-/// through this, or check.sh --ssd (which exports it for the whole binary)
-/// would silently repoint them.
-class ScopedEnvVar {
- public:
-  ScopedEnvVar(const char* name, const char* value) : name_(name) {
-    const char* old = ::getenv(name);
-    if (old != nullptr) {
-      had_old_ = true;
-      old_ = old;
-    }
-    if (value != nullptr) {
-      ::setenv(name, value, 1);
-    } else {
-      ::unsetenv(name);
-    }
-  }
-  ~ScopedEnvVar() {
-    if (had_old_) {
-      ::setenv(name_, old_.c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  bool had_old_ = false;
-  std::string old_;
-};
 
 TEST(SsdTierTest, OpenCreatesSizedFile) {
   SsdTier tier;
@@ -110,6 +79,13 @@ TEST(SsdTierTest, DoubleOpenFails) {
 }
 
 TEST(SsdTierTest, WriteReadRoundTrip) {
+  // Every retry answers one injected transient fault: none under plain
+  // ctest, one when the whole binary runs with ssd.pwrite=nth:1 armed.
+  const util::FaultInjector& faults = util::FaultInjector::Instance();
+  const auto fires = [&faults] {
+    return faults.fires("ssd.pwrite") + faults.fires("ssd.pread");
+  };
+  const uint64_t fires_before = fires();
   SsdTier tier;
   ASSERT_TRUE(tier.Open(MakeOptions("rw", 4 * kFrame)).ok());
   auto offset = tier.AcquireFrame();
@@ -125,7 +101,7 @@ TEST(SsdTierTest, WriteReadRoundTrip) {
   const SsdTier::Stats stats = tier.Snapshot();
   EXPECT_EQ(stats.bytes_written, kFrame);
   EXPECT_EQ(stats.bytes_read, kFrame);
-  EXPECT_EQ(stats.io_retries, 0u);
+  EXPECT_EQ(stats.io_retries, fires() - fires_before);
   EXPECT_EQ(stats.total_frames, 4u);
 }
 
@@ -213,11 +189,8 @@ TEST(SsdTierTest, ThrottleSlowsIo) {
 }
 
 TEST(SsdTierTest, AsyncRoundTripThroughSubmissionQueue) {
-  const ScopedEnvVar pin("ANGELPTM_SSD_IO_WORKERS", "2");
   SsdTier tier;
-  SsdTier::Options o = MakeOptions("async", 8 * kFrame);
-  o.io_workers = 2;
-  ASSERT_TRUE(tier.Open(o).ok());
+  ASSERT_TRUE(tier.Open(MakeOptions("async", 8 * kFrame)).ok());
   EXPECT_EQ(tier.io_workers(), 2u);
 
   std::vector<uint64_t> offsets;
@@ -254,9 +227,9 @@ TEST(SsdTierTest, AsyncRoundTripThroughSubmissionQueue) {
 TEST(SsdTierTest, AdjacentRequestsCoalesceIntoFewerSyscalls) {
   SsdTier tier;
   SsdTier::Options o = MakeOptions("coalesce", 16 * kFrame);
-  o.io_workers = 1;  // One worker: requests pile up behind the first...
-  o.io_op_latency_us = 20000;  // ...because each syscall takes >= 20 ms.
-  o.io_max_coalesce = 8;
+  // Each syscall takes >= 20 ms, so once both workers hold a batch the
+  // remaining requests pile up behind them.
+  o.io_op_latency_us = 20000;
   ASSERT_TRUE(tier.Open(o).ok());
 
   // AcquireFrame hands out sequential offsets, so these 8 writes target
@@ -277,8 +250,9 @@ TEST(SsdTierTest, AdjacentRequestsCoalesceIntoFewerSyscalls) {
 
   const SsdTier::Stats stats = tier.Snapshot();
   EXPECT_EQ(stats.queued_requests, 8u);
-  // The worker was asleep in its first syscall while 7 requests queued, so
-  // at most the first batch ran alone: strictly fewer batches than requests.
+  // Both workers were asleep in their first syscall while the rest queued,
+  // so at most the first two batches ran alone: strictly fewer batches than
+  // requests.
   EXPECT_LT(stats.io_batches, 8u);
   EXPECT_GE(stats.max_queue_depth, 2u);
 
@@ -293,7 +267,6 @@ TEST(SsdTierTest, AdjacentRequestsCoalesceIntoFewerSyscalls) {
 TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
   SsdTier tier;
   SsdTier::Options o = MakeOptions("eof", 4 * kFrame);
-  o.io_workers = 0;  // Error surfaces identically on either backend.
   o.retry.max_attempts = 1;
   ASSERT_TRUE(tier.Open(o).ok());
   auto offset = tier.AcquireFrame();
@@ -317,27 +290,9 @@ TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
   EXPECT_NE(message.find("received 0"), std::string::npos) << message;
 }
 
-TEST(SsdTierTest, SyncBackendBypassesTheQueue) {
-  const ScopedEnvVar pin("ANGELPTM_SSD_IO_WORKERS", "0");
-  SsdTier tier;
-  SsdTier::Options o = MakeOptions("sync", 4 * kFrame);
-  o.io_workers = 0;
-  ASSERT_TRUE(tier.Open(o).ok());
-  EXPECT_EQ(tier.io_workers(), 0u);
-  auto offset = tier.AcquireFrame();
-  ASSERT_TRUE(offset.ok());
-  std::vector<std::byte> data(kFrame, std::byte{0x44});
-  ASSERT_TRUE(tier.WriteFrame(*offset, data.data(), kFrame).ok());
-  std::vector<std::byte> back(kFrame);
-  ASSERT_TRUE(tier.ReadFrame(*offset, back.data(), kFrame).ok());
-  EXPECT_EQ(back[0], std::byte{0x44});
-  EXPECT_EQ(tier.Snapshot().queued_requests, 0u);
-}
-
 TEST(SsdTierTest, CloseDrainsEveryAcceptedRequest) {
   SsdTier tier;
   SsdTier::Options o = MakeOptions("drain", 8 * kFrame);
-  o.io_workers = 1;
   o.io_op_latency_us = 5000;  // Guarantee requests are pending at Close.
   ASSERT_TRUE(tier.Open(o).ok());
   std::vector<std::vector<std::byte>> bufs;
@@ -353,15 +308,6 @@ TEST(SsdTierTest, CloseDrainsEveryAcceptedRequest) {
   // Close stops the workers only after the queue is empty, so every
   // accepted request resolved successfully rather than being dropped.
   for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-}
-
-TEST(SsdTierTest, WorkerCountEnvOverrideWins) {
-  const ScopedEnvVar pin("ANGELPTM_SSD_IO_WORKERS", "0");
-  SsdTier tier;
-  SsdTier::Options o = MakeOptions("envw", 2 * kFrame);
-  o.io_workers = 3;
-  ASSERT_TRUE(tier.Open(o).ok());
-  EXPECT_EQ(tier.io_workers(), 0u);
 }
 
 TEST(SsdTierTest, DeleteOnCloseRemovesFile) {
