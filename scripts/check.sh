@@ -28,11 +28,6 @@
 #     GEMM-variant, attention and fp16-conversion guards on the dispatched
 #     path and again on the scalar path.
 #
-#   * An SSD pipeline pass (DESIGN.md §12): the full SSD tier bench runs
-#     (about a second of emulated device latency) and enforces its bar:
-#     a layer's frames submitted together through the queue must be at
-#     least 2x faster than one blocking request at a time.
-#
 #   * An optimizer pass (DESIGN.md §13): the golden suite for every
 #     registered update rule (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
 #     Adafactor vs naive references, thread-count invariance), the seqlock
@@ -59,12 +54,21 @@
 #     Trainer or Engine API change that breaks the benchmark fails here.
 #
 # Usage: scripts/check.sh
-#   [--tier1-only|--tsan-only|--asan-only|--trace-smoke|--lint|--simd|--ssd|
+#   [--tier1-only|--tsan-only|--asan-only|--trace-smoke|--lint|--simd|
 #    --optimizers|--dist|--lockdep|--perfbench]
+#
+# Every leg configures and builds the targets it runs, even when they
+# exist: a build tree restored from an older commit would otherwise run
+# stale binaries. The incremental build is a no-op on a current tree.
 set -e
 cd "$(dirname "$0")/.."
 
 MODE="${1:-all}"
+case "$MODE" in
+  all|--tier1-only|--tsan-only|--asan-only|--trace-smoke|--lint|--simd|\
+  --optimizers|--dist|--lockdep|--perfbench) ;;
+  *) echo "check.sh: unknown mode $MODE" >&2; exit 2 ;;
+esac
 
 if [ "$MODE" = all ] || [ "$MODE" = --tier1-only ]; then
   echo "=== tier-1: build + full test suite ==="
@@ -114,12 +118,9 @@ fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
   echo "=== SIMD dispatch: golden tests under both ANGELPTM_SIMD paths ==="
-  if [ ! -x build/tests/train_test ] || [ ! -x build/tests/core_test ] || \
-     [ ! -x build/tests/util_test ] || [ ! -x build/bench/kernel_bench ]; then
-    cmake -B build -S .
-    cmake --build build -j "$(nproc)" --target train_test core_test \
-      util_test kernel_bench
-  fi
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)" --target train_test core_test \
+    util_test kernel_bench
   # The dispatch cache resolves the env var once per process, so each
   # forced path gets its own process. The golden suite is parameterized
   # over both paths internally; forcing the env on top proves the
@@ -143,26 +144,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
     ./build/bench/kernel_bench build/BENCH_kernels_smoke_scalar.json 256
 fi
 
-if [ "$MODE" = all ] || [ "$MODE" = --ssd ]; then
-  echo "=== SSD pipeline: per-layer queued I/O vs one request at a time ==="
-  if [ ! -x build/bench/ssd_pipeline_bench ]; then
-    cmake -B build -S .
-    cmake --build build -j "$(nproc)" --target ssd_pipeline_bench
-  fi
-  # Full config: exits 1 unless per_layer is >= 2x per_request steady
-  # state. The record goes to build/, leaving the committed one alone.
-  ./build/bench/ssd_pipeline_bench build/BENCH_ssd_pipeline.json
-fi
-
 if [ "$MODE" = all ] || [ "$MODE" = --optimizers ]; then
   echo "=== optimizers: golden rules, seqlock stress, ckpt v3, bench ==="
-  if [ ! -x build/tests/core_test ] || [ ! -x build/tests/util_test ] || \
-     [ ! -x build/tests/runtime_test ] || \
-     [ ! -x build/bench/optimizer_bench ]; then
-    cmake -B build -S .
-    cmake --build build -j "$(nproc)" --target core_test util_test \
-      runtime_test optimizer_bench
-  fi
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)" --target core_test util_test \
+    runtime_test optimizer_bench
   # Every registered rule against its reference (Adam must be bitwise
   # identical to the SIMD kernel path) plus thread-count invariance.
   ./build/tests/core_test --gtest_filter='OptimizerTest.*'
@@ -179,10 +165,8 @@ fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --dist ]; then
   echo "=== dist: multi-process ZeRO over sockets (DESIGN.md §14) ==="
-  if [ ! -x build/tests/dist_test ] || [ ! -x build/tools/angel_worker ]; then
-    cmake -B build -S .
-    cmake --build build -j "$(nproc)" --target dist_test angel_worker
-  fi
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)" --target dist_test angel_worker
   # The full dist suite: socket-collective property tests (50+ random
   # layouts bitwise vs the in-process Communicator), ZeRO shard
   # checkpoints in the v3 format (ShardedDpTest), and the fork/exec
@@ -215,10 +199,8 @@ fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --trace-smoke ]; then
   echo "=== trace smoke: ANGELPTM_TRACE produces loadable JSON ==="
-  if [ ! -x build/examples/quickstart ]; then
-    cmake -B build -S .
-    cmake --build build -j "$(nproc)" --target quickstart
-  fi
+  cmake -B build -S .
+  cmake --build build -j "$(nproc)" --target quickstart
   TRACE_OUT="build/trace_smoke.json"
   rm -f "$TRACE_OUT"
   ANGELPTM_TRACE="$TRACE_OUT" ./build/examples/quickstart > /dev/null

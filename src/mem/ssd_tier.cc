@@ -1,7 +1,6 @@
 #include "mem/ssd_tier.h"
 
 #include <fcntl.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -58,7 +57,6 @@ util::Status SsdTier::Open(const Options& options) {
   path_ = options.path;
   throttle_.set_rate(options.throttle_bytes_per_sec);
   retry_ = options.retry;
-  io_op_latency_us_ = std::max(0, options.io_op_latency_us);
   {
     util::MutexLock lock(mutex_);
     free_list_.clear();
@@ -68,29 +66,10 @@ util::Status SsdTier::Open(const Options& options) {
     }
     pins_.clear();
   }
-  {
-    util::MutexLock lock(io_mutex_);
-    io_stop_ = false;
-    max_queue_depth_ = 0;
-  }
-  io_threads_.reserve(kIoWorkers);
-  for (size_t i = 0; i < kIoWorkers; ++i) {
-    io_threads_.emplace_back([this] { WorkerLoop(); });
-  }
   return util::Status::OK();
 }
 
 void SsdTier::Close() {
-  if (!io_threads_.empty()) {
-    {
-      util::MutexLock lock(io_mutex_);
-      io_stop_ = true;
-    }
-    io_work_cv_.NotifyAll();
-    io_space_cv_.NotifyAll();
-    for (auto& thread : io_threads_) thread.join();
-    io_threads_.clear();
-  }
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
@@ -208,193 +187,68 @@ util::Status SsdTier::ValidateIo(size_t bytes) const {
   return util::Status::OK();
 }
 
-util::Status SsdTier::ExecuteBatchOnce(const std::vector<IoRequest>& batch) {
-  // Emulated device command latency, charged per syscall attempt: one
-  // coalesced batch pays it once, N individual requests pay it N times.
-  if (io_op_latency_us_ > 0) {
-    std::this_thread::sleep_for(std::chrono::microseconds(io_op_latency_us_));
-  }
-  const bool is_write = batch.front().is_write;
+util::Status SsdTier::TransferOnce(bool is_write, uint64_t offset,
+                                   std::byte* buf, size_t bytes) {
   if (is_write) {
     ANGEL_FAULT_CHECK("ssd.pwrite");
   } else {
     ANGEL_FAULT_CHECK("ssd.pread");
   }
-  std::vector<iovec> iov;
-  iov.reserve(batch.size());
-  size_t total = 0;
-  for (const IoRequest& request : batch) {
-    iov.push_back(iovec{request.buf, request.bytes});
-    total += request.bytes;
-  }
-  const uint64_t base = batch.front().offset;
   size_t done = 0;
-  size_t skip = 0;  // Fully transferred iovecs after a partial syscall.
-  while (done < total) {
-    const ssize_t n =
-        is_write ? ::pwritev(fd_, iov.data() + skip,
-                             static_cast<int>(iov.size() - skip),
-                             static_cast<off_t>(base + done))
-                 : ::preadv(fd_, iov.data() + skip,
-                            static_cast<int>(iov.size() - skip),
-                            static_cast<off_t>(base + done));
+  while (done < bytes) {
+    const off_t at = static_cast<off_t>(offset + done);
+    const ssize_t n = is_write ? ::pwrite(fd_, buf + done, bytes - done, at)
+                               : ::pread(fd_, buf + done, bytes - done, at);
     if (n < 0) {
       if (errno == EINTR) continue;
       return util::Status::IoError(
-          std::string(is_write ? "pwritev" : "preadv") + " at offset " +
-          std::to_string(base + done) + ": " + std::strerror(errno));
+          std::string(is_write ? "pwrite" : "pread") + " at offset " +
+          std::to_string(offset + done) + ": " + std::strerror(errno));
     }
     if (n == 0) {
       // A short read mid-range means the backing file is truncated; say
       // exactly where and how much was missing so recovery logs are
       // actionable.
       return util::Status::IoError(
-          "preadv: unexpected EOF at offset " + std::to_string(base + done) +
-          " (requested " + std::to_string(total) + " bytes from offset " +
-          std::to_string(base) + ", received " + std::to_string(done) + ")");
+          std::string(is_write ? "pwrite" : "pread") +
+          ": unexpected EOF at offset " + std::to_string(offset + done) +
+          " (requested " + std::to_string(bytes) + " bytes from offset " +
+          std::to_string(offset) + ", received " + std::to_string(done) +
+          ")");
     }
     done += static_cast<size_t>(n);
-    // Advance past iovecs the partial transfer fully covered, trimming the
-    // first partially-covered one so the retry resumes mid-buffer.
-    size_t advanced = static_cast<size_t>(n);
-    while (advanced > 0 && skip < iov.size()) {
-      if (advanced >= iov[skip].iov_len) {
-        advanced -= iov[skip].iov_len;
-        ++skip;
-      } else {
-        iov[skip].iov_base = static_cast<std::byte*>(iov[skip].iov_base) +
-                             advanced;
-        iov[skip].iov_len -= advanced;
-        advanced = 0;
-      }
-    }
   }
   return util::Status::OK();
 }
 
-void SsdTier::RunBatch(std::vector<IoRequest>& batch) {
-  const bool is_write = batch.front().is_write;
-  ANGEL_SPAN("ssd", is_write ? "pwritev" : "preadv");
-  util::Status status = WithRetries(is_write ? "ssd.pwrite" : "ssd.pread",
-                                    [&] { return ExecuteBatchOnce(batch); });
+util::Status SsdTier::Transfer(bool is_write, uint64_t offset, std::byte* buf,
+                               size_t bytes) {
+  if (util::Status validation = ValidateIo(bytes); !validation.ok()) {
+    return validation;
+  }
+  ANGEL_SPAN("ssd", is_write ? "pwrite" : "pread");
+  io_requests_.fetch_add(1, std::memory_order_relaxed);
+  util::Status status =
+      WithRetries(is_write ? "ssd.pwrite" : "ssd.pread",
+                  [&] { return TransferOnce(is_write, offset, buf, bytes); });
   if (status.ok()) {
-    size_t total = 0;
-    for (const IoRequest& request : batch) total += request.bytes;
-    if (is_write) {
-      bytes_written_.fetch_add(total, std::memory_order_relaxed);
-    } else {
-      bytes_read_.fetch_add(total, std::memory_order_relaxed);
-    }
-    throttle_.Consume(total);
+    (is_write ? bytes_written_ : bytes_read_)
+        .fetch_add(bytes, std::memory_order_relaxed);
+    throttle_.Consume(bytes);
   }
-  // A failed batch fails every request it coalesced with the same status;
-  // each caller's retry-or-propagate decision already happened here (the
-  // retry policy ran per batch attempt), so the error is terminal.
-  for (IoRequest& request : batch) {
-    request.done->set_value(status);
-  }
-}
-
-std::vector<SsdTier::IoRequest> SsdTier::NextBatchLocked() {
-  std::vector<IoRequest> batch;
-  batch.push_back(std::move(io_queue_.front()));
-  io_queue_.pop_front();
-  // Single forward pass: chain queued requests whose byte range starts
-  // exactly where the batch currently ends and that perform the same
-  // operation. Later out-of-order arrivals stay queued for the next batch.
-  uint64_t tail = batch.front().offset + batch.front().bytes;
-  for (auto it = io_queue_.begin();
-       it != io_queue_.end() && batch.size() < kIoMaxCoalesce;) {
-    if (it->is_write == batch.front().is_write && it->offset == tail) {
-      tail += it->bytes;
-      batch.push_back(std::move(*it));
-      it = io_queue_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-  return batch;
-}
-
-void SsdTier::WorkerLoop() {
-  for (;;) {
-    std::vector<IoRequest> batch;
-    {
-      util::MutexLock lock(io_mutex_);
-      while (io_queue_.empty() && !io_stop_) io_work_cv_.Wait(io_mutex_);
-      // Drain the queue fully before honoring stop, so Close() never
-      // abandons an accepted request.
-      if (io_queue_.empty()) return;
-      batch = NextBatchLocked();
-    }
-    io_space_cv_.NotifyAll();
-    io_batches_.fetch_add(1, std::memory_order_relaxed);
-    RunBatch(batch);
-  }
-}
-
-std::future<util::Status> SsdTier::Submit(IoRequest request) {
-  std::future<util::Status> future = request.done->get_future();
-  {
-    util::MutexLock lock(io_mutex_);
-    while (io_queue_.size() >= kIoQueueDepth && !io_stop_) {
-      io_space_cv_.Wait(io_mutex_);
-    }
-    if (io_stop_) {
-      request.done->set_value(
-          util::Status::Cancelled("SsdTier closing; request rejected"));
-      return future;
-    }
-    io_queue_.push_back(std::move(request));
-    max_queue_depth_ = std::max(max_queue_depth_, io_queue_.size());
-  }
-  queued_requests_.fetch_add(1, std::memory_order_relaxed);
-  io_work_cv_.NotifyOne();
-  return future;
-}
-
-std::future<util::Status> SsdTier::WriteFrameAsync(uint64_t offset,
-                                                   const std::byte* src,
-                                                   size_t bytes) {
-  IoRequest request;
-  request.is_write = true;
-  request.offset = offset;
-  // Writes never mutate through this pointer; IoRequest is shared with the
-  // read path whose buffers are genuinely written to.
-  request.buf = const_cast<std::byte*>(src);
-  request.bytes = bytes;
-  request.done = std::make_shared<std::promise<util::Status>>();
-  if (util::Status validation = ValidateIo(bytes); !validation.ok()) {
-    request.done->set_value(std::move(validation));
-    return request.done->get_future();
-  }
-  return Submit(std::move(request));
-}
-
-std::future<util::Status> SsdTier::ReadFrameAsync(uint64_t offset,
-                                                  std::byte* dst,
-                                                  size_t bytes) {
-  IoRequest request;
-  request.is_write = false;
-  request.offset = offset;
-  request.buf = dst;
-  request.bytes = bytes;
-  request.done = std::make_shared<std::promise<util::Status>>();
-  if (util::Status validation = ValidateIo(bytes); !validation.ok()) {
-    request.done->set_value(std::move(validation));
-    return request.done->get_future();
-  }
-  return Submit(std::move(request));
+  return status;
 }
 
 util::Status SsdTier::WriteFrame(uint64_t offset, const std::byte* src,
                                  size_t bytes) {
-  return WriteFrameAsync(offset, src, bytes).get();
+  // The write path only reads through this pointer; Transfer shares it
+  // with the read path, whose buffers are genuinely written to.
+  return Transfer(true, offset, const_cast<std::byte*>(src), bytes);
 }
 
 util::Status SsdTier::ReadFrame(uint64_t offset, std::byte* dst,
                                 size_t bytes) {
-  return ReadFrameAsync(offset, dst, bytes).get();
+  return Transfer(false, offset, dst, bytes);
 }
 
 SsdTier::Stats SsdTier::Snapshot() const {
@@ -402,12 +256,8 @@ SsdTier::Stats SsdTier::Snapshot() const {
   stats.bytes_read = bytes_read_.load(std::memory_order_relaxed);
   stats.bytes_written = bytes_written_.load(std::memory_order_relaxed);
   stats.io_retries = io_retries_.load(std::memory_order_relaxed);
-  stats.queued_requests = queued_requests_.load(std::memory_order_relaxed);
-  stats.io_batches = io_batches_.load(std::memory_order_relaxed);
-  {
-    util::MutexLock lock(io_mutex_);
-    stats.max_queue_depth = max_queue_depth_;
-  }
+  stats.io_batches = io_requests_.load(std::memory_order_relaxed);
+  stats.queued_requests = stats.io_batches;
   stats.total_frames = total_frames_;
   stats.free_frames = free_frames();
   return stats;

@@ -4,12 +4,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -25,25 +21,19 @@ namespace angelptm::mem {
 /// file; reads and writes are real pread/pwrite calls so the lock-free
 /// updating mechanism contends with genuine I/O latency.
 ///
-/// All I/O goes through one *submission queue* (DESIGN.md §12.2): callers
-/// enqueue requests (ReadFrameAsync / WriteFrameAsync, or the blocking
-/// ReadFrame / WriteFrame wrappers) and kIoWorkers threads drain it, merging
-/// requests that target adjacent frames into one preadv/pwritev — the
-/// DeepNVMe-style batching that replaces one blocking syscall per page.
+/// I/O is synchronous (DESIGN.md §12.2): ReadFrame / WriteFrame issue one
+/// pread / pwrite on the calling thread and return when it completed, so
+/// concurrent callers (the trainer, the updater, the checkpoint persist)
+/// each drive their own request and no request waits on another's.
 ///
 /// An optional bandwidth throttle (bytes/second) emulates the 3.5 GB/s SSD of
 /// the paper's A100 servers when the local disk is faster; 0 disables it.
-/// An optional per-operation latency (`io_op_latency_us`) emulates the NVMe
-/// command overhead that makes deep queues and coalescing pay off on real
-/// devices; it is charged once per syscall *attempt*.
 ///
 /// Transient I/O failures (flaky NVMe, EIO under pressure) are absorbed by a
 /// retry-with-exponential-backoff policy at the request boundary; only errors
 /// that persist across every attempt reach the caller. The failpoints
 /// "ssd.pread" / "ssd.pwrite" (util::FaultInjector) fire per *attempt*, so
-/// an nth-call rule models exactly one transient fault. A batch that
-/// exhausts its retries fails every request it coalesced with the same
-/// status.
+/// an nth-call rule models exactly one transient fault.
 class SsdTier {
  public:
   /// Retry policy for transient IoErrors on pread/pwrite. Attempt k waits
@@ -61,20 +51,7 @@ class SsdTier {
     size_t frame_bytes = 0;
     double throttle_bytes_per_sec = 0.0;
     RetryPolicy retry;
-    /// Emulated per-syscall device command latency in microseconds, charged
-    /// once per attempt (0 = none). Makes batching wins reproducible when
-    /// the backing file sits in the page cache or on a tmpfs.
-    int io_op_latency_us = 0;
   };
-
-  /// Worker threads draining the submission queue.
-  static constexpr size_t kIoWorkers = 2;
-  /// Queued (not yet picked up) requests before submitters block — the
-  /// backpressure bound on queue depth.
-  static constexpr size_t kIoQueueDepth = 64;
-  /// Most requests merged into one preadv/pwritev when they target adjacent
-  /// byte ranges of the backing file.
-  static constexpr size_t kIoMaxCoalesce = 8;
 
   /// Structured I/O statistics of this tier instance; Snapshot() is the
   /// only place they are read (DESIGN.md §8).
@@ -83,13 +60,12 @@ class SsdTier {
     uint64_t bytes_written = 0;
     /// Transient I/O failures absorbed by the retry policy (not surfaced).
     uint64_t io_retries = 0;
-    /// Requests executed through the submission queue.
-    uint64_t queued_requests = 0;
-    /// Syscall batches issued by the queue workers; queued_requests /
-    /// io_batches is the achieved coalescing factor.
+    /// Requests that reached the backing file, one pread/pwrite each
+    /// (retries and partial-transfer continuations aside).
     uint64_t io_batches = 0;
-    /// High-water mark of the request queue length at submission time.
-    size_t max_queue_depth = 0;
+    /// The same count as io_batches: every request is its own syscall.
+    /// perfbench divides the two for its ssd.coalesce_factor metric.
+    uint64_t queued_requests = 0;
     size_t total_frames = 0;
     size_t free_frames = 0;
   };
@@ -101,14 +77,12 @@ class SsdTier {
   SsdTier& operator=(const SsdTier&) = delete;
 
   /// Creates (or truncates) the backing file sized to hold
-  /// floor(capacity / frame_bytes) frames, and spawns the submission-queue
-  /// workers.
+  /// floor(capacity / frame_bytes) frames.
   [[nodiscard]] util::Status Open(const Options& options)
-      ANGEL_EXCLUDES(mutex_, io_mutex_);
-  /// Drains every pending queued request, stops the workers, and closes and
-  /// deletes the backing file. Concurrent I/O calls during Close are not
-  /// supported.
-  void Close() ANGEL_EXCLUDES(io_mutex_);
+      ANGEL_EXCLUDES(mutex_);
+  /// Closes and deletes the backing file. Concurrent I/O calls during Close
+  /// are not supported.
+  void Close();
   bool is_open() const { return fd_ >= 0; }
 
   /// Acquires a free frame, returning its byte offset in the backing file.
@@ -139,26 +113,14 @@ class SsdTier {
   /// Frames currently pinned (0 once every cut is persisted).
   size_t pinned_frames() const ANGEL_EXCLUDES(mutex_);
 
-  /// Writes `bytes` from `src` to the frame at `offset`. Blocks until the
-  /// queued write completed.
+  /// Writes `bytes` from `src` to the frame at `offset`; returns when the
+  /// pwrite completed.
   [[nodiscard]] util::Status WriteFrame(uint64_t offset, const std::byte* src,
-                                        size_t bytes) ANGEL_EXCLUDES(io_mutex_);
+                                        size_t bytes);
   /// Reads `bytes` into `dst` from byte `offset` of the backing file —
   /// a frame, or a span inside one (blocking, like WriteFrame).
   [[nodiscard]] util::Status ReadFrame(uint64_t offset, std::byte* dst,
-                                       size_t bytes) ANGEL_EXCLUDES(io_mutex_);
-
-  /// Enqueues a frame write and returns the completion future. `src` must
-  /// stay valid until the future resolves.
-  [[nodiscard]] std::future<util::Status> WriteFrameAsync(uint64_t offset,
-                                                          const std::byte* src,
-                                                          size_t bytes)
-      ANGEL_EXCLUDES(io_mutex_);
-  /// Enqueues a frame read; same contract as WriteFrameAsync.
-  [[nodiscard]] std::future<util::Status> ReadFrameAsync(uint64_t offset,
-                                                         std::byte* dst,
-                                                         size_t bytes)
-      ANGEL_EXCLUDES(io_mutex_);
+                                       size_t bytes);
 
   size_t frame_bytes() const { return frame_bytes_; }
   size_t total_frames() const { return total_frames_; }
@@ -166,40 +128,23 @@ class SsdTier {
   uint64_t capacity_bytes() const {
     return uint64_t{total_frames_} * frame_bytes_;
   }
-  /// Queue workers running: kIoWorkers while open, 0 once closed.
-  size_t io_workers() const { return io_threads_.size(); }
 
   /// Point-in-time copy of this instance's I/O statistics.
   Stats Snapshot() const;
 
  private:
-  /// One queued I/O request. `buf` is the caller's frame buffer (read
-  /// destination or write source); the const_cast for writes never mutates.
-  struct IoRequest {
-    bool is_write = false;
-    uint64_t offset = 0;
-    std::byte* buf = nullptr;
-    size_t bytes = 0;
-    std::shared_ptr<std::promise<util::Status>> done;
-  };
-
   [[nodiscard]] util::Status ValidateIo(size_t bytes) const;
   /// Frame index of a frame offset; aborts on a misaligned or out-of-range
   /// offset (a programming error).
   uint32_t FrameIndex(uint64_t offset) const;
-  /// Enqueues `request`, blocking while the queue is full.
-  [[nodiscard]] std::future<util::Status> Submit(IoRequest request)
-      ANGEL_EXCLUDES(io_mutex_);
-  void WorkerLoop() ANGEL_EXCLUDES(io_mutex_);
-  /// Pops the next request plus every queued request that chains onto it
-  /// (same op, adjacent offsets), up to kIoMaxCoalesce.
-  std::vector<IoRequest> NextBatchLocked() ANGEL_REQUIRES(io_mutex_);
-  /// Executes one batch under the retry policy and resolves its promises.
-  void RunBatch(std::vector<IoRequest>& batch);
-  /// One preadv/pwritev attempt over the whole batch (no retries); fires
-  /// the per-attempt failpoint and the emulated op latency.
-  [[nodiscard]] util::Status ExecuteBatchOnce(
-      const std::vector<IoRequest>& batch);
+  /// One request under the retry policy, with its byte accounting. `buf`
+  /// is the read destination or the write source (never mutated).
+  [[nodiscard]] util::Status Transfer(bool is_write, uint64_t offset,
+                                      std::byte* buf, size_t bytes);
+  /// One pread/pwrite attempt (no retries), resumed after partial
+  /// transfers; fires the per-attempt failpoint.
+  [[nodiscard]] util::Status TransferOnce(bool is_write, uint64_t offset,
+                                          std::byte* buf, size_t bytes);
   /// Runs `attempt` under the retry policy, backing off on transient
   /// IoErrors. `site` names the operation for diagnostics.
   template <typename Attempt>
@@ -212,8 +157,6 @@ class SsdTier {
   size_t frame_bytes_ = 0;
   size_t total_frames_ = 0;
   RetryPolicy retry_;
-  int io_op_latency_us_ = 0;
-  std::vector<std::thread> io_threads_;
 
   /// A pinned frame: its pin count, and whether ReleaseFrame ran while it
   /// was pinned (the free then happens at the last unpin).
@@ -227,18 +170,10 @@ class SsdTier {
   std::unordered_map<uint32_t, FramePin> pins_ ANGEL_GUARDED_BY(mutex_);
   util::CondVar unpin_cv_;  // WaitForUnpin waits here.
 
-  mutable util::Mutex io_mutex_{"ssd.io", util::lockrank::kSsdIoQueue};
-  util::CondVar io_work_cv_;   // Workers wait here for requests.
-  util::CondVar io_space_cv_;  // Submitters wait here under backpressure.
-  std::deque<IoRequest> io_queue_ ANGEL_GUARDED_BY(io_mutex_);
-  bool io_stop_ ANGEL_GUARDED_BY(io_mutex_) = false;
-  size_t max_queue_depth_ ANGEL_GUARDED_BY(io_mutex_) = 0;
-
   std::atomic<uint64_t> bytes_read_{0};
   std::atomic<uint64_t> bytes_written_{0};
   std::atomic<uint64_t> io_retries_{0};
-  std::atomic<uint64_t> queued_requests_{0};
-  std::atomic<uint64_t> io_batches_{0};
+  std::atomic<uint64_t> io_requests_{0};
   util::BandwidthThrottle throttle_;
 };
 

@@ -52,7 +52,6 @@ inline constexpr int kUpdaterBuffer = 32;
 inline constexpr int kHmemRegistry = 40;
 inline constexpr int kHmemStats = 42;
 inline constexpr int kSsdState = 44;
-inline constexpr int kSsdIoQueue = 46;
 inline constexpr int kArenaState = 48;
 // Tier E — utility leaves reached under updater/memory locks.
 inline constexpr int kUpdaterPoison = 60;

@@ -224,29 +224,9 @@ TEST_F(MemFaultInjectionTest, CopyEngineMoveFailureSurfacesThroughFuture) {
   EXPECT_EQ(engine.Snapshot().moves_completed, 1u);
 }
 
-TEST_F(MemFaultInjectionTest, AsyncBackendRetriesTransientFaultPerAttempt) {
+TEST_F(MemFaultInjectionTest, PermanentReadFaultExhaustsRetries) {
   SsdTier tier;
-  ASSERT_TRUE(tier.Open(TierOptions("asynctrans", 4)).ok());
-  auto offset = tier.AcquireFrame();
-  ASSERT_TRUE(offset.ok());
-  ArmNth("ssd.pwrite", 1);  // First attempt fails inside the queue worker.
-
-  std::vector<std::byte> data(kFrame, std::byte{0x6B});
-  auto future = tier.WriteFrameAsync(*offset, data.data(), kFrame);
-  ASSERT_TRUE(future.get().ok());
-  // The failpoint fired per *attempt* in the worker: failed attempt + retry.
-  EXPECT_EQ(fi().calls("ssd.pwrite"), 2u);
-  EXPECT_EQ(fi().fires("ssd.pwrite"), 1u);
-  EXPECT_EQ(tier.Snapshot().io_retries, 1u);
-
-  std::vector<std::byte> back(kFrame);
-  ASSERT_TRUE(tier.ReadFrame(*offset, back.data(), kFrame).ok());
-  EXPECT_EQ(back[0], std::byte{0x6B});
-}
-
-TEST_F(MemFaultInjectionTest, AsyncBackendSurfacesPermanentFaultInFuture) {
-  SsdTier tier;
-  auto options = TierOptions("asyncperm", 4);
+  auto options = TierOptions("rperm", 4);
   options.retry.max_attempts = 3;
   ASSERT_TRUE(tier.Open(options).ok());
   auto offset = tier.AcquireFrame();
@@ -255,38 +235,10 @@ TEST_F(MemFaultInjectionTest, AsyncBackendSurfacesPermanentFaultInFuture) {
   ASSERT_TRUE(tier.WriteFrame(*offset, data.data(), kFrame).ok());
 
   ArmPermanent("ssd.pread");
-  auto future = tier.ReadFrameAsync(*offset, data.data(), kFrame);
-  EXPECT_TRUE(future.get().IsIoError());
+  EXPECT_TRUE(tier.ReadFrame(*offset, data.data(), kFrame).IsIoError());
   EXPECT_EQ(fi().calls("ssd.pread"), 3u);  // All attempts, then propagate.
   EXPECT_EQ(tier.Snapshot().io_retries, 2u);
   EXPECT_EQ(tier.Snapshot().bytes_read, 0u);
-}
-
-TEST_F(MemFaultInjectionTest, CoalescedBatchFailsEveryRequestItCarried) {
-  SsdTier tier;
-  auto options = TierOptions("batchfail", 8);
-  // Stall both workers in their first batch so the rest coalesce.
-  options.io_op_latency_us = 10000;
-  options.retry.max_attempts = 1;
-  ASSERT_TRUE(tier.Open(options).ok());
-  ArmPermanent("ssd.pwrite");
-
-  std::vector<std::vector<std::byte>> bufs;
-  std::vector<std::future<util::Status>> futures;
-  for (int i = 0; i < 6; ++i) {
-    auto offset = tier.AcquireFrame();
-    ASSERT_TRUE(offset.ok());
-    bufs.emplace_back(kFrame, std::byte(i));
-    futures.push_back(
-        tier.WriteFrameAsync(*offset, bufs.back().data(), kFrame));
-  }
-  for (auto& f : futures) EXPECT_TRUE(f.get().IsIoError());
-  const SsdTier::Stats stats = tier.Snapshot();
-  // One failpoint evaluation per batch attempt, and at least one batch
-  // carried several coalesced requests.
-  EXPECT_EQ(fi().calls("ssd.pwrite"), stats.io_batches);
-  EXPECT_LT(stats.io_batches, 6u);
-  EXPECT_EQ(stats.bytes_written, 0u);
 }
 
 TEST_F(MemFaultInjectionTest, PageMutexMapIsGarbageCollected) {
