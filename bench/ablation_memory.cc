@@ -113,7 +113,7 @@ void BM_SsdRoundTrip(benchmark::State& state) {
 }
 BENCHMARK(BM_SsdRoundTrip)->Arg(1)->Arg(8)->Arg(32);
 
-/// fp32 <-> fp16 conversion (the buffering thread's cast work).
+/// fp32 <-> fp16 conversion (the updater's cast work).
 void BM_HalfConversion(benchmark::State& state) {
   util::Rng rng(1);
   std::vector<float> values(size_t(state.range(0)));

@@ -93,7 +93,7 @@ RuleResult RunRule(const std::string& rule, size_t elems) {
 
   updater.Start();
   // Extra readers: lock-free FetchParams churn concurrent with the
-  // buffering thread's seqlock publishes and the compute thread below.
+  // updating thread's seqlock publishes and the compute thread below.
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> reader_fetches{0};
   std::vector<std::thread> readers;

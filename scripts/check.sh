@@ -249,12 +249,18 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test --gtest_repeat=50 \
       --gtest_filter='CheckpointManagerTest.PinnedCut*:CheckpointManagerTest.SaveOnARunningUpdater*'
-  # Stop() with updates in flight: every install the updating thread queued
-  # must land, in order, before the buffering thread exits. The race this
-  # guards lost about one run in five before it was fixed, so repeat it.
+  # Stop() with updates in flight: p'16 must match the masters once Stop()
+  # returns. The queued-install race this guarded lost about one run in
+  # five before it was fixed, so repeat it.
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test --gtest_repeat=200 \
       --gtest_filter='LockFreeUpdaterTest.StopLeavesNoParameterInstallBehind'
+  # The streamed update runs the rule in place over page spans on the
+  # compute pool, and swaps g'16 while the buffering thread accumulates
+  # into the other buffer, 50 times over.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/runtime_test --gtest_repeat=50 \
+      --gtest_filter='LockFreeUpdaterTest.StreamedUpdateMatchesWholeLayerBitwise:LockFreeUpdaterTest.GradientSwapLosesNoBatch'
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --asan-only ]; then

@@ -146,10 +146,14 @@ util::Status Allocator::Release(Tensor* tensor) {
 
 util::Status Allocator::Move(Tensor* tensor, mem::DeviceKind target) {
   if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
-  util::MutexLock lock(mutex_);
-  for (mem::Page* page : tensor->pages()) {
+  {
     // A moved page can no longer serve as an open tail on its old tier.
-    ForgetOpenPage(page);
+    // Once forgotten, no allocation can reach these pages, so the moves
+    // below run without the lock, as the copy engine's do.
+    util::MutexLock lock(mutex_);
+    for (const mem::Page* page : tensor->pages()) ForgetOpenPage(page);
+  }
+  for (mem::Page* page : tensor->pages()) {
     ANGEL_RETURN_IF_ERROR(memory_->MovePageSync(page, target));
   }
   return util::Status::OK();

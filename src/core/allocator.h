@@ -51,7 +51,10 @@ class Allocator {
 
   /// Moves every page of the tensor to `target`, synchronously. A shared
   /// tail page carries its partner tensor's bytes along (by design — grouped
-  /// tensors co-migrate).
+  /// tensors co-migrate). The allocator mutex is held only to drop the
+  /// pages from the open-tail registry, not across the page moves (SSD I/O
+  /// included); as with HierarchicalMemory::MovePageSync, callers serialize
+  /// moves of one page and keep the tensor alive.
   [[nodiscard]] util::Status Move(Tensor* tensor, mem::DeviceKind target)
       ANGEL_EXCLUDES(mutex_);
 

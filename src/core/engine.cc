@@ -297,12 +297,11 @@ util::Result<std::vector<float>> Engine::FetchActivation(int layer_index) {
   return activations;
 }
 
-util::Status Engine::PushGrads(int layer_index,
-                               const std::vector<float>& grads) {
+util::Status Engine::PushGrads(int layer_index, std::vector<float> grads) {
   if (!step_active_) {
     return util::Status::FailedPrecondition("no active step");
   }
-  return updater_->OffloadGrads(layer_index, grads);
+  return updater_->OffloadGrads(layer_index, std::move(grads));
 }
 
 util::Status Engine::ReleaseWorkingTensor(int layer_index) {

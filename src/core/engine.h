@@ -72,9 +72,10 @@ class Engine {
   /// resident on the fast tier. Each call is one access in the layer's
   /// life-time; call once per forward and once per backward.
   [[nodiscard]] util::Result<std::vector<float>> UseLayerParams(int layer);
-  /// Offloads the layer's gradients (backward order). The layer's working
-  /// tensor is released once its traced accesses are exhausted.
-  [[nodiscard]] util::Status PushGrads(int layer, const std::vector<float>& grads);
+  /// Offloads the layer's gradients (backward order); a moved-in vector
+  /// reaches the updater uncopied. The layer's working tensor is released
+  /// once its traced accesses are exhausted.
+  [[nodiscard]] util::Status PushGrads(int layer, std::vector<float> grads);
   [[nodiscard]] util::Status EndStep();
 
   // --- Introspection ---

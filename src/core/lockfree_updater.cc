@@ -7,6 +7,7 @@
 #include "obs/trace.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
+#include "util/parallel_for.h"
 
 namespace angelptm::core {
 namespace {
@@ -15,9 +16,53 @@ namespace {
 /// are the fp16 array's bytes, two halves per uint32_t word.
 size_t HalfWords(size_t count) { return (count + 1) / 2; }
 
-/// Halves converted per stack chunk between fp32 values and p'16
-/// (FetchParams reads, InstallParams writes).
+/// Elements converted per stack chunk between fp32 and fp16: p'16 reads
+/// and installs, g'16 accumulation, and the streamed rule's gradients.
 constexpr size_t kConvertChunk = 2048;
+
+/// Elements per compute-pool task of the streamed rule: a multiple of the
+/// AVX2 block (8) and of kConvertChunk, as AdamUpdate's own grain.
+constexpr size_t kStreamGrain = 8192;
+
+/// A memory-resident tensor's page spans as element ranges: span i holds
+/// elements [starts[i], starts[i + 1]) at data[i]. Built once per update
+/// (a few dozen entries per layer), so the rule's chunks find the pointers
+/// of p32, each slot and g'16 without walking pages again.
+class SpanIndex {
+ public:
+  [[nodiscard]] util::Status Build(const Tensor& tensor) {
+    const size_t elem = DTypeBytes(tensor.dtype());
+    ANGEL_RETURN_IF_ERROR(tensor.ForEachSpan(
+        [this, elem](std::byte* span, size_t bytes, size_t offset) {
+          if (bytes % elem != 0 ||
+              reinterpret_cast<uintptr_t>(span) % elem != 0) {
+            return util::Status::InvalidArgument(
+                "tensor span splits an element (odd page size)");
+          }
+          starts_.push_back(offset / elem);
+          data_.push_back(span);
+          return util::Status::OK();
+        }));
+    starts_.push_back(tensor.NumElements());
+    return util::Status::OK();
+  }
+
+  /// Pointer to element `e`; clamps `*n` to the elements that follow it
+  /// on the same span.
+  template <typename T>
+  T* At(size_t e, size_t* n) const {
+    const size_t i =
+        size_t(std::upper_bound(starts_.begin(), starts_.end(), e) -
+               starts_.begin()) -
+        1;
+    *n = std::min(*n, starts_[i + 1] - e);
+    return reinterpret_cast<T*>(data_[i]) + (e - starts_[i]);
+  }
+
+ private:
+  std::vector<size_t> starts_;
+  std::vector<std::byte*> data_;
+};
 
 /// How long the updating thread waits after an idle wakeup before it
 /// sweeps (see the class comment).
@@ -40,7 +85,8 @@ LockFreeUpdater::LockFreeUpdater(Allocator* allocator, const Options& options)
 LockFreeUpdater::~LockFreeUpdater() {
   Stop();
   for (auto& layer : layers_) {
-    for (Tensor* tensor : {layer->p32, layer->buffered_grads}) {
+    for (Tensor* tensor :
+         {layer->p32, layer->buffered_grads, layer->spare_grads}) {
       if (tensor != nullptr) (void)allocator_->Release(tensor);
     }
     for (Tensor* tensor : layer->slots) {
@@ -84,17 +130,24 @@ util::Result<int> LockFreeUpdater::AddLayer(
                              group));
     layer->slots.push_back(slot);
   }
+  // g'16 and its spare (see Layer::buffered_grads).
   ANGEL_ASSIGN_OR_RETURN(
-      layer->buffered_grads,
+      Tensor * buffered_grads,
+      allocator_->Allocate(shape, DType::kFp16, mem::DeviceKind::kCpu));
+  ANGEL_ASSIGN_OR_RETURN(
+      Tensor * spare_grads,
       allocator_->Allocate(shape, DType::kFp16, mem::DeviceKind::kCpu));
 
   ANGEL_RETURN_IF_ERROR(layer->p32->WriteFloats(initial_params));
   for (Tensor* slot : layer->slots) ANGEL_RETURN_IF_ERROR(slot->Clear());
-  ANGEL_RETURN_IF_ERROR(layer->buffered_grads->Clear());
+  ANGEL_RETURN_IF_ERROR(buffered_grads->Clear());
+  ANGEL_RETURN_IF_ERROR(spare_grads->Clear());
   layer->buffered_params.Reset(HalfWords(layer->count));
   {
     util::MutexLock lock(layer->buffer_mutex);
-    InstallParams(*layer, initial_params);
+    layer->buffered_grads = buffered_grads;
+    layer->spare_grads = spare_grads;
+    ANGEL_RETURN_IF_ERROR(InstallParams(*layer));
   }
 
   if (options_.master_device != mem::DeviceKind::kCpu) {
@@ -112,20 +165,40 @@ util::Result<int> LockFreeUpdater::AddLayer(
   return static_cast<int>(layers_.size()) - 1;
 }
 
-void LockFreeUpdater::InstallParams(Layer& layer,
-                                    const std::vector<float>& values) {
+util::Status LockFreeUpdater::InstallParams(Layer& layer) {
   // The reverse of the fp32 FetchParams: convert chunk by chunk on the
-  // stack, straight into p'16's seqlock payload.
-  const float* src = values.data();
+  // stack, straight from p32's spans into p'16's seqlock payload. The spans
+  // are indexed first, so nothing can fail inside the write.
+  SpanIndex params;
+  ANGEL_RETURN_IF_ERROR(params.Build(*layer.p32));
   const size_t count = layer.count;
-  layer.buffered_params.WriteWith([src, count](auto store) {
+  layer.buffered_params.WriteWith([&params, count](auto store) {
     uint16_t chunk[kConvertChunk];
-    for (size_t i = 0; i < count; i += kConvertChunk) {
-      const size_t n = std::min(kConvertChunk, count - i);
-      FloatsToHalves(src + i, chunk, n);
-      store(2 * i, chunk, 2 * n);
+    for (size_t e = 0; e < count;) {
+      size_t n = std::min(kConvertChunk, count - e);
+      const float* src = params.At<const float>(e, &n);
+      FloatsToHalves(src, chunk, n);
+      store(2 * e, chunk, 2 * n);
+      e += n;
     }
   });
+  return util::Status::OK();
+}
+
+util::Status LockFreeUpdater::AccumulateGrads(
+    Layer& layer, const std::vector<float>& grads) {
+  SpanIndex buffered;
+  ANGEL_RETURN_IF_ERROR(buffered.Build(*layer.buffered_grads));
+  float chunk[kConvertChunk];
+  for (size_t e = 0; e < layer.count;) {
+    size_t n = std::min(kConvertChunk, layer.count - e);
+    uint16_t* halves = buffered.At<uint16_t>(e, &n);
+    HalvesToFloats(halves, chunk, n);
+    for (size_t i = 0; i < n; ++i) chunk[i] += grads[e + i];
+    FloatsToHalves(chunk, halves, n);
+    e += n;
+  }
+  return util::Status::OK();
 }
 
 util::Status LockFreeUpdater::FetchParams(int layer_index,
@@ -176,7 +249,7 @@ util::Status LockFreeUpdater::FetchParams(int layer_index, Tensor* out) const {
 }
 
 util::Status LockFreeUpdater::OffloadGrads(int layer_index,
-                                           const std::vector<float>& grads) {
+                                           std::vector<float> grads) {
   // Fail fast once poisoned: accepting more gradients would only grow the
   // queue behind a dead updating thread.
   if (poisoned_.load(std::memory_order_acquire)) return status();
@@ -212,7 +285,7 @@ util::Status LockFreeUpdater::OffloadGrads(int layer_index,
     grad_batches_offloaded_.fetch_add(1);
     {
       util::MutexLock lock(queue_mutex_);
-      buffer_queue_.push_back(BufferTask{layer_index, false, grads});
+      buffer_queue_.push_back(BufferTask{layer_index, std::move(grads)});
       queue_cv_.NotifyOne();
     }
     // Wake the updating thread (it re-checks after the buffering thread
@@ -225,10 +298,7 @@ util::Status LockFreeUpdater::OffloadGrads(int layer_index,
   grad_batches_offloaded_.fetch_add(1);
   Layer& layer = *layers_[layer_index];
   util::MutexLock lock(layer.buffer_mutex);
-  std::vector<float> accumulated;
-  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->ReadFloats(&accumulated));
-  for (size_t i = 0; i < accumulated.size(); ++i) accumulated[i] += grads[i];
-  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->WriteFloats(accumulated));
+  ANGEL_RETURN_IF_ERROR(AccumulateGrads(layer, grads));
   layer.pending_batches += 1;
   return util::Status::OK();
 }
@@ -237,7 +307,7 @@ void LockFreeUpdater::Start() {
   if (running_.exchange(true)) return;
   {
     util::MutexLock lock(queue_mutex_);
-    installs_closed_ = false;
+    queue_closed_ = false;
   }
   buffering_thread_ = std::thread([this] { BufferingThreadLoop(); });
   updating_thread_ = std::thread([this] { UpdatingThreadLoop(); });
@@ -245,17 +315,14 @@ void LockFreeUpdater::Start() {
 
 void LockFreeUpdater::Stop() {
   if (!running_.exchange(false)) return;
-  // Producer before consumer: the updating thread queues parameter installs
-  // for the buffering thread, so it is joined first; only then may the
-  // buffering thread exit, after applying every install still queued.
+  {
+    util::MutexLock lock(queue_mutex_);
+    queue_closed_ = true;
+  }
+  queue_cv_.NotifyAll();
   backpressure_cv_.NotifyAll();
   SignalWork();
   if (updating_thread_.joinable()) updating_thread_.join();
-  {
-    util::MutexLock lock(queue_mutex_);
-    installs_closed_ = true;
-  }
-  queue_cv_.NotifyAll();
   if (buffering_thread_.joinable()) buffering_thread_.join();
 }
 
@@ -267,21 +334,25 @@ void LockFreeUpdater::SignalWork() {
   work_cv_.NotifyAll();
 }
 
-util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
-                                                 bool queue_install) {
-  ANGEL_SPAN("updater", "update_layer");
+util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
   Layer* layer = layers_[layer_index].get();
-  // Snapshot-and-clear the accumulated fp16 gradients (see class comment).
-  std::vector<float> grads;
+  // The master mutex quiesces this one layer against concurrent checkpoint
+  // cuts and master reads, and makes this update the only user of the
+  // layer's spare g'16 until it is cleared again.
+  util::MutexLock master_lock(layer->master_mutex);
+  // Take the accumulated gradients by swapping g'16 for the cleared spare
+  // (see class comment): an O(1) hold of the buffer mutex.
+  Tensor* grads = nullptr;
   uint64_t batches_taken = 0;
   {
     util::MutexLock lock(layer->buffer_mutex);
     if (layer->pending_batches == 0) return false;
-    ANGEL_RETURN_IF_ERROR(layer->buffered_grads->ReadFloats(&grads));
-    ANGEL_RETURN_IF_ERROR(layer->buffered_grads->Clear());
+    std::swap(layer->buffered_grads, layer->spare_grads);
+    grads = layer->spare_grads;
     batches_taken = layer->pending_batches;
     layer->pending_batches = 0;
   }
+  ANGEL_SPAN("updater", "update_layer");
   {
     // Release the staleness valve: these batches are no longer in flight.
     // Saturating, because batches offloaded in synchronous mode (no valve
@@ -291,54 +362,31 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
     inflight -= std::min(inflight, batches_taken);
   }
   backpressure_cv_.NotifyAll();
-  // Average the accumulated gradient batches.
-  if (batches_taken > 1) {
-    const float inv = 1.0f / float(batches_taken);
-    for (float& g : grads) g *= inv;
-  }
 
   // Fetch fp32 states from the master device (Algorithm 2 line 4; a real
-  // SSD read when the master tier is the SSD). The master mutex quiesces
-  // this one layer against concurrent checkpoint cuts and master reads.
+  // SSD read when the master tier is the SSD), update them (line 5),
+  // install p'16 (line 6, on this thread) and write them back (line 7).
   const bool on_ssd = options_.master_device == mem::DeviceKind::kSsd;
+  if (on_ssd) {
+    ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
+  }
+  layer->step += 1;
+  // Average the accumulated gradient batches.
+  const float scale =
+      batches_taken > 1 ? 1.0f / float(batches_taken) : 1.0f;
+  ANGEL_RETURN_IF_ERROR(ApplyRule(*layer, *grads, scale));
+  // A failed install leaves the compute side reading stale (but
+  // consistent) parameters forever; that is silent divergence, so it fails
+  // the update, which poisons the updater.
+  ANGEL_RETURN_IF_ERROR(
+      util::FaultInjector::Instance().Check("updater.buffer_install"));
   {
-    util::MutexLock master_lock(layer->master_mutex);
-    if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
-    }
-    std::vector<float> p;
-    ANGEL_RETURN_IF_ERROR(layer->p32->ReadFloats(&p));
-    std::vector<std::vector<float>> slot_values(layer->slots.size());
-    std::vector<SlotView> views(layer->slots.size());
-    for (size_t s = 0; s < layer->slots.size(); ++s) {
-      ANGEL_RETURN_IF_ERROR(layer->slots[s]->ReadFloats(&slot_values[s]));
-      views[s] = SlotView{slot_values[s].data(), slot_values[s].size()};
-    }
-
-    layer->step += 1;
-    ANGEL_RETURN_IF_ERROR(optimizer_->Update(p.data(), grads.data(),
-                                             layer->count, views,
-                                             layer->step));
-
-    ANGEL_RETURN_IF_ERROR(layer->p32->WriteFloats(p));
-    for (size_t s = 0; s < layer->slots.size(); ++s) {
-      ANGEL_RETURN_IF_ERROR(layer->slots[s]->WriteFloats(slot_values[s]));
-    }
-
-    // Hand the fresh parameters to the buffering side (line 6), overlapping
-    // with the SSD write-back (line 7).
-    if (queue_install) {
-      util::MutexLock lock(queue_mutex_);
-      buffer_queue_.push_back(BufferTask{layer_index, true, std::move(p)});
-      queue_cv_.NotifyOne();
-    } else {
-      util::MutexLock lock(layer->buffer_mutex);
-      InstallParams(*layer, p);
-    }
-
-    if (on_ssd) {
-      ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kSsd));
-    }
+    util::MutexLock lock(layer->buffer_mutex);
+    ANGEL_RETURN_IF_ERROR(InstallParams(*layer));
+  }
+  ANGEL_RETURN_IF_ERROR(grads->Clear());
+  if (on_ssd) {
+    ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kSsd));
   }
   updates_applied_.fetch_add(1);
   grad_batches_applied_.fetch_add(batches_taken);
@@ -347,6 +395,83 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index,
     staleness_.Record(batches_taken);
   }
   return true;
+}
+
+util::Status LockFreeUpdater::ApplyRule(Layer& layer, const Tensor& grads,
+                                        float scale) {
+  if (!optimizer_->SplitsBitwise()) {
+    // Layer-wide rules (LAMB's norms, Adafactor's factored statistics) see
+    // the whole layer in one call.
+    std::vector<float> g;
+    ANGEL_RETURN_IF_ERROR(grads.ReadFloats(&g));
+    if (scale != 1.0f) {
+      for (float& x : g) x *= scale;
+    }
+    std::vector<float> p;
+    ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(&p));
+    std::vector<std::vector<float>> slot_values(layer.slots.size());
+    std::vector<SlotView> views(layer.slots.size());
+    for (size_t s = 0; s < layer.slots.size(); ++s) {
+      ANGEL_RETURN_IF_ERROR(layer.slots[s]->ReadFloats(&slot_values[s]));
+      views[s] = SlotView{slot_values[s].data(), slot_values[s].size()};
+    }
+    ANGEL_RETURN_IF_ERROR(
+        optimizer_->Update(p.data(), g.data(), layer.count, views, layer.step));
+    ANGEL_RETURN_IF_ERROR(layer.p32->WriteFloats(p));
+    for (size_t s = 0; s < layer.slots.size(); ++s) {
+      ANGEL_RETURN_IF_ERROR(layer.slots[s]->WriteFloats(slot_values[s]));
+    }
+    return util::Status::OK();
+  }
+
+  // The rule splits bitwise: run it in place, span by span. Each chunk
+  // converts its g'16 range through a stack buffer and updates p32 and the
+  // slots where they lie, so the update stages no whole-layer copy.
+  SpanIndex params, grad_spans;
+  ANGEL_RETURN_IF_ERROR(params.Build(*layer.p32));
+  ANGEL_RETURN_IF_ERROR(grad_spans.Build(grads));
+  std::vector<SpanIndex> slots(layer.slots.size());
+  for (size_t s = 0; s < slots.size(); ++s) {
+    if (layer.slots[s]->dtype() != DType::kFp32 ||
+        layer.slot_layout[s].count != layer.count) {
+      return util::Status::FailedPrecondition(
+          "rule '" + optimizer_rule() +
+          "' splits bitwise but declares a slot that is not fp32 of the "
+          "layer's size");
+    }
+    ANGEL_RETURN_IF_ERROR(slots[s].Build(*layer.slots[s]));
+  }
+  const long step = layer.step;
+  std::vector<util::Status> failed((layer.count + kStreamGrain - 1) /
+                                   kStreamGrain);
+  util::ParallelForChunks(
+      util::ComputePool(), 0, layer.count, kStreamGrain,
+      [&](size_t chunk, size_t lo, size_t hi) {
+        float g[kConvertChunk];
+        std::vector<SlotView> views(slots.size());
+        for (size_t e = lo; e < hi;) {
+          size_t n = std::min(kConvertChunk, hi - e);
+          float* p = params.At<float>(e, &n);
+          const uint16_t* g16 = grad_spans.At<uint16_t>(e, &n);
+          for (size_t s = 0; s < slots.size(); ++s) {
+            views[s].data = slots[s].At<float>(e, &n);
+          }
+          for (SlotView& view : views) view.count = n;
+          HalvesToFloats(g16, g, n);
+          if (scale != 1.0f) {
+            for (size_t i = 0; i < n; ++i) g[i] *= scale;
+          }
+          const util::Status status =
+              optimizer_->Update(p, g, n, views, step);
+          if (!status.ok()) {
+            failed[chunk] = status;
+            return;
+          }
+          e += n;
+        }
+      });
+  for (const util::Status& status : failed) ANGEL_RETURN_IF_ERROR(status);
+  return util::Status::OK();
 }
 
 void LockFreeUpdater::UpdatingThreadLoop() {
@@ -360,7 +485,7 @@ void LockFreeUpdater::UpdatingThreadLoop() {
     // Algorithm 2 line 3: walk layers in reverse (gradients arrive in
     // backward order, so the last layers are dirty first).
     for (int i = num_layers() - 1; i >= 0 && running_.load(); --i) {
-      auto updated = UpdateLayer(i, /*queue_install=*/true);
+      auto updated = UpdateLayer(i);
       if (!updated.ok()) {
         // An error here (e.g. an SSD failure that survived the retry
         // policy) is unrecoverable for this thread: poison the updater so
@@ -403,7 +528,7 @@ void LockFreeUpdater::BufferingThreadLoop() {
     BufferTask task;
     {
       util::MutexLock lock(queue_mutex_);
-      while (buffer_queue_.empty() && !installs_closed_ &&
+      while (buffer_queue_.empty() && !queue_closed_ &&
              !poisoned_.load(std::memory_order_acquire)) {
         queue_cv_.Wait(queue_mutex_);
       }
@@ -413,36 +538,13 @@ void LockFreeUpdater::BufferingThreadLoop() {
       buffer_queue_.pop_front();
     }
     Layer& layer = *layers_[task.layer];
-    ANGEL_SPAN("updater",
-               task.is_params ? "buffer_install" : "buffer_accumulate");
+    ANGEL_SPAN("updater", "buffer_accumulate");
     {
-      util::MutexLock lock(layer.buffer_mutex);
-      if (task.is_params) {
-        // Install updated parameters into p'16 (Algorithm 2 line 13): one
-        // new seqlock version.
-        const util::Status status =
-            util::FaultInjector::Instance().Check("updater.buffer_install");
-        if (!status.ok()) {
-          // A failed install leaves the compute side reading stale (but
-          // consistent) parameters forever; that is silent divergence, so
-          // treat it as fatal rather than logging and moving on.
-          Poison(status);
-          return;
-        }
-        InstallParams(layer, task.data);
-        continue;
-      }
       // Accumulate into g'16 (line 15).
-      std::vector<float> accumulated;
+      util::MutexLock lock(layer.buffer_mutex);
       util::Status status =
           util::FaultInjector::Instance().Check("updater.buffer_accumulate");
-      if (status.ok()) status = layer.buffered_grads->ReadFloats(&accumulated);
-      if (status.ok()) {
-        for (size_t i = 0; i < accumulated.size(); ++i) {
-          accumulated[i] += task.data[i];
-        }
-        status = layer.buffered_grads->WriteFloats(accumulated);
-      }
+      if (status.ok()) status = AccumulateGrads(layer, task.grads);
       if (!status.ok()) {
         // The batch was lost; marking it pending anyway would make the
         // updater apply a zero (or partial) gradient and report it drained.
@@ -463,8 +565,7 @@ util::Status LockFreeUpdater::UpdateOnce() {
         "UpdateOnce is the synchronous path; Stop() the threads first");
   }
   for (int i = num_layers() - 1; i >= 0; --i) {
-    const util::Status layer_status =
-        UpdateLayer(i, /*queue_install=*/false).status();
+    const util::Status layer_status = UpdateLayer(i).status();
     if (!layer_status.ok()) {
       Poison(layer_status);
       return layer_status;
@@ -633,14 +734,17 @@ util::Status LockFreeUpdater::ImportLayerState(int layer_index,
     ANGEL_RETURN_IF_ERROR(layer.slots[s]->WriteFloats(state.slots[s].values));
   }
   layer.step = state.step;
+  {
+    // Refresh the compute-side fp16 view and drop stale gradients.
+    util::MutexLock lock(layer.buffer_mutex);
+    ANGEL_RETURN_IF_ERROR(InstallParams(layer));
+    ANGEL_RETURN_IF_ERROR(layer.buffered_grads->Clear());
+    ANGEL_RETURN_IF_ERROR(layer.spare_grads->Clear());
+    layer.pending_batches = 0;
+  }
   if (on_ssd) {
     ANGEL_RETURN_IF_ERROR(MoveMasters(layer, mem::DeviceKind::kSsd));
   }
-  // Refresh the compute-side fp16 view and drop stale gradients.
-  util::MutexLock lock(layer.buffer_mutex);
-  InstallParams(layer, state.params);
-  ANGEL_RETURN_IF_ERROR(layer.buffered_grads->Clear());
-  layer.pending_batches = 0;
   return util::Status::OK();
 }
 

@@ -29,22 +29,26 @@ struct MasterCut;
 ///  - The *compute* side (the training loop, standing in for the GPUs)
 ///    fetches buffered fp16 parameters (p'16) and offloads fp16 gradients,
 ///    never blocking on the optimizer.
-///  - The *buffering thread* owns the two fp16 CPU buffers: it accumulates
-///    offloaded gradients into g'16 and installs freshly updated parameters
-///    into p'16.
+///  - The *buffering thread* accumulates offloaded gradients into g'16, in
+///    place.
 ///  - The *updating thread* walks layers in reverse, fetches the fp32
 ///    master states (from the SSD tier when configured — real file I/O),
 ///    applies the configured update rule (Options.optimizer — Adam by
 ///    default; see core/optimizer/optimizer.h) against the accumulated
-///    gradients, hands the result to the buffering thread, and writes the
-///    states back. It sleeps on a condition variable between work batches
-///    and is woken by OffloadGrads / the buffering thread.
+///    gradients, installs the fresh parameters into p'16 itself and writes
+///    the states back. A rule that splits bitwise runs in place over the
+///    masters' page spans, with no whole-layer copy. The thread sleeps on a
+///    condition variable between work batches and is woken by
+///    OffloadGrads / the buffering thread.
 ///
-/// Deviation from the paper's pseudocode, documented: Algorithm 2 clears
+/// Deviations from the paper's pseudocode, documented: Algorithm 2 clears
 /// g'16 when the buffering thread *receives* the updated parameters, which
-/// drops gradients that arrive during the update window. We snapshot-and-
-/// clear g'16 atomically when the update *starts*, preserving every
-/// gradient while keeping the same staleness behaviour.
+/// drops gradients that arrive during the update window. g'16 is instead
+/// double-buffered: the update *starts* by swapping the filled buffer for a
+/// cleared spare, preserving every gradient while keeping the same
+/// staleness behaviour. And the updating thread installs p'16 (line 13)
+/// itself rather than handing the parameters to the buffering thread, so
+/// no install is ever queued and none is copied.
 ///
 /// Second documented deviation — the staleness valve: Algorithm 2's compute
 /// side never waits for the optimizer, which is the right throughput call
@@ -80,7 +84,7 @@ struct MasterCut;
 ///
 /// Failure semantics: the first unrecoverable error on either background
 /// thread (an SSD I/O failure that survives the SsdTier retry policy, a
-/// buffer install/accumulate failure) *poisons* the updater — the thread
+/// failed p'16 install or g'16 accumulate) *poisons* the updater — the thread
 /// stops, status() turns non-OK, and every subsequent OffloadGrads /
 /// FetchParams / DrainUpdates call fails fast with that status instead of
 /// silently training against a dead optimizer. Poisoning is terminal: the
@@ -131,18 +135,17 @@ class LockFreeUpdater {
 
   /// Accumulates gradients into the layer's fp16 buffer and marks it dirty
   /// (lines 24 / 14-15). Never blocks on the updating thread unless the
-  /// layer is at the staleness valve's bound; wakes it.
-  [[nodiscard]] util::Status OffloadGrads(int layer,
-                                          const std::vector<float>& grads)
+  /// layer is at the staleness valve's bound; wakes it. Takes the vector by
+  /// value: a moved-in buffer is queued for the buffering thread as is.
+  [[nodiscard]] util::Status OffloadGrads(int layer, std::vector<float> grads)
       ANGEL_EXCLUDES(queue_mutex_, work_mutex_, backpressure_mutex_);
 
   // --- Control ---
 
   /// Spawns the buffering and updating threads (asynchronous mode).
   void Start();
-  /// Joins the threads, the updating thread first; the buffering thread
-  /// then applies every install still queued, in order, before it exits.
-  /// Pending gradients stay buffered.
+  /// Joins the threads. The buffering thread first accumulates every
+  /// gradient still queued; pending gradients stay buffered in g'16.
   void Stop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   bool running() const { return running_.load(); }
 
@@ -229,17 +232,20 @@ class LockFreeUpdater {
     /// m; adafactor: row, col). Allocated per the optimizer's SlotLayout.
     std::vector<Tensor*> slots;
     std::vector<SlotSpec> slot_layout;
-    /// Algorithm 2's gradient buffer g'16, an fp16 tensor on the CPU tier.
-    /// The pointer is set once in AddLayer; the *bytes* it reaches are what
-    /// buffer_mutex guards, a method-call-level relationship (ReadFloats/
-    /// WriteFloats) the analysis cannot see through Tensor's interface.
-    Tensor* buffered_grads = nullptr;
     mutable util::Mutex buffer_mutex{"updater.buffer",
                                      util::lockrank::kUpdaterBuffer};
+    /// Algorithm 2's gradient buffer g'16, double-buffered: two fp16
+    /// tensors on the CPU tier. Accumulation adds into `buffered_grads`
+    /// under buffer_mutex; an update swaps it for the cleared
+    /// `spare_grads` under the same mutex (an O(1) hold), then streams from
+    /// the filled one and clears it while holding master_mutex, which makes
+    /// it the spare's only user.
+    Tensor* buffered_grads ANGEL_GUARDED_BY(buffer_mutex) = nullptr;
+    Tensor* spare_grads ANGEL_GUARDED_BY(buffer_mutex) = nullptr;
     uint64_t pending_batches ANGEL_GUARDED_BY(buffer_mutex) = 0;
     /// Algorithm 2's parameter buffer p'16: the fp16 bits, published via
-    /// seqlock. Writers (install/import, both under buffer_mutex) are
-    /// serialized; FetchParams reads with no lock.
+    /// seqlock. Writers (the update's install, AddLayer and import, all
+    /// under buffer_mutex) are serialized; FetchParams reads with no lock.
     util::SeqLockBuffer buffered_params;
     /// Serializes access to the fp32 master states (p32 and the slots,
     /// including their tier moves) between the updating path and concurrent
@@ -260,14 +266,16 @@ class LockFreeUpdater {
   [[nodiscard]] util::Status MoveMasters(Layer& layer, mem::DeviceKind target)
       ANGEL_REQUIRES(layer.master_mutex);
   /// Applies one optimizer update to layer `layer_index` if it has pending
-  /// gradients. Returns true if an update was applied. The fresh parameters
-  /// are queued for the buffering thread when `queue_install` (the updating
-  /// thread's sweep), else installed inline (UpdateOnce): the route comes
-  /// from the caller, never from running_, which Stop() can flip mid-update
-  /// and so land an inline install ahead of a queued older one.
-  [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index,
-                                               bool queue_install)
-      ANGEL_EXCLUDES(queue_mutex_, staleness_mutex_, backpressure_mutex_);
+  /// gradients and installs the fresh parameters into p'16. Returns true if
+  /// an update was applied.
+  [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index)
+      ANGEL_EXCLUDES(staleness_mutex_, backpressure_mutex_);
+  /// The update rule over the layer's memory-resident masters, averaging
+  /// `grads` (the swapped-out g'16) by `scale`: in place span by span when
+  /// the rule splits bitwise, else through whole-layer vectors.
+  [[nodiscard]] util::Status ApplyRule(Layer& layer, const Tensor& grads,
+                                       float scale)
+      ANGEL_REQUIRES(layer.master_mutex);
   void UpdatingThreadLoop() ANGEL_EXCLUDES(work_mutex_);
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   /// Records the first unrecoverable error; later calls keep the original.
@@ -275,10 +283,16 @@ class LockFreeUpdater {
       ANGEL_EXCLUDES(poison_mutex_, work_mutex_);
   /// Bumps the work epoch and wakes the updating thread.
   void SignalWork() ANGEL_EXCLUDES(work_mutex_);
-  /// Installs `values` (layer.count of them) as the layer's buffered
-  /// parameters: one conversion, straight into p'16. Caller holds
-  /// layer.buffer_mutex, which serializes p'16's writers.
-  static void InstallParams(Layer& layer, const std::vector<float>& values)
+  /// Installs the layer's fp32 master parameters as its buffered ones: one
+  /// conversion from p32's page spans straight into p'16. p32 must be
+  /// memory-resident and quiesced (master_mutex, or no threads yet); the
+  /// caller holds layer.buffer_mutex, which serializes p'16's writers.
+  [[nodiscard]] static util::Status InstallParams(Layer& layer)
+      ANGEL_REQUIRES(layer.buffer_mutex);
+  /// Adds `grads` into g'16 in place, converting span by span through a
+  /// stack chunk.
+  [[nodiscard]] static util::Status AccumulateGrads(
+      Layer& layer, const std::vector<float>& grads)
       ANGEL_REQUIRES(layer.buffer_mutex);
   /// Gradient batches offloaded but not yet applied.
   uint64_t pending_grad_batches() const;
@@ -292,21 +306,20 @@ class LockFreeUpdater {
   std::thread updating_thread_;
   std::thread buffering_thread_;
 
-  /// Queue feeding the buffering thread: gradients from the compute side
-  /// and updated parameters from the updating thread.
+  /// Queue feeding the buffering thread: gradients from the compute side,
+  /// each an fp32 vector the offload moved in, to accumulate into g'16.
   struct BufferTask {
     int layer;
-    bool is_params;            // true: install params; false: accumulate.
-    std::vector<float> data;   // fp32 values (cast to fp16 on apply).
+    std::vector<float> grads;
   };
   mutable util::Mutex queue_mutex_{"updater.queue",
                                    util::lockrank::kUpdaterQueue};
   util::CondVar queue_cv_;
   std::deque<BufferTask> buffer_queue_ ANGEL_GUARDED_BY(queue_mutex_);
-  /// True while no install can be queued: until Start(), and again once
-  /// Stop() has joined the updating thread. The buffering thread exits only
-  /// when this holds and the queue is empty, so no install is left behind.
-  bool installs_closed_ ANGEL_GUARDED_BY(queue_mutex_) = true;
+  /// True while the threads are not running: until Start(), and again from
+  /// Stop(). The buffering thread exits only when this holds and the queue
+  /// is empty, so no offloaded gradient is left queued.
+  bool queue_closed_ ANGEL_GUARDED_BY(queue_mutex_) = true;
 
   /// Wakeup channel for the updating thread (replaces the old idle-sleep
   /// poll): the epoch counts SignalWork calls, so a signal that lands

@@ -42,6 +42,9 @@ class AdafactorOptimizer final : public Optimizer {
     return {{"row", rows, DType::kFp32}, {"col", cols, DType::kFp32}};
   }
 
+  /// Row and column statistics span the whole factored grid.
+  bool SplitsBitwise() const override { return false; }
+
   util::Status Update(float* params, const float* grads, size_t count,
                       const std::vector<SlotView>& slots,
                       long step) const override {

@@ -28,6 +28,10 @@ class AdamOptimizer final : public Optimizer {
             {"v", param_count, DType::kFp32}};
   }
 
+  /// Elementwise: AdamUpdateRange and the AVX2 block compute the same bits
+  /// for an element whatever range it falls in.
+  bool SplitsBitwise() const override { return true; }
+
   util::Status Update(float* params, const float* grads, size_t count,
                       const std::vector<SlotView>& slots,
                       long step) const override {

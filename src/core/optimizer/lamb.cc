@@ -29,6 +29,9 @@ class LambOptimizer final : public Optimizer {
             {"v", param_count, DType::kFp32}};
   }
 
+  /// The trust ratio needs both layer-wide norms before any element moves.
+  bool SplitsBitwise() const override { return false; }
+
   util::Status Update(float* params, const float* grads, size_t count,
                       const std::vector<SlotView>& slots,
                       long step) const override {

@@ -70,6 +70,14 @@ struct SlotView {
 ///  * Update must be deterministic for a fixed input regardless of the
 ///    compute-pool thread count (fixed-grain chunked reductions, not
 ///    atomics), so lock-free training stays reproducible.
+///  * SplitsBitwise() is a property of the rule, not an option: true
+///    promises that Update over any contiguous split of [0, count) (params,
+///    grads and every slot cut at the same element boundaries, each piece
+///    called with the same `step`) is bitwise equal to one call over the
+///    whole range. Such a rule declares only fp32 slots of `count`
+///    elements. The updater then streams it over page spans in place
+///    (DESIGN.md §13.3); a rule with a layer-wide reduction says false and
+///    is handed the whole layer in one call.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -79,6 +87,10 @@ class Optimizer {
 
   /// Master-state slots required for a layer of `param_count` elements.
   virtual std::vector<SlotSpec> SlotLayout(size_t param_count) const = 0;
+
+  /// Whether any contiguous split of one Update is bitwise equal to the
+  /// whole call (see the contract above). Elementwise rules say true.
+  virtual bool SplitsBitwise() const = 0;
 
   /// Applies one step to `params` given averaged `grads` (both `count`
   /// elements) and the layer's slots.

@@ -22,6 +22,8 @@ class SgdmOptimizer final : public Optimizer {
     return {{"m", param_count, DType::kFp32}};
   }
 
+  bool SplitsBitwise() const override { return true; }
+
   util::Status Update(float* params, const float* grads, size_t count,
                       const std::vector<SlotView>& slots,
                       long /*step*/) const override {

@@ -245,7 +245,8 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
     }
   }
   for (int l = num_layers - 1; apply && l >= 0; --l) {
-    ANGEL_RETURN_IF_ERROR(updater_->OffloadGrads(l, layer_grads[l]));
+    ANGEL_RETURN_IF_ERROR(
+        updater_->OffloadGrads(l, std::move(layer_grads[l])));
   }
   if (update) {
     ANGEL_SPAN("train", "update_once");
@@ -305,7 +306,7 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
       std::vector<float> grad_in, grad_params;
       model_->Backward(l, params.data(), stash[l], grad, batch, &grad_in,
                        &grad_params);
-      ANGEL_RETURN_IF_ERROR(engine_->PushGrads(l, grad_params));
+      ANGEL_RETURN_IF_ERROR(engine_->PushGrads(l, std::move(grad_params)));
       grad = std::move(grad_in);
     }
   }

@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include "core/adam.h"
+#include "core/checkpoint.h"
 #include "util/fault_injector.h"
 #include "util/half.h"
+#include "util/parallel_for.h"
+#include "util/random.h"
 
 namespace angelptm::core {
 namespace {
@@ -254,9 +257,9 @@ TEST_F(LockFreeUpdaterTest, StartStopIdempotent) {
 
 TEST_F(LockFreeUpdaterTest, StopLeavesNoParameterInstallBehind) {
   // Training stops and restarts the threads on every Train() call. After
-  // each Stop(), p'16 must hold the fp16 cast of the masters: an install the
-  // updating thread queued while the threads shut down is applied, not left
-  // in the queue.
+  // each Stop(), p'16 must hold the fp16 cast of the masters: an update in
+  // flight while the threads shut down installs its parameters before the
+  // updating thread exits.
   LockFreeUpdater updater(&allocator_, UpdaterOptions());
   const std::vector<float> init(256, 1.0f);
   ASSERT_TRUE(updater.AddLayer(init).ok());
@@ -278,6 +281,194 @@ TEST_F(LockFreeUpdaterTest, StopLeavesNoParameterInstallBehind) {
       ASSERT_EQ(fetched, master) << "cycle " << cycle << ", layer " << l;
     }
   }
+}
+
+/// Points ComputePool() at `pool` for one scope.
+struct PoolOverride {
+  explicit PoolOverride(util::ThreadPool* pool) {
+    util::SetComputePoolOverride(pool);
+  }
+  ~PoolOverride() { util::SetComputePoolOverride(nullptr); }
+};
+
+/// The layer's fp32 master state, p32 then each slot, read through a
+/// checkpoint cut (which reads SSD-resident spans in place).
+std::vector<std::vector<float>> ReadMasters(LockFreeUpdater* updater,
+                                            int layer) {
+  MasterCut cut;
+  EXPECT_TRUE(updater->CutLayer(layer, &cut).ok());
+  std::vector<std::vector<float>> out;
+  for (const MasterCut::Tensor& tensor : cut.tensors) {
+    std::vector<float> values(tensor.count);
+    auto* dst = reinterpret_cast<std::byte*>(values.data());
+    for (const MasterSpan& span : tensor.spans) {
+      EXPECT_TRUE(ReadMasterSpan(cut.ssd, span, dst).ok());
+      dst += span.bytes;
+    }
+    out.push_back(std::move(values));
+  }
+  return out;
+}
+
+TEST_F(LockFreeUpdaterTest, StreamedUpdateMatchesWholeLayerBitwise) {
+  // Rules that split bitwise run in place over the masters' page spans.
+  // The result must equal Optimizer::Update over gathered vectors, bit for
+  // bit, at any compute-pool width, for CPU and SSD masters. Pages are
+  // 16 KiB (4096 floats): 3 * 4096 + 1000 leaves 4000-byte tails, so p32's
+  // and m's tails share a page; 1500 puts p32 and m on one page; 4097 has
+  // an odd element count and a one-element tail.
+  const std::vector<size_t> counts = {3 * 4096 + 1000, 1500, 4097};
+  for (const char* rule : {"adam", "sgdm"}) {
+    for (const mem::DeviceKind master :
+         {mem::DeviceKind::kCpu, mem::DeviceKind::kSsd}) {
+      for (const size_t threads : {size_t(1), size_t(4), size_t(8)}) {
+        SCOPED_TRACE(std::string(rule) + " " +
+                     mem::DeviceKindName(master) + " threads " +
+                     std::to_string(threads));
+        util::ThreadPool pool(threads);
+        const PoolOverride pool_override(&pool);
+        // Tiers sized to the three layers, so twelve fresh memories stay
+        // cheap under ThreadSanitizer.
+        mem::HierarchicalMemoryOptions tiers = MakeOptions();
+        tiers.gpu_capacity_bytes = 0;
+        tiers.cpu_capacity_bytes = 1ull << 20;
+        tiers.ssd_capacity_bytes = 1ull << 20;
+        mem::HierarchicalMemory memory(tiers);
+        Allocator allocator(&memory);
+        LockFreeUpdater::Options options = UpdaterOptions(master);
+        options.optimizer.rule = rule;
+        options.optimizer.weight_decay = 0.01;
+        LockFreeUpdater updater(&allocator, options);
+        auto reference_rule = Optimizer::Create(options.optimizer);
+        ASSERT_TRUE(reference_rule.ok());
+        const Optimizer& reference = **reference_rule;
+        ASSERT_TRUE(reference.SplitsBitwise());
+
+        util::Rng rng(17);
+        struct Reference {
+          std::vector<float> params;
+          std::vector<std::vector<float>> slots;
+        };
+        std::vector<Reference> refs;
+        for (const size_t count : counts) {
+          std::vector<float> init(count);
+          for (float& x : init) x = rng.UniformFloat(-1.0f, 1.0f);
+          ASSERT_TRUE(updater.AddLayer(init).ok());
+          Reference ref{init, {}};
+          for (const SlotSpec& spec : reference.SlotLayout(count)) {
+            ref.slots.emplace_back(spec.count, 0.0f);
+          }
+          refs.push_back(std::move(ref));
+        }
+        for (long step = 1; step <= 3; ++step) {
+          // 1, 2, then 3 batches per update: the averaged path too.
+          for (int l = 0; l < int(counts.size()); ++l) {
+            const size_t count = counts[l];
+            std::vector<uint16_t> acc(count, util::FloatToHalfBits(0.0f));
+            for (long b = 0; b < step; ++b) {
+              std::vector<float> grads(count);
+              for (float& g : grads) g = rng.UniformFloat(-0.5f, 0.5f);
+              for (size_t i = 0; i < count; ++i) {
+                acc[i] = util::FloatToHalfBits(util::HalfBitsToFloat(acc[i]) +
+                                               grads[i]);
+              }
+              ASSERT_TRUE(updater.OffloadGrads(l, std::move(grads)).ok());
+            }
+            std::vector<float> averaged(count);
+            const float scale = step > 1 ? 1.0f / float(step) : 1.0f;
+            for (size_t i = 0; i < count; ++i) {
+              averaged[i] = util::HalfBitsToFloat(acc[i]);
+              if (step > 1) averaged[i] *= scale;
+            }
+            Reference& ref = refs[l];
+            std::vector<SlotView> views;
+            for (std::vector<float>& slot : ref.slots) {
+              views.push_back({slot.data(), slot.size()});
+            }
+            ASSERT_TRUE(reference
+                            .Update(ref.params.data(), averaged.data(),
+                                    count, views, step)
+                            .ok());
+          }
+          ASSERT_TRUE(updater.UpdateOnce().ok());
+        }
+        for (int l = 0; l < int(counts.size()); ++l) {
+          const std::vector<std::vector<float>> masters =
+              ReadMasters(&updater, l);
+          ASSERT_EQ(masters.size(), 1 + refs[l].slots.size());
+          EXPECT_EQ(masters[0], refs[l].params) << "layer " << l;
+          for (size_t s = 0; s < refs[l].slots.size(); ++s) {
+            EXPECT_EQ(masters[1 + s], refs[l].slots[s])
+                << "layer " << l << " slot " << s;
+          }
+          // p'16 is the fp16 cast of the streamed masters.
+          std::vector<float> fetched;
+          ASSERT_TRUE(updater.FetchParams(l, &fetched).ok());
+          for (size_t i = 0; i < counts[l]; ++i) {
+            ASSERT_EQ(fetched[i], util::HalfBitsToFloat(util::FloatToHalfBits(
+                                      refs[l].params[i])))
+                << "layer " << l << " element " << i;
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST_F(LockFreeUpdaterTest, GradientSwapLosesNoBatch) {
+  // One thread offloads while the updating thread swaps g'16 out from
+  // under the buffering thread's accumulation: every batch must land in
+  // exactly one update, with its bytes. Each batch is the constant 0.25, so
+  // every update's average is exactly 0.25 (fp16 sums of up to the valve's
+  // 8 batches are exact), and plain SGD (sgdm, beta1 = 0) moves each
+  // parameter by the same float(lr * 0.25) per update. A batch whose bytes
+  // were lost would leave a parameter off that lattice, or on it with fewer
+  // steps than the layer's updates.
+  LockFreeUpdater::Options options = UpdaterOptions();
+  options.optimizer.rule = "sgdm";
+  options.optimizer.beta1 = 0.0;
+  LockFreeUpdater updater(&allocator_, options);
+  constexpr int kLayers = 3;
+  constexpr int kBatches = 200;
+  constexpr size_t kCount = 5000;
+  for (int l = 0; l < kLayers; ++l) {
+    ASSERT_TRUE(updater.AddLayer(std::vector<float>(kCount, 1.0f)).ok());
+  }
+  updater.Start();
+  std::thread producer([&updater] {
+    for (int b = 0; b < kBatches; ++b) {
+      for (int l = kLayers - 1; l >= 0; --l) {
+        ASSERT_TRUE(
+            updater.OffloadGrads(l, std::vector<float>(kCount, 0.25f)).ok());
+      }
+    }
+  });
+  producer.join();
+  ASSERT_TRUE(updater.DrainUpdates().ok());
+  updater.Stop();
+  const LockFreeUpdater::Stats stats = updater.Snapshot();
+  EXPECT_EQ(stats.grad_batches_offloaded, uint64_t(kLayers * kBatches));
+  EXPECT_EQ(stats.grad_batches_applied, stats.grad_batches_offloaded);
+  EXPECT_EQ(stats.staleness.sum, stats.grad_batches_offloaded);
+  EXPECT_EQ(stats.staleness.count, stats.updates_applied);
+  EXPECT_EQ(stats.pending_grad_batches, 0u);
+
+  const float step = float(0.1 * 0.25);  // sgdm: p -= float(lr * m).
+  uint64_t steps_seen = 0;
+  for (int l = 0; l < kLayers; ++l) {
+    std::vector<float> master;
+    ASSERT_TRUE(updater.ReadMasterParams(l, &master).ok());
+    float p = 1.0f;
+    uint64_t steps = 0;
+    while (p > master[0] && steps <= uint64_t(kBatches)) {
+      p -= step;
+      ++steps;
+    }
+    ASSERT_EQ(p, master[0]) << "layer " << l << " left the update lattice";
+    for (const float value : master) ASSERT_EQ(value, master[0]);
+    steps_seen += steps;
+  }
+  EXPECT_EQ(steps_seen, stats.updates_applied);
 }
 
 /// Failure semantics: injected faults must poison the updater and surface
@@ -338,17 +529,14 @@ TEST_F(LockFreeUpdaterFaultTest, BufferInstallFailurePoisons) {
   ArmPermanent("updater.buffer_install");
   updater.Start();
   ASSERT_TRUE(updater.OffloadGrads(0, {0.5f}).ok());
-  // The gradient may count as applied before the install task fails, so
-  // DrainUpdates can legitimately return OK here; the poisoned state itself
-  // is what must become visible promptly.
-  (void)updater.DrainUpdates(std::chrono::milliseconds(30000));
-  const auto poll_deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (updater.status().ok() &&
-         std::chrono::steady_clock::now() < poll_deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // The updating thread installs p'16 itself, and a failed install fails
+  // the update before its batch counts as applied, so the drain cannot
+  // report OK: it returns the poison.
+  const util::Status drained =
+      updater.DrainUpdates(std::chrono::milliseconds(30000));
+  EXPECT_TRUE(drained.IsIoError()) << drained;
   EXPECT_TRUE(updater.status().IsIoError());
+  EXPECT_EQ(updater.Snapshot().grad_batches_applied, 0u);
   updater.Stop();
   std::vector<float> fetched;
   EXPECT_TRUE(updater.FetchParams(0, &fetched).IsIoError());

@@ -316,6 +316,59 @@ TEST_F(OptimizerTest, AdafactorBitwiseIdenticalAcrossThreadCounts) {
   ExpectThreadCountInvariant(**adafactor, 20000, 4);
 }
 
+TEST_F(OptimizerTest, SplitPropertyDeclaredPerRule) {
+  // Elementwise rules split; rules with a layer-wide reduction do not.
+  EXPECT_TRUE(Make("adam")->SplitsBitwise());
+  EXPECT_TRUE(Make("sgdm")->SplitsBitwise());
+  EXPECT_FALSE(Make("lamb")->SplitsBitwise());
+  EXPECT_FALSE(Make("adafactor")->SplitsBitwise());
+}
+
+TEST_F(OptimizerTest, SplittingRulesMatchOneCallBitwiseOverRandomSplits) {
+  // The SplitsBitwise contract: Update over a random contiguous split of
+  // [0, count) — params, grads and every slot cut at the same boundaries —
+  // equals one call bit for bit, step after step. Cuts land off the SIMD
+  // block grid on purpose.
+  util::Rng rng(4242);
+  const size_t count = 10007;
+  int checked = 0;
+  for (const std::string& name : RegisteredOptimizers()) {
+    const std::unique_ptr<Optimizer> rule = Make(name);
+    if (!rule->SplitsBitwise()) continue;
+    ++checked;
+    for (const SlotSpec& spec : rule->SlotLayout(count)) {
+      ASSERT_EQ(spec.dtype, DType::kFp32) << name;
+      ASSERT_EQ(spec.count, count) << name;
+    }
+    const std::vector<float> init = RandomVec(&rng, count);
+    RuleState whole = RuleState::Init(*rule, init);
+    RuleState split = RuleState::Init(*rule, init);
+    for (long step = 1; step <= 3; ++step) {
+      const std::vector<float> grads = RandomVec(&rng, count);
+      ASSERT_TRUE(whole.Step(*rule, grads, step).ok());
+      std::vector<size_t> cuts = {0, count};
+      for (int c = 0; c < 6; ++c) cuts.push_back(1 + rng.Uniform(count - 1));
+      std::sort(cuts.begin(), cuts.end());
+      for (size_t c = 0; c + 1 < cuts.size(); ++c) {
+        const size_t lo = cuts[c];
+        const size_t n = cuts[c + 1] - lo;
+        std::vector<SlotView> views;
+        for (std::vector<float>& slot : split.slots) {
+          views.push_back({slot.data() + lo, n});
+        }
+        ASSERT_TRUE(rule->Update(split.params.data() + lo, grads.data() + lo,
+                                 n, views, step)
+                        .ok());
+      }
+    }
+    EXPECT_EQ(split.params, whole.params) << name;
+    for (size_t s = 0; s < whole.slots.size(); ++s) {
+      EXPECT_EQ(split.slots[s], whole.slots[s]) << name << " slot " << s;
+    }
+  }
+  EXPECT_GE(checked, 2);
+}
+
 TEST_F(OptimizerTest, ResolveLegacyAdamOverridesOnlyChangedFields) {
   OptimizerConfig config;
   config.rule = "lamb";
