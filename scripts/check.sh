@@ -9,7 +9,8 @@
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
 #     armed, proving the env-driven failpoint path works and that transient
-#     I/O faults are absorbed by the SsdTier retry policy (see DESIGN.md §7).
+#     I/O faults are absorbed by the one retry schedule of the SSD tier and
+#     the socket collectives (util::RetryTransient, see DESIGN.md §7).
 #   * A trace-smoke pass: a real training binary runs under ANGELPTM_TRACE
 #     and the emitted Chrome trace JSON must parse (see DESIGN.md §8).
 #
@@ -31,8 +32,8 @@
 #   * An optimizer pass (DESIGN.md §13): the golden suite for every
 #     registered update rule (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
 #     Adafactor vs naive references, thread-count invariance), the seqlock
-#     torn-read stress, the checkpoint v3 <-> v2 round-trip tests, and a
-#     smoke run of the updater-contention bench across all rules.
+#     torn-read stress, the checkpoint v3 tests, and a smoke run of the
+#     updater-contention bench across all rules.
 #
 #   * A dist pass (DESIGN.md §14): the socket-collective property tests,
 #     the ZeRO checkpoint cases of ShardedDpTest (each rank's shards as a
@@ -80,9 +81,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --tier1-only ]; then
   # The env probe proves ANGELPTM_FAULT_SITES is parsed and armed end to end.
   ANGELPTM_FAULT_SITES="check.env_probe=always" \
     ./build/tests/util_test --gtest_filter='FaultInjectorTest.EnvSpec*'
-  # A transient fault on the binary's first pwrite: the retry policy must
-  # absorb it and the whole mem suite still passes.
+  # A transient fault on the binary's first pwrite: a retry must absorb it
+  # and the whole mem suite still passes.
   ANGELPTM_FAULT_SITES="ssd.pwrite=nth:1" ./build/tests/mem_test
+  # The same for the socket collectives' first frame send.
+  ANGELPTM_FAULT_SITES="pg.send=nth:1" ./build/tests/dist_test \
+    --gtest_filter='ProcessGroupTest.*'
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --lint ]; then
@@ -155,8 +159,8 @@ if [ "$MODE" = all ] || [ "$MODE" = --optimizers ]; then
   # The seqlock torn-read stress: concurrent writers never expose a
   # mixed-generation payload to the lock-free readers.
   ./build/tests/util_test --gtest_filter='SeqLock*'
-  # Checkpoint v3 (self-describing slots) round-trips, still loads v2
-  # as Adam, and rejects a rule mismatch instead of mixing state.
+  # Checkpoint v3 (self-describing slots) round-trips, refuses v1/v2
+  # files, and rejects a rule mismatch instead of mixing state.
   ./build/tests/runtime_test --gtest_filter='CheckpointTest.*'
   # Contention bench in smoke geometry: all rules must run end to end
   # with extra lock-free readers hammering the parameter mirror.

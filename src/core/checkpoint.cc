@@ -19,13 +19,12 @@ namespace {
 
 constexpr char kMagic[8] = {'A', 'P', 'T', 'M', 'C', 'K', 'P', 'T'};
 constexpr uint32_t kVersion = 3;
-constexpr uint32_t kMinVersion = 1;
 /// Caps per-string / per-slot-list reads so a corrupt length prefix fails
 /// with a clear error instead of a giant allocation.
 constexpr uint32_t kMaxRuleNameBytes = 256;
 constexpr uint32_t kMaxSlots = 64;
-/// The smallest layer any version writes: its count and step.
-constexpr uint64_t kMinLayerBytes = 16;
+/// The smallest layer v3 writes: its count, step and slot count.
+constexpr uint64_t kMinLayerBytes = 20;
 
 /// Incremental FNV-1a over byte spans.
 class Fnv1a {
@@ -116,7 +115,6 @@ bool ReadProgress(Reader* reader, TrainProgress* progress) {
       reader->Read(&progress->scaler_overflows, sizeof(uint64_t)) &&
       reader->Read(&progress->scaler_growths, sizeof(uint64_t));
   progress->rng_state.has_cached_gaussian = has_cached != 0;
-  progress->has_progress = ok;
   return ok;
 }
 
@@ -359,21 +357,16 @@ util::Result<ParsedCheckpoint> ParseCheckpoint(const std::string& path) {
       std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
     return util::Status::InvalidArgument(path + " is not a checkpoint");
   }
-  if (!reader.Read(&version, sizeof(version)) || version < kMinVersion ||
-      version > kVersion) {
+  if (!reader.Read(&version, sizeof(version)) || version != kVersion) {
     return util::Status::InvalidArgument(
         path + ": unsupported checkpoint version " + std::to_string(version) +
-        " (this build reads v" + std::to_string(kMinVersion) + "..v" +
-        std::to_string(kVersion) + ")");
+        " (this build reads v" + std::to_string(kVersion) + " only)");
   }
   ParsedCheckpoint parsed;
-  if (version >= 2 && !ReadProgress(&reader, &parsed.progress)) {
+  if (!ReadProgress(&reader, &parsed.progress)) {
     return truncated("the progress block");
   }
-  // v1/v2 predate self-describing optimizer state: they are Adam layers
-  // ({m, v}) by construction.
-  parsed.rule = "adam";
-  if (version >= 3 && !ReadString(&reader, kMaxRuleNameBytes, &parsed.rule)) {
+  if (!ReadString(&reader, kMaxRuleNameBytes, &parsed.rule)) {
     return truncated("the rule name");
   }
   if (!reader.Read(&num_layers, sizeof(num_layers))) {
@@ -394,23 +387,12 @@ util::Result<ParsedCheckpoint> ParseCheckpoint(const std::string& path) {
     uint32_t num_slots = 0;
     if (!reader.Read(&count, sizeof(count)) ||
         !reader.Read(&step, sizeof(step)) ||
-        (version >= 3 && (!reader.Read(&num_slots, sizeof(num_slots)) ||
-                          num_slots > kMaxSlots))) {
+        !reader.Read(&num_slots, sizeof(num_slots)) || num_slots > kMaxSlots) {
       return truncated(layer_name + " header");
     }
     state.step = long(step);
     ANGEL_RETURN_IF_ERROR(
         ReadFloats(&reader, count, path, layer_name + " p32", &state.params));
-    if (version < 3) {
-      // v1/v2 fixed layer layout: count | (adam_)step | p32 | m32 | v32.
-      state.slots = {{"m", {}}, {"v", {}}};
-      for (LockFreeUpdater::LayerState::Slot& slot : state.slots) {
-        ANGEL_RETURN_IF_ERROR(ReadFloats(&reader, count, path,
-                                         layer_name + " " + slot.name,
-                                         &slot.values));
-      }
-      continue;
-    }
     state.slots.resize(num_slots);
     for (uint32_t s = 0; s < num_slots; ++s) {
       const std::string slot_name = layer_name + " slot " + std::to_string(s);

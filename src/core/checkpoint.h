@@ -38,13 +38,9 @@ namespace angelptm::core {
 /// The slot blocks are self-describing (named, independently sized), so a
 /// rule with a different master-state footprint — sgdm's single m,
 /// adafactor's factored row/col — round-trips without format changes.
-/// Loading fails when the file's rule differs from the updater's.
-///
-/// Older versions still load: v2 files (fixed count|adam_step|p32|m32|v32
-/// layers) are read as Adam states with {m, v} slots; v1 files additionally
-/// predate the progress block, so their progress fields come back defaulted
-/// with `has_progress == false` (step 0). A trainer resuming from one keeps
-/// the master states and restarts its step counter and data stream at 0.
+/// Loading fails when the file's rule differs from the updater's. Only v3
+/// loads: a v1 or v2 file is refused with InvalidArgument naming its
+/// version.
 ///
 /// The checksum makes torn/corrupt checkpoints detectable — a restart after
 /// a mid-write crash must fail loudly, not resume from garbage. The parser
@@ -66,8 +62,9 @@ struct TrainProgress {
   int32_t scaler_good_steps = 0;
   uint64_t scaler_overflows = 0;
   uint64_t scaler_growths = 0;
-  /// False when the file predates the progress block (v1): everything above
-  /// is defaulted.
+  /// Read by nothing: every v3 file carries the fields above. It stays
+  /// only because perfbench/paged.cc sets it, and goes with the next
+  /// benchmark change.
   bool has_progress = false;
 };
 
@@ -89,7 +86,7 @@ struct MasterSpan {
 
 /// The span reader shared by checkpoint persists and master reads: copies
 /// the span's bytes into `dst`, host spans by memcpy and SSD spans through
-/// `ssd` in place (its retry policy and the "ssd.pread" failpoint apply).
+/// `ssd` in place (its retries and the "ssd.pread" failpoint apply).
 [[nodiscard]] util::Status ReadMasterSpan(mem::SsdTier* ssd,
                                           const MasterSpan& span,
                                           std::byte* dst);
@@ -174,7 +171,7 @@ struct ParsedCheckpoint {
   std::vector<LockFreeUpdater::LayerState> layers;
 };
 
-/// Reads `path` (v1..v3) and verifies its checksum; needs no updater.
+/// Reads `path` (v3) and verifies its checksum; needs no updater.
 /// Fails on a bad magic or version, truncation, a count larger than the
 /// bytes left in the file, or a checksum error — always with a message
 /// naming the file and the section that broke.
@@ -182,10 +179,10 @@ struct ParsedCheckpoint {
     const std::string& path);
 
 /// ParseCheckpoint, then restores every layer's state into an updater with
-/// the same rule and layer layout, filling `progress` (v1 files leave it
-/// defaulted). A file that fails to parse, or holds another rule or layer
-/// count, leaves the updater untouched. The updater must be stopped:
-/// importing under a live updating thread would race.
+/// the same rule and layer layout, filling `progress`. A file that fails
+/// to parse, or holds another rule or layer count, leaves the updater
+/// untouched. The updater must be stopped: importing under a live updating
+/// thread would race.
 [[nodiscard]] util::Status LoadCheckpoint(LockFreeUpdater* updater, const std::string& path,
                             TrainProgress* progress = nullptr);
 

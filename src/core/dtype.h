@@ -7,17 +7,16 @@
 namespace angelptm::core {
 
 /// Element types handled by the memory subsystem. Mixed-precision training
-/// stores model states in kFp32 and computes in kFp16/kBf16 (§2.1).
+/// stores model states in kFp32 and computes in kFp16 (§2.1); the trainer's
+/// BF16 compute mode rounds fp32 vectors and allocates no bf16 tensor.
 enum class DType : uint8_t {
   kFp16 = 0,
-  kBf16 = 1,
   kFp32 = 2,
 };
 
 inline constexpr size_t DTypeBytes(DType dtype) {
   switch (dtype) {
     case DType::kFp16:
-    case DType::kBf16:
       return 2;
     case DType::kFp32:
       return 4;
@@ -29,8 +28,6 @@ inline constexpr const char* DTypeName(DType dtype) {
   switch (dtype) {
     case DType::kFp16:
       return "fp16";
-    case DType::kBf16:
-      return "bf16";
     case DType::kFp32:
       return "fp32";
   }

@@ -487,8 +487,8 @@ void LockFreeUpdater::UpdatingThreadLoop() {
     for (int i = num_layers() - 1; i >= 0 && running_.load(); --i) {
       auto updated = UpdateLayer(i);
       if (!updated.ok()) {
-        // An error here (e.g. an SSD failure that survived the retry
-        // policy) is unrecoverable for this thread: poison the updater so
+        // An error here (e.g. an SSD failure that survived its retries)
+        // is unrecoverable for this thread: poison the updater so
         // the compute side and DrainUpdates observe it instead of hanging.
         Poison(updated.status());
         return;

@@ -83,7 +83,7 @@ struct MasterCut;
 /// not harmed — reproduced by bench/table6_ssd_lockfree.
 ///
 /// Failure semantics: the first unrecoverable error on either background
-/// thread (an SSD I/O failure that survives the SsdTier retry policy, a
+/// thread (an SSD I/O failure that survives the SsdTier's retries, a
 /// failed p'16 install or g'16 accumulate) *poisons* the updater — the thread
 /// stops, status() turns non-OK, and every subsequent OffloadGrads /
 /// FetchParams / DrainUpdates call fails fast with that status instead of

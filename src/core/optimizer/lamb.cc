@@ -8,6 +8,9 @@ namespace angelptm::core {
 namespace {
 
 constexpr size_t kLambGrain = 8192;
+/// The layer-wise trust ratio ||p|| / ||update|| is clamped into
+/// (0, kTrustClamp] before it scales the learning rate.
+constexpr double kTrustClamp = 10.0;
 
 /// LAMB (You et al.): Adam-style moments plus a layer-wise trust ratio
 /// ||p|| / ||update|| scaling the learning rate. The two norms are global
@@ -87,7 +90,7 @@ class LambOptimizer final : public Optimizer {
     // trust 1 — plain Adam-style scaling — matching the reference LAMB.
     double trust = 1.0;
     if (p_norm > 0.0 && r_norm > 0.0) {
-      trust = std::min(p_norm / r_norm, config_.lamb_trust_clamp);
+      trust = std::min(p_norm / r_norm, kTrustClamp);
     }
 
     // Pass 2: the scaled step.

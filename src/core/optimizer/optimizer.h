@@ -29,10 +29,6 @@ struct OptimizerConfig {
   double epsilon = 1e-8;
   double weight_decay = 0.0;
 
-  /// LAMB: the layer-wise trust ratio ||p|| / ||update|| is clamped into
-  /// (0, lamb_trust_clamp] before scaling the learning rate.
-  double lamb_trust_clamp = 10.0;
-
   /// Adafactor: a flat parameter vector is viewed as a rows x cols grid
   /// (ragged last row) for the factored second moment; the master state is
   /// rows + cols floats instead of Adam's 2 x count.

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "util/half.h"
 #include "util/logging.h"
 
 namespace angelptm::core {
@@ -101,19 +100,11 @@ util::Status Tensor::ReadFloats(std::vector<float>* out) const {
   if (dtype_ == DType::kFp32) {
     return CopyOut(reinterpret_cast<std::byte*>(values), SizeBytes());
   }
-  const bool fp16 = dtype_ == DType::kFp16;
-  return ForEachSpan([values, fp16](const std::byte* span, size_t bytes,
-                                    size_t offset) {
+  return ForEachSpan([values](const std::byte* span, size_t bytes,
+                              size_t offset) {
     ANGEL_RETURN_IF_ERROR(CheckHalfSpan(span, bytes));
-    const auto* src = reinterpret_cast<const uint16_t*>(span);
-    float* dst = values + offset / 2;
-    if (fp16) {
-      HalvesToFloats(src, dst, bytes / 2);
-    } else {
-      for (size_t i = 0; i < bytes / 2; ++i) {
-        dst[i] = util::BFloat16BitsToFloat(src[i]);
-      }
-    }
+    HalvesToFloats(reinterpret_cast<const uint16_t*>(span), values + offset / 2,
+                   bytes / 2);
     return util::Status::OK();
   });
 }
@@ -126,19 +117,11 @@ util::Status Tensor::WriteFloats(const std::vector<float>& values) {
     return CopyIn(reinterpret_cast<const std::byte*>(values.data()),
                   SizeBytes());
   }
-  const bool fp16 = dtype_ == DType::kFp16;
-  return ForEachSpan([&values, fp16](std::byte* span, size_t bytes,
-                                     size_t offset) {
+  return ForEachSpan([&values](std::byte* span, size_t bytes,
+                               size_t offset) {
     ANGEL_RETURN_IF_ERROR(CheckHalfSpan(span, bytes));
-    auto* dst = reinterpret_cast<uint16_t*>(span);
-    const float* src = values.data() + offset / 2;
-    if (fp16) {
-      FloatsToHalves(src, dst, bytes / 2);
-    } else {
-      for (size_t i = 0; i < bytes / 2; ++i) {
-        dst[i] = util::FloatToBFloat16Bits(src[i]);
-      }
-    }
+    FloatsToHalves(values.data() + offset / 2,
+                   reinterpret_cast<uint16_t*>(span), bytes / 2);
     return util::Status::OK();
   });
 }

@@ -72,9 +72,9 @@ class Tensor {
   /// Sets every byte to zero (0.0 in every dtype).
   [[nodiscard]] util::Status Clear();
 
-  /// Typed accessors: fp32 copies, fp16/bf16 convert span by span between
-  /// the pages and `values` (fp16 through core::FloatsToHalves/
-  /// HalvesToFloats), with no whole-tensor temporary.
+  /// Typed accessors: fp32 copies, fp16 converts span by span between the
+  /// pages and `values` (through core::FloatsToHalves/HalvesToFloats),
+  /// with no whole-tensor temporary.
   [[nodiscard]] util::Status ReadFloats(std::vector<float>* out) const;
   [[nodiscard]] util::Status WriteFloats(const std::vector<float>& values);
 

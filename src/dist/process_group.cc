@@ -13,6 +13,7 @@
 #include "util/env_override.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
+#include "util/retry.h"
 
 namespace angelptm::dist {
 
@@ -42,12 +43,17 @@ util::Status MakeSockAddr(const std::string& path, sockaddr_un* addr) {
   return util::Status::OK();
 }
 
-/// Transient statuses worth another attempt under the retry policy: only
-/// injected/transient I/O errors. Peer loss is fail-stop and a deadline
-/// already waited as long as it was allowed to.
-bool Retryable(const util::Status& status) {
-  return status.IsIoError() &&
-         status.message().find(wire::kPeerClosedMsg) == std::string::npos;
+/// Runs one frame send or receive under util::RetryTransient. Only an
+/// injected or transient I/O error is worth another attempt: peer loss is
+/// fail-stop, and a deadline already waited as long as it was allowed to.
+template <typename Attempt>
+util::Status RetryFrame(Attempt&& attempt) {
+  return util::RetryTransient(
+      attempt,
+      [](const util::Status& failed) {
+        return failed.IsIoError() && !ProcessGroup::IsPeerLoss(failed);
+      },
+      [](const util::Status&, int, int) {});
 }
 
 }  // namespace
@@ -260,25 +266,14 @@ util::Status ProcessGroup::SendChecked(int fd, uint16_t op, uint32_t seq,
   header.rank = uint16_t(options_.rank);
   header.seq = seq;
   header.payload_bytes = bytes;
-  util::Status last;
-  int backoff_us = options_.base_backoff_us;
-  for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
-       ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us *= 4;
-    }
+  ANGEL_RETURN_IF_ERROR(RetryFrame([&] {
     auto& injector = util::FaultInjector::Instance();
-    last = injector.enabled() ? injector.Check("pg.send")
-                              : util::Status::OK();
-    if (last.ok()) last = wire::SendFrame(fd, header, payload);
-    if (last.ok()) {
-      stats_.bytes_sent += wire::kHeaderBytes + bytes;
-      return last;
-    }
-    if (!Retryable(last)) return last;
-  }
-  return last;
+    const util::Status fault =
+        injector.enabled() ? injector.Check("pg.send") : util::Status::OK();
+    return fault.ok() ? wire::SendFrame(fd, header, payload) : fault;
+  }));
+  stats_.bytes_sent += wire::kHeaderBytes + bytes;
+  return util::Status::OK();
 }
 
 util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
@@ -287,25 +282,14 @@ util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
                                        size_t max_bytes,
                                        std::vector<std::byte>* payload) {
   wire::Header header;
-  util::Status last;
-  int backoff_us = options_.base_backoff_us;
-  for (int attempt = 0; attempt < std::max(1, options_.max_attempts);
-       ++attempt) {
-    if (attempt > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-      backoff_us *= 4;
-    }
+  ANGEL_RETURN_IF_ERROR(RetryFrame([&] {
     auto& injector = util::FaultInjector::Instance();
-    last = injector.enabled() ? injector.Check("pg.recv")
-                              : util::Status::OK();
-    if (last.ok()) {
-      last = wire::RecvFrame(fd, &header, payload, max_bytes,
-                             options_.io_timeout_ms);
-    }
-    if (last.ok()) break;
-    if (!Retryable(last)) return last;
-  }
-  ANGEL_RETURN_IF_ERROR(last);
+    const util::Status fault =
+        injector.enabled() ? injector.Check("pg.recv") : util::Status::OK();
+    return fault.ok() ? wire::RecvFrame(fd, &header, payload, max_bytes,
+                                        options_.io_timeout_ms)
+                      : fault;
+  }));
   if (uint16_t(header.op) != expect_op) {
     return util::Status::Internal(
         "collective protocol error: expected op " +

@@ -25,12 +25,6 @@ struct ProcessGroupOptions {
   /// sends nor dies within this window fails the collective with
   /// DeadlineExceeded (a hung-rank detector for the test harness).
   int io_timeout_ms = 120000;
-  /// Transient-fault retries around each frame send/recv, mirroring the
-  /// SsdTier retry policy (§7): injected `pg.send`/`pg.recv` faults and
-  /// transient socket errors are retried with exponential backoff; peer
-  /// loss is never retried (fail-stop).
-  int max_attempts = 3;
-  int base_backoff_us = 100;
 };
 
 /// True multi-process collectives over Unix-domain sockets (§4/§5: the
@@ -128,9 +122,11 @@ class ProcessGroup {
   [[nodiscard]] util::Status RendezvousRoot();
   [[nodiscard]] util::Status RendezvousPeer();
 
-  /// Frame send/recv with the §7 retry policy and the pg.send / pg.recv
-  /// failpoints applied per attempt. RecvChecked rejects a payload larger
-  /// than `max_bytes`.
+  /// Frame send/recv under the §7 retry schedule (util::RetryTransient),
+  /// with the pg.send / pg.recv failpoints applied per attempt: an
+  /// injected fault or a transient socket error is retried, peer loss
+  /// never is (fail-stop). RecvChecked rejects a payload larger than
+  /// `max_bytes`.
   [[nodiscard]] util::Status SendChecked(int fd, uint16_t op, uint32_t seq,
                                          const void* payload, size_t bytes);
   [[nodiscard]] util::Status RecvChecked(int fd, uint16_t expect_op,

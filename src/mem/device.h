@@ -2,7 +2,6 @@
 #define ANGELPTM_MEM_DEVICE_H_
 
 #include <cstdint>
-#include <string>
 
 namespace angelptm::mem {
 
@@ -24,21 +23,9 @@ inline constexpr int kNumDeviceKinds = 3;
 /// Stable lowercase name ("gpu", "cpu", "ssd").
 const char* DeviceKindName(DeviceKind kind);
 
-/// Capacity and bandwidth description of one tier.
-struct TierConfig {
-  uint64_t capacity_bytes = 0;
-  /// Sequential bandwidth used when throttling is enabled (bytes/second).
-  /// Zero disables throttling (tests run unthrottled).
-  double bandwidth_bytes_per_sec = 0.0;
-};
-
 /// Sentinel used by Tensor::device_index while some of the tensor's pages are
 /// still in flight from another tier (footnote 2 of the paper).
 inline constexpr int kDeviceNotReady = -1;
-
-inline std::string DeviceKindToString(DeviceKind kind) {
-  return DeviceKindName(kind);
-}
 
 }  // namespace angelptm::mem
 

@@ -21,7 +21,6 @@ HierarchicalMemory::HierarchicalMemory(
     ssd_options.capacity_bytes = options.ssd_capacity_bytes;
     ssd_options.frame_bytes = options.page_bytes;
     ssd_options.throttle_bytes_per_sec = options.ssd_bandwidth_bytes_per_sec;
-    ssd_options.retry = options.ssd_retry;
     ssd_open_status_ = ssd_.Open(ssd_options);
     ssd_enabled_ = ssd_open_status_.ok();
   }

@@ -28,8 +28,6 @@ struct HierarchicalMemoryOptions {
   std::string ssd_path = "/tmp/angelptm_ssd.bin";
   /// Emulated SSD speed; 0 = unthrottled (the default for tests).
   double ssd_bandwidth_bytes_per_sec = 0.0;
-  /// Retry policy for transient SSD I/O errors (see SsdTier::RetryPolicy).
-  SsdTier::RetryPolicy ssd_retry;
 };
 
 /// Movement statistics per (source, target) tier pair.

@@ -3,16 +3,14 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
 #include <limits>
-#include <thread>
 
 #include "obs/trace.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
+#include "util/retry.h"
 
 namespace angelptm::mem {
 
@@ -56,7 +54,6 @@ util::Status SsdTier::Open(const Options& options) {
   fd_ = fd;
   path_ = options.path;
   throttle_.set_rate(options.throttle_bytes_per_sec);
-  retry_ = options.retry;
   {
     util::MutexLock lock(mutex_);
     free_list_.clear();
@@ -154,31 +151,6 @@ size_t SsdTier::pinned_frames() const {
   return pins_.size();
 }
 
-template <typename Attempt>
-util::Status SsdTier::WithRetries(const char* site, Attempt&& attempt) {
-  const int max_attempts = std::max(1, retry_.max_attempts);
-  int backoff_us = retry_.base_backoff_us;
-  util::Status status;
-  for (int try_no = 1; try_no <= max_attempts; ++try_no) {
-    status = attempt();
-    // Only IoError is plausibly transient; argument/precondition errors
-    // would fail identically on every attempt.
-    if (status.ok() || !status.IsIoError()) return status;
-    if (try_no == max_attempts) break;
-    io_retries_.fetch_add(1, std::memory_order_relaxed);
-    ANGEL_LOG(Warning) << site << " attempt " << try_no << "/" << max_attempts
-                       << " failed (" << status.ToString() << "), retrying in "
-                       << backoff_us << "us";
-    if (backoff_us > 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    }
-    backoff_us = static_cast<int>(
-        std::min<double>(retry_.max_backoff_us,
-                         backoff_us * std::max(1.0, retry_.multiplier)));
-  }
-  return status;
-}
-
 util::Status SsdTier::ValidateIo(size_t bytes) const {
   if (!is_open()) return util::Status::FailedPrecondition("SsdTier closed");
   if (bytes > frame_bytes_) {
@@ -228,9 +200,19 @@ util::Status SsdTier::Transfer(bool is_write, uint64_t offset, std::byte* buf,
   }
   ANGEL_SPAN("ssd", is_write ? "pwrite" : "pread");
   io_requests_.fetch_add(1, std::memory_order_relaxed);
-  util::Status status =
-      WithRetries(is_write ? "ssd.pwrite" : "ssd.pread",
-                  [&] { return TransferOnce(is_write, offset, buf, bytes); });
+  // Only IoError is plausibly transient; argument/precondition errors would
+  // fail identically on every attempt.
+  util::Status status = util::RetryTransient(
+      [&] { return TransferOnce(is_write, offset, buf, bytes); },
+      [](const util::Status& failed) { return failed.IsIoError(); },
+      [&](const util::Status& failed, int attempt_number, int backoff_us) {
+        io_retries_.fetch_add(1, std::memory_order_relaxed);
+        ANGEL_LOG(Warning) << (is_write ? "ssd.pwrite" : "ssd.pread")
+                           << " attempt " << attempt_number << "/"
+                           << util::kRetryAttempts << " failed ("
+                           << failed.ToString() << "), retrying in "
+                           << backoff_us << "us";
+      });
   if (status.ok()) {
     (is_write ? bytes_written_ : bytes_read_)
         .fetch_add(bytes, std::memory_order_relaxed);

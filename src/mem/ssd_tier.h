@@ -29,28 +29,19 @@ namespace angelptm::mem {
 /// An optional bandwidth throttle (bytes/second) emulates the 3.5 GB/s SSD of
 /// the paper's A100 servers when the local disk is faster; 0 disables it.
 ///
-/// Transient I/O failures (flaky NVMe, EIO under pressure) are absorbed by a
-/// retry-with-exponential-backoff policy at the request boundary; only errors
-/// that persist across every attempt reach the caller. The failpoints
-/// "ssd.pread" / "ssd.pwrite" (util::FaultInjector) fire per *attempt*, so
-/// an nth-call rule models exactly one transient fault.
+/// Transient I/O failures (flaky NVMe, EIO under pressure) are absorbed at
+/// the request boundary by util::RetryTransient's fixed schedule: any
+/// IoError is retried, and only errors that persist across every attempt
+/// reach the caller. The failpoints "ssd.pread" / "ssd.pwrite"
+/// (util::FaultInjector) fire per *attempt*, so an nth-call rule models
+/// exactly one transient fault.
 class SsdTier {
  public:
-  /// Retry policy for transient IoErrors on pread/pwrite. Attempt k waits
-  /// min(base_backoff_us * multiplier^(k-1), max_backoff_us) before retrying.
-  struct RetryPolicy {
-    int max_attempts = 3;        // Total attempts (1 = no retries).
-    int base_backoff_us = 100;   // Backoff before the first retry.
-    double multiplier = 4.0;     // Exponential growth per retry.
-    int max_backoff_us = 10000;  // Backoff ceiling.
-  };
-
   struct Options {
     std::string path;           // Backing file path; created/truncated.
     uint64_t capacity_bytes = 0;
     size_t frame_bytes = 0;
     double throttle_bytes_per_sec = 0.0;
-    RetryPolicy retry;
   };
 
   /// Structured I/O statistics of this tier instance; Snapshot() is the
@@ -58,7 +49,7 @@ class SsdTier {
   struct Stats {
     uint64_t bytes_read = 0;
     uint64_t bytes_written = 0;
-    /// Transient I/O failures absorbed by the retry policy (not surfaced).
+    /// Transient I/O failures absorbed by a retry (not surfaced).
     uint64_t io_retries = 0;
     /// Requests that reached the backing file, one pread/pwrite each
     /// (retries and partial-transfer continuations aside).
@@ -137,18 +128,14 @@ class SsdTier {
   /// Frame index of a frame offset; aborts on a misaligned or out-of-range
   /// offset (a programming error).
   uint32_t FrameIndex(uint64_t offset) const;
-  /// One request under the retry policy, with its byte accounting. `buf`
-  /// is the read destination or the write source (never mutated).
+  /// One request under the retry schedule, with its byte accounting.
+  /// `buf` is the read destination or the write source (never mutated).
   [[nodiscard]] util::Status Transfer(bool is_write, uint64_t offset,
                                       std::byte* buf, size_t bytes);
   /// One pread/pwrite attempt (no retries), resumed after partial
   /// transfers; fires the per-attempt failpoint.
   [[nodiscard]] util::Status TransferOnce(bool is_write, uint64_t offset,
                                           std::byte* buf, size_t bytes);
-  /// Runs `attempt` under the retry policy, backing off on transient
-  /// IoErrors. `site` names the operation for diagnostics.
-  template <typename Attempt>
-  [[nodiscard]] util::Status WithRetries(const char* site, Attempt&& attempt);
 
   // Set once in Open() before any I/O can run; read-only afterwards, so
   // deliberately unguarded.
@@ -156,7 +143,6 @@ class SsdTier {
   std::string path_;
   size_t frame_bytes_ = 0;
   size_t total_frames_ = 0;
-  RetryPolicy retry_;
 
   /// A pinned frame: its pin count, and whether ReleaseFrame ran while it
   /// was pinned (the free then happens at the last unpin).

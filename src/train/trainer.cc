@@ -98,24 +98,11 @@ core::TrainProgress Trainer::CurrentProgress() const {
   progress.scaler_good_steps = scaler.good_steps;
   progress.scaler_overflows = scaler.overflows;
   progress.scaler_growths = scaler.growths;
-  progress.has_progress = true;
   return progress;
 }
 
 void Trainer::RestoreProgress(const core::TrainProgress& progress) {
   global_step_ = progress.global_step;
-  if (!progress.has_progress) {
-    // v1 checkpoint: master states only, and its step count is always 0.
-    // The data stream and the scaler restart as right after Init(): the
-    // seeded RNG past the initial-parameter draws, the scaler from its
-    // options.
-    rng_ = util::Rng(options_.seed);
-    for (int l = 0; l < model_->num_layers(); ++l) {
-      (void)model_->InitLayerParams(l, &rng_);
-    }
-    scaler_ = LossScaler(options_.loss_scaler);
-    return;
-  }
   rng_.SetState(progress.rng_state);
   LossScaler::State scaler;
   scaler.scale = progress.loss_scale;

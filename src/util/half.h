@@ -2,9 +2,12 @@
 #define ANGELPTM_UTIL_HALF_H_
 
 #include <cstdint>
-#include <ostream>
 
 namespace angelptm::util {
+
+/// Scalar bit conversions. The binary16 pair is the reference the bulk
+/// core::FloatsToHalves / HalvesToFloats match bit for bit; the bfloat16
+/// pair rounds the trainer's BF16 compute mode (§2.1).
 
 /// Converts an IEEE-754 binary32 to binary16 bits with round-to-nearest-even,
 /// handling subnormals, infinities and NaN.
@@ -18,78 +21,6 @@ uint16_t FloatToBFloat16Bits(float f);
 
 /// Converts bfloat16 bits back to binary32 (exact).
 float BFloat16BitsToFloat(uint16_t b);
-
-/// Software IEEE-754 binary16. Used to store the half-precision copies of
-/// parameters and gradients managed by the memory subsystem (the paper's FP16
-/// buffers in Algorithm 2). Arithmetic round-trips through float, which is
-/// exactly what scalar half arithmetic does on real accelerators.
-class Half {
- public:
-  Half() : bits_(0) {}
-  explicit Half(float f) : bits_(FloatToHalfBits(f)) {}
-
-  static Half FromBits(uint16_t bits) {
-    Half h;
-    h.bits_ = bits;
-    return h;
-  }
-
-  uint16_t bits() const { return bits_; }
-  float ToFloat() const { return HalfBitsToFloat(bits_); }
-  explicit operator float() const { return ToFloat(); }
-
-  Half operator+(Half other) const {
-    return Half(ToFloat() + other.ToFloat());
-  }
-  Half operator-(Half other) const {
-    return Half(ToFloat() - other.ToFloat());
-  }
-  Half operator*(Half other) const {
-    return Half(ToFloat() * other.ToFloat());
-  }
-  Half operator/(Half other) const {
-    return Half(ToFloat() / other.ToFloat());
-  }
-  Half& operator+=(Half other) {
-    *this = *this + other;
-    return *this;
-  }
-
-  bool operator==(Half other) const { return ToFloat() == other.ToFloat(); }
-  bool operator<(Half other) const { return ToFloat() < other.ToFloat(); }
-
- private:
-  uint16_t bits_;
-};
-
-static_assert(sizeof(Half) == 2, "Half must be 2 bytes");
-
-/// Software bfloat16 (the paper trains GPT/T5 with BF16 compute). Same
-/// exponent range as float, 8-bit mantissa.
-class BFloat16 {
- public:
-  BFloat16() : bits_(0) {}
-  explicit BFloat16(float f) : bits_(FloatToBFloat16Bits(f)) {}
-
-  static BFloat16 FromBits(uint16_t bits) {
-    BFloat16 b;
-    b.bits_ = bits;
-    return b;
-  }
-
-  uint16_t bits() const { return bits_; }
-  float ToFloat() const { return BFloat16BitsToFloat(bits_); }
-  explicit operator float() const { return ToFloat(); }
-
- private:
-  uint16_t bits_;
-};
-
-static_assert(sizeof(BFloat16) == 2, "BFloat16 must be 2 bytes");
-
-inline std::ostream& operator<<(std::ostream& os, Half h) {
-  return os << h.ToFloat();
-}
 
 }  // namespace angelptm::util
 

@@ -60,7 +60,6 @@ class CheckpointManagerTest : public ::testing::Test {
   static TrainProgress ProgressAt(int64_t step) {
     TrainProgress progress;
     progress.global_step = step;
-    progress.has_progress = true;
     return progress;
   }
 

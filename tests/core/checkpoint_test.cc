@@ -240,7 +240,6 @@ TEST_F(CheckpointTest, ProgressRoundTrip) {
   saved.scaler_good_steps = 17;
   saved.scaler_overflows = 3;
   saved.scaler_growths = 5;
-  saved.has_progress = true;
   uint64_t bytes = 0;
   ASSERT_TRUE(SaveCheckpoint(updater.get(), path, &saved, &bytes).ok());
   EXPECT_GT(bytes, 0u);
@@ -248,7 +247,6 @@ TEST_F(CheckpointTest, ProgressRoundTrip) {
   auto recovered = MakeUpdater();
   TrainProgress loaded;
   ASSERT_TRUE(LoadCheckpoint(recovered.get(), path, &loaded).ok());
-  EXPECT_TRUE(loaded.has_progress);
   EXPECT_EQ(loaded.global_step, saved.global_step);
   EXPECT_EQ(loaded.rng_state.s, saved.rng_state.s);
   EXPECT_EQ(loaded.rng_state.has_cached_gaussian,
@@ -385,7 +383,6 @@ TEST_F(CheckpointTest, RandomizedLayoutsRoundTrip) {
     progress.global_step = int64_t(rng.NextDouble() * 1000000);
     progress.rng_state = rng.GetState();
     progress.loss_scale = rng.NextDouble() * 65536.0;
-    progress.has_progress = true;
 
     const std::string path = TempPath("prop");
     ASSERT_TRUE(SaveCheckpoint(updater.get(), path, &progress).ok());
@@ -410,126 +407,50 @@ TEST_F(CheckpointTest, RandomizedLayoutsRoundTrip) {
   }
 }
 
-TEST_F(CheckpointTest, V1CheckpointStillLoads) {
-  // Hand-written v1 file (no progress block): the upgrade path must accept
-  // it and report has_progress == false so callers fall back to replay.
-  const std::string path = TempPath("v1");
-  const std::vector<float> p = {1.5f, -2.5f, 3.5f};
-  const std::vector<float> m = {0.1f, 0.2f, 0.3f};
-  const std::vector<float> v = {0.01f, 0.02f, 0.03f};
-  {
+TEST_F(CheckpointTest, V1AndV2FilesAreRefusedNamingTheVersion) {
+  // Complete hand-written v1 and v2 files, checksum included: layers of
+  // count | adam_step | p32 | m32 | v32, and v2's 77-byte progress block
+  // between the version word and the layer count. Only v3 parses now, so
+  // the version word alone refuses them.
+  const std::vector<float> values = {1.5f, -2.5f, 3.5f};
+  for (const uint32_t version : {1u, 2u}) {
     std::vector<char> bytes;
     auto put = [&bytes](const void* data, size_t n) {
       const char* c = static_cast<const char*>(data);
       bytes.insert(bytes.end(), c, c + n);
     };
     put("APTMCKPT", 8);
-    const uint32_t version = 1, num_layers = 1;
     put(&version, 4);
-    put(&num_layers, 4);
-    const uint64_t count = 3;
-    const int64_t adam_step = 7;
-    put(&count, 8);
-    put(&adam_step, 8);
-    put(p.data(), 3 * sizeof(float));
-    put(m.data(), 3 * sizeof(float));
-    put(v.data(), 3 * sizeof(float));
-    uint64_t hash = 14695981039346656037ull;
-    for (const char byte : bytes) {
-      hash ^= static_cast<unsigned char>(byte);
-      hash *= 1099511628211ull;
+    if (version == 2) {
+      const std::vector<char> progress(77, 0);
+      put(progress.data(), progress.size());
     }
-    put(&hash, 8);
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), long(bytes.size()));
-  }
-  LockFreeUpdater::Options options;
-  LockFreeUpdater updater(&allocator_, options);
-  ASSERT_TRUE(updater.AddLayer({0.0f, 0.0f, 0.0f}).ok());
-  TrainProgress progress;
-  progress.has_progress = true;  // Must be cleared by the v1 load.
-  ASSERT_TRUE(LoadCheckpoint(&updater, path, &progress).ok());
-  EXPECT_FALSE(progress.has_progress);
-  EXPECT_EQ(progress.global_step, 0);
-  LockFreeUpdater::LayerState got;
-  ASSERT_TRUE(ReadLayerState(&updater, 0, &got).ok());
-  EXPECT_EQ(got.params, p);
-  ASSERT_EQ(got.slots.size(), 2u);
-  EXPECT_EQ(got.slots[0].name, "m");
-  EXPECT_EQ(got.slots[0].values, m);
-  EXPECT_EQ(got.slots[1].name, "v");
-  EXPECT_EQ(got.slots[1].values, v);
-  EXPECT_EQ(got.step, 7);
-  std::remove(path.c_str());
-}
-
-TEST_F(CheckpointTest, V2CheckpointLoadsAsAdam) {
-  // Hand-written v2 file (progress block but no rule string or named
-  // slots): must load into an Adam-configured updater with the fixed
-  // {m, v} interpretation of its two state arrays.
-  const std::string path = TempPath("v2");
-  const std::vector<float> p = {1.5f, -2.5f, 3.5f};
-  const std::vector<float> m = {0.1f, 0.2f, 0.3f};
-  const std::vector<float> v = {0.01f, 0.02f, 0.03f};
-  {
-    std::vector<char> bytes;
-    auto put = [&bytes](const void* data, size_t n) {
-      const char* c = static_cast<const char*>(data);
-      bytes.insert(bytes.end(), c, c + n);
-    };
-    put("APTMCKPT", 8);
-    const uint32_t version = 2;
-    put(&version, 4);
-    // Progress block: global_step, rng state (4-word s, cache flag+value),
-    // loss-scaler schedule.
-    const int64_t global_step = 42;
-    put(&global_step, 8);
-    const uint64_t rng_s[4] = {1, 2, 3, 4};
-    put(rng_s, 4 * 8);
-    const uint8_t has_cached = 0;
-    put(&has_cached, 1);
-    const double cached = 0.0, loss_scale = 1024.0;
-    put(&cached, 8);
-    put(&loss_scale, 8);
-    const int32_t good_steps = 3;
-    const uint64_t overflows = 1, growths = 2;
-    put(&good_steps, 4);
-    put(&overflows, 8);
-    put(&growths, 8);
     const uint32_t num_layers = 1;
+    const uint64_t count = values.size();
+    const int64_t adam_step = 7;
     put(&num_layers, 4);
-    const uint64_t count = 3;
-    const int64_t adam_step = 9;
     put(&count, 8);
     put(&adam_step, 8);
-    put(p.data(), 3 * sizeof(float));
-    put(m.data(), 3 * sizeof(float));
-    put(v.data(), 3 * sizeof(float));
+    for (int block = 0; block < 3; ++block) {
+      put(values.data(), values.size() * sizeof(float));
+    }
     uint64_t hash = 14695981039346656037ull;
     for (const char byte : bytes) {
       hash ^= static_cast<unsigned char>(byte);
       hash *= 1099511628211ull;
     }
     put(&hash, 8);
-    std::ofstream out(path, std::ios::binary);
-    out.write(bytes.data(), long(bytes.size()));
+    const std::string path = TempPath("v" + std::to_string(version));
+    std::ofstream(path, std::ios::binary)
+        .write(bytes.data(), long(bytes.size()));
+
+    const util::Status status = ParseCheckpoint(path).status();
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+    EXPECT_NE(status.message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << status;
+    std::remove(path.c_str());
   }
-  LockFreeUpdater::Options options;
-  LockFreeUpdater updater(&allocator_, options);
-  ASSERT_TRUE(updater.AddLayer({0.0f, 0.0f, 0.0f}).ok());
-  TrainProgress progress;
-  ASSERT_TRUE(LoadCheckpoint(&updater, path, &progress).ok());
-  EXPECT_TRUE(progress.has_progress);
-  EXPECT_EQ(progress.global_step, 42);
-  EXPECT_EQ(progress.loss_scale, 1024.0);
-  LockFreeUpdater::LayerState got;
-  ASSERT_TRUE(ReadLayerState(&updater, 0, &got).ok());
-  EXPECT_EQ(got.params, p);
-  ASSERT_EQ(got.slots.size(), 2u);
-  EXPECT_EQ(got.slots[0].values, m);
-  EXPECT_EQ(got.slots[1].values, v);
-  EXPECT_EQ(got.step, 9);
-  std::remove(path.c_str());
 }
 
 TEST_F(CheckpointTest, RuleMismatchRejected) {

@@ -19,6 +19,7 @@
 
 #include "core/communicator.h"
 #include "mem/wire_format.h"
+#include "util/fault_injector.h"
 #include "util/half.h"
 #include "util/random.h"
 
@@ -56,6 +57,61 @@ std::vector<util::Status> RunWorld(
   }
   for (auto& t : threads) t.join();
   return statuses;
+}
+
+/// Each rank's results of an AllGather, a ReduceScatter and an AllReduce
+/// of rank-seeded data on a `world`-rank socket world, concatenated.
+/// Fails the test when a rank's collectives fail.
+std::vector<std::vector<float>> CollectiveResults(int world,
+                                                  const std::string& path) {
+  constexpr size_t kShard = 33;
+  std::vector<std::vector<float>> results(static_cast<size_t>(world));
+  const auto statuses =
+      RunWorld(world, path, [&](int r, ProcessGroup* group) -> util::Status {
+        util::Rng rng(uint64_t(100 + r));
+        std::vector<float> shard(kShard);
+        for (float& v : shard) v = float(rng.NextDouble() * 2.0 - 1.0);
+        std::vector<float> gathered(kShard * size_t(world));
+        ANGEL_RETURN_IF_ERROR(
+            group->AllGather(shard.data(), kShard, gathered.data()));
+        std::vector<float> scattered(kShard);
+        ANGEL_RETURN_IF_ERROR(group->ReduceScatter(
+            gathered.data(), gathered.size(), scattered.data()));
+        ANGEL_RETURN_IF_ERROR(group->AllReduce(shard.data(), kShard));
+        std::vector<float>& out = results[size_t(r)];
+        out = gathered;
+        out.insert(out.end(), scattered.begin(), scattered.end());
+        out.insert(out.end(), shard.begin(), shard.end());
+        return util::Status::OK();
+      });
+  for (int r = 0; r < world; ++r) {
+    EXPECT_TRUE(statuses[size_t(r)].ok())
+        << "rank " << r << ": " << statuses[size_t(r)];
+  }
+  return results;
+}
+
+/// One injected fault at `site` (an nth:1 rule) is absorbed by a retry:
+/// every collective succeeds, bit for bit equal to an unfaulted run.
+void ExpectOneFaultAbsorbed(const char* site, const std::string& tag) {
+  const int world = 4;
+  const std::string path = RendezvousPath(tag);
+  const std::vector<std::vector<float>> clean = CollectiveResults(world, path);
+  util::FaultInjector& faults = util::FaultInjector::Instance();
+  util::FaultRule once;
+  once.nth_call = 1;
+  faults.Arm(site, once);
+  const std::vector<std::vector<float>> faulted =
+      CollectiveResults(world, path);
+  EXPECT_EQ(faults.fires(site), 1u);
+  faults.Disarm(site);
+  for (int r = 0; r < world; ++r) {
+    ASSERT_EQ(faulted[size_t(r)].size(), clean[size_t(r)].size());
+    EXPECT_EQ(std::memcmp(faulted[size_t(r)].data(), clean[size_t(r)].data(),
+                          clean[size_t(r)].size() * sizeof(float)),
+              0)
+        << "rank " << r << " results differ after a " << site << " fault";
+  }
 }
 
 TEST(ProcessGroupTest, ConnectValidatesOptions) {
@@ -286,6 +342,34 @@ TEST(ProcessGroupTest, PeerDeathSurfacesAsPeerLoss) {
   EXPECT_FALSE(ProcessGroup::IsPeerLoss(util::Status::OK()));
   EXPECT_FALSE(
       ProcessGroup::IsPeerLoss(util::Status::IoError("disk on fire")));
+}
+
+TEST(ProcessGroupTest, OneSendFaultIsRetriedAndResultsMatchBitwise) {
+  ExpectOneFaultAbsorbed("pg.send", "sf");
+}
+
+TEST(ProcessGroupTest, OneRecvFaultIsRetriedAndResultsMatchBitwise) {
+  ExpectOneFaultAbsorbed("pg.recv", "rf");
+}
+
+TEST(ProcessGroupTest, PeerLossFailsAfterOneAttempt) {
+  // A rule with no trigger never fires; it only counts rank 0's receive
+  // attempts. Peer loss is fail-stop, so the receive from the closed
+  // socket is attempted once, not retried.
+  util::FaultInjector& faults = util::FaultInjector::Instance();
+  faults.Arm("pg.recv", util::FaultRule());
+  const std::string path = RendezvousPath("pl1");
+  auto statuses =
+      RunWorld(2, path, [&](int r, ProcessGroup* group) -> util::Status {
+        if (r == 1) return util::Status::OK();  // Closes its socket.
+        std::vector<float> data(8, 1.0f);
+        return group->AllReduce(data.data(), data.size());
+      });
+  const uint64_t attempts = faults.calls("pg.recv");
+  faults.Disarm("pg.recv");
+  ASSERT_FALSE(statuses[0].ok());
+  EXPECT_TRUE(ProcessGroup::IsPeerLoss(statuses[0])) << statuses[0];
+  EXPECT_EQ(attempts, 1u);
 }
 
 TEST(ProcessGroupTest, RootRejectsOversizeHello) {

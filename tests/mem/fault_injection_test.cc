@@ -19,7 +19,7 @@ constexpr size_t kFrame = 4096;
 
 /// Fault-injected error-path coverage for the memory hierarchy: every test
 /// arms a failpoint, drives the normal API, and asserts the error either
-/// gets absorbed (retry policy) or propagates losslessly to the caller.
+/// gets absorbed (retried) or propagates losslessly to the caller.
 class MemFaultInjectionTest : public ::testing::Test {
  protected:
   void SetUp() override { util::FaultInjector::Instance().Reset(); }
@@ -49,8 +49,6 @@ class MemFaultInjectionTest : public ::testing::Test {
     o.path = TempPath(tag);
     o.capacity_bytes = frames * kFrame;
     o.frame_bytes = kFrame;
-    o.retry.base_backoff_us = 1;  // Keep test retries fast.
-    o.retry.max_backoff_us = 10;
     return o;
   }
 
@@ -61,8 +59,6 @@ class MemFaultInjectionTest : public ::testing::Test {
     o.cpu_capacity_bytes = 16 * kFrame;
     o.ssd_capacity_bytes = 8 * kFrame;
     o.ssd_path = TempPath(tag);
-    o.ssd_retry.base_backoff_us = 1;
-    o.ssd_retry.max_backoff_us = 10;
     return o;
   }
 };
@@ -105,9 +101,7 @@ TEST_F(MemFaultInjectionTest, TransientReadFaultAbsorbedByRetry) {
 
 TEST_F(MemFaultInjectionTest, PermanentWriteFaultExhaustsRetries) {
   SsdTier tier;
-  auto options = TierOptions("wperm", 4);
-  options.retry.max_attempts = 3;
-  ASSERT_TRUE(tier.Open(options).ok());
+  ASSERT_TRUE(tier.Open(TierOptions("wperm", 4)).ok());
   auto offset = tier.AcquireFrame();
   ASSERT_TRUE(offset.ok());
   ArmPermanent("ssd.pwrite");
@@ -118,21 +112,6 @@ TEST_F(MemFaultInjectionTest, PermanentWriteFaultExhaustsRetries) {
   const SsdTier::Stats stats = tier.Snapshot();
   EXPECT_EQ(stats.io_retries, 2u);               // ...after 2 backoffs.
   EXPECT_EQ(stats.bytes_written, 0u);
-}
-
-TEST_F(MemFaultInjectionTest, SingleAttemptPolicySurfacesImmediately) {
-  SsdTier tier;
-  auto options = TierOptions("noretry", 4);
-  options.retry.max_attempts = 1;
-  ASSERT_TRUE(tier.Open(options).ok());
-  auto offset = tier.AcquireFrame();
-  ASSERT_TRUE(offset.ok());
-  ArmNth("ssd.pread", 1);
-
-  std::vector<std::byte> back(kFrame);
-  EXPECT_TRUE(tier.ReadFrame(*offset, back.data(), kFrame).IsIoError());
-  EXPECT_EQ(fi().calls("ssd.pread"), 1u);
-  EXPECT_EQ(tier.Snapshot().io_retries, 0u);
 }
 
 TEST_F(MemFaultInjectionTest, NonIoErrorsAreNotRetried) {
@@ -226,9 +205,7 @@ TEST_F(MemFaultInjectionTest, CopyEngineMoveFailureSurfacesThroughFuture) {
 
 TEST_F(MemFaultInjectionTest, PermanentReadFaultExhaustsRetries) {
   SsdTier tier;
-  auto options = TierOptions("rperm", 4);
-  options.retry.max_attempts = 3;
-  ASSERT_TRUE(tier.Open(options).ok());
+  ASSERT_TRUE(tier.Open(TierOptions("rperm", 4)).ok());
   auto offset = tier.AcquireFrame();
   ASSERT_TRUE(offset.ok());
   std::vector<std::byte> data(kFrame, std::byte{1});

@@ -243,9 +243,7 @@ TEST(SsdTierTest, ConcurrentCallersEachCompleteTheirOwnRequests) {
 
 TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
   SsdTier tier;
-  SsdTier::Options o = MakeOptions("eof", 4 * kFrame);
-  o.retry.max_attempts = 1;
-  ASSERT_TRUE(tier.Open(o).ok());
+  ASSERT_TRUE(tier.Open(MakeOptions("eof", 4 * kFrame)).ok());
   auto offset = tier.AcquireFrame();
   ASSERT_TRUE(offset.ok());
   std::vector<std::byte> data(kFrame, std::byte{0x33});

@@ -6,7 +6,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <thread>
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/allocator.h"
-#include "core/checkpoint.h"
 #include "core/checkpoint_manager.h"
 #include "train/engine_trainer.h"
 #include "train/mlp.h"
@@ -137,40 +135,6 @@ std::vector<std::vector<float>> MasterParams(core::LockFreeUpdater* updater) {
   return layers;
 }
 
-/// Hand-written v1 checkpoint (no progress block): magic, version 1, layer
-/// count, per layer `count | adam_step | p32 | m32 | v32` with zeroed
-/// moments, then the FNV-1a checksum over everything before it.
-void WriteV1Checkpoint(const std::string& path,
-                       const std::vector<std::vector<float>>& masters) {
-  std::vector<char> bytes;
-  auto put = [&bytes](const void* data, size_t n) {
-    const char* c = static_cast<const char*>(data);
-    bytes.insert(bytes.end(), c, c + n);
-  };
-  put("APTMCKPT", 8);
-  const uint32_t version = 1, num_layers = uint32_t(masters.size());
-  put(&version, 4);
-  put(&num_layers, 4);
-  for (const std::vector<float>& p : masters) {
-    const uint64_t count = p.size();
-    const int64_t adam_step = 0;
-    const std::vector<float> zeros(p.size(), 0.0f);
-    put(&count, 8);
-    put(&adam_step, 8);
-    put(p.data(), count * sizeof(float));
-    put(zeros.data(), count * sizeof(float));
-    put(zeros.data(), count * sizeof(float));
-  }
-  uint64_t hash = 14695981039346656037ull;
-  for (const char byte : bytes) {
-    hash ^= static_cast<unsigned char>(byte);
-    hash *= 1099511628211ull;
-  }
-  put(&hash, 8);
-  std::ofstream out(path, std::ios::binary);
-  out.write(bytes.data(), long(bytes.size()));
-}
-
 TEST_P(RecoveryTest, KillAndRestartMatchesUninterruptedRunBitwise) {
   // The headline §3.1 guarantee: a run killed at step 30 and restarted from
   // its checkpoint produces the SAME model as one that never died — not
@@ -244,48 +208,6 @@ TEST_P(RecoveryTest, TryResumeIsFreshStartWithoutCheckpoints) {
   ASSERT_TRUE(resumed.ok()) << resumed.status();
   EXPECT_FALSE(*resumed);
   EXPECT_EQ(trainer->global_step(), 0);
-  std::filesystem::remove_all(options.checkpoint_dir);
-}
-
-TEST_P(RecoveryTest, V1CheckpointRestoresMastersAndRestartsTheStream) {
-  // A v1 file predates the progress block, and its step count is always 0:
-  // resuming from it restores the master states, while the step counter
-  // and the data stream restart at 0.
-  SyntheticRegression dataset(16, 32, 4, 99);
-  // Masters unlike the trainer's own initial draw, so the restore shows.
-  std::vector<std::vector<float>> masters;
-  {
-    Harness fresh = Make("v1_init", BaseOptions());
-    ASSERT_TRUE(fresh->Init().ok());
-    masters = MasterParams(fresh->updater());
-  }
-  for (std::vector<float>& layer : masters) {
-    for (float& p : layer) p *= 0.5f;
-  }
-
-  TrainerOptions options = BaseOptions();
-  options.checkpoint_dir = TempDir("v1");
-  Harness resumed = Make("v1_resumed", options);
-  ASSERT_TRUE(resumed->Init().ok());
-  const std::string path = resumed->checkpoint_manager()->PathForStep(0);
-  WriteV1Checkpoint(path, masters);
-  auto found = resumed->TryResume();
-  ASSERT_TRUE(found.ok()) << found.status();
-  EXPECT_TRUE(*found);
-  EXPECT_EQ(resumed->global_step(), 0);
-  EXPECT_EQ(MasterParams(resumed->updater()), masters);
-
-  // Twin: the same masters imported into a fresh trainer, whose data
-  // stream starts at 0. Both must train bit for bit alike.
-  Harness twin = Make("v1_twin", BaseOptions());
-  ASSERT_TRUE(twin->Init().ok());
-  ASSERT_TRUE(core::LoadCheckpoint(twin->updater(), path).ok());
-  auto resumed_report = resumed->Train(dataset, 5);
-  auto twin_report = twin->Train(dataset, 5);
-  ASSERT_TRUE(resumed_report.ok()) << resumed_report.status();
-  ASSERT_TRUE(twin_report.ok()) << twin_report.status();
-  EXPECT_EQ(resumed_report->losses, twin_report->losses);
-  EXPECT_EQ(resumed->global_step(), 5);
   std::filesystem::remove_all(options.checkpoint_dir);
 }
 
