@@ -29,7 +29,8 @@ inline void PrintHeader(const std::string& title, const std::string& paper_ref,
 /// SSD / copy-engine stats when those subsystems were active.
 inline std::string TelemetryJson(const train::TelemetrySnapshot& t) {
   std::ostringstream out;
-  out << "{\"fwd_us\":" << t.fwd_us.ToJson()
+  out << "{\"gen_us\":" << t.gen_us.ToJson()
+      << ",\"fwd_us\":" << t.fwd_us.ToJson()
       << ",\"bwd_us\":" << t.bwd_us.ToJson()
       << ",\"opt_us\":" << t.opt_us.ToJson()
       << ",\"max_pending_batches\":" << t.max_pending_batches

@@ -41,6 +41,7 @@
 #include "bench/bench_util.h"
 #include "core/adam.h"
 #include "core/dtype.h"
+#include "train/dataset.h"
 #include "train/kernels.h"
 #include "train/simd/dispatch.h"
 #include "util/parallel_for.h"
@@ -351,6 +352,17 @@ int Main(int argc, char** argv) {
                          hf_back[i] = util::HalfBitsToFloat(hh[i]);
                        }
                      }});
+
+  // Batch generation at the direct_sync_longseq shape: 8 samples of a
+  // 256 x 128 sequence, teacher hidden 64, 256 outputs. It draws 264,192
+  // Gaussians and runs the teacher's 16.9M multiply-adds in double; timed
+  // in ms only, since neither GFLOP/s nor GB/s describes the mix.
+  const train::SyntheticRegression regression(256 * 128, 64, 256, 42);
+  util::Rng data_rng(43);
+  std::vector<float> gen_x, gen_y;
+  kernels.push_back({"gen_batch", "8x32768 h64 out256", 0.0, 0.0,
+                     [&] { regression.GenBatch(&data_rng, 8, &gen_x, &gen_y); },
+                     nullptr});
 
   const int reps = 3;
 

@@ -4,7 +4,8 @@
 #
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
 #     kernels, ParallelFor, thread pool, lock-free updater, the components'
-#     atomic stats counters and the obs:: span tracer hot path).
+#     atomic stats counters, the obs:: span tracer hot path, and batch
+#     generation: the bulk Gaussian path and the row-streamed teacher).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -235,6 +236,16 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     TSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-tsan --output-on-failure \
       -R 'util_test|obs_test|train_test|runtime_test'
+  # Batch generation against its per-call references: FillGaussian splits
+  # the Box-Muller transform and GenBatch the teacher's samples across the
+  # pool (the tests pin 1 and 4 workers). The bench shapes ran once above;
+  # repeat the small spans and odd shapes so the splits interleave anew.
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/util_test --gtest_repeat=5 \
+      --gtest_filter='ComputeThreads/FillGaussianTest.*'
+  TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/train_test --gtest_repeat=20 \
+      --gtest_filter='DatasetTest.GenBatchMatchesPerSampleTeacherAtOddShapes'
   # The crash/restart suite once more, explicitly: CheckpointManager::Save
   # cuts a *running* lock-free updater layer by layer and hands the
   # persist to a background writer that reads pinned SSD frames while the

@@ -43,13 +43,15 @@ util::Status MakeSockAddr(const std::string& path, sockaddr_un* addr) {
   return util::Status::OK();
 }
 
-/// Runs one frame send or receive under util::RetryTransient. Only an
-/// injected or transient I/O error is worth another attempt: peer loss is
-/// fail-stop, and a deadline already waited as long as it was allowed to.
-template <typename Attempt>
-util::Status RetryFrame(Attempt&& attempt) {
+/// Runs a frame's failpoint check under util::RetryTransient. Only what
+/// fails before the frame's first byte may be retried, and that is the
+/// failpoint: a socket error can come after part of the frame has crossed,
+/// where a resend would put a header mid-stream and a re-read would start
+/// mid-frame, so the frame I/O itself runs once. Peer loss is fail-stop.
+template <typename Check>
+util::Status RetryBeforeFirstByte(Check&& check) {
   return util::RetryTransient(
-      attempt,
+      check,
       [](const util::Status& failed) {
         return failed.IsIoError() && !ProcessGroup::IsPeerLoss(failed);
       },
@@ -266,12 +268,11 @@ util::Status ProcessGroup::SendChecked(int fd, uint16_t op, uint32_t seq,
   header.rank = uint16_t(options_.rank);
   header.seq = seq;
   header.payload_bytes = bytes;
-  ANGEL_RETURN_IF_ERROR(RetryFrame([&] {
+  ANGEL_RETURN_IF_ERROR(RetryBeforeFirstByte([] {
     auto& injector = util::FaultInjector::Instance();
-    const util::Status fault =
-        injector.enabled() ? injector.Check("pg.send") : util::Status::OK();
-    return fault.ok() ? wire::SendFrame(fd, header, payload) : fault;
+    return injector.enabled() ? injector.Check("pg.send") : util::Status::OK();
   }));
+  ANGEL_RETURN_IF_ERROR(wire::SendFrame(fd, header, payload));
   stats_.bytes_sent += wire::kHeaderBytes + bytes;
   return util::Status::OK();
 }
@@ -282,14 +283,12 @@ util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
                                        size_t max_bytes,
                                        std::vector<std::byte>* payload) {
   wire::Header header;
-  ANGEL_RETURN_IF_ERROR(RetryFrame([&] {
+  ANGEL_RETURN_IF_ERROR(RetryBeforeFirstByte([] {
     auto& injector = util::FaultInjector::Instance();
-    const util::Status fault =
-        injector.enabled() ? injector.Check("pg.recv") : util::Status::OK();
-    return fault.ok() ? wire::RecvFrame(fd, &header, payload, max_bytes,
-                                        options_.io_timeout_ms)
-                      : fault;
+    return injector.enabled() ? injector.Check("pg.recv") : util::Status::OK();
   }));
+  ANGEL_RETURN_IF_ERROR(wire::RecvFrame(fd, &header, payload, max_bytes,
+                                        options_.io_timeout_ms));
   if (uint16_t(header.op) != expect_op) {
     return util::Status::Internal(
         "collective protocol error: expected op " +

@@ -122,11 +122,11 @@ class ProcessGroup {
   [[nodiscard]] util::Status RendezvousRoot();
   [[nodiscard]] util::Status RendezvousPeer();
 
-  /// Frame send/recv under the §7 retry schedule (util::RetryTransient),
-  /// with the pg.send / pg.recv failpoints applied per attempt: an
-  /// injected fault or a transient socket error is retried, peer loss
-  /// never is (fail-stop). RecvChecked rejects a payload larger than
-  /// `max_bytes`.
+  /// Frame send/recv. The pg.send / pg.recv failpoints fire before the
+  /// frame's first byte and are retried under the §7 schedule
+  /// (util::RetryTransient); a socket error, which may come mid-frame,
+  /// returns at once, as peer loss (fail-stop) does. RecvChecked rejects a
+  /// payload larger than `max_bytes`.
   [[nodiscard]] util::Status SendChecked(int fd, uint16_t op, uint32_t seq,
                                          const void* payload, size_t bytes);
   [[nodiscard]] util::Status RecvChecked(int fd, uint16_t expect_op,

@@ -6,6 +6,7 @@
 #include <system_error>
 #include <thread>
 
+#include "obs/trace.h"
 #include "train/kernels.h"
 #include "util/logging.h"
 
@@ -159,22 +160,30 @@ util::Status ShardedDataParallel::Init() {
 }
 
 util::Status ShardedDataParallel::RankLoop(
-    int rank, Collectives* comm, int start_step, int steps,
-    const std::vector<std::vector<float>>* xs,
-    const std::vector<std::vector<float>>* ys,
+    int rank, Collectives* comm, const train::SyntheticRegression& dataset,
+    util::Rng* data, int start_step, int steps,
     std::vector<double>* step_losses, bool record_losses) {
   const int world = options_.world_size;
   const size_t batch = options_.batch_per_rank;
+  const size_t global_batch = batch * size_t(world);
   const int num_layers = model_->num_layers();
 
+  std::vector<float> global_x, global_y;
+  for (int step = 0; step < std::min(start_step, steps); ++step) {
+    dataset.GenBatch(data, global_batch, &global_x, &global_y);
+  }
   for (int step = start_step; step < steps; ++step) {
+    {
+      ANGEL_SPAN("train", "gen_batch");
+      dataset.GenBatch(data, global_batch, &global_x, &global_y);
+    }
     // Slice this rank's part of the global batch.
     const size_t x_per_rank = batch * model_->InputSize();
     const size_t y_per_rank = batch * model_->OutputSize();
-    const std::vector<float> x((*xs)[step].begin() + rank * x_per_rank,
-                               (*xs)[step].begin() + (rank + 1) * x_per_rank);
-    const std::vector<float> y((*ys)[step].begin() + rank * y_per_rank,
-                               (*ys)[step].begin() + (rank + 1) * y_per_rank);
+    const std::vector<float> x(global_x.begin() + rank * x_per_rank,
+                               global_x.begin() + (rank + 1) * x_per_rank);
+    const std::vector<float> y(global_y.begin() + rank * y_per_rank,
+                               global_y.begin() + (rank + 1) * y_per_rank);
 
     // 1. Materialize full parameters. Stage 3: all-gather every layer's
     //    shards. Stage 1: read the rank's full replica.
@@ -460,25 +469,21 @@ util::Result<DpReport> ShardedDataParallel::Train(
     return util::Status::FailedPrecondition("Init() not called");
   }
   const int world = options_.world_size;
-  // Pre-generate ALL global batches from step 0, resuming or not: the data
-  // stream is a pure function of the seed (Init consumed rng_ identically
-  // in every incarnation), so a restarted job replays the exact batches
-  // its predecessor saw and the resumed run stays bitwise on course.
-  std::vector<std::vector<float>> xs(steps), ys(steps);
-  for (int step = 0; step < steps; ++step) {
-    dataset.GenBatch(&rng_, options_.batch_per_rank * world, &xs[step],
-                     &ys[step]);
-  }
-
   ANGEL_ASSIGN_OR_RETURN(const int start_step, TryResume());
 
+  // Every rank streams the global batches from step 0 out of its own copy
+  // of the data cursor, resuming or not: the data stream is a pure function
+  // of the seed (Init consumed rng_ identically in every incarnation), so a
+  // restarted job replays the exact batches its predecessor saw and the
+  // resumed run stays bitwise on course.
+  std::vector<util::Rng> cursors(LocalRanks().size(), rng_);
   DpReport report;
   report.resumed_step = start_step;
   report.losses.assign(steps, 0.0);
   if (options_.backend == DpBackend::kProcessGroup) {
-    ANGEL_RETURN_IF_ERROR(RankLoop(options_.rank, pg_.get(), start_step,
-                                   steps, &xs, &ys, &report.losses,
-                                   /*record_losses=*/true));
+    ANGEL_RETURN_IF_ERROR(RankLoop(options_.rank, pg_.get(), dataset,
+                                   &cursors[0], start_step, steps,
+                                   &report.losses, /*record_losses=*/true));
     report.collectives = pg_->collectives_completed();
   } else {
     std::vector<util::Status> statuses(world);
@@ -487,8 +492,9 @@ util::Result<DpReport> ShardedDataParallel::Train(
     for (int r = 0; r < world; ++r) {
       ranks.emplace_back([&, r] {
         InProcessCollectives comm(comm_.get(), r);
-        statuses[r] = RankLoop(r, &comm, start_step, steps, &xs, &ys,
-                               &report.losses, /*record_losses=*/r == 0);
+        statuses[r] = RankLoop(r, &comm, dataset, &cursors[size_t(r)],
+                               start_step, steps, &report.losses,
+                               /*record_losses=*/r == 0);
       });
     }
     for (auto& t : ranks) t.join();
@@ -497,6 +503,8 @@ util::Result<DpReport> ShardedDataParallel::Train(
     }
     report.collectives = comm_->collectives_completed();
   }
+  // The cursor ends after batch `steps`, wherever the run resumed.
+  rng_ = cursors[0];
   report.final_train_loss = steps > 0 ? report.losses.back() : 0.0;
 
   // Validation with the gathered full parameters.

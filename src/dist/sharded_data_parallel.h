@@ -168,12 +168,14 @@ class ShardedDataParallel {
   };
 
   /// One rank's full training loop body. `comm` is that rank's view of the
-  /// collective fabric; `start_step` skips the steps a resumed checkpoint
-  /// already covers.
+  /// collective fabric. `data` is the rank's copy of the data cursor at
+  /// step 0: each step generates the global batch from it and keeps the
+  /// rank's slice, and the `start_step` batches a resumed checkpoint
+  /// already covers are drawn and dropped. On success `data` sits after
+  /// batch `steps`.
   [[nodiscard]] util::Status RankLoop(
-      int rank, Collectives* comm, int start_step, int steps,
-      const std::vector<std::vector<float>>* xs,
-      const std::vector<std::vector<float>>* ys,
+      int rank, Collectives* comm, const train::SyntheticRegression& dataset,
+      util::Rng* data, int start_step, int steps,
       std::vector<double>* step_losses, bool record_losses);
 
   /// Ranks whose shards live in this process.

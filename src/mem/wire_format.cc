@@ -7,6 +7,8 @@
 #include <cstring>
 #include <string>
 
+#include "util/fault_injector.h"
+
 namespace angelptm::mem::wire {
 
 namespace {
@@ -125,6 +127,7 @@ util::Status SendFrame(int fd, const Header& header, const void* payload) {
   EncodeHeader(header, head);
   ANGEL_RETURN_IF_ERROR(WriteFull(fd, head, kHeaderBytes));
   if (header.payload_bytes > 0) {
+    ANGEL_FAULT_CHECK("wire.send_payload");
     ANGEL_RETURN_IF_ERROR(WriteFull(fd, payload, header.payload_bytes));
   }
   return util::Status::OK();

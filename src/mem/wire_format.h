@@ -59,7 +59,9 @@ void EncodeHeader(const Header& header, std::byte* out);
 /// Writes header + `header.payload_bytes` of `payload` to `fd`, looping
 /// over partial writes and EINTR. Uses MSG_NOSIGNAL so a dead peer surfaces
 /// as an IoError instead of SIGPIPE. A closed peer yields an IoError whose
-/// message contains kPeerClosedMsg.
+/// message contains kPeerClosedMsg. An error may come after part of the
+/// frame was written; the `wire.send_payload` failpoint models one between
+/// the header and a non-empty payload.
 [[nodiscard]] util::Status SendFrame(int fd, const Header& header,
                                      const void* payload);
 

@@ -24,13 +24,14 @@ class SyntheticRegression {
   size_t out_dim() const { return out_dim_; }
 
   /// Fills `x` (batch x in_dim) and `y` (batch x out_dim) with the next
-  /// batch from `rng`.
+  /// batch from `rng`. Draws sample by sample (its inputs, then its noise)
+  /// and runs the teacher over the whole batch on the compute pool, split
+  /// by sample; each output is bitwise what a per-sample loop gives, whatever
+  /// the thread count.
   void GenBatch(util::Rng* rng, size_t batch, std::vector<float>* x,
                 std::vector<float>* y) const;
 
  private:
-  void Teacher(const float* x, float* y) const;
-
   size_t in_dim_, hidden_, out_dim_;
   double noise_stddev_;
   std::vector<float> w1_, b1_, w2_, b2_;

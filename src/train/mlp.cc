@@ -1,6 +1,7 @@
 #include "train/mlp.h"
 
 #include <cmath>
+#include <span>
 
 #include "train/kernels.h"
 #include "util/logging.h"
@@ -22,10 +23,8 @@ std::vector<float> MlpModel::InitLayerParams(int layer,
   const size_t in = config_.dims[layer];
   const size_t out = config_.dims[layer + 1];
   std::vector<float> params(in * out + out, 0.0f);
-  const double stddev = std::sqrt(2.0 / double(in));
-  for (size_t i = 0; i < in * out; ++i) {
-    params[i] = float(rng->NextGaussian() * stddev);
-  }
+  rng->FillGaussian(std::span<float>(params.data(), in * out),
+                    std::sqrt(2.0 / double(in)));
   return params;  // Bias stays zero.
 }
 

@@ -324,7 +324,12 @@ util::Status Trainer::RunSteps(const SyntheticRegression& dataset,
   std::vector<float> x, y;
   while (global_step_ < target_step) {
     ANGEL_SPAN("train", "step");
-    dataset.GenBatch(&rng_, options_.batch_size, &x, &y);
+    {
+      ANGEL_SPAN("train", "gen_batch");
+      const uint64_t gen_start = NowUs();
+      dataset.GenBatch(&rng_, options_.batch_size, &x, &y);
+      gen_us_.Record(NowUs() - gen_start);
+    }
     // Synchronous direct training updates once per accumulation window.
     const bool update = !options_.lock_free &&
                         (global_step_ + 1 - base_step) %
@@ -381,7 +386,8 @@ util::Result<TrainReport> Trainer::Train(const SyntheticRegression& dataset,
     return util::Status::FailedPrecondition("Init() not called");
   }
   TrainReport report;
-  for (obs::HistogramData* phase : {&fwd_us_, &bwd_us_, &opt_us_}) {
+  for (obs::HistogramData* phase :
+       {&gen_us_, &fwd_us_, &bwd_us_, &opt_us_}) {
     *phase = obs::HistogramData();
   }
   const int64_t base_step = global_step_;
@@ -414,6 +420,7 @@ util::Result<TrainReport> Trainer::Train(const SyntheticRegression& dataset,
   ANGEL_ASSIGN_OR_RETURN(report.validation_loss, Validate(dataset, 8));
 
   TelemetrySnapshot& telemetry = report.telemetry;
+  telemetry.gen_us = gen_us_;
   telemetry.fwd_us = fwd_us_;
   telemetry.bwd_us = bwd_us_;
   telemetry.opt_us = opt_us_;

@@ -85,6 +85,8 @@ struct TrainerOptions : TrainLoopOptions {
 /// subsystem the run touched (each taken via that class's Snapshot()).
 struct TelemetrySnapshot {
   /// Wall time per training-step phase, microseconds (this run only).
+  /// gen_us is the step's batch generation (SyntheticRegression::GenBatch).
+  obs::HistogramData gen_us;
   obs::HistogramData fwd_us;
   obs::HistogramData bwd_us;
   obs::HistogramData opt_us;
@@ -245,6 +247,7 @@ class Trainer {
   uint64_t recoveries_ = 0;
 
   /// Each step phase's wall time over this Train() call, microseconds.
+  obs::HistogramData gen_us_;
   obs::HistogramData fwd_us_;
   obs::HistogramData bwd_us_;
   obs::HistogramData opt_us_;

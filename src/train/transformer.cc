@@ -1,6 +1,7 @@
 #include "train/transformer.h"
 
 #include <cmath>
+#include <span>
 
 #include "train/kernels.h"
 #include "util/logging.h"
@@ -76,19 +77,15 @@ std::vector<float> TinyTransformer::InitLayerParams(int layer,
                                                     util::Rng* rng) const {
   const size_t d = config_.d_model, f = config_.d_ffn;
   std::vector<float> params(LayerParamCount(layer), 0.0f);
+  auto fill = [&](size_t offset, size_t count, double stddev) {
+    rng->FillGaussian(std::span<float>(params.data() + offset, count),
+                      stddev);
+  };
   if (IsHead(layer)) {
-    const double stddev = 1.0 / std::sqrt(double(d));
-    for (size_t i = 0; i < d * config_.out_dim; ++i) {
-      params[i] = float(rng->NextGaussian() * stddev);
-    }
+    fill(0, d * config_.out_dim, 1.0 / std::sqrt(double(d)));
     return params;  // Bias zero.
   }
   const BlockOffsets o = ComputeOffsets(d, f);
-  auto fill = [&](size_t offset, size_t count, double stddev) {
-    for (size_t i = 0; i < count; ++i) {
-      params[offset + i] = float(rng->NextGaussian() * stddev);
-    }
-  };
   const double attn_std = 1.0 / std::sqrt(double(d));
   fill(o.wq, d * d, attn_std);
   fill(o.wk, d * d, attn_std);

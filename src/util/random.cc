@@ -1,9 +1,39 @@
 #include "util/random.h"
 
+#include <algorithm>
 #include <cmath>
+
+#include "util/parallel_for.h"
 
 namespace angelptm::util {
 namespace {
+
+/// Box-Muller pairs one compute-pool task transforms, and pairs whose
+/// uniforms FillGaussian holds at once (256 KiB, so a large span never
+/// needs 8 bytes of scratch per element).
+constexpr size_t kPairsPerChunk = 4096;
+constexpr size_t kPairsPerBlock = 4 * kPairsPerChunk;
+
+struct GaussianPair {
+  double first;
+  double second;
+};
+
+/// A pair's uniforms in the stream order NextGaussian has always drawn
+/// them: u1, u2, then u1 again while it is too small to take the log of.
+void DrawUniforms(Rng* rng, double* u1, double* u2) {
+  *u1 = rng->NextDouble();
+  *u2 = rng->NextDouble();
+  while (*u1 <= 1e-300) *u1 = rng->NextDouble();
+}
+
+/// The one Box-Muller transform. NextGaussian and FillGaussian share it and
+/// DrawUniforms, so they compute every value with the same instructions.
+GaussianPair BoxMuller(double u1, double u2) {
+  const double r = std::sqrt(-2.0 * std::log(u1));
+  const double theta = 2.0 * M_PI * u2;
+  return {r * std::cos(theta), r * std::sin(theta)};
+}
 
 uint64_t SplitMix64(uint64_t* state) {
   uint64_t z = (*state += 0x9E3779B97F4A7C15ull);
@@ -70,19 +100,44 @@ double Rng::NextGaussian() {
     has_cached_gaussian_ = false;
     return cached_gaussian_;
   }
-  double u1 = NextDouble();
-  double u2 = NextDouble();
-  while (u1 <= 1e-300) u1 = NextDouble();
-  const double r = std::sqrt(-2.0 * std::log(u1));
-  const double theta = 2.0 * M_PI * u2;
-  cached_gaussian_ = r * std::sin(theta);
+  double u1, u2;
+  DrawUniforms(this, &u1, &u2);
+  const GaussianPair pair = BoxMuller(u1, u2);
+  cached_gaussian_ = pair.second;
   has_cached_gaussian_ = true;
-  return r * std::cos(theta);
+  return pair.first;
 }
 
-void Rng::FillGaussian(std::vector<float>* out, double stddev) {
-  for (auto& v : *out) {
-    v = static_cast<float>(NextGaussian() * stddev);
+void Rng::FillGaussian(std::span<float> out, double stddev) {
+  // A cached value comes first and the last pair (one or two elements) goes
+  // through NextGaussian too, so the generator ends as those calls leave
+  // it. Between them are whole pairs: their uniforms are drawn here
+  // serially, a block at a time, and transformed on the pool.
+  size_t begin = 0;
+  if (has_cached_gaussian_ && !out.empty()) {
+    out[begin++] = static_cast<float>(NextGaussian() * stddev);
+  }
+  const size_t whole_pairs =
+      out.size() > begin ? (out.size() - begin - 1) / 2 : 0;
+  std::vector<double> uniforms(2 * std::min(whole_pairs, kPairsPerBlock));
+  for (size_t first = 0; first < whole_pairs; first += kPairsPerBlock) {
+    const size_t pairs = std::min(kPairsPerBlock, whole_pairs - first);
+    for (size_t p = 0; p < pairs; ++p) {
+      DrawUniforms(this, &uniforms[2 * p], &uniforms[2 * p + 1]);
+    }
+    float* dst = out.data() + begin + 2 * first;
+    ParallelFor(ComputePool(), 0, pairs, kPairsPerChunk,
+                [&](size_t lo, size_t hi) {
+                  for (size_t p = lo; p < hi; ++p) {
+                    const GaussianPair pair =
+                        BoxMuller(uniforms[2 * p], uniforms[2 * p + 1]);
+                    dst[2 * p] = static_cast<float>(pair.first * stddev);
+                    dst[2 * p + 1] = static_cast<float>(pair.second * stddev);
+                  }
+                });
+  }
+  for (size_t i = begin + 2 * whole_pairs; i < out.size(); ++i) {
+    out[i] = static_cast<float>(NextGaussian() * stddev);
   }
 }
 

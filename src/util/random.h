@@ -3,6 +3,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace angelptm::util {
@@ -40,8 +41,15 @@ class Rng {
   /// Standard normal via Box-Muller.
   double NextGaussian();
 
-  /// Fills `out` with N(0, stddev) floats.
-  void FillGaussian(std::vector<float>* out, double stddev);
+  /// Fills `out` with N(0, stddev) floats: element i is bitwise
+  /// `float(NextGaussian() * stddev)` of the i-th of `out.size()` calls, and
+  /// the generator ends in the state those calls leave, cached second value
+  /// included. The uniforms are drawn serially in NextGaussian's order; the
+  /// Box-Muller transform runs in bounded chunks on the compute pool.
+  void FillGaussian(std::span<float> out, double stddev);
+  void FillGaussian(std::vector<float>* out, double stddev) {
+    FillGaussian(std::span<float>(*out), stddev);
+  }
 
  private:
   uint64_t state_[4];

@@ -372,6 +372,38 @@ TEST(ProcessGroupTest, PeerLossFailsAfterOneAttempt) {
   EXPECT_EQ(attempts, 1u);
 }
 
+TEST(ProcessGroupTest, MidFrameSendFailureIsNotRetried) {
+  // Rank 1's contribution fails after its header has crossed the socket. A
+  // resend would put a second header where the root reads the payload, and
+  // the root would sum a header's bytes. The failure must instead return on
+  // the first attempt with its own message; the root then sees rank 1 go.
+  util::FaultInjector& faults = util::FaultInjector::Instance();
+  const std::string path = RendezvousPath("mf");
+  auto statuses =
+      RunWorld(2, path, [&](int r, ProcessGroup* group) -> util::Status {
+        std::vector<float> data(8, 1.0f);
+        if (r == 1) {
+          // Armed after the rendezvous, whose hello has a payload too. The
+          // root sends nothing until rank 1's frame arrives, so the first
+          // frame payload from here on is rank 1's.
+          util::FaultRule once;
+          once.nth_call = 1;
+          faults.Arm("wire.send_payload", once);
+        }
+        return group->AllReduce(data.data(), data.size());
+      });
+  const uint64_t attempts = faults.calls("wire.send_payload");
+  faults.Disarm("wire.send_payload");
+  ASSERT_FALSE(statuses[1].ok());
+  EXPECT_TRUE(statuses[1].IsIoError()) << statuses[1];
+  EXPECT_NE(statuses[1].message().find("wire.send_payload"),
+            std::string::npos)
+      << statuses[1];
+  EXPECT_EQ(attempts, 1u);
+  ASSERT_FALSE(statuses[0].ok());
+  EXPECT_TRUE(ProcessGroup::IsPeerLoss(statuses[0])) << statuses[0];
+}
+
 TEST(ProcessGroupTest, RootRejectsOversizeHello) {
   // The root reads a hello header from anything that connects to the
   // rendezvous socket. One claiming 2^40 payload bytes must fail the

@@ -1,3 +1,4 @@
+#include "train/engine_trainer.h"
 #include "train/mlp.h"
 #include "train/trainer.h"
 
@@ -249,6 +250,33 @@ TEST_F(TrainerFaultTest, TrainerSurfacesSsdWriteFailure) {
   // it either through a fast-failing offload or the final drain.
   EXPECT_TRUE(report.status().IsIoError()) << report.status();
   EXPECT_TRUE(trainer.updater()->status().IsIoError());
+}
+
+TEST(TrainerTest, BatchGenerationIsTimedOncePerStepOnBothBackends) {
+  SyntheticRegression dataset(16, 32, 4, 99);
+  mem::HierarchicalMemory memory(MemoryOptions("gen"));
+  core::Allocator allocator(&memory);
+  Trainer direct(&allocator, &TestModel(), BaseOptions());
+  ASSERT_TRUE(direct.Init().ok());
+
+  EngineTrainerOptions paged_options;
+  paged_options.engine.memory.page_bytes = 16 * 1024;
+  paged_options.engine.memory.gpu_capacity_bytes = 16 * 16 * 1024;
+  paged_options.engine.memory.cpu_capacity_bytes = 32ull << 20;
+  paged_options.batch_size = 32;
+  paged_options.seed = 7;
+  Trainer paged(&TestModel(), paged_options);
+  ASSERT_TRUE(paged.Init().ok());
+
+  for (Trainer* trainer : {&direct, &paged}) {
+    // Each Train() call reports its own steps only.
+    for (const int steps : {5, 3}) {
+      auto report = trainer->Train(dataset, steps);
+      ASSERT_TRUE(report.ok()) << report.status();
+      EXPECT_EQ(report->telemetry.gen_us.count, uint64_t(steps));
+      EXPECT_EQ(report->telemetry.fwd_us.count, uint64_t(steps));
+    }
+  }
 }
 
 TEST(TrainerTest, TrainBeforeInitFails) {

@@ -1,6 +1,9 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <memory>
+#include <span>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -8,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include "util/bandwidth_throttle.h"
+#include "util/parallel_for.h"
 #include "util/random.h"
 #include "util/table_printer.h"
+#include "util/thread_pool.h"
 #include "util/units.h"
 
 namespace angelptm::util {
@@ -107,6 +112,79 @@ TEST(RngTest, FillGaussianScalesByStddev) {
   double sum_sq = 0;
   for (float x : v) sum_sq += double(x) * x;
   EXPECT_NEAR(std::sqrt(sum_sq / v.size()), 0.01, 0.001);
+}
+
+/// Expects two generators to continue identically: the same xoshiro words
+/// and the same Box-Muller cache, bit for bit.
+void ExpectSameState(const Rng& got, const Rng& want) {
+  const Rng::State a = got.GetState(), b = want.GetState();
+  EXPECT_EQ(a.s, b.s);
+  EXPECT_EQ(a.has_cached_gaussian, b.has_cached_gaussian);
+  EXPECT_EQ(std::memcmp(&a.cached_gaussian, &b.cached_gaussian,
+                        sizeof(double)),
+            0);
+}
+
+/// The bulk FillGaussian against NextGaussian() called once per element,
+/// on a pinned compute pool of 1 and of 4 workers.
+class FillGaussianTest : public ::testing::TestWithParam<size_t> {
+ protected:
+  void SetUp() override {
+    pool_ = std::make_unique<ThreadPool>(GetParam());
+    SetComputePoolOverride(pool_.get());
+  }
+  void TearDown() override {
+    SetComputePoolOverride(nullptr);
+    pool_.reset();
+  }
+
+  /// Fills `count` elements from `rng` in bulk and from a copy of it one
+  /// call at a time; expects the same bits and the same generator after.
+  static void ExpectMatchesSerial(Rng rng, size_t count, double stddev) {
+    Rng serial = rng;
+    std::vector<float> got(count), want(count);
+    rng.FillGaussian(std::span<float>(got), stddev);
+    for (float& v : want) v = float(serial.NextGaussian() * stddev);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0);
+    ExpectSameState(rng, serial);
+    EXPECT_EQ(rng.NextGaussian(), serial.NextGaussian());
+  }
+
+  std::unique_ptr<ThreadPool> pool_;
+};
+
+INSTANTIATE_TEST_SUITE_P(ComputeThreads, FillGaussianTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
+
+TEST_P(FillGaussianTest, MatchesNextGaussianCallForCall) {
+  for (const size_t count : {0, 1, 2, 3, 8191, 8193, 100000}) {
+    for (const bool cached : {false, true}) {
+      for (const double stddev : {1.0, 0.01}) {
+        SCOPED_TRACE(::testing::Message()
+                     << count << " elements, cached " << cached
+                     << ", stddev " << stddev);
+        Rng rng(1000 + count);
+        // One call leaves the pair's second value cached.
+        if (cached) (void)rng.NextGaussian();
+        ExpectMatchesSerial(rng, count, stddev);
+      }
+    }
+  }
+}
+
+TEST_P(FillGaussianTest, RedrawsAZeroUniformInStreamOrder) {
+  // With s[1] == 0 the next output word is 0, so the first pair's u1 is 0
+  // and must be redrawn after u2, as NextGaussian does.
+  Rng rng(0);
+  Rng::State state;
+  state.s = {0x9E3779B97F4A7C15ull, 0, 0xBF58476D1CE4E5B9ull, 7};
+  rng.SetState(state);
+  Rng probe = rng;
+  ASSERT_EQ(probe.NextDouble(), 0.0);
+  for (const size_t count : {1, 2, 9}) {
+    SCOPED_TRACE(::testing::Message() << count << " elements");
+    ExpectMatchesSerial(rng, count, 1.0);
+  }
 }
 
 TEST(TablePrinterTest, AlignsColumnsAndCountsRows) {
