@@ -1,4 +1,4 @@
-// Updater-contention microbenchmark across every registered update rule
+// Updater-contention microbenchmark across the four update rules
 // (DESIGN.md §13): a compute thread offloads gradients and fetches buffered
 // parameters against a *running* LockFreeUpdater while extra reader threads
 // hammer the seqlock-published fp16 parameters (p'16), which is exactly the

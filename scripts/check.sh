@@ -4,8 +4,9 @@
 #
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
 #     kernels, ParallelFor, thread pool, lock-free updater, the components'
-#     atomic stats counters, the obs:: span tracer hot path, and batch
-#     generation: the bulk Gaussian path and the row-streamed teacher).
+#     atomic stats counters, the obs:: span tracer hot path, batch
+#     generation: the bulk Gaussian path and the row-streamed teacher, and
+#     ZeRO's rank threads updating their shards in place on one pool).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -30,8 +31,8 @@
 #     GEMM-variant, attention and fp16-conversion guards on the dispatched
 #     path and again on the scalar path.
 #
-#   * An optimizer pass (DESIGN.md §13): the golden suite for every
-#     registered update rule (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
+#   * An optimizer pass (DESIGN.md §13): the golden suite for each of the
+#     four update rules (Adam bitwise vs the SIMD kernel, SGDM/LAMB/
 #     Adafactor vs naive references, thread-count invariance), the seqlock
 #     torn-read stress, the checkpoint v3 tests, and a smoke run of the
 #     updater-contention bench across all rules.
@@ -154,7 +155,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --optimizers ]; then
   cmake -B build -S .
   cmake --build build -j "$(nproc)" --target core_test util_test \
     runtime_test optimizer_bench
-  # Every registered rule against its reference (Adam must be bitwise
+  # Each of the four rules against its reference (Adam must be bitwise
   # identical to the SIMD kernel path) plus thread-count invariance.
   ./build/tests/core_test --gtest_filter='OptimizerTest.*'
   # The seqlock torn-read stress: concurrent writers never expose a
@@ -229,7 +230,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j "$(nproc)" --target util_test obs_test \
-    train_test runtime_test
+    train_test runtime_test dist_test
   # Deterministically exercise the parallel code paths even on small CI
   # hosts: the kernels split work as if 4 workers were present.
   ANGELPTM_COMPUTE_THREADS=4 \
@@ -276,6 +277,11 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test --gtest_repeat=50 \
       --gtest_filter='LockFreeUpdaterTest.StreamedUpdateMatchesWholeLayerBitwise:LockFreeUpdaterTest.GradientSwapLosesNoBatch'
+  # ZeRO: the in-process rank threads run the rule on their shards in
+  # place, each splitting its shard's pages across the one compute pool,
+  # while the other ranks gather and reduce-scatter.
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/dist_test --gtest_filter='ShardedDpTest.*'
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --asan-only ]; then

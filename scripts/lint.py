@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Project lint for angelptm (DESIGN.md §10, §15).
 
-Nine rules over src/ (tests and benches are exempt unless noted):
+Eight rules over src/ (tests and benches are exempt unless noted):
 
   mutex       Every mutex-like member must participate in the thread-safety
               contract: raw std::mutex / std::condition_variable declarations
@@ -28,12 +28,6 @@ Nine rules over src/ (tests and benches are exempt unless noted):
               headers) may appear only under src/train/simd/, so vector
               intrinsics cannot spread outside the dispatch layer and its
               one -mavx2 TU. Waive with `// lint: simd-include (<reason>)`.
-
-  optimizer-registry  Every concrete `class X final : public Optimizer`
-              must call RegisterOptimizer(...) in the same file, so a new
-              update rule cannot be added without becoming reachable through
-              Optimizer::Create. Waive with
-              `// lint: optimizer-registry (<reason>)` on the class line.
 
   raw-mutex   Outside src/util/, any use of std::mutex / std::lock_guard /
               std::unique_lock / std::scoped_lock / std::condition_variable
@@ -70,14 +64,6 @@ RAW_MUTEX_WAIVER = "// lint: raw-mutex"
 LOCK_CLASS_WAIVER = "// lint: lock-class"
 NEW_WAIVER = "// lint: naked-new"
 SIMD_WAIVER = "// lint: simd-include"
-REGISTRY_WAIVER = "// lint: optimizer-registry"
-
-# Concrete optimizer implementations: `class X final : public Optimizer`
-# (optionally namespace-qualified). The abstract base itself has no base
-# clause and never matches.
-OPTIMIZER_SUBCLASS_RE = re.compile(
-    r"class\s+(\w+)\s+final\s*:\s*public\s+(?:\w+::)*Optimizer\b")
-REGISTER_CALL_RE = re.compile(r"\bRegisterOptimizer\s*\(")
 
 # x86 vector-intrinsic headers (immintrin.h is the umbrella; the rest are
 # its pieces that someone might include directly).
@@ -193,9 +179,6 @@ def lint_file(path, findings, src_dir=None):
         rel = os.path.relpath(os.path.normpath(path), os.path.normpath(src_dir))
         in_util = rel.split(os.sep)[0] == "util"
     text = "".join(lines)
-    # Comment/string-stripped view for rules where a mention in a comment
-    # must not count (e.g. the optimizer-registry factory call).
-    stripped_text = "\n".join(strip_comments_and_strings(l) for l in lines)
     annotated = set()
     for m in ANNOTATION_REF_RE.finditer(text):
         for arg in m.group(1).split(","):
@@ -280,17 +263,6 @@ def lint_file(path, findings, src_dir=None):
                     f"{path}:{lineno}: [naked-new] `new` outside a smart "
                     f"pointer; wrap it or waive with "
                     f"`{NEW_WAIVER} (<reason>)`")
-
-        # Rule: optimizer-registry. The factory call may live anywhere in
-        # the same file (the builtin rules register via a hook function).
-        m = OPTIMIZER_SUBCLASS_RE.search(code)
-        if (m and REGISTRY_WAIVER not in raw
-                and not REGISTER_CALL_RE.search(stripped_text)):
-            findings.append(
-                f"{path}:{lineno}: [optimizer-registry] `{m.group(1)}` "
-                f"subclasses Optimizer but this file never calls "
-                f"RegisterOptimizer(...); register it with a factory or "
-                f"waive with `{REGISTRY_WAIVER} (<reason>)`")
 
 
 def collect_fault_sites(src_dir):

@@ -28,7 +28,7 @@ namespace angelptm::core {
 ///             rng_cached_gaussian f64, loss_scale f64,
 ///             scaler_good_steps i32, scaler_overflows u64,
 ///             scaler_growths u64 |
-///   rule: len u32, bytes (the optimizer registry key, e.g. "adam") |
+///   rule: len u32, bytes (the optimizer rule name, e.g. "adam") |
 ///   num_layers u32 |
 ///   per layer: count u64, step i64, num_slots u32, p32[count],
 ///              per slot: name (len u32, bytes), slot_count u64,

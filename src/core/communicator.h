@@ -16,8 +16,9 @@ namespace angelptm::core {
 /// which preserves the semantics the engine and tests rely on).
 ///
 /// Every collective must be entered by all `world_size` ranks, each from
-/// its own thread. Calls rendezvous on an internal barrier; buffers are
-/// exchanged through the communicator's staging area.
+/// its own thread. Calls rendezvous on an internal barrier; each rank
+/// publishes a pointer to its send buffer, and the others read it in
+/// place before the closing barrier.
 class Communicator {
  public:
   explicit Communicator(int world_size);
@@ -69,7 +70,6 @@ class Communicator {
   /// ordering (not the mutex) is what makes those reads race-free, a
   /// relationship outside the analysis's vocabulary.  // lint: unguarded
   std::vector<const float*> published_;
-  std::vector<float> staging_;
 };
 
 }  // namespace angelptm::core

@@ -7,7 +7,6 @@
 #include "obs/trace.h"
 #include "util/fault_injector.h"
 #include "util/logging.h"
-#include "util/parallel_for.h"
 
 namespace angelptm::core {
 namespace {
@@ -17,52 +16,8 @@ namespace {
 size_t HalfWords(size_t count) { return (count + 1) / 2; }
 
 /// Elements converted per stack chunk between fp32 and fp16: p'16 reads
-/// and installs, g'16 accumulation, and the streamed rule's gradients.
+/// and installs, and g'16 accumulation.
 constexpr size_t kConvertChunk = 2048;
-
-/// Elements per compute-pool task of the streamed rule: a multiple of the
-/// AVX2 block (8) and of kConvertChunk, as AdamUpdate's own grain.
-constexpr size_t kStreamGrain = 8192;
-
-/// A memory-resident tensor's page spans as element ranges: span i holds
-/// elements [starts[i], starts[i + 1]) at data[i]. Built once per update
-/// (a few dozen entries per layer), so the rule's chunks find the pointers
-/// of p32, each slot and g'16 without walking pages again.
-class SpanIndex {
- public:
-  [[nodiscard]] util::Status Build(const Tensor& tensor) {
-    const size_t elem = DTypeBytes(tensor.dtype());
-    ANGEL_RETURN_IF_ERROR(tensor.ForEachSpan(
-        [this, elem](std::byte* span, size_t bytes, size_t offset) {
-          if (bytes % elem != 0 ||
-              reinterpret_cast<uintptr_t>(span) % elem != 0) {
-            return util::Status::InvalidArgument(
-                "tensor span splits an element (odd page size)");
-          }
-          starts_.push_back(offset / elem);
-          data_.push_back(span);
-          return util::Status::OK();
-        }));
-    starts_.push_back(tensor.NumElements());
-    return util::Status::OK();
-  }
-
-  /// Pointer to element `e`; clamps `*n` to the elements that follow it
-  /// on the same span.
-  template <typename T>
-  T* At(size_t e, size_t* n) const {
-    const size_t i =
-        size_t(std::upper_bound(starts_.begin(), starts_.end(), e) -
-               starts_.begin()) -
-        1;
-    *n = std::min(*n, starts_[i + 1] - e);
-    return reinterpret_cast<T*>(data_[i]) + (e - starts_[i]);
-  }
-
- private:
-  std::vector<size_t> starts_;
-  std::vector<std::byte*> data_;
-};
 
 /// How long the updating thread waits after an idle wakeup before it
 /// sweeps (see the class comment).
@@ -126,8 +81,8 @@ util::Result<int> LockFreeUpdater::AddLayer(
   for (const SlotSpec& spec : layer->slot_layout) {
     ANGEL_ASSIGN_OR_RETURN(
         Tensor * slot,
-        allocator_->Allocate({spec.count}, spec.dtype, mem::DeviceKind::kCpu,
-                             group));
+        allocator_->Allocate({spec.count}, DType::kFp32,
+                             mem::DeviceKind::kCpu, group));
     layer->slots.push_back(slot);
   }
   // g'16 and its spare (see Layer::buffered_grads).
@@ -371,10 +326,24 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     ANGEL_RETURN_IF_ERROR(MoveMasters(*layer, mem::DeviceKind::kCpu));
   }
   layer->step += 1;
-  // Average the accumulated gradient batches.
+  // The rule's gradient is g'16 converted and averaged over the batches.
   const float scale =
       batches_taken > 1 ? 1.0f / float(batches_taken) : 1.0f;
-  ANGEL_RETURN_IF_ERROR(ApplyRule(*layer, *grads, scale));
+  SpanIndex grad_spans;
+  ANGEL_RETURN_IF_ERROR(grad_spans.Build(*grads));
+  ANGEL_RETURN_IF_ERROR(ApplyRule(
+      *optimizer_, layer->p32, layer->slots, layer->step,
+      [&grad_spans, scale](size_t lo, size_t n, float* out) {
+        for (size_t done = 0; done < n;) {
+          size_t k = n - done;
+          HalvesToFloats(grad_spans.At<const uint16_t>(lo + done, &k),
+                         out + done, k);
+          done += k;
+        }
+        if (scale != 1.0f) {
+          for (size_t i = 0; i < n; ++i) out[i] *= scale;
+        }
+      }));
   // A failed install leaves the compute side reading stale (but
   // consistent) parameters forever; that is silent divergence, so it fails
   // the update, which poisons the updater.
@@ -395,83 +364,6 @@ util::Result<bool> LockFreeUpdater::UpdateLayer(int layer_index) {
     staleness_.Record(batches_taken);
   }
   return true;
-}
-
-util::Status LockFreeUpdater::ApplyRule(Layer& layer, const Tensor& grads,
-                                        float scale) {
-  if (!optimizer_->SplitsBitwise()) {
-    // Layer-wide rules (LAMB's norms, Adafactor's factored statistics) see
-    // the whole layer in one call.
-    std::vector<float> g;
-    ANGEL_RETURN_IF_ERROR(grads.ReadFloats(&g));
-    if (scale != 1.0f) {
-      for (float& x : g) x *= scale;
-    }
-    std::vector<float> p;
-    ANGEL_RETURN_IF_ERROR(layer.p32->ReadFloats(&p));
-    std::vector<std::vector<float>> slot_values(layer.slots.size());
-    std::vector<SlotView> views(layer.slots.size());
-    for (size_t s = 0; s < layer.slots.size(); ++s) {
-      ANGEL_RETURN_IF_ERROR(layer.slots[s]->ReadFloats(&slot_values[s]));
-      views[s] = SlotView{slot_values[s].data(), slot_values[s].size()};
-    }
-    ANGEL_RETURN_IF_ERROR(
-        optimizer_->Update(p.data(), g.data(), layer.count, views, layer.step));
-    ANGEL_RETURN_IF_ERROR(layer.p32->WriteFloats(p));
-    for (size_t s = 0; s < layer.slots.size(); ++s) {
-      ANGEL_RETURN_IF_ERROR(layer.slots[s]->WriteFloats(slot_values[s]));
-    }
-    return util::Status::OK();
-  }
-
-  // The rule splits bitwise: run it in place, span by span. Each chunk
-  // converts its g'16 range through a stack buffer and updates p32 and the
-  // slots where they lie, so the update stages no whole-layer copy.
-  SpanIndex params, grad_spans;
-  ANGEL_RETURN_IF_ERROR(params.Build(*layer.p32));
-  ANGEL_RETURN_IF_ERROR(grad_spans.Build(grads));
-  std::vector<SpanIndex> slots(layer.slots.size());
-  for (size_t s = 0; s < slots.size(); ++s) {
-    if (layer.slots[s]->dtype() != DType::kFp32 ||
-        layer.slot_layout[s].count != layer.count) {
-      return util::Status::FailedPrecondition(
-          "rule '" + optimizer_rule() +
-          "' splits bitwise but declares a slot that is not fp32 of the "
-          "layer's size");
-    }
-    ANGEL_RETURN_IF_ERROR(slots[s].Build(*layer.slots[s]));
-  }
-  const long step = layer.step;
-  std::vector<util::Status> failed((layer.count + kStreamGrain - 1) /
-                                   kStreamGrain);
-  util::ParallelForChunks(
-      util::ComputePool(), 0, layer.count, kStreamGrain,
-      [&](size_t chunk, size_t lo, size_t hi) {
-        float g[kConvertChunk];
-        std::vector<SlotView> views(slots.size());
-        for (size_t e = lo; e < hi;) {
-          size_t n = std::min(kConvertChunk, hi - e);
-          float* p = params.At<float>(e, &n);
-          const uint16_t* g16 = grad_spans.At<uint16_t>(e, &n);
-          for (size_t s = 0; s < slots.size(); ++s) {
-            views[s].data = slots[s].At<float>(e, &n);
-          }
-          for (SlotView& view : views) view.count = n;
-          HalvesToFloats(g16, g, n);
-          if (scale != 1.0f) {
-            for (size_t i = 0; i < n; ++i) g[i] *= scale;
-          }
-          const util::Status status =
-              optimizer_->Update(p, g, n, views, step);
-          if (!status.ok()) {
-            failed[chunk] = status;
-            return;
-          }
-          e += n;
-        }
-      });
-  for (const util::Status& status : failed) ANGEL_RETURN_IF_ERROR(status);
-  return util::Status::OK();
 }
 
 void LockFreeUpdater::UpdatingThreadLoop() {

@@ -118,7 +118,7 @@ class LockFreeUpdater {
 
   int num_layers() const { return static_cast<int>(layers_.size()); }
 
-  /// Registry key of the active update rule ("adam", ...).
+  /// Name of the active update rule ("adam", ...).
   const std::string& optimizer_rule() const;
 
   // --- Compute-side interface (Algorithm 2 lines 18-24) ---
@@ -270,12 +270,6 @@ class LockFreeUpdater {
   /// an update was applied.
   [[nodiscard]] util::Result<bool> UpdateLayer(int layer_index)
       ANGEL_EXCLUDES(staleness_mutex_, backpressure_mutex_);
-  /// The update rule over the layer's memory-resident masters, averaging
-  /// `grads` (the swapped-out g'16) by `scale`: in place span by span when
-  /// the rule splits bitwise, else through whole-layer vectors.
-  [[nodiscard]] util::Status ApplyRule(Layer& layer, const Tensor& grads,
-                                       float scale)
-      ANGEL_REQUIRES(layer.master_mutex);
   void UpdatingThreadLoop() ANGEL_EXCLUDES(work_mutex_);
   void BufferingThreadLoop() ANGEL_EXCLUDES(queue_mutex_, work_mutex_);
   /// Records the first unrecoverable error; later calls keep the original.

@@ -125,14 +125,10 @@ class AdafactorOptimizer final : public Optimizer {
   OptimizerConfig config_;
 };
 
-std::unique_ptr<Optimizer> MakeAdafactor(const OptimizerConfig& config) {
-  return std::make_unique<AdafactorOptimizer>(config);
-}
-
 }  // namespace
 
-void RegisterAdafactorOptimizer() {
-  RegisterOptimizer("adafactor", MakeAdafactor);
+std::unique_ptr<Optimizer> MakeAdafactor(const OptimizerConfig& config) {
+  return std::make_unique<AdafactorOptimizer>(config);
 }
 
 }  // namespace angelptm::core

@@ -5,9 +5,9 @@ namespace angelptm::core {
 namespace {
 
 /// The default rule: a thin wrapper over the SIMD-dispatched AdamUpdate in
-/// core/adam.h, so the registry path is bitwise-identical to the historic
-/// hard-wired path (kernel_golden and the recovery bitwise-resume tests
-/// pin this down).
+/// core/adam.h, so Optimizer::Create's Adam is bitwise-identical to the
+/// historic hard-wired path (kernel_golden and the recovery bitwise-resume
+/// tests pin this down).
 class AdamOptimizer final : public Optimizer {
  public:
   explicit AdamOptimizer(const OptimizerConfig& config) {
@@ -48,12 +48,10 @@ class AdamOptimizer final : public Optimizer {
   AdamConfig config_;
 };
 
+}  // namespace
+
 std::unique_ptr<Optimizer> MakeAdam(const OptimizerConfig& config) {
   return std::make_unique<AdamOptimizer>(config);
 }
-
-}  // namespace
-
-void RegisterAdamOptimizer() { RegisterOptimizer("adam", MakeAdam); }
 
 }  // namespace angelptm::core

@@ -109,12 +109,10 @@ class LambOptimizer final : public Optimizer {
   OptimizerConfig config_;
 };
 
+}  // namespace
+
 std::unique_ptr<Optimizer> MakeLamb(const OptimizerConfig& config) {
   return std::make_unique<LambOptimizer>(config);
 }
-
-}  // namespace
-
-void RegisterLambOptimizer() { RegisterOptimizer("lamb", MakeLamb); }
 
 }  // namespace angelptm::core

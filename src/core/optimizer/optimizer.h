@@ -1,24 +1,27 @@
 #ifndef ANGELPTM_CORE_OPTIMIZER_OPTIMIZER_H_
 #define ANGELPTM_CORE_OPTIMIZER_OPTIMIZER_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "core/adam.h"
 #include "core/dtype.h"
+#include "core/tensor.h"
 #include "util/status.h"
 
 namespace angelptm::core {
 
-/// Hyper-parameters for every registered update rule. A single flat config
+/// Hyper-parameters for every update rule. A single flat config
 /// (the Multiverso `UpdateOption` shape, SNIPPETS.md §2) keeps the
 /// checkpoint/Trainer/Engine plumbing rule-agnostic; fields a rule does not
 /// use are ignored by it.
 struct OptimizerConfig {
-  /// Registry key: "adam", "sgdm", "lamb" or "adafactor" (or a rule a test
-  /// registered itself). Unknown rules fail Optimizer::Create.
+  /// "adam", "sgdm", "lamb" or "adafactor"; any other name fails
+  /// Optimizer::Create.
   std::string rule = "adam";
 
   double learning_rate = 1e-3;
@@ -38,11 +41,13 @@ struct OptimizerConfig {
 /// Declares one master-state slot an optimizer needs per layer: Adam needs
 /// {m, v} of `count` fp32 each, sgdm a single {m}, adafactor a factored
 /// {row, col} pair much smaller than the parameter count. The updater
-/// allocates (and the checkpoint serializes) exactly what the layout
-/// declares instead of assuming {m32, v32}.
+/// and ZeRO allocate (and the checkpoint serializes) exactly what the
+/// layout declares instead of assuming {m32, v32}. Every slot is fp32.
 struct SlotSpec {
   std::string name;
   size_t count = 0;
+  /// Always fp32: the updater and ZeRO allocate slots as fp32 without
+  /// reading it.
   DType dtype = DType::kFp32;
 };
 
@@ -53,7 +58,7 @@ struct SlotView {
   size_t count = 0;
 };
 
-/// A pluggable update rule (ROADMAP: "Pluggable optimizers"). Implementations
+/// An update rule, one of a closed set of four. Implementations
 /// are stateless beyond their config — all mutable state lives in the slots —
 /// so one instance may be shared across layers and threads (Update is const
 /// and layers never share slots).
@@ -71,14 +76,14 @@ struct SlotView {
 ///    grads and every slot cut at the same element boundaries, each piece
 ///    called with the same `step`) is bitwise equal to one call over the
 ///    whole range. Such a rule declares only fp32 slots of `count`
-///    elements. The updater then streams it over page spans in place
+///    elements. ApplyRule below then streams it over page spans in place
 ///    (DESIGN.md §13.3); a rule with a layer-wide reduction says false and
 ///    is handed the whole layer in one call.
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
 
-  /// Registry key this instance was created under ("adam", ...).
+  /// The rule name this instance was created under ("adam", ...).
   virtual const std::string& name() const = 0;
 
   /// Master-state slots required for a layer of `param_count` elements.
@@ -94,30 +99,58 @@ class Optimizer {
       float* params, const float* grads, size_t count,
       const std::vector<SlotView>& slots, long step) const = 0;
 
-  /// Factory: looks `config.rule` up in the registry (built-ins are
-  /// registered on first use). Unknown rules return NotFound naming the
-  /// registered ones.
+  /// Factory over the four rules. Any other `config.rule` returns
+  /// NotFound naming them.
   [[nodiscard]] static util::Result<std::unique_ptr<Optimizer>> Create(
       const OptimizerConfig& config);
 };
 
-using OptimizerFactory =
-    std::unique_ptr<Optimizer> (*)(const OptimizerConfig& config);
-
-/// Registers `factory` under `rule`, replacing any previous registration
-/// (tests use this to shadow a rule). Returns true so implementations can
-/// register from a static initializer if they want; built-ins register
-/// explicitly via EnsureBuiltinOptimizersRegistered to survive static-library
-/// dead stripping. Not thread-safe against concurrent Create — register at
-/// startup.
-bool RegisterOptimizer(const std::string& rule, OptimizerFactory factory);
-
-/// Registry keys in sorted order (for error messages and docs).
+/// The rule names Create accepts, in sorted order (for error messages and
+/// docs).
 std::vector<std::string> RegisteredOptimizers();
 
-/// Idempotently registers the built-in rules (adam, sgdm, lamb, adafactor).
-/// Called by Optimizer::Create; exposed for tools that list rules first.
-void EnsureBuiltinOptimizersRegistered();
+/// A memory-resident tensor's page spans as element ranges: span i holds
+/// elements [starts[i], starts[i + 1]) at data[i]. Built once per pass (a
+/// few dozen entries per layer), so chunked loops find their pointers
+/// without walking pages again.
+class SpanIndex {
+ public:
+  [[nodiscard]] util::Status Build(const Tensor& tensor);
+
+  /// Pointer to element `e`; clamps `*n` to the elements that follow it
+  /// on the same span.
+  template <typename T>
+  T* At(size_t e, size_t* n) const {
+    const size_t i =
+        size_t(std::upper_bound(starts_.begin(), starts_.end(), e) -
+               starts_.begin()) -
+        1;
+    *n = std::min(*n, starts_[i + 1] - e);
+    return reinterpret_cast<T*>(data_[i]) + (e - starts_[i]);
+  }
+
+ private:
+  std::vector<size_t> starts_;
+  std::vector<std::byte*> data_;
+};
+
+/// Writes the averaged fp32 gradient of layer elements [lo, lo + n) into
+/// `out`. ApplyRule calls it from compute-pool workers on disjoint ranges
+/// at once, so it must be safe to call concurrently.
+using GradientFn = std::function<void(size_t lo, size_t n, float* out)>;
+
+/// Runs `rule` once, at `step`, on a layer's memory-resident fp32 masters:
+/// `p32` and `slots`, one tensor per entry of the rule's SlotLayout for
+/// p32's element count, in that order. `grads` supplies the gradient.
+/// When the rule splits bitwise the update runs in place over the
+/// masters' page spans on the compute pool, a stack chunk of gradient at
+/// a time, with no whole-layer copy; otherwise p32, the slots and the
+/// gradient pass through whole-layer vectors and one Update call. The
+/// lock-free updater runs it on each layer's masters and ZeRO on each
+/// rank's shard (DESIGN.md §13.3).
+[[nodiscard]] util::Status ApplyRule(const Optimizer& rule, Tensor* p32,
+                                     const std::vector<Tensor*>& slots,
+                                     long step, const GradientFn& grads);
 
 /// Back-compat shim for the pre-redesign `AdamConfig` knobs that still live
 /// on dist::ShardedDpOptions: any legacy field that differs from its

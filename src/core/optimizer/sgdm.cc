@@ -52,12 +52,10 @@ class SgdmOptimizer final : public Optimizer {
   OptimizerConfig config_;
 };
 
+}  // namespace
+
 std::unique_ptr<Optimizer> MakeSgdm(const OptimizerConfig& config) {
   return std::make_unique<SgdmOptimizer>(config);
 }
-
-}  // namespace
-
-void RegisterSgdmOptimizer() { RegisterOptimizer("sgdm", MakeSgdm); }
 
 }  // namespace angelptm::core

@@ -118,30 +118,26 @@ util::Status ShardedDataParallel::Init() {
     // rule for the shard's element count (ZeRO: optimizer states shard
     // with the parameters).
     shard.layout = optimizer_->SlotLayout(shard.shard_count);
-    const std::vector<core::SlotSpec>& layout = shard.layout;
     shard.p32.assign(size_t(world), nullptr);
-    shard.slots.resize(layout.size());
-    for (auto& slot : shard.slots) slot.assign(size_t(world), nullptr);
+    shard.slots.assign(size_t(world), {});
     for (int r : local_ranks) {
       const uint64_t group = uint64_t(l) * 64 + r;
       ANGEL_ASSIGN_OR_RETURN(
           shard.p32[r],
           allocator_->Allocate({shard.shard_count}, core::DType::kFp32,
                                mem::DeviceKind::kCpu, group));
-      for (size_t s = 0; s < layout.size(); ++s) {
+      for (const core::SlotSpec& spec : shard.layout) {
         ANGEL_ASSIGN_OR_RETURN(
-            shard.slots[s][r],
-            allocator_->Allocate({layout[s].count}, layout[s].dtype,
+            core::Tensor * slot,
+            allocator_->Allocate({spec.count}, core::DType::kFp32,
                                  mem::DeviceKind::kCpu, group));
+        shard.slots[r].push_back(slot);
+        ANGEL_RETURN_IF_ERROR(slot->Clear());
       }
       const std::vector<float> slice(
           full.begin() + r * shard.shard_count,
           full.begin() + (r + 1) * shard.shard_count);
       ANGEL_RETURN_IF_ERROR(shard.p32[r]->WriteFloats(slice));
-      for (size_t s = 0; s < layout.size(); ++s) {
-        const std::vector<float> slot_zeros(layout[s].count, 0.0f);
-        ANGEL_RETURN_IF_ERROR(shard.slots[s][r]->WriteFloats(slot_zeros));
-      }
     }
     if (options_.stage == ZeroStage::kStage1) {
       // Stage 1: parameters are NOT sharded — full replica per rank.
@@ -167,8 +163,17 @@ util::Status ShardedDataParallel::RankLoop(
   const size_t batch = options_.batch_per_rank;
   const size_t global_batch = batch * size_t(world);
   const int num_layers = model_->num_layers();
+  const size_t x_per_rank = batch * model_->InputSize();
+  const size_t y_per_rank = batch * model_->OutputSize();
 
-  std::vector<float> global_x, global_y;
+  // The step's buffers outlive the step, so each keeps its capacity and
+  // later steps reuse its pages instead of allocating fresh ones.
+  std::vector<float> global_x, global_y, acts, next, grad, grad_in,
+      grad_params, shard_grad, mine;
+  std::vector<std::vector<float>> params(num_layers);
+  std::vector<train::LayerStash> stash(num_layers);
+  std::vector<core::Tensor*> staged(num_layers, nullptr);
+
   for (int step = 0; step < std::min(start_step, steps); ++step) {
     dataset.GenBatch(data, global_batch, &global_x, &global_y);
   }
@@ -177,37 +182,24 @@ util::Status ShardedDataParallel::RankLoop(
       ANGEL_SPAN("train", "gen_batch");
       dataset.GenBatch(data, global_batch, &global_x, &global_y);
     }
-    // Slice this rank's part of the global batch.
-    const size_t x_per_rank = batch * model_->InputSize();
-    const size_t y_per_rank = batch * model_->OutputSize();
-    const std::vector<float> x(global_x.begin() + rank * x_per_rank,
-                               global_x.begin() + (rank + 1) * x_per_rank);
-    const std::vector<float> y(global_y.begin() + rank * y_per_rank,
-                               global_y.begin() + (rank + 1) * y_per_rank);
 
     // 1. Materialize full parameters. Stage 3: all-gather every layer's
     //    shards. Stage 1: read the rank's full replica.
-    std::vector<std::vector<float>> params(num_layers);
     for (int l = 0; l < num_layers; ++l) {
       const Shard& shard = shards_[l];
       if (options_.stage == ZeroStage::kStage3) {
-        std::vector<float> my_shard;
-        ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&my_shard));
-        std::vector<float> gathered(shard.padded_count);
-        ANGEL_RETURN_IF_ERROR(comm->AllGather(
-            my_shard.data(), shard.shard_count, gathered.data()));
-        gathered.resize(shard.full_count);
-        params[l] = std::move(gathered);
+        ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
+        params[l].resize(shard.padded_count);
+        ANGEL_RETURN_IF_ERROR(comm->AllGather(mine.data(), shard.shard_count,
+                                              params[l].data()));
       } else {
-        ANGEL_RETURN_IF_ERROR(
-            shard.replica[rank]->ReadFloats(&params[l]));
-        params[l].resize(shard.full_count);
+        ANGEL_RETURN_IF_ERROR(shard.replica[rank]->ReadFloats(&params[l]));
       }
+      params[l].resize(shard.full_count);
     }
 
     // Optional: stage the gathered parameters into this rank's own fast
     // tier (fp32, page by page) so compute reads from "GPU" memory.
-    std::vector<core::Tensor*> staged(num_layers, nullptr);
     if (!rank_allocators_.empty()) {
       core::Allocator* rank_allocator = rank_allocators_[rank].get();
       for (int l = 0; l < num_layers; ++l) {
@@ -227,17 +219,17 @@ util::Status ShardedDataParallel::RankLoop(
       }
     }
 
-    // 2. Forward/backward on the local slice.
-    std::vector<train::LayerStash> stash(num_layers);
-    std::vector<float> acts = x;
+    // 2. Forward/backward on this rank's slice of the global batch.
+    acts.assign(global_x.begin() + rank * x_per_rank,
+                global_x.begin() + (rank + 1) * x_per_rank);
     for (int l = 0; l < num_layers; ++l) {
-      std::vector<float> next;
       model_->Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
-      acts = std::move(next);
+      acts.swap(next);
     }
-    std::vector<float> grad(acts.size());
-    double loss =
-        train::MseLoss(acts.data(), y.data(), grad.data(), acts.size());
+    grad.resize(acts.size());
+    double loss = train::MseLoss(acts.data(),
+                                 global_y.data() + rank * y_per_rank,
+                                 grad.data(), acts.size());
 
     // Global mean loss (an all-reduce of the scalar).
     float loss_value = float(loss);
@@ -245,46 +237,37 @@ util::Status ShardedDataParallel::RankLoop(
     if (record_losses) (*step_losses)[step] = loss_value / world;
 
     for (int l = num_layers - 1; l >= 0; --l) {
-      std::vector<float> grad_in, grad_params;
       model_->Backward(l, params[l].data(), stash[l], grad, batch, &grad_in,
                        &grad_params);
-      grad = std::move(grad_in);
+      grad.swap(grad_in);
 
       // 3. Reduce-scatter: this rank receives the summed gradient of its
-      //    shard, averaged across ranks.
+      //    shard.
       const Shard& shard = shards_[l];
       grad_params.resize(shard.padded_count, 0.0f);
-      std::vector<float> shard_grad(shard.shard_count);
+      shard_grad.resize(shard.shard_count);
       ANGEL_RETURN_IF_ERROR(comm->ReduceScatter(
           grad_params.data(), shard.padded_count, shard_grad.data()));
-      for (float& g : shard_grad) g /= float(world);
 
-      // 4. Optimizer update on the owned shard only.
-      std::vector<float> p;
-      ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&p));
-      std::vector<std::vector<float>> slot_values(shard.slots.size());
-      std::vector<core::SlotView> views(shard.slots.size());
-      for (size_t s = 0; s < shard.slots.size(); ++s) {
-        ANGEL_RETURN_IF_ERROR(
-            shard.SlotTensor(s, rank)->ReadFloats(&slot_values[s]));
-        views[s] = {slot_values[s].data(), slot_values[s].size()};
-      }
-      ANGEL_RETURN_IF_ERROR(optimizer_->Update(p.data(), shard_grad.data(),
-                                               shard.shard_count, views,
-                                               step + 1));
-      ANGEL_RETURN_IF_ERROR(shard.p32[rank]->WriteFloats(p));
-      for (size_t s = 0; s < shard.slots.size(); ++s) {
-        ANGEL_RETURN_IF_ERROR(
-            shard.SlotTensor(s, rank)->WriteFloats(slot_values[s]));
-      }
+      // 4. The rule on the owned shard only, in place, with the summed
+      //    gradient averaged across ranks.
+      ANGEL_RETURN_IF_ERROR(core::ApplyRule(
+          *optimizer_, shard.p32[rank], shard.slots[rank], step + 1,
+          [&shard_grad, world](size_t lo, size_t n, float* out) {
+            for (size_t i = 0; i < n; ++i) {
+              out[i] = shard_grad[lo + i] / float(world);
+            }
+          }));
 
       if (options_.stage == ZeroStage::kStage1) {
         // Stage 1: gather the freshly updated shards into the full
-        // replica so the next step's forward sees new parameters.
-        std::vector<float> updated(shard.padded_count);
-        ANGEL_RETURN_IF_ERROR(comm->AllGather(p.data(), shard.shard_count,
-                                              updated.data()));
-        ANGEL_RETURN_IF_ERROR(shard.replica[rank]->WriteFloats(updated));
+        // replica so the next step's forward sees new parameters. The
+        // layer's backward is done with params[l], so it takes the gather.
+        ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
+        params[l].resize(shard.padded_count);
+        ANGEL_RETURN_IF_ERROR(comm->AllGather(mine.data(), shard.shard_count,
+                                              params[l].data()));
+        ANGEL_RETURN_IF_ERROR(shard.replica[rank]->WriteFloats(params[l]));
       }
 
       // The staged copy served this layer's forward and backward.
@@ -316,9 +299,8 @@ util::Status ShardedDataParallel::SaveRankShards(int rank, int step) {
   for (size_t l = 0; l < shards_.size(); ++l) {
     const Shard& shard = shards_[l];
     std::vector<core::Tensor*> tensors = {shard.p32[rank]};
-    for (const std::vector<core::Tensor*>& slot : shard.slots) {
-      tensors.push_back(slot[size_t(rank)]);
-    }
+    tensors.insert(tensors.end(), shard.slots[rank].begin(),
+                   shard.slots[rank].end());
     ANGEL_RETURN_IF_ERROR(core::CutMasters(tensors, shard.layout,
                                            allocator_->memory()->ssd(),
                                            &cut.layers[l]));
@@ -428,9 +410,9 @@ util::Result<int> ShardedDataParallel::TryResume() {
       const Shard& shard = shards_[l];
       const core::LockFreeUpdater::LayerState& layer = files[i].layers[l];
       ANGEL_RETURN_IF_ERROR(shard.p32[r]->WriteFloats(layer.params));
-      for (size_t s = 0; s < shard.slots.size(); ++s) {
+      for (size_t s = 0; s < shard.layout.size(); ++s) {
         ANGEL_RETURN_IF_ERROR(
-            shard.SlotTensor(s, r)->WriteFloats(layer.slots[s].values));
+            shard.slots[r][s]->WriteFloats(layer.slots[s].values));
       }
     }
   }
@@ -438,25 +420,10 @@ util::Result<int> ShardedDataParallel::TryResume() {
   if (options_.stage == ZeroStage::kStage1) {
     // Stage 1 keeps full replicas; rebuild them from the restored shards.
     for (size_t l = 0; l < shards_.size(); ++l) {
-      const Shard& shard = shards_[l];
-      std::vector<float> full;
-      if (options_.backend == DpBackend::kProcessGroup) {
-        std::vector<float> mine;
-        ANGEL_RETURN_IF_ERROR(
-            shard.p32[options_.rank]->ReadFloats(&mine));
-        full.resize(shard.padded_count);
-        ANGEL_RETURN_IF_ERROR(
-            pg_->AllGather(mine.data(), shard.shard_count, full.data()));
-      } else {
-        full.reserve(shard.padded_count);
-        for (int r = 0; r < options_.world_size; ++r) {
-          std::vector<float> slice;
-          ANGEL_RETURN_IF_ERROR(shard.p32[r]->ReadFloats(&slice));
-          full.insert(full.end(), slice.begin(), slice.end());
-        }
-      }
+      ANGEL_ASSIGN_OR_RETURN(const std::vector<float> full,
+                             GatherPadded(int(l)));
       for (int r : local_ranks) {
-        ANGEL_RETURN_IF_ERROR(shard.replica[r]->WriteFloats(full));
+        ANGEL_RETURN_IF_ERROR(shards_[l].replica[r]->WriteFloats(full));
       }
     }
   }
@@ -537,6 +504,13 @@ util::Result<std::vector<float>> ShardedDataParallel::GatherLayerParams(
   if (layer < 0 || layer >= int(shards_.size())) {
     return util::Status::InvalidArgument("bad layer index");
   }
+  ANGEL_ASSIGN_OR_RETURN(std::vector<float> full, GatherPadded(layer));
+  full.resize(shards_[layer].full_count);
+  return full;
+}
+
+util::Result<std::vector<float>> ShardedDataParallel::GatherPadded(
+    int layer) {
   const Shard& shard = shards_[layer];
   std::vector<float> full;
   if (options_.backend == DpBackend::kProcessGroup) {
@@ -545,15 +519,14 @@ util::Result<std::vector<float>> ShardedDataParallel::GatherLayerParams(
     full.resize(shard.padded_count);
     ANGEL_RETURN_IF_ERROR(
         pg_->AllGather(mine.data(), shard.shard_count, full.data()));
-  } else {
-    full.reserve(shard.padded_count);
-    for (int r = 0; r < options_.world_size; ++r) {
-      std::vector<float> slice;
-      ANGEL_RETURN_IF_ERROR(shard.p32[r]->ReadFloats(&slice));
-      full.insert(full.end(), slice.begin(), slice.end());
-    }
+    return full;
   }
-  full.resize(shard.full_count);
+  full.reserve(shard.padded_count);
+  std::vector<float> slice;
+  for (int r = 0; r < options_.world_size; ++r) {
+    ANGEL_RETURN_IF_ERROR(shard.p32[r]->ReadFloats(&slice));
+    full.insert(full.end(), slice.begin(), slice.end());
+  }
   return full;
 }
 

@@ -154,15 +154,13 @@ class ShardedDataParallel {
     /// Per-rank parameter shards, indexed [rank]. In kProcessGroup mode
     /// only the local rank's entry is non-null.
     std::vector<core::Tensor*> p32;
-    /// Per-rank optimizer master state, indexed [slot][rank]; one entry
-    /// per SlotLayout(shard_count) slot of the configured rule.
+    /// Per-rank optimizer master state, indexed [rank][slot]; one entry
+    /// per SlotLayout(shard_count) slot of the configured rule. In
+    /// kProcessGroup mode only the local rank's entry is non-empty.
     std::vector<std::vector<core::Tensor*>> slots;
     /// The rule's SlotLayout(shard_count): what `slots` hold, and how a
     /// checkpoint names them.
     std::vector<core::SlotSpec> layout;
-    core::Tensor* SlotTensor(size_t slot, int rank) const {
-      return slots[slot][size_t(rank)];
-    }
     /// Stage 1 only: each rank's full fp32 parameter replica.
     std::vector<core::Tensor*> replica;
   };
@@ -180,6 +178,11 @@ class ShardedDataParallel {
 
   /// Ranks whose shards live in this process.
   [[nodiscard]] std::vector<int> LocalRanks() const;
+
+  /// Every rank's p32 shard of `layer`, concatenated in rank order:
+  /// padded_count floats. In kProcessGroup mode a collective, as
+  /// GatherLayerParams.
+  [[nodiscard]] util::Result<std::vector<float>> GatherPadded(int layer);
 
   /// `rank`'s shard checkpoint files.
   core::CheckpointFiles RankFiles(int rank) const;

@@ -94,21 +94,25 @@ class OptimizerTest : public ::testing::Test {
   }
 };
 
-TEST_F(OptimizerTest, RegistryListsAllBuiltinRules) {
-  const std::vector<std::string> rules = RegisteredOptimizers();
-  for (const char* want : {"adam", "sgdm", "lamb", "adafactor"}) {
-    EXPECT_NE(std::find(rules.begin(), rules.end(), want), rules.end())
-        << want << " missing from the registry";
+TEST_F(OptimizerTest, CreateKnowsExactlyTheFourRules) {
+  EXPECT_EQ(RegisteredOptimizers(),
+            (std::vector<std::string>{"adafactor", "adam", "lamb", "sgdm"}));
+  for (const std::string& rule : RegisteredOptimizers()) {
+    EXPECT_EQ(Make(rule)->name(), rule);
   }
 }
 
 TEST_F(OptimizerTest, CreateRejectsUnknownRuleAndBadConfig) {
   OptimizerConfig config;
-  config.rule = "newton";
-  const auto unknown = Optimizer::Create(config);
-  ASSERT_TRUE(unknown.status().IsNotFound()) << unknown.status();
-  // The error teaches the operator what exists.
-  EXPECT_NE(unknown.status().message().find("adam"), std::string::npos);
+  for (const char* rule : {"newton", "", "Adam"}) {
+    config.rule = rule;
+    const auto unknown = Optimizer::Create(config);
+    ASSERT_TRUE(unknown.status().IsNotFound()) << unknown.status();
+    // The error teaches the operator what exists.
+    EXPECT_EQ(unknown.status().message(),
+              "unknown optimizer rule '" + std::string(rule) +
+                  "' (registered: adafactor, adam, lamb, sgdm)");
+  }
 
   config.rule = "adam";
   config.learning_rate = 0.0;

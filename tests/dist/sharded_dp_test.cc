@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
+#include "train/kernels.h"
 #include "train/mlp.h"
 #include "train/transformer.h"
 #include "util/fault_injector.h"
@@ -155,7 +156,7 @@ TEST(ShardedDpTest, GpuStagingMatchesUnstagedResults) {
 
 TEST(ShardedDpTest, Stage1MatchesStage3) {
   // Stage 1 (optimizer-only sharding) and stage 3 (full sharding) differ
-  // in memory and communication, never in math.
+  // in memory and communication, never in math: the same bits.
   train::SyntheticRegression dataset(16, 32, 4, 99);
   std::vector<float> stage1_params, stage3_params;
   uint64_t stage1_bytes = 0, stage3_bytes = 0;
@@ -182,10 +183,133 @@ TEST(ShardedDpTest, Stage1MatchesStage3) {
   }
   ASSERT_EQ(stage1_params.size(), stage3_params.size());
   for (size_t i = 0; i < stage1_params.size(); ++i) {
-    EXPECT_NEAR(stage1_params[i], stage3_params[i], 2e-3) << i;
+    EXPECT_EQ(stage1_params[i], stage3_params[i]) << i;
   }
   // Stage 1 keeps a full parameter replica per rank: strictly more memory.
   EXPECT_GT(stage1_bytes, stage3_bytes);
+}
+
+TEST(ShardedDpTest, EveryRuleMatchesAPlainVectorReferenceBitwise) {
+  // Each rank runs core::ApplyRule on its shard: in place over the shard's
+  // pages for a rule that splits bitwise, through whole-shard vectors for
+  // the others. The reference keeps every shard in plain vectors: its
+  // reduce-scatter sums in double precision in rank order, divides by the
+  // world size, and calls Optimizer::Update once per shard.
+  const int world = 2;
+  const int steps = 3;
+  // Layer 0 has 10,217 parameters: it pads to an even count, and each
+  // shard spans two 16 KiB pages and a ragged Adafactor grid.
+  const train::MlpModel model({{16, 601, 4}});
+  const int num_layers = model.num_layers();
+  for (const char* rule : {"adam", "sgdm", "lamb", "adafactor"}) {
+    SCOPED_TRACE(rule);
+    ShardedDpOptions options;
+    options.world_size = world;
+    options.optimizer.rule = rule;
+    options.optimizer.learning_rate = 3e-3;
+    options.optimizer.weight_decay = 0.01;
+    options.batch_per_rank = 8;
+    options.seed = 11;
+    train::SyntheticRegression dataset(16, 32, 4, 99);
+
+    mem::HierarchicalMemory memory(MemoryOptions());
+    core::Allocator allocator(&memory);
+    ShardedDataParallel dp(&allocator, &model, options);
+    ASSERT_TRUE(dp.Init().ok());
+    auto report = dp.Train(dataset, steps);
+    ASSERT_TRUE(report.ok()) << report.status();
+
+    auto optimizer = core::Optimizer::Create(options.optimizer);
+    ASSERT_TRUE(optimizer.ok()) << optimizer.status();
+    // Init's draws, then Train's batches, from one stream.
+    util::Rng rng(options.seed);
+    struct RankShard {
+      std::vector<float> p;
+      std::vector<std::vector<float>> slots;
+    };
+    std::vector<std::vector<RankShard>> shards(num_layers);  // [layer][rank]
+    std::vector<size_t> shard_counts(num_layers);
+    for (int l = 0; l < num_layers; ++l) {
+      std::vector<float> full = model.InitLayerParams(l, &rng);
+      const size_t count = (full.size() + world - 1) / world;
+      full.resize(count * world, 0.0f);
+      shard_counts[l] = count;
+      for (int r = 0; r < world; ++r) {
+        RankShard shard;
+        shard.p.assign(full.begin() + r * count,
+                       full.begin() + (r + 1) * count);
+        for (const core::SlotSpec& spec : (*optimizer)->SlotLayout(count)) {
+          shard.slots.emplace_back(spec.count, 0.0f);
+        }
+        shards[l].push_back(std::move(shard));
+      }
+    }
+    const auto full_params = [&](int l) {
+      std::vector<float> full;
+      for (const RankShard& shard : shards[l]) {
+        full.insert(full.end(), shard.p.begin(), shard.p.end());
+      }
+      full.resize(model.LayerParamCount(l));
+      return full;
+    };
+
+    const size_t batch = options.batch_per_rank;
+    for (int step = 0; step < steps; ++step) {
+      std::vector<float> x, y;
+      dataset.GenBatch(&rng, batch * world, &x, &y);
+      std::vector<std::vector<float>> params(num_layers);
+      for (int l = 0; l < num_layers; ++l) params[l] = full_params(l);
+      // Every rank's padded parameter gradients, [rank][layer].
+      std::vector<std::vector<std::vector<float>>> grads(world);
+      for (int r = 0; r < world; ++r) {
+        const size_t in = batch * model.InputSize();
+        const size_t out = batch * model.OutputSize();
+        std::vector<float> acts(x.begin() + r * in, x.begin() + (r + 1) * in);
+        std::vector<train::LayerStash> stash(num_layers);
+        for (int l = 0; l < num_layers; ++l) {
+          std::vector<float> next;
+          model.Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
+          acts = std::move(next);
+        }
+        std::vector<float> grad(acts.size());
+        train::MseLoss(acts.data(), y.data() + r * out, grad.data(),
+                       acts.size());
+        grads[r].resize(num_layers);
+        for (int l = num_layers - 1; l >= 0; --l) {
+          std::vector<float> grad_in;
+          model.Backward(l, params[l].data(), stash[l], grad, batch,
+                         &grad_in, &grads[r][l]);
+          grad = std::move(grad_in);
+          grads[r][l].resize(shard_counts[l] * world, 0.0f);
+        }
+      }
+      for (int l = 0; l < num_layers; ++l) {
+        const size_t count = shard_counts[l];
+        for (int r = 0; r < world; ++r) {
+          std::vector<float> g(count);
+          for (size_t i = 0; i < count; ++i) {
+            double sum = 0.0;
+            for (int q = 0; q < world; ++q) sum += grads[q][l][r * count + i];
+            g[i] = float(sum) / float(world);
+          }
+          RankShard& shard = shards[l][r];
+          std::vector<core::SlotView> views;
+          for (std::vector<float>& slot : shard.slots) {
+            views.push_back({slot.data(), slot.size()});
+          }
+          ASSERT_TRUE((*optimizer)
+                          ->Update(shard.p.data(), g.data(), count, views,
+                                   step + 1)
+                          .ok());
+        }
+      }
+    }
+    for (int l = 0; l < num_layers; ++l) {
+      auto gathered = dp.GatherLayerParams(l);
+      ASSERT_TRUE(gathered.ok()) << gathered.status();
+      EXPECT_EQ(*gathered, full_params(l)) << "layer " << l;
+    }
+  }
 }
 
 TEST(ShardedDpTest, TrainBeforeInitFails) {

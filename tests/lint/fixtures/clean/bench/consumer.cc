@@ -1,4 +1,3 @@
 // Lint fixture: a bench/ file is a caller for the orphan-module rule.
 // Never compiled.
 #include "clean.h"
-#include "hidden_rule.h"

@@ -43,11 +43,6 @@ inline void Touch() {
   std::lock_guard<std::mutex> lock(LockRef());  // lint: raw-mutex (fixture)
 }
 
-// Passing form of the optimizer-registry rule: subclass + a
-// RegisterOptimizer call in the same file.
-class DemoRule final : public Optimizer {};
-inline bool registered = RegisterOptimizer("demo", nullptr);
-
 }  // namespace demo
 
 #endif  // ANGELPTM_TESTS_LINT_FIXTURES_CLEAN_SRC_CLEAN_H_

@@ -31,9 +31,6 @@ inline void Touch() {
                                              // [raw-mutex] finding.
 }
 
-// Subclasses Optimizer but the file never calls RegisterOptimizer(...).
-class OrphanRule final : public Optimizer {};
-
 }  // namespace demo
 
 #endif  // ANGELPTM_TESTS_LINT_FIXTURES_DIRTY_SRC_BAD_H_

@@ -51,17 +51,16 @@ def main():
           dirty.stdout + dirty.stderr)
     # One finding per violation: raw mutex + unannotated util::Mutex,
     # a declaration without [[nodiscard]], a naked new, an intrinsic
-    # include outside src/train/simd/, an unregistered Optimizer subclass,
-    # the failpoint drift in both directions (site missing from table,
-    # stale table row), three raw std:: locking tokens outside src/util/
-    # (the std::mutex member, an unguarded-waived local, and its
-    # lock_guard site), and the lock-class drift in all directions
-    # (classless mutex, class missing from the table, constant mismatch,
-    # stale table row), and two orphan headers (bad.h, which nothing
-    # includes, and lonely.h, included only by its own .cc and a test).
+    # include outside src/train/simd/, the failpoint drift in both
+    # directions (site missing from table, stale table row), three raw
+    # std:: locking tokens outside src/util/ (the std::mutex member, an
+    # unguarded-waived local, and its lock_guard site), and the lock-class
+    # drift in all directions (classless mutex, class missing from the
+    # table, constant mismatch, stale table row), and two orphan headers
+    # (bad.h, which nothing includes, and lonely.h, included only by its
+    # own .cc and a test).
     for tag, expected in [("[mutex]", 2), ("[nodiscard]", 1),
                           ("[naked-new]", 1), ("[simd-include]", 1),
-                          ("[optimizer-registry]", 1),
                           ("[failpoint]", 2), ("[raw-mutex]", 3),
                           ("[lock-class]", 4), ("[orphan-module]", 2)]:
         count = dirty.stdout.count(f": {tag}")  # "[[nodiscard]]" in the
