@@ -5,8 +5,10 @@
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
 #     kernels, ParallelFor, thread pool, lock-free updater, the components'
 #     atomic stats counters, the obs:: span tracer hot path, batch
-#     generation: the bulk Gaussian path and the row-streamed teacher, and
-#     ZeRO's rank threads updating their shards in place on one pool).
+#     generation: the bulk Gaussian path and the row-streamed teacher,
+#     ZeRO's rank threads updating their shards in place on one pool, the
+#     socket collectives and their framing, and the models' forward writing
+#     into reused step stashes).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -230,7 +232,7 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-omit-frame-pointer" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread"
   cmake --build build-tsan -j "$(nproc)" --target util_test obs_test \
-    train_test runtime_test dist_test
+    mem_test train_test runtime_test dist_test
   # Deterministically exercise the parallel code paths even on small CI
   # hosts: the kernels split work as if 4 workers were present.
   ANGELPTM_COMPUTE_THREADS=4 \
@@ -279,9 +281,19 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
       --gtest_filter='LockFreeUpdaterTest.StreamedUpdateMatchesWholeLayerBitwise:LockFreeUpdaterTest.GradientSwapLosesNoBatch'
   # ZeRO: the in-process rank threads run the rule on their shards in
   # place, each splitting its shard's pages across the one compute pool,
-  # while the other ranks gather and reduce-scatter.
+  # while the other ranks gather and reduce-scatter. The socket ranks
+  # receive each collective's result straight into the caller's buffer.
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
-    ./build-tsan/tests/dist_test --gtest_filter='ShardedDpTest.*'
+    ./build-tsan/tests/dist_test \
+      --gtest_filter='ShardedDpTest.*:ProcessGroupTest.*'
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/mem_test --gtest_filter='WireFormatTest.*'
+  # Step buffers: pool threads write every layer's interiors into stashes
+  # the previous step (or another layer) sized, and the paged step shares
+  # one stash across layers, 5 times over.
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/train_test --gtest_repeat=5 \
+      --gtest_filter='TransformerTest.*Stash*:MlpTest.*Stash*:EngineTrainerTest.*'
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --asan-only ]; then

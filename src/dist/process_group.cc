@@ -280,15 +280,14 @@ util::Status ProcessGroup::SendChecked(int fd, uint16_t op, uint32_t seq,
 util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
                                        uint32_t expect_seq,
                                        uint16_t expect_rank,
-                                       size_t max_bytes,
-                                       std::vector<std::byte>* payload) {
+                                       std::span<std::byte> payload) {
   wire::Header header;
   ANGEL_RETURN_IF_ERROR(RetryBeforeFirstByte([] {
     auto& injector = util::FaultInjector::Instance();
     return injector.enabled() ? injector.Check("pg.recv") : util::Status::OK();
   }));
-  ANGEL_RETURN_IF_ERROR(wire::RecvFrame(fd, &header, payload, max_bytes,
-                                        options_.io_timeout_ms));
+  ANGEL_RETURN_IF_ERROR(
+      wire::RecvFrame(fd, &header, payload, options_.io_timeout_ms));
   if (uint16_t(header.op) != expect_op) {
     return util::Status::Internal(
         "collective protocol error: expected op " +
@@ -307,7 +306,7 @@ util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
         std::to_string(header.rank) + ", expected rank " +
         std::to_string(expect_rank));
   }
-  stats_.bytes_received += wire::kHeaderBytes + payload->size();
+  stats_.bytes_received += wire::kHeaderBytes + payload.size();
   return util::Status::OK();
 }
 
@@ -316,24 +315,31 @@ util::Status ProcessGroup::HubCollect(uint16_t op, const void* send,
   gathered_[0].resize(bytes);
   if (bytes > 0) std::memcpy(gathered_[0].data(), send, bytes);
   for (int r = 1; r < options_.world_size; ++r) {
+    gathered_[r].resize(bytes);
     ANGEL_RETURN_IF_ERROR(
-        RecvChecked(fds_[r], op, seq_, uint16_t(r), bytes, &gathered_[r]));
-    if (gathered_[r].size() != bytes) {
-      return util::Status::Internal(
-          "collective size mismatch: rank " + std::to_string(r) + " sent " +
-          std::to_string(gathered_[r].size()) + " bytes, expected " +
-          std::to_string(bytes));
-    }
+        RecvChecked(fds_[r], op, seq_, uint16_t(r), gathered_[r]));
   }
   return util::Status::OK();
 }
 
 util::Status ProcessGroup::PeerExchange(uint16_t op, const void* send,
-                                        size_t bytes, size_t reply_bytes,
-                                        std::vector<std::byte>* reply) {
+                                        size_t bytes,
+                                        std::span<std::byte> reply) {
   ANGEL_RETURN_IF_ERROR(SendChecked(fds_[0], op, seq_, send, bytes));
-  return RecvChecked(fds_[0], uint16_t(wire::Op::kResult), seq_, 0,
-                     reply_bytes, reply);
+  return RecvChecked(fds_[0], uint16_t(wire::Op::kResult), seq_, 0, reply);
+}
+
+void ProcessGroup::SumRanks(size_t first, size_t count, float* out) const {
+  for (size_t i = 0; i < count; ++i) {
+    double sum = 0.0;
+    for (const std::vector<std::byte>& contribution : gathered_) {
+      float v;
+      std::memcpy(&v, contribution.data() + (first + i) * sizeof(float),
+                  sizeof(float));
+      sum += v;
+    }
+    out[i] = float(sum);
+  }
 }
 
 util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
@@ -360,14 +366,9 @@ util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
                                         out, size_t(world) * bytes));
     }
   } else {
-    std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
         PeerExchange(uint16_t(wire::Op::kAllGather), send, bytes,
-                     size_t(world) * bytes, &reply));
-    if (reply.size() != size_t(world) * bytes) {
-      return util::Status::Internal("all-gather result size mismatch");
-    }
-    if (!reply.empty()) std::memcpy(out, reply.data(), reply.size());
+                     std::span<std::byte>(out, size_t(world) * bytes)));
   }
   ++seq_;
   ++stats_.collectives;
@@ -399,36 +400,22 @@ util::Status ProcessGroup::ReduceScatter(const float* send,
   if (options_.rank == 0) {
     ANGEL_RETURN_IF_ERROR(
         HubCollect(uint16_t(wire::Op::kReduceScatter), send, bytes));
-    // Reduce chunk by chunk, ranks ascending, double accumulator — the
-    // exact arithmetic of Communicator::ReduceScatter, so socket and
-    // in-process backends agree bitwise.
-    std::vector<float> reduced(total_count);
-    for (size_t i = 0; i < total_count; ++i) {
-      double sum = 0.0;
-      for (int r = 0; r < world; ++r) {
-        float v;
-        std::memcpy(&v, gathered_[r].data() + i * sizeof(float),
-                    sizeof(float));
-        sum += v;
-      }
-      reduced[i] = float(sum);
-    }
-    std::memcpy(recv, reduced.data(), chunk * sizeof(float));
+    // Reduce one destination chunk at a time, ranks ascending, double
+    // accumulator — the exact arithmetic of Communicator::ReduceScatter,
+    // so socket and in-process backends agree bitwise. The root's own
+    // chunk lands in `recv`; each other rank's goes out from `reduced`.
+    SumRanks(0, chunk, recv);
+    std::vector<float> reduced(chunk);
     for (int r = 1; r < world; ++r) {
+      SumRanks(size_t(r) * chunk, chunk, reduced.data());
       ANGEL_RETURN_IF_ERROR(
           SendChecked(fds_[r], uint16_t(wire::Op::kResult), seq_,
-                      reduced.data() + size_t(r) * chunk,
-                      chunk * sizeof(float)));
+                      reduced.data(), chunk * sizeof(float)));
     }
   } else {
-    std::vector<std::byte> reply;
-    ANGEL_RETURN_IF_ERROR(PeerExchange(uint16_t(wire::Op::kReduceScatter),
-                                       send, bytes, chunk * sizeof(float),
-                                       &reply));
-    if (reply.size() != chunk * sizeof(float)) {
-      return util::Status::Internal("reduce-scatter result size mismatch");
-    }
-    std::memcpy(recv, reply.data(), reply.size());
+    ANGEL_RETURN_IF_ERROR(PeerExchange(
+        uint16_t(wire::Op::kReduceScatter), send, bytes,
+        std::as_writable_bytes(std::span<float>(recv, chunk))));
   }
   ++seq_;
   ++stats_.collectives;
@@ -448,32 +435,17 @@ util::Status ProcessGroup::AllReduce(float* data, size_t count) {
   if (options_.rank == 0) {
     ANGEL_RETURN_IF_ERROR(
         HubCollect(uint16_t(wire::Op::kAllReduce), data, bytes));
-    std::vector<float> reduced(count);
-    for (size_t i = 0; i < count; ++i) {
-      double sum = 0.0;
-      for (int r = 0; r < world; ++r) {
-        float v;
-        std::memcpy(&v, gathered_[r].data() + i * sizeof(float),
-                    sizeof(float));
-        sum += v;
-      }
-      reduced[i] = float(sum);
-    }
-    std::memcpy(data, reduced.data(), bytes);
+    // gathered_[0] holds the root's own contribution, so the sum can
+    // overwrite `data`.
+    SumRanks(0, count, data);
     for (int r = 1; r < world; ++r) {
-      ANGEL_RETURN_IF_ERROR(SendChecked(fds_[r],
-                                        uint16_t(wire::Op::kResult), seq_,
-                                        reduced.data(), bytes));
+      ANGEL_RETURN_IF_ERROR(SendChecked(
+          fds_[r], uint16_t(wire::Op::kResult), seq_, data, bytes));
     }
   } else {
-    std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
-        PeerExchange(uint16_t(wire::Op::kAllReduce), data, bytes, bytes,
-                     &reply));
-    if (reply.size() != bytes) {
-      return util::Status::Internal("all-reduce result size mismatch");
-    }
-    std::memcpy(data, reply.data(), bytes);
+        PeerExchange(uint16_t(wire::Op::kAllReduce), data, bytes,
+                     std::as_writable_bytes(std::span<float>(data, count))));
   }
   ++seq_;
   ++stats_.collectives;
@@ -495,9 +467,8 @@ util::Status ProcessGroup::Barrier() {
           fds_[r], uint16_t(wire::Op::kResult), seq_, nullptr, 0));
     }
   } else {
-    std::vector<std::byte> reply;
     ANGEL_RETURN_IF_ERROR(
-        PeerExchange(uint16_t(wire::Op::kBarrier), nullptr, 0, 0, &reply));
+        PeerExchange(uint16_t(wire::Op::kBarrier), nullptr, 0, {}));
   }
   ++seq_;
   ++stats_.collectives;

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,8 +42,9 @@ struct ProcessGroupOptions {
 ///
 /// Wire format: mem/wire_format.h frames, one frame per message,
 /// sequence-numbered per connection so a desynchronized stream is detected
-/// instead of mis-delivered. Every receive is bounded by the payload size
-/// the protocol expects, so a peer's header cannot make it allocate more.
+/// instead of mis-delivered. Every receive lands straight in a buffer of
+/// the size the protocol expects (a result in the caller's own buffer), and
+/// a frame of any other size is refused before a payload byte lands.
 ///
 /// Failure model: fail-stop. A dead peer surfaces as an IoError matching
 /// IsPeerLoss() on every rank that touches the broken connection; the
@@ -125,15 +127,14 @@ class ProcessGroup {
   /// Frame send/recv. The pg.send / pg.recv failpoints fire before the
   /// frame's first byte and are retried under the §7 schedule
   /// (util::RetryTransient); a socket error, which may come mid-frame,
-  /// returns at once, as peer loss (fail-stop) does. RecvChecked rejects a
-  /// payload larger than `max_bytes`.
+  /// returns at once, as peer loss (fail-stop) does. RecvChecked reads the
+  /// frame straight into `payload` and refuses one of any other size.
   [[nodiscard]] util::Status SendChecked(int fd, uint16_t op, uint32_t seq,
                                          const void* payload, size_t bytes);
   [[nodiscard]] util::Status RecvChecked(int fd, uint16_t expect_op,
                                          uint32_t expect_seq,
                                          uint16_t expect_rank,
-                                         size_t max_bytes,
-                                         std::vector<std::byte>* payload);
+                                         std::span<std::byte> payload);
 
   /// Root half of a hub round: receives every non-root rank's `bytes`-sized
   /// contribution tagged `op` into gathered_[r] (gathered_[0] becomes a
@@ -141,10 +142,14 @@ class ProcessGroup {
   [[nodiscard]] util::Status HubCollect(uint16_t op, const void* send,
                                         size_t bytes);
   /// Non-root half: sends this rank's contribution and receives the
-  /// root's kResult reply, at most `reply_bytes`, into `reply`.
+  /// root's kResult reply straight into `reply`, which is its exact size.
   [[nodiscard]] util::Status PeerExchange(uint16_t op, const void* send,
-                                          size_t bytes, size_t reply_bytes,
-                                          std::vector<std::byte>* reply);
+                                          size_t bytes,
+                                          std::span<std::byte> reply);
+  /// Root: out[i] = the sum of every rank's float `first + i` in
+  /// gathered_, ranks ascending, in a double rounded to float once (the
+  /// arithmetic of core::Communicator), for i < count.
+  void SumRanks(size_t first, size_t count, float* out) const;
 
   ProcessGroupOptions options_;
   /// Root: one connected fd per non-root rank (index 0 unused).

@@ -93,6 +93,28 @@ util::Status ReadFull(int fd, void* buf, size_t len, int timeout_ms) {
   return util::Status::OK();
 }
 
+/// Reads and decodes one frame header.
+util::Status RecvHeader(int fd, Header* header, int timeout_ms) {
+  std::byte head[kHeaderBytes];
+  ANGEL_RETURN_IF_ERROR(ReadFull(fd, head, kHeaderBytes, timeout_ms));
+  ANGEL_ASSIGN_OR_RETURN(*header, DecodeHeader(head));
+  return util::Status::OK();
+}
+
+/// The one payload read: `payload` must be exactly the size `header`
+/// claims, or nothing is read.
+util::Status RecvPayload(int fd, const Header& header,
+                         std::span<std::byte> payload, int timeout_ms) {
+  if (header.payload_bytes != payload.size()) {
+    return util::Status::InvalidArgument(
+        "wire: frame claims " + std::to_string(header.payload_bytes) +
+        " payload bytes, the receiver expects " +
+        std::to_string(payload.size()));
+  }
+  if (payload.empty()) return util::Status::OK();
+  return ReadFull(fd, payload.data(), payload.size(), timeout_ms);
+}
+
 }  // namespace
 
 void EncodeHeader(const Header& header, std::byte* out) {
@@ -133,12 +155,16 @@ util::Status SendFrame(int fd, const Header& header, const void* payload) {
   return util::Status::OK();
 }
 
+util::Status RecvFrame(int fd, Header* header, std::span<std::byte> payload,
+                       int timeout_ms) {
+  ANGEL_RETURN_IF_ERROR(RecvHeader(fd, header, timeout_ms));
+  return RecvPayload(fd, *header, payload, timeout_ms);
+}
+
 util::Status RecvFrame(int fd, Header* header,
                        std::vector<std::byte>* payload,
                        uint64_t max_payload_bytes, int timeout_ms) {
-  std::byte head[kHeaderBytes];
-  ANGEL_RETURN_IF_ERROR(ReadFull(fd, head, kHeaderBytes, timeout_ms));
-  ANGEL_ASSIGN_OR_RETURN(*header, DecodeHeader(head));
+  ANGEL_RETURN_IF_ERROR(RecvHeader(fd, header, timeout_ms));
   if (header->payload_bytes > max_payload_bytes) {
     return util::Status::InvalidArgument(
         "wire: frame claims " + std::to_string(header->payload_bytes) +
@@ -146,11 +172,7 @@ util::Status RecvFrame(int fd, Header* header,
         std::to_string(max_payload_bytes));
   }
   payload->resize(header->payload_bytes);
-  if (header->payload_bytes > 0) {
-    ANGEL_RETURN_IF_ERROR(
-        ReadFull(fd, payload->data(), header->payload_bytes, timeout_ms));
-  }
-  return util::Status::OK();
+  return RecvPayload(fd, *header, *payload, timeout_ms);
 }
 
 }  // namespace angelptm::mem::wire

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/status.h"
@@ -65,13 +66,20 @@ void EncodeHeader(const Header& header, std::byte* out);
 [[nodiscard]] util::Status SendFrame(int fd, const Header& header,
                                      const void* payload);
 
-/// Reads one frame from `fd` into `header` and `payload` (resized to the
-/// frame's payload size). A header claiming more than `max_payload_bytes`
-/// returns InvalidArgument before anything is allocated: the size comes
-/// from the peer, so the caller bounds it by what it expects to receive.
+/// Reads one frame from `fd` into `header` and straight into `payload`,
+/// which is exactly the payload the caller expects: a header claiming any
+/// other size returns InvalidArgument before a payload byte lands.
 /// `timeout_ms` < 0 waits forever; on expiry returns DeadlineExceeded. EOF
 /// (peer process died) returns an IoError whose message contains
 /// kPeerClosedMsg.
+[[nodiscard]] util::Status RecvFrame(int fd, Header* header,
+                                     std::span<std::byte> payload,
+                                     int timeout_ms);
+
+/// The same read into `payload`, resized to the frame's payload size. A
+/// header claiming more than `max_payload_bytes` returns InvalidArgument
+/// before anything is allocated: the size comes from the peer, so the
+/// caller bounds it by what it expects to receive.
 [[nodiscard]] util::Status RecvFrame(int fd, Header* header,
                                      std::vector<std::byte>* payload,
                                      uint64_t max_payload_bytes,

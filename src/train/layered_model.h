@@ -11,6 +11,8 @@ namespace angelptm::train {
 /// Per-layer forward state kept for the backward pass. `input` and
 /// `pre_activation` serve simple layers (MLP); `saved` holds whatever else
 /// a layer needs (attention probabilities, LayerNorm statistics, ...).
+/// A stash may be reused across steps and layers: Forward sizes each slot
+/// in place, so the slots keep their capacity.
 struct LayerStash {
   std::vector<float> input;
   std::vector<float> pre_activation;
@@ -37,7 +39,14 @@ class LayeredModel {
                                              util::Rng* rng) const = 0;
 
   /// Applies layer `layer` to `in` (batch x layer-input floats), producing
-  /// `out`. When `stash` is non-null, records what Backward needs.
+  /// `out`. When `stash` is non-null, records what Backward needs: every
+  /// interior is computed straight into the stash's slots, each sized in
+  /// place (never re-assigned or replaced by a fresh vector), and slots
+  /// this layer does not use are left as they are. A stash reused across
+  /// steps, layers or layer types therefore keeps every slot's capacity,
+  /// and a second same-shape call leaves every slot's data() where it was.
+  /// A null `stash` computes the interiors in locals. `out` is sized in
+  /// place too.
   virtual void Forward(int layer, const float* params,
                        const std::vector<float>& in, size_t batch,
                        std::vector<float>* out, LayerStash* stash) const = 0;

@@ -37,23 +37,23 @@ void MlpModel::Forward(int layer, const float* params,
   const float* weights = params;
   const float* bias = params + in_dim * out_dim;
 
-  std::vector<float> z(batch * out_dim);
+  // The pre-activation goes straight into the stash (a local without one).
+  std::vector<float> local;
+  std::vector<float>& z = stash != nullptr ? stash->pre_activation : local;
+  z.resize(batch * out_dim);
   Gemm(in.data(), weights, z.data(), batch, in_dim, out_dim);
 
   const bool is_head = layer == num_layers() - 1;
-  out->resize(batch * out_dim);
   if (is_head) {
     AddBias(z.data(), bias, batch, out_dim);
-    *out = z;
+    out->assign(z.begin(), z.end());
   } else {
     // Fused bias + GeLU: one pass over the activations instead of two.
     // `z` ends up holding the post-bias pre-activation for backward.
+    out->resize(batch * out_dim);
     AddBiasGelu(z.data(), bias, out->data(), batch, out_dim);
   }
-  if (stash != nullptr) {
-    stash->input = in;
-    stash->pre_activation = std::move(z);
-  }
+  if (stash != nullptr) stash->input.assign(in.begin(), in.end());
 }
 
 void MlpModel::Backward(int layer, const float* params,

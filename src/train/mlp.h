@@ -40,7 +40,8 @@ class MlpModel : public LayeredModel {
 
   /// Applies layer `layer` to `in` (batch x in_dim), producing `out`
   /// (batch x out_dim). Hidden layers apply GeLU; the head is linear.
-  /// `stash` records what backward needs.
+  /// `stash` records what backward needs (`input`, `pre_activation`),
+  /// sized in place as LayeredModel::Forward describes.
   void Forward(int layer, const float* params, const std::vector<float>& in,
                size_t batch, std::vector<float>* out,
                LayerStash* stash) const override;

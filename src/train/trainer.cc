@@ -43,6 +43,23 @@ TrainerOptions LoopOptions(const EngineTrainerOptions& paged) {
 
 }  // namespace
 
+/// A step range's host buffers. Each keeps its capacity from step to step
+/// (vectors are sized in place and swapped, never replaced), so a step
+/// writes into pages the previous step already faulted in.
+struct Trainer::StepBuffers {
+  /// Direct backend: every layer's fetched fp32 parameters.
+  std::vector<std::vector<float>> params;
+  /// One per layer, or with activation offload one for every layer: the
+  /// recompute rebuilds layer l's interiors just before Backward(l).
+  std::vector<LayerStash> stashes;
+  /// The layer boundary and the next one; the loss or output gradient and
+  /// the input gradient. Each pair swaps after a layer.
+  std::vector<float> acts, next, grad, grad_in;
+  /// Paged backend with activation offload: the fetched boundary and the
+  /// recompute's output.
+  std::vector<float> boundary, recomputed;
+};
+
 Trainer::Trainer(core::Allocator* allocator, const LayeredModel* model,
                  const TrainerOptions& options)
     : allocator_(allocator),
@@ -165,34 +182,38 @@ util::Status Trainer::Recover(const util::Status& cause) {
 
 util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
                                          const std::vector<float>& y,
-                                         bool update) {
+                                         bool update, StepBuffers* buffers) {
   const int num_layers = model_->num_layers();
   const size_t batch = options_.batch_size;
   const bool bf16 = options_.compute_precision == ComputePrecision::kBf16;
+  std::vector<std::vector<float>>& params = buffers->params;
+  std::vector<LayerStash>& stash = buffers->stashes;
+  std::vector<float>& acts = buffers->acts;
+  std::vector<float>& grad = buffers->grad;
+  params.resize(num_layers);
+  stash.resize(num_layers);
 
   // Algorithm 2 line 20: fetch the buffered fp16 parameters.
-  std::vector<std::vector<float>> params(num_layers);
   for (int l = 0; l < num_layers; ++l) {
     ANGEL_RETURN_IF_ERROR(updater_->FetchParams(l, &params[l]));
     if (bf16) RoundToBf16(&params[l]);
   }
 
   // Forward (line 21).
-  std::vector<LayerStash> stash(num_layers);
-  std::vector<float> acts = x;
+  acts.assign(x.begin(), x.end());
   const uint64_t fwd_start = NowUs();
   {
     ANGEL_SPAN("train", "forward");
     for (int l = 0; l < num_layers; ++l) {
-      std::vector<float> next;
-      model_->Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
-      if (bf16) RoundToBf16(&next);  // Layer boundaries in bf16.
-      acts = std::move(next);
+      model_->Forward(l, params[l].data(), acts, batch, &buffers->next,
+                      &stash[l]);
+      if (bf16) RoundToBf16(&buffers->next);  // Layer boundaries in bf16.
+      acts.swap(buffers->next);
     }
   }
   fwd_us_.Record(NowUs() - fwd_start);
 
-  std::vector<float> grad(acts.size());
+  grad.resize(acts.size());
   const double loss = MseLoss(acts.data(), y.data(), grad.data(), acts.size());
   const double scale = options_.use_loss_scaling ? scaler_.scale() : 1.0;
   if (scale != 1.0) {
@@ -200,20 +221,20 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
   }
 
   // Backward (line 23); gradients offload (line 24) only if none overflow.
+  // Each layer's gradients are handed to the updater by value.
   std::vector<std::vector<float>> layer_grads(num_layers);
   bool overflowed = false;
   const uint64_t bwd_start = NowUs();
   {
     ANGEL_SPAN("train", "backward");
     for (int l = num_layers - 1; l >= 0; --l) {
-      std::vector<float> grad_in;
-      model_->Backward(l, params[l].data(), stash[l], grad, batch, &grad_in,
-                       &layer_grads[l]);
+      model_->Backward(l, params[l].data(), stash[l], grad, batch,
+                       &buffers->grad_in, &layer_grads[l]);
       if (bf16) {
-        RoundToBf16(&grad_in);
+        RoundToBf16(&buffers->grad_in);
         RoundToBf16(&layer_grads[l]);
       }
-      grad = std::move(grad_in);
+      grad.swap(buffers->grad_in);
       if (options_.use_loss_scaling &&
           LossScaler::HasNonFinite(layer_grads[l])) {
         overflowed = true;
@@ -245,16 +266,24 @@ util::Result<double> Trainer::DirectStep(const std::vector<float>& x,
 }
 
 util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
-                                        const std::vector<float>& y) {
+                                        const std::vector<float>& y,
+                                        StepBuffers* buffers) {
   const int num_layers = model_->num_layers();
   const size_t batch = options_.batch_size;
+  std::vector<float>& acts = buffers->acts;
+  std::vector<float>& grad = buffers->grad;
+  std::vector<LayerStash>& stashes = buffers->stashes;
+  stashes.resize(offload_activations_ ? 1 : num_layers);
+  auto stash = [&](int l) -> LayerStash& {
+    return stashes[offload_activations_ ? 0 : l];
+  };
   ANGEL_RETURN_IF_ERROR(engine_->BeginStep());
 
   // Forward. With activation offloading only the layer *inputs* (the
-  // boundaries) survive, on the hierarchical memory; otherwise keep the
-  // full per-layer stash in host vectors.
-  std::vector<LayerStash> stash(num_layers);
-  std::vector<float> acts = x;
+  // boundaries) survive, on the hierarchical memory, and every layer's
+  // interiors land in the one shared stash; otherwise keep the full
+  // per-layer stash in host vectors.
+  acts.assign(x.begin(), x.end());
   const uint64_t fwd_start = NowUs();
   {
     ANGEL_SPAN("train", "forward");
@@ -264,15 +293,14 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
       }
       ANGEL_ASSIGN_OR_RETURN(const std::vector<float> params,
                              engine_->UseLayerParams(l));
-      std::vector<float> next;
-      model_->Forward(l, params.data(), acts, batch, &next,
-                      offload_activations_ ? nullptr : &stash[l]);
-      acts = std::move(next);
+      model_->Forward(l, params.data(), acts, batch, &buffers->next,
+                      &stash(l));
+      acts.swap(buffers->next);
     }
   }
   fwd_us_.Record(NowUs() - fwd_start);
 
-  std::vector<float> grad(acts.size());
+  grad.resize(acts.size());
   const double loss =
       MseLoss(acts.data(), y.data(), grad.data(), acts.size());
 
@@ -284,17 +312,16 @@ util::Result<double> Trainer::PagedStep(const std::vector<float>& x,
       ANGEL_ASSIGN_OR_RETURN(const std::vector<float> params,
                              engine_->UseLayerParams(l));
       if (offload_activations_) {
-        ANGEL_ASSIGN_OR_RETURN(const std::vector<float> boundary,
+        ANGEL_ASSIGN_OR_RETURN(buffers->boundary,
                                engine_->FetchActivation(l));
-        std::vector<float> recomputed;
-        model_->Forward(l, params.data(), boundary, batch, &recomputed,
-                        &stash[l]);
+        model_->Forward(l, params.data(), buffers->boundary, batch,
+                        &buffers->recomputed, &stash(l));
       }
-      std::vector<float> grad_in, grad_params;
-      model_->Backward(l, params.data(), stash[l], grad, batch, &grad_in,
-                       &grad_params);
+      std::vector<float> grad_params;
+      model_->Backward(l, params.data(), stash(l), grad, batch,
+                       &buffers->grad_in, &grad_params);
       ANGEL_RETURN_IF_ERROR(engine_->PushGrads(l, std::move(grad_params)));
-      grad = std::move(grad_in);
+      grad.swap(buffers->grad_in);
     }
   }
   bwd_us_.Record(NowUs() - bwd_start);
@@ -322,6 +349,7 @@ util::Status Trainer::RunSteps(const SyntheticRegression& dataset,
   core::LockFreeUpdater* updater = this->updater();
   if (options_.lock_free) updater->Start();
   std::vector<float> x, y;
+  StepBuffers buffers;
   while (global_step_ < target_step) {
     ANGEL_SPAN("train", "step");
     {
@@ -336,8 +364,9 @@ util::Status Trainer::RunSteps(const SyntheticRegression& dataset,
                                 std::max(1, options_.grad_accumulation) ==
                             0;
     ANGEL_ASSIGN_OR_RETURN(const double loss,
-                           engine_ != nullptr ? PagedStep(x, y)
-                                              : DirectStep(x, y, update));
+                           engine_ != nullptr
+                               ? PagedStep(x, y, &buffers)
+                               : DirectStep(x, y, update, &buffers));
     global_step_ += 1;
     report->losses.push_back(loss);
     if (options_.lock_free) {
@@ -459,16 +488,17 @@ util::Result<double> Trainer::Validate(const SyntheticRegression& dataset,
     dataset.GenBatch(&validation_rng, options_.batch_size, &acts[i],
                      &targets[i]);
   }
-  std::vector<float> params;
+  // Every forward computes its interiors into one stash held for the call.
+  std::vector<float> params, next;
+  LayerStash stash;
   for (int l = 0; l < model_->num_layers(); ++l) {
     ANGEL_RETURN_IF_ERROR(updater()->ReadMasterParams(l, &params));
     if (bf16) RoundToBf16(&params);
     for (std::vector<float>& batch_acts : acts) {
-      std::vector<float> next;
       model_->Forward(l, params.data(), batch_acts, options_.batch_size,
-                      &next, nullptr);
+                      &next, &stash);
       if (bf16) RoundToBf16(&next);
-      batch_acts = std::move(next);
+      batch_acts.swap(next);
     }
   }
   double total = 0.0;

@@ -193,16 +193,23 @@ class Trainer {
   uint64_t recoveries() const { return recoveries_; }
 
  private:
+  /// The host buffers a step reads and writes (trainer.cc). RunSteps owns
+  /// one for its step range, so each step reuses the previous step's pages
+  /// and the buffers are freed when the range ends.
+  struct StepBuffers;
+
   /// One direct training step: fetch every layer's fp16 parameters,
   /// forward, backward, offload the gradients; then, when `update` is set
   /// (synchronous mode, end of an accumulation window), one optimizer pass.
   [[nodiscard]] util::Result<double> DirectStep(const std::vector<float>& x,
                                                 const std::vector<float>& y,
-                                                bool update);
+                                                bool update,
+                                                StepBuffers* buffers);
   /// One paged training step through the Engine's BeginStep / Use / Push /
   /// EndStep protocol; EndStep runs the synchronous optimizer pass.
   [[nodiscard]] util::Result<double> PagedStep(const std::vector<float>& x,
-                                               const std::vector<float>& y);
+                                               const std::vector<float>& y,
+                                               StepBuffers* buffers);
 
   /// Creates the backend's state — the direct updater, or the whole
   /// Engine — and registers every model layer (shared by Init and the

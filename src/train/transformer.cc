@@ -37,6 +37,13 @@ BlockOffsets ComputeOffsets(size_t d, size_t f) {
   return o;
 }
 
+/// Sizes `slot` to `n` floats in place (a reused slot keeps its capacity)
+/// and returns its storage; every caller overwrites all `n` floats.
+float* Sized(std::vector<float>* slot, size_t n) {
+  slot->resize(n);
+  return slot->data();
+}
+
 /// Stash slot indices for a block.
 enum BlockStash {
   kMean1 = 0,
@@ -133,58 +140,52 @@ void TinyTransformer::BlockForward(const float* params,
   const size_t m = batch * s;  // Token rows.
   ANGEL_CHECK(in.size() == m * d) << "block input size mismatch";
   const BlockOffsets o = ComputeOffsets(d, f);
+  // Every interior goes straight into its stash slot (locals without one).
+  LayerStash local;
+  std::vector<std::vector<float>>& saved =
+      (stash != nullptr ? stash : &local)->saved;
+  if (saved.size() < kNumBlockStash) saved.resize(kNumBlockStash);
 
   // LN1.
-  std::vector<float> h1(m * d), mean1(m), rstd1(m);
-  LayerNorm(in.data(), params + o.ln1_gamma, params + o.ln1_beta, h1.data(),
-            mean1.data(), rstd1.data(), m, d);
+  float* h1 = Sized(&saved[kH1], m * d);
+  float* mean1 = Sized(&saved[kMean1], m);
+  float* rstd1 = Sized(&saved[kRstd1], m);
+  LayerNorm(in.data(), params + o.ln1_gamma, params + o.ln1_beta, h1, mean1,
+            rstd1, m, d);
 
   // QKV projections.
-  std::vector<float> q(m * d), k(m * d), v(m * d);
-  Gemm(h1.data(), params + o.wq, q.data(), m, d, d);
-  Gemm(h1.data(), params + o.wk, k.data(), m, d, d);
-  Gemm(h1.data(), params + o.wv, v.data(), m, d, d);
+  float* q = Sized(&saved[kQ], m * d);
+  float* k = Sized(&saved[kK], m * d);
+  float* v = Sized(&saved[kV], m * d);
+  Gemm(h1, params + o.wq, q, m, d, d);
+  Gemm(h1, params + o.wk, k, m, d, d);
+  Gemm(h1, params + o.wv, v, m, d, d);
 
   // Causal multi-head attention + output projection, then residual.
-  std::vector<float> concat(m * d), probs(batch * heads * s * s);
-  CausalAttention(q.data(), k.data(), v.data(), concat.data(), probs.data(),
-                  batch, s, heads, d / heads);
-  std::vector<float> x2(m * d);
-  Gemm(concat.data(), params + o.wo, x2.data(), m, d, d);
+  float* concat = Sized(&saved[kConcat], m * d);
+  float* probs = Sized(&saved[kProbs], batch * heads * s * s);
+  CausalAttention(q, k, v, concat, probs, batch, s, heads, d / heads);
+  float* x2 = Sized(&saved[kX2], m * d);
+  Gemm(concat, params + o.wo, x2, m, d, d);
   for (size_t i = 0; i < m * d; ++i) x2[i] += in[i];
 
   // LN2 + FFN + residual.
-  std::vector<float> h2(m * d), mean2(m), rstd2(m);
-  LayerNorm(x2.data(), params + o.ln2_gamma, params + o.ln2_beta, h2.data(),
-            mean2.data(), rstd2.data(), m, d);
-  std::vector<float> u(m * f);
-  Gemm(h2.data(), params + o.w1, u.data(), m, d, f);
+  float* h2 = Sized(&saved[kH2], m * d);
+  float* mean2 = Sized(&saved[kMean2], m);
+  float* rstd2 = Sized(&saved[kRstd2], m);
+  LayerNorm(x2, params + o.ln2_gamma, params + o.ln2_beta, h2, mean2, rstd2,
+            m, d);
+  float* u = Sized(&saved[kPreGelu], m * f);
+  Gemm(h2, params + o.w1, u, m, d, f);
   // Fused bias + GeLU; `u` keeps the post-bias pre-activation for backward.
-  std::vector<float> g(m * f);
-  AddBiasGelu(u.data(), params + o.b1, g.data(), m, f);
-  out->assign(m * d, 0.0f);
-  Gemm(g.data(), params + o.w2, out->data(), m, f, d);
-  AddBias(out->data(), params + o.b2, m, d);
-  for (size_t i = 0; i < m * d; ++i) (*out)[i] += x2[i];
+  float* g = Sized(&saved[kGelu], m * f);
+  AddBiasGelu(u, params + o.b1, g, m, f);
+  float* y = Sized(out, m * d);
+  Gemm(g, params + o.w2, y, m, f, d);
+  AddBias(y, params + o.b2, m, d);
+  for (size_t i = 0; i < m * d; ++i) y[i] += x2[i];
 
-  if (stash != nullptr) {
-    stash->input = in;
-    stash->saved.assign(kNumBlockStash, {});
-    stash->saved[kMean1] = std::move(mean1);
-    stash->saved[kRstd1] = std::move(rstd1);
-    stash->saved[kH1] = std::move(h1);
-    stash->saved[kQ] = std::move(q);
-    stash->saved[kK] = std::move(k);
-    stash->saved[kV] = std::move(v);
-    stash->saved[kProbs] = std::move(probs);
-    stash->saved[kConcat] = std::move(concat);
-    stash->saved[kX2] = std::move(x2);
-    stash->saved[kMean2] = std::move(mean2);
-    stash->saved[kRstd2] = std::move(rstd2);
-    stash->saved[kH2] = std::move(h2);
-    stash->saved[kPreGelu] = std::move(u);
-    stash->saved[kGelu] = std::move(g);
-  }
+  if (stash != nullptr) stash->input.assign(in.begin(), in.end());
 }
 
 void TinyTransformer::BlockBackward(const float* params,
@@ -272,21 +273,24 @@ void TinyTransformer::HeadForward(const float* params,
   const size_t s = config_.seq_len, d = config_.d_model,
                out_dim = config_.out_dim;
   ANGEL_CHECK(in.size() == batch * s * d) << "head input size mismatch";
+  // Slot 0 holds the pooled rows; a block's other slots stay as they are.
+  LayerStash local;
+  std::vector<std::vector<float>>& saved =
+      (stash != nullptr ? stash : &local)->saved;
+  if (saved.empty()) saved.resize(1);
   // Mean-pool over the sequence, then a linear projection.
-  std::vector<float> pooled(batch * d, 0.0f);
+  std::vector<float>& pooled = saved[0];
+  pooled.assign(batch * d, 0.0f);
   for (size_t b = 0; b < batch; ++b) {
     for (size_t i = 0; i < s; ++i) {
       const float* row = in.data() + (b * s + i) * d;
       for (size_t c = 0; c < d; ++c) pooled[b * d + c] += row[c] / float(s);
     }
   }
-  out->assign(batch * out_dim, 0.0f);
-  Gemm(pooled.data(), params, out->data(), batch, d, out_dim);
-  AddBias(out->data(), params + d * out_dim, batch, out_dim);
-  if (stash != nullptr) {
-    stash->input = in;
-    stash->saved.assign(1, pooled);
-  }
+  float* y = Sized(out, batch * out_dim);
+  Gemm(pooled.data(), params, y, batch, d, out_dim);
+  AddBias(y, params + d * out_dim, batch, out_dim);
+  if (stash != nullptr) stash->input.assign(in.begin(), in.end());
 }
 
 void TinyTransformer::HeadBackward(const float* params,

@@ -7,6 +7,7 @@
 #include <unistd.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -133,6 +134,54 @@ TEST(WireFormatTest, OversizeHeaderIsRejectedBeforeAllocating) {
                         kTimeoutMs)
                   .IsInvalidArgument());
   EXPECT_EQ(payload.capacity(), 0u);
+}
+
+TEST(WireFormatTest, FrameRoundTripsIntoTheCallersBuffer) {
+  SocketPair pair;
+  const std::vector<float> sent = {1.5f, -2.0f, 3.25f, 0.0f};
+  Header header;
+  header.op = Op::kResult;
+  header.rank = 0;
+  header.seq = 7;
+  header.payload_bytes = sent.size() * sizeof(float);
+  ASSERT_TRUE(SendFrame(pair.send_fd(), header, sent.data()).ok());
+
+  Header got;
+  std::vector<float> received(sent.size());
+  const util::Status status =
+      RecvFrame(pair.recv_fd(), &got,
+                std::as_writable_bytes(std::span<float>(received)),
+                kTimeoutMs);
+  ASSERT_TRUE(status.ok()) << status;
+  EXPECT_EQ(got.op, Op::kResult);
+  EXPECT_EQ(got.seq, 7u);
+  EXPECT_EQ(received, sent);
+}
+
+/// Sends a frame of `sent` payload bytes and receives it into a buffer of
+/// `expected` bytes: it must be refused with no payload byte written.
+void ExpectSizeMismatchRefused(size_t sent, size_t expected) {
+  SocketPair pair;
+  const std::vector<std::byte> payload(sent, std::byte{0x5A});
+  Header header;
+  header.op = Op::kResult;
+  header.payload_bytes = sent;
+  ASSERT_TRUE(SendFrame(pair.send_fd(), header, payload.data()).ok());
+  std::vector<std::byte> buffer(expected, std::byte{0x11});
+  Header got;
+  const util::Status status =
+      RecvFrame(pair.recv_fd(), &got, std::span<std::byte>(buffer),
+                kTimeoutMs);
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  EXPECT_EQ(buffer, std::vector<std::byte>(expected, std::byte{0x11}));
+}
+
+TEST(WireFormatTest, TooLargeFrameForTheCallersBufferIsRefused) {
+  ExpectSizeMismatchRefused(/*sent=*/64, /*expected=*/16);
+}
+
+TEST(WireFormatTest, TooSmallFrameForTheCallersBufferIsRefused) {
+  ExpectSizeMismatchRefused(/*sent=*/8, /*expected=*/16);
 }
 
 TEST(WireFormatTest, TruncatedPayloadIsPeerClosed) {

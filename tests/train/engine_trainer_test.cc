@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "core/allocator.h"
+#include "train/kernels.h"
 #include "train/mlp.h"
 #include "train/transformer.h"
 
@@ -134,6 +135,102 @@ TEST(EngineTrainerTest, TransformerThroughFullStack) {
   auto report = trainer.Train(dataset, 100);
   ASSERT_TRUE(report.ok()) << report.status();
   EXPECT_LT(report->final_train_loss, report->losses.front());
+}
+
+TEST(EngineTrainerTest, SharedOffloadStashMatchesAFreshStashPerLayer) {
+  // With activation offload the paged step computes every layer's
+  // interiors into one stash, which the recompute refills just before each
+  // Backward. A loop driving the same Engine protocol with a fresh stash
+  // per layer per step, and no stash in forward, must reproduce its losses
+  // and validation loss bit for bit.
+  TransformerConfig config;
+  config.seq_len = 4;
+  config.d_model = 8;
+  config.num_heads = 2;
+  config.d_ffn = 16;
+  config.num_blocks = 2;
+  config.out_dim = 2;
+  const TinyTransformer model(config);
+  EngineTrainerOptions options = BaseOptions();
+  options.batch_size = 8;
+  options.offload_activations = true;
+  ASSERT_FALSE(options.engine.lock_free);
+  const SyntheticRegression dataset(model.InputSize(), 16,
+                                    model.OutputSize(), 99);
+  const int steps = 12;
+  const int layers = model.num_layers();
+  const size_t batch = options.batch_size;
+
+  EngineTrainer trainer(&model, options);
+  ASSERT_TRUE(trainer.Init().ok());
+  auto report = trainer.Train(dataset, steps);
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  auto created = core::Engine::Create(options.engine);
+  ASSERT_TRUE(created.ok()) << created.status();
+  core::Engine& engine = **created;
+  // The trainer draws the initial parameters, then the batches, from one
+  // generator seeded with options.seed.
+  util::Rng rng(options.seed);
+  for (int l = 0; l < layers; ++l) {
+    ASSERT_TRUE(engine.RegisterLayer(model.InitLayerParams(l, &rng)).ok());
+  }
+  std::vector<double> losses;
+  std::vector<float> x, y;
+  for (int step = 0; step < steps; ++step) {
+    dataset.GenBatch(&rng, batch, &x, &y);
+    ASSERT_TRUE(engine.BeginStep().ok());
+    std::vector<float> acts = x;
+    for (int l = 0; l < layers; ++l) {
+      ASSERT_TRUE(engine.StashActivation(l, acts).ok());
+      auto params = engine.UseLayerParams(l);
+      ASSERT_TRUE(params.ok()) << params.status();
+      std::vector<float> next;
+      model.Forward(l, params->data(), acts, batch, &next, nullptr);
+      acts = std::move(next);
+    }
+    std::vector<float> grad(acts.size());
+    losses.push_back(MseLoss(acts.data(), y.data(), grad.data(), acts.size()));
+    std::vector<LayerStash> stash(layers);
+    for (int l = layers - 1; l >= 0; --l) {
+      auto params = engine.UseLayerParams(l);
+      ASSERT_TRUE(params.ok()) << params.status();
+      auto boundary = engine.FetchActivation(l);
+      ASSERT_TRUE(boundary.ok()) << boundary.status();
+      std::vector<float> recomputed, grad_in, grad_params;
+      model.Forward(l, params->data(), *boundary, batch, &recomputed,
+                    &stash[l]);
+      model.Backward(l, params->data(), stash[l], grad, batch, &grad_in,
+                     &grad_params);
+      ASSERT_TRUE(engine.PushGrads(l, std::move(grad_params)).ok());
+      grad = std::move(grad_in);
+    }
+    ASSERT_TRUE(engine.EndStep().ok());
+  }
+  EXPECT_EQ(report->losses, losses);
+
+  // Trainer::Validate's batches and flow: the masters, read once per layer.
+  util::Rng validation_rng(options.seed ^ 0x5EEDF00Dull);
+  std::vector<std::vector<float>> acts(8), targets(8);
+  for (int i = 0; i < 8; ++i) {
+    dataset.GenBatch(&validation_rng, batch, &acts[i], &targets[i]);
+  }
+  for (int l = 0; l < layers; ++l) {
+    std::vector<float> params;
+    ASSERT_TRUE(engine.updater()->ReadMasterParams(l, &params).ok());
+    for (std::vector<float>& batch_acts : acts) {
+      std::vector<float> next;
+      model.Forward(l, params.data(), batch_acts, batch, &next, nullptr);
+      batch_acts = std::move(next);
+    }
+  }
+  double total = 0.0;
+  for (int i = 0; i < 8; ++i) {
+    std::vector<float> grad(acts[i].size());
+    total += MseLoss(acts[i].data(), targets[i].data(), grad.data(),
+                     acts[i].size());
+  }
+  EXPECT_EQ(report->validation_loss, total / 8);
 }
 
 /// A paged trainer with SSD masters whose SSD tier is `ssd_capacity_bytes`

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "stash_test_util.h"
 #include "train/kernels.h"
 #include "util/random.h"
 
@@ -159,6 +160,66 @@ TEST(MlpTest, InputGradientMatchesFiniteDifference) {
     xm[i] -= eps;
     const double numeric = (loss_of_input(xp) - loss_of_input(xm)) / (2 * eps);
     EXPECT_NEAR(grad[i], numeric, 2e-2) << "input " << i;
+  }
+}
+
+TEST(MlpTest, ReusedStashesMatchFreshOnesBitwise) {
+  // Two steps with new inputs and parameters: per-layer stashes kept from
+  // the first step, and one stash shared by the hidden layers and the head
+  // (each layer recomputed before its backward), must give the bits of a
+  // fresh stash per layer per step.
+  MlpModel model({{5, 9, 7, 3}});
+  const size_t batch = 4;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " compute threads");
+    const testing::ScopedComputePool pool(threads);
+    util::Rng rng(14);
+    std::vector<LayerStash> per_layer(model.num_layers()), shared(1);
+    for (int step = 0; step < 2; ++step) {
+      std::vector<std::vector<float>> params;
+      for (int l = 0; l < model.num_layers(); ++l) {
+        params.push_back(model.InitLayerParams(l, &rng));
+      }
+      std::vector<float> x(batch * model.in_dim()),
+          target(batch * model.out_dim());
+      rng.FillGaussian(&x, 1.0);
+      rng.FillGaussian(&target, 1.0);
+      std::vector<LayerStash> fresh(model.num_layers());
+      const testing::PassResult want =
+          testing::RunPass(model, params, x, target, batch, &fresh);
+      EXPECT_TRUE(testing::SameBits(
+          testing::RunPass(model, params, x, target, batch, &per_layer),
+          want))
+          << "per-layer stashes, step " << step;
+      EXPECT_TRUE(testing::SameBits(
+          testing::RunPass(model, params, x, target, batch, &shared), want))
+          << "shared stash, step " << step;
+    }
+  }
+}
+
+TEST(MlpTest, SameShapeForwardKeepsStashStorage) {
+  MlpModel model({{5, 9, 9, 3}});
+  const size_t batch = 4;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " compute threads");
+    const testing::ScopedComputePool pool(threads);
+    util::Rng rng(15);
+    std::vector<float> x(batch * 9), out;
+    LayerStash stash;
+    // Layer 1 (hidden) and layer 2 (the head) share one stash.
+    for (const int layer : {1, 2}) {
+      const auto params = model.InitLayerParams(layer, &rng);
+      rng.FillGaussian(&x, 1.0);
+      model.Forward(layer, params.data(), x, batch, &out, &stash);
+      const float* input = stash.input.data();
+      const float* pre_activation = stash.pre_activation.data();
+      rng.FillGaussian(&x, 1.0);
+      model.Forward(layer, params.data(), x, batch, &out, &stash);
+      EXPECT_EQ(stash.input.data(), input) << "layer " << layer;
+      EXPECT_EQ(stash.pre_activation.data(), pre_activation)
+          << "layer " << layer;
+    }
   }
 }
 

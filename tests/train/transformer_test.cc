@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "core/adam.h"
+#include "stash_test_util.h"
 #include "train/kernels.h"
 #include "util/random.h"
 
@@ -281,6 +282,80 @@ TEST(TransformerTest, LearnsSequenceClassificationWithCrossEntropy) {
     }
   }
   EXPECT_GT(last_accuracy, 0.85);
+}
+
+TEST(TransformerTest, ReusedStashesMatchFreshOnesBitwise) {
+  // Two steps with new inputs and parameters: per-layer stashes kept from
+  // the first step, and one stash shared by the blocks and the head (with
+  // each layer recomputed before its backward), must give the bits of a
+  // fresh stash per layer per step.
+  TinyTransformer model(TinyConfig());
+  const size_t batch = 3;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " compute threads");
+    const testing::ScopedComputePool pool(threads);
+    util::Rng rng(11);
+    std::vector<LayerStash> per_layer(model.num_layers()), shared(1);
+    for (int step = 0; step < 2; ++step) {
+      std::vector<std::vector<float>> params;
+      for (int l = 0; l < model.num_layers(); ++l) {
+        params.push_back(model.InitLayerParams(l, &rng));
+      }
+      std::vector<float> x(batch * model.InputSize()),
+          target(batch * model.OutputSize());
+      rng.FillGaussian(&x, 1.0);
+      rng.FillGaussian(&target, 1.0);
+      std::vector<LayerStash> fresh(model.num_layers());
+      const testing::PassResult want =
+          testing::RunPass(model, params, x, target, batch, &fresh);
+      EXPECT_TRUE(testing::SameBits(
+          testing::RunPass(model, params, x, target, batch, &per_layer),
+          want))
+          << "per-layer stashes, step " << step;
+      EXPECT_TRUE(testing::SameBits(
+          testing::RunPass(model, params, x, target, batch, &shared), want))
+          << "shared stash, step " << step;
+    }
+  }
+}
+
+TEST(TransformerTest, SameShapeForwardKeepsStashStorage) {
+  // A second same-shape Forward writes into the slots the first one sized;
+  // the head, run on a block's stash, keeps the block's slots.
+  TinyTransformer model(TinyConfig());
+  const int head = model.num_layers() - 1;
+  const size_t batch = 2;
+  for (const size_t threads : {1, 4}) {
+    SCOPED_TRACE(::testing::Message() << threads << " compute threads");
+    const testing::ScopedComputePool pool(threads);
+    util::Rng rng(12);
+    const auto block_params = model.InitLayerParams(0, &rng);
+    const auto head_params = model.InitLayerParams(head, &rng);
+    std::vector<float> x(batch * model.InputSize()), out;
+    LayerStash stash;
+    std::vector<const float*> slots;
+    for (int call = 0; call < 2; ++call) {
+      rng.FillGaussian(&x, 1.0);
+      model.Forward(0, block_params.data(), x, batch, &out, &stash);
+      ASSERT_EQ(stash.saved.size(), 14u);
+      std::vector<const float*> now = {stash.input.data()};
+      for (const auto& slot : stash.saved) now.push_back(slot.data());
+      if (call == 1) {
+        EXPECT_EQ(now, slots) << "block";
+      }
+      slots = now;
+    }
+    model.Forward(head, head_params.data(), x, batch, &out, &stash);
+    ASSERT_EQ(stash.saved.size(), 14u);
+    EXPECT_EQ(stash.input.data(), slots[0]);
+    for (size_t k = 1; k < stash.saved.size(); ++k) {
+      EXPECT_EQ(stash.saved[k].data(), slots[k + 1]) << "block slot " << k;
+    }
+    const float* pooled = stash.saved[0].data();
+    model.Forward(head, head_params.data(), x, batch, &out, &stash);
+    EXPECT_EQ(stash.saved[0].data(), pooled);
+    EXPECT_EQ(stash.input.data(), slots[0]);
+  }
 }
 
 TEST(TransformerTest, RejectsIndivisibleHeads) {
