@@ -5,10 +5,11 @@
 #   * ThreadSanitizer over the concurrency-sensitive tests (parallel
 #     kernels, ParallelFor, thread pool, lock-free updater, the components'
 #     atomic stats counters, the obs:: span tracer hot path, batch
-#     generation: the bulk Gaussian path and the row-streamed teacher,
-#     ZeRO's rank threads updating their shards in place on one pool, the
-#     socket collectives and their framing, and the models' forward writing
-#     into reused step stashes).
+#     generation: the bulk Gaussian path, its skip and the row-streamed
+#     teacher, ZeRO's rank threads computing while their comm lanes run the
+#     collectives and update the shards in place on one pool, the socket
+#     collectives and their framing, and the models' forward writing into
+#     reused step stashes).
 #   * AddressSanitizer+UBSan over the memory-hierarchy and updater tests,
 #     which exercise raw pread/pwrite buffers and page frame arithmetic.
 #   * A fault-injection pass: the suites re-run with ANGELPTM_FAULT_SITES
@@ -240,13 +241,14 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     ctest --test-dir build-tsan --output-on-failure \
       -R 'util_test|obs_test|train_test|runtime_test'
   # Batch generation against its per-call references: FillGaussian splits
-  # the Box-Muller transform and GenBatch the teacher's samples across the
-  # pool (the tests pin 1 and 4 workers). The bench shapes ran once above;
-  # repeat the small spans and odd shapes so the splits interleave anew.
-  TSAN_OPTIONS="halt_on_error=1" \
+  # the Box-Muller transform and GenBatch and GenBatchRows the teacher's
+  # samples across the pool (the tests pin 1 and 4 workers). The bench
+  # shapes ran once above; repeat the small spans and odd shapes so the
+  # splits interleave anew.
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/util_test --gtest_repeat=5 \
       --gtest_filter='ComputeThreads/FillGaussianTest.*'
-  TSAN_OPTIONS="halt_on_error=1" \
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/train_test --gtest_repeat=20 \
       --gtest_filter='DatasetTest.GenBatchMatchesPerSampleTeacherAtOddShapes'
   # The crash/restart suite once more, explicitly: CheckpointManager::Save
@@ -279,13 +281,20 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test --gtest_repeat=50 \
       --gtest_filter='LockFreeUpdaterTest.StreamedUpdateMatchesWholeLayerBitwise:LockFreeUpdaterTest.GradientSwapLosesNoBatch'
-  # ZeRO: the in-process rank threads run the rule on their shards in
-  # place, each splitting its shard's pages across the one compute pool,
-  # while the other ranks gather and reduce-scatter. The socket ranks
-  # receive each collective's result straight into the caller's buffer.
+  # ZeRO: each rank's comm lane gathers, reduce-scatters and runs the rule
+  # on its shard in place, splitting the shard's pages across the one
+  # compute pool, while the rank thread runs forward and backward on the
+  # same pool. The socket ranks receive each collective's result straight
+  # into the caller's buffer.
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/dist_test \
       --gtest_filter='ShardedDpTest.*:ProcessGroupTest.*'
+  # The lanes' hand-offs 20 times over: gradient buffers by layer parity,
+  # the loss all-reduce across steps, and a socket rank failing mid-step,
+  # whose error every rank must return with no lane thread left behind.
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/dist_test --gtest_repeat=20 \
+      --gtest_filter='ShardedDpTest.EveryRuleMatchesAPlainVectorReferenceBitwise:ShardedDpTest.SocketRankFailingMidStep*'
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/mem_test --gtest_filter='WireFormatTest.*'
   # Step buffers: pool threads write every layer's interiors into stashes

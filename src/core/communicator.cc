@@ -1,14 +1,17 @@
 #include "core/communicator.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/logging.h"
 
 namespace angelptm::core {
 
-Communicator::Communicator(int world_size) : world_size_(world_size) {
+Communicator::Communicator(int world_size)
+    // ANGEL_CHECK's abort is not visible to GCC, which would otherwise size
+    // the vector from a negative world_size and warn.
+    : world_size_(world_size), published_(size_t(std::max(world_size, 1))) {
   ANGEL_CHECK(world_size >= 1) << "world_size must be positive";
-  published_.assign(world_size, nullptr);
 }
 
 void Communicator::Arrive() {

@@ -36,6 +36,10 @@ class Collectives {
                                                size_t count) = 0;
   [[nodiscard]] virtual util::Status Barrier() = 0;
 
+  /// Sizes whatever scratch a collective with up to `bytes` per rank needs,
+  /// so that the collectives themselves allocate nothing.
+  virtual void Reserve(size_t bytes) = 0;
+
   virtual uint64_t collectives_completed() const = 0;
 };
 
@@ -65,6 +69,8 @@ class InProcessCollectives final : public Collectives {
   [[nodiscard]] util::Status Barrier() override {
     return communicator_->Barrier(rank_);
   }
+  /// The communicator keeps no scratch between collectives.
+  void Reserve(size_t) override {}
   uint64_t collectives_completed() const override {
     return communicator_->collectives_completed();
   }
@@ -98,6 +104,7 @@ class ProcessGroupCollectives final : public Collectives {
   [[nodiscard]] util::Status Barrier() override {
     return group_->Barrier();
   }
+  void Reserve(size_t bytes) override { group_->Reserve(bytes); }
   uint64_t collectives_completed() const override {
     return group_->collectives_completed();
   }

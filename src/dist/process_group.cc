@@ -310,14 +310,18 @@ util::Status ProcessGroup::RecvChecked(int fd, uint16_t expect_op,
   return util::Status::OK();
 }
 
-util::Status ProcessGroup::HubCollect(uint16_t op, const void* send,
-                                      size_t bytes) {
-  gathered_[0].resize(bytes);
-  if (bytes > 0) std::memcpy(gathered_[0].data(), send, bytes);
+void ProcessGroup::Reserve(size_t bytes) {
+  for (size_t r = 1; r < gathered_.size(); ++r) {
+    if (gathered_[r].size() < bytes) gathered_[r].resize(bytes);
+  }
+}
+
+util::Status ProcessGroup::HubCollect(uint16_t op, size_t bytes) {
+  Reserve(bytes);
   for (int r = 1; r < options_.world_size; ++r) {
-    gathered_[r].resize(bytes);
-    ANGEL_RETURN_IF_ERROR(
-        RecvChecked(fds_[r], op, seq_, uint16_t(r), gathered_[r]));
+    ANGEL_RETURN_IF_ERROR(RecvChecked(
+        fds_[r], op, seq_, uint16_t(r),
+        std::span<std::byte>(gathered_[r].data(), bytes)));
   }
   return util::Status::OK();
 }
@@ -329,16 +333,20 @@ util::Status ProcessGroup::PeerExchange(uint16_t op, const void* send,
   return RecvChecked(fds_[0], uint16_t(wire::Op::kResult), seq_, 0, reply);
 }
 
-void ProcessGroup::SumRanks(size_t first, size_t count, float* out) const {
+void ProcessGroup::SumRanks(const float* own, size_t first, size_t count,
+                            void* out) const {
+  auto* dst = static_cast<std::byte*>(out);
   for (size_t i = 0; i < count; ++i) {
     double sum = 0.0;
-    for (const std::vector<std::byte>& contribution : gathered_) {
+    sum += own[first + i];
+    for (int r = 1; r < options_.world_size; ++r) {
       float v;
-      std::memcpy(&v, contribution.data() + (first + i) * sizeof(float),
+      std::memcpy(&v, gathered_[r].data() + (first + i) * sizeof(float),
                   sizeof(float));
       sum += v;
     }
-    out[i] = float(sum);
+    const float total = float(sum);
+    std::memcpy(dst + i * sizeof(float), &total, sizeof(float));
   }
 }
 
@@ -353,12 +361,13 @@ util::Status ProcessGroup::AllGatherBytes(const void* send, size_t bytes,
   }
   auto* out = static_cast<std::byte*>(recv);
   if (options_.rank == 0) {
-    ANGEL_RETURN_IF_ERROR(
-        HubCollect(uint16_t(wire::Op::kAllGather), send, bytes));
-    for (int r = 0; r < world; ++r) {
-      if (bytes > 0) {
-        std::memcpy(out + size_t(r) * bytes, gathered_[r].data(), bytes);
-      }
+    // The root's own block is copied once; each peer's lands straight at
+    // its offset of the result.
+    if (bytes > 0) std::memmove(out, send, bytes);
+    for (int r = 1; r < world; ++r) {
+      ANGEL_RETURN_IF_ERROR(RecvChecked(
+          fds_[r], uint16_t(wire::Op::kAllGather), seq_, uint16_t(r),
+          std::span<std::byte>(out + size_t(r) * bytes, bytes)));
     }
     for (int r = 1; r < world; ++r) {
       ANGEL_RETURN_IF_ERROR(SendChecked(fds_[r],
@@ -399,18 +408,19 @@ util::Status ProcessGroup::ReduceScatter(const float* send,
   const size_t bytes = total_count * sizeof(float);
   if (options_.rank == 0) {
     ANGEL_RETURN_IF_ERROR(
-        HubCollect(uint16_t(wire::Op::kReduceScatter), send, bytes));
+        HubCollect(uint16_t(wire::Op::kReduceScatter), bytes));
     // Reduce one destination chunk at a time, ranks ascending, double
     // accumulator — the exact arithmetic of Communicator::ReduceScatter,
     // so socket and in-process backends agree bitwise. The root's own
-    // chunk lands in `recv`; each other rank's goes out from `reduced`.
-    SumRanks(0, chunk, recv);
-    std::vector<float> reduced(chunk);
+    // chunk lands in `recv`; peer r's is reduced in place over chunk r of
+    // its own contribution and goes out from there.
+    SumRanks(send, 0, chunk, recv);
+    const size_t chunk_bytes = chunk * sizeof(float);
     for (int r = 1; r < world; ++r) {
-      SumRanks(size_t(r) * chunk, chunk, reduced.data());
-      ANGEL_RETURN_IF_ERROR(
-          SendChecked(fds_[r], uint16_t(wire::Op::kResult), seq_,
-                      reduced.data(), chunk * sizeof(float)));
+      std::byte* reduced = gathered_[r].data() + size_t(r) * chunk_bytes;
+      SumRanks(send, size_t(r) * chunk, chunk, reduced);
+      ANGEL_RETURN_IF_ERROR(SendChecked(fds_[r], uint16_t(wire::Op::kResult),
+                                        seq_, reduced, chunk_bytes));
     }
   } else {
     ANGEL_RETURN_IF_ERROR(PeerExchange(
@@ -433,11 +443,9 @@ util::Status ProcessGroup::AllReduce(float* data, size_t count) {
   }
   const size_t bytes = count * sizeof(float);
   if (options_.rank == 0) {
-    ANGEL_RETURN_IF_ERROR(
-        HubCollect(uint16_t(wire::Op::kAllReduce), data, bytes));
-    // gathered_[0] holds the root's own contribution, so the sum can
-    // overwrite `data`.
-    SumRanks(0, count, data);
+    ANGEL_RETURN_IF_ERROR(HubCollect(uint16_t(wire::Op::kAllReduce), bytes));
+    // Each element of `data` is read before its sum overwrites it.
+    SumRanks(data, 0, count, data);
     for (int r = 1; r < world; ++r) {
       ANGEL_RETURN_IF_ERROR(SendChecked(
           fds_[r], uint16_t(wire::Op::kResult), seq_, data, bytes));
@@ -460,8 +468,7 @@ util::Status ProcessGroup::Barrier() {
     return util::Status::OK();
   }
   if (options_.rank == 0) {
-    ANGEL_RETURN_IF_ERROR(
-        HubCollect(uint16_t(wire::Op::kBarrier), nullptr, 0));
+    ANGEL_RETURN_IF_ERROR(HubCollect(uint16_t(wire::Op::kBarrier), 0));
     for (int r = 1; r < world; ++r) {
       ANGEL_RETURN_IF_ERROR(SendChecked(
           fds_[r], uint16_t(wire::Op::kResult), seq_, nullptr, 0));

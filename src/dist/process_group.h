@@ -53,9 +53,13 @@ struct ProcessGroupOptions {
 ///
 /// Thread-compatibility: one ProcessGroup instance belongs to one rank and
 /// must be driven from one thread at a time (the same contract NCCL
-/// communicators have). Distinct instances — even in one process — are
-/// fully independent, which is how the property tests run a whole world as
-/// threads over real sockets.
+/// communicators have). The thread may change between collectives when
+/// the hand-over orders them: ShardedDataParallel's rank thread reserves
+/// the scratch and resumes, hands the group to its comm lane for the
+/// training steps, and takes it back for validation once the lane has
+/// drained and joined (DESIGN.md §14.1). Distinct instances — even in one
+/// process — are fully independent, which is how the property tests run a
+/// whole world as threads over real sockets.
 class ProcessGroup {
  public:
   /// Performs the rendezvous: rank 0 binds + accepts world_size-1 hellos,
@@ -101,6 +105,11 @@ class ProcessGroup {
   /// Rendezvous with no data.
   [[nodiscard]] util::Status Barrier();
 
+  /// Sizes the root's scratch for contributions of up to `bytes` per peer,
+  /// so that no later collective of that size allocates. A no-op on the
+  /// other ranks, which receive into the caller's buffers.
+  void Reserve(size_t bytes);
+
   uint64_t collectives_completed() const { return stats_.collectives; }
 
   struct Stats {
@@ -137,19 +146,23 @@ class ProcessGroup {
                                          std::span<std::byte> payload);
 
   /// Root half of a hub round: receives every non-root rank's `bytes`-sized
-  /// contribution tagged `op` into gathered_[r] (gathered_[0] becomes a
-  /// copy of the root's own `send`), ascending rank order.
-  [[nodiscard]] util::Status HubCollect(uint16_t op, const void* send,
-                                        size_t bytes);
+  /// contribution tagged `op` into the first `bytes` of gathered_[r],
+  /// ascending rank order. The root's own contribution stays where the
+  /// caller has it.
+  [[nodiscard]] util::Status HubCollect(uint16_t op, size_t bytes);
   /// Non-root half: sends this rank's contribution and receives the
   /// root's kResult reply straight into `reply`, which is its exact size.
   [[nodiscard]] util::Status PeerExchange(uint16_t op, const void* send,
                                           size_t bytes,
                                           std::span<std::byte> reply);
-  /// Root: out[i] = the sum of every rank's float `first + i` in
-  /// gathered_, ranks ascending, in a double rounded to float once (the
-  /// arithmetic of core::Communicator), for i < count.
-  void SumRanks(size_t first, size_t count, float* out) const;
+  /// Root: float i of `out` = the sum of every rank's float `first + i`,
+  /// the root's from `own` and each peer's from gathered_, ranks ascending,
+  /// in a double rounded to float once (the arithmetic of
+  /// core::Communicator), for i < count. Each element is read before its
+  /// sum is written, so `out` may alias `own + first` or a peer's float
+  /// `first` in gathered_.
+  void SumRanks(const float* own, size_t first, size_t count,
+                void* out) const;
 
   ProcessGroupOptions options_;
   /// Root: one connected fd per non-root rank (index 0 unused).
@@ -158,7 +171,9 @@ class ProcessGroup {
   int listen_fd_ = -1;
   uint32_t seq_ = 0;
   Stats stats_;
-  /// Root-side scratch: every rank's contribution of the current round.
+  /// Root-side scratch: each peer's contribution of the current round,
+  /// indexed by rank (index 0 unused: the root's own is read in place).
+  /// Grows to the largest contribution and keeps that size.
   std::vector<std::vector<std::byte>> gathered_;
 };
 

@@ -3,14 +3,88 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <functional>
+#include <future>
+#include <memory>
 #include <system_error>
 #include <thread>
 
 #include "obs/trace.h"
 #include "train/kernels.h"
 #include "util/logging.h"
+#include "util/thread_pool.h"
 
 namespace angelptm::dist {
+
+namespace {
+
+/// Waits, on the rank thread, for a task posted to its comm lane.
+[[nodiscard]] util::Status Await(std::future<util::Status>* done) {
+  ANGEL_SPAN("dist", "wait");
+  return done->get();
+}
+
+/// One rank's comm lane (DESIGN.md §14.1): a one-thread pool that runs the
+/// rank's collectives in the order they were posted, while the rank thread
+/// computes. Each task reports its Status through the future Post returns.
+/// The first failing task's Status wins: every later task skips its work
+/// and reports that Status, so the rank thread leaves its loop with it and
+/// issues no collective past the failure.
+class CommLane {
+ public:
+  CommLane() = default;
+  // Its tasks hold `this`.
+  CommLane(const CommLane&) = delete;
+  CommLane& operator=(const CommLane&) = delete;
+
+  [[nodiscard]] std::future<util::Status> Post(
+      std::function<util::Status()> task) {
+    auto done = std::make_shared<std::promise<util::Status>>();
+    std::future<util::Status> result = done->get_future();
+    if (!pool_.Submit([this, done, task = std::move(task)] {
+          if (failed_.ok()) failed_ = task();
+          done->set_value(failed_);
+        })) {
+      done->set_value(util::Status::Internal("comm lane shut down"));
+    }
+    return result;
+  }
+
+  /// Waits for every task posted so far; returns the first failure.
+  [[nodiscard]] util::Status Drain() {
+    std::future<util::Status> drained =
+        Post([] { return util::Status::OK(); });
+    return Await(&drained);
+  }
+
+ private:
+  /// The first failure. Only the lane thread touches it.
+  util::Status failed_;
+  /// Declared last, so that it joins its thread before failed_ goes.
+  util::ThreadPool pool_{1};
+};
+
+/// Stages a layer's gathered parameters through the rank's own fast tier
+/// (fp32, page by page) so that compute reads them from "GPU" memory.
+/// Under tier pressure the layer computes from host memory instead and
+/// `staged` stays null.
+[[nodiscard]] util::Status StageParams(core::Allocator* rank_allocator,
+                                       std::vector<float>* params,
+                                       core::Tensor** staged) {
+  auto tensor = rank_allocator->Allocate({params->size()}, core::DType::kFp32,
+                                         mem::DeviceKind::kCpu);
+  if (!tensor.ok()) return util::Status::OK();
+  *staged = *tensor;
+  ANGEL_RETURN_IF_ERROR((*staged)->WriteFloats(*params));
+  const util::Status moved =
+      rank_allocator->Move(*staged, mem::DeviceKind::kGpu);
+  // ResourceExhausted keeps it CPU-resident; later layers may evict
+  // naturally.
+  if (!moved.ok() && !moved.IsResourceExhausted()) return moved;
+  return (*staged)->ReadFloats(params);
+}
+
+}  // namespace
 
 std::string ShardCheckpointStem(int world_size, int rank) {
   char stem[32];
@@ -163,127 +237,157 @@ util::Status ShardedDataParallel::RankLoop(
   const size_t batch = options_.batch_per_rank;
   const size_t global_batch = batch * size_t(world);
   const int num_layers = model_->num_layers();
-  const size_t x_per_rank = batch * model_->InputSize();
-  const size_t y_per_rank = batch * model_->OutputSize();
+  const bool stage3 = options_.stage == ZeroStage::kStage3;
+  core::Allocator* rank_allocator =
+      rank_allocators_.empty() ? nullptr : rank_allocators_[rank].get();
 
   // The step's buffers outlive the step, so each keeps its capacity and
-  // later steps reuse its pages instead of allocating fresh ones.
-  std::vector<float> global_x, global_y, acts, next, grad, grad_in,
-      grad_params, shard_grad, mine;
+  // later steps reuse its pages instead of allocating fresh ones. Every
+  // buffer the lane writes is sized here, on the rank thread, before the
+  // lane starts: grown on the lane thread, glibc would place it in that
+  // thread's arena, which the validation pass after the loop cannot reuse.
+  size_t max_shard = 0, max_padded = 0;
+  for (const Shard& shard : shards_) {
+    max_shard = std::max(max_shard, shard.shard_count);
+    max_padded = std::max(max_padded, shard.padded_count);
+  }
+  std::vector<float> x, y, acts, next, grad, grad_in;
+  std::vector<float> mine(max_shard), shard_grad(max_shard);
+  // Backward(l) writes grads[l % 2] while the lane reduce-scatters layer
+  // l + 1 out of the other one.
+  std::vector<float> grads[2] = {std::vector<float>(max_padded),
+                                 std::vector<float>(max_padded)};
   std::vector<std::vector<float>> params(num_layers);
+  for (int l = 0; l < num_layers; ++l) {
+    params[l].resize(shards_[l].padded_count);
+  }
   std::vector<train::LayerStash> stash(num_layers);
   std::vector<core::Tensor*> staged(num_layers, nullptr);
+  float loss_value = 0.0f;
+  comm->Reserve(max_padded * sizeof(float));
 
+  // The batches a resumed checkpoint already covers are skipped.
   for (int step = 0; step < std::min(start_step, steps); ++step) {
-    dataset.GenBatch(data, global_batch, &global_x, &global_y);
+    dataset.GenBatchRows(data, global_batch, 0, 0, &x, &y);
   }
+
+  // Declared after every buffer its tasks touch, so that an early return
+  // joins the lane before they are freed. From its first post to its last
+  // drain the lane alone drives `comm`. Every rank posts the same tasks in
+  // the same order, so the collectives keep one sequence across ranks.
+  CommLane lane;
+  std::vector<std::future<util::Status>> gathered(num_layers);
+  std::vector<std::future<util::Status>> reduced(num_layers);
+  std::future<util::Status> loss_reduced;
   for (int step = start_step; step < steps; ++step) {
+    // 1. Materialize every layer's full parameters on the lane, in layer
+    //    order. Stage 3: all-gather the shards. Stage 1: read the rank's
+    //    full replica. Then, optionally, stage them in the rank's tier.
+    for (int l = 0; l < num_layers; ++l) {
+      gathered[l] = lane.Post([&, l] {
+        ANGEL_SPAN("dist", "all_gather");
+        const Shard& shard = shards_[l];
+        std::vector<float>& full = params[l];
+        if (stage3) {
+          ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
+          full.resize(shard.padded_count);
+          ANGEL_RETURN_IF_ERROR(
+              comm->AllGather(mine.data(), shard.shard_count, full.data()));
+        } else {
+          ANGEL_RETURN_IF_ERROR(shard.replica[rank]->ReadFloats(&full));
+        }
+        full.resize(shard.full_count);
+        return rank_allocator == nullptr
+                   ? util::Status::OK()
+                   : StageParams(rank_allocator, &full, &staged[l]);
+      });
+    }
     {
       ANGEL_SPAN("train", "gen_batch");
-      dataset.GenBatch(data, global_batch, &global_x, &global_y);
+      dataset.GenBatchRows(data, global_batch, size_t(rank) * batch, batch,
+                           &x, &y);
     }
+    // The previous step's loss all-reduce is done with loss_value.
+    if (loss_reduced.valid()) ANGEL_RETURN_IF_ERROR(Await(&loss_reduced));
 
-    // 1. Materialize full parameters. Stage 3: all-gather every layer's
-    //    shards. Stage 1: read the rank's full replica.
+    // 2. Forward/backward on this rank's slice of the global batch, each
+    //    layer as soon as its parameters have landed.
     for (int l = 0; l < num_layers; ++l) {
-      const Shard& shard = shards_[l];
-      if (options_.stage == ZeroStage::kStage3) {
-        ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
-        params[l].resize(shard.padded_count);
-        ANGEL_RETURN_IF_ERROR(comm->AllGather(mine.data(), shard.shard_count,
-                                              params[l].data()));
-      } else {
-        ANGEL_RETURN_IF_ERROR(shard.replica[rank]->ReadFloats(&params[l]));
-      }
-      params[l].resize(shard.full_count);
-    }
-
-    // Optional: stage the gathered parameters into this rank's own fast
-    // tier (fp32, page by page) so compute reads from "GPU" memory.
-    if (!rank_allocators_.empty()) {
-      core::Allocator* rank_allocator = rank_allocators_[rank].get();
-      for (int l = 0; l < num_layers; ++l) {
-        auto tensor = rank_allocator->Allocate(
-            {params[l].size()}, core::DType::kFp32, mem::DeviceKind::kCpu);
-        if (!tensor.ok()) continue;  // Tier pressure: compute from host.
-        staged[l] = *tensor;
-        ANGEL_RETURN_IF_ERROR(staged[l]->WriteFloats(params[l]));
-        const util::Status moved =
-            rank_allocator->Move(staged[l], mem::DeviceKind::kGpu);
-        if (moved.IsResourceExhausted()) {
-          // Keep it CPU-resident; later layers may evict naturally.
-        } else if (!moved.ok()) {
-          return moved;
-        }
-        ANGEL_RETURN_IF_ERROR(staged[l]->ReadFloats(&params[l]));
-      }
-    }
-
-    // 2. Forward/backward on this rank's slice of the global batch.
-    acts.assign(global_x.begin() + rank * x_per_rank,
-                global_x.begin() + (rank + 1) * x_per_rank);
-    for (int l = 0; l < num_layers; ++l) {
-      model_->Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
+      ANGEL_RETURN_IF_ERROR(Await(&gathered[l]));
+      ANGEL_SPAN("train", "forward");
+      model_->Forward(l, params[l].data(), l == 0 ? x : acts, batch, &next,
+                      &stash[l]);
       acts.swap(next);
     }
     grad.resize(acts.size());
-    double loss = train::MseLoss(acts.data(),
-                                 global_y.data() + rank * y_per_rank,
-                                 grad.data(), acts.size());
+    loss_value = float(
+        train::MseLoss(acts.data(), y.data(), grad.data(), acts.size()));
 
-    // Global mean loss (an all-reduce of the scalar).
-    float loss_value = float(loss);
-    ANGEL_RETURN_IF_ERROR(comm->AllReduce(&loss_value, 1));
-    if (record_losses) (*step_losses)[step] = loss_value / world;
+    // Global mean loss (an all-reduce of the scalar); the backward pass
+    // does not wait for it.
+    loss_reduced = lane.Post([&, step] {
+      ANGEL_SPAN("dist", "loss_all_reduce");
+      ANGEL_RETURN_IF_ERROR(comm->AllReduce(&loss_value, 1));
+      if (record_losses) (*step_losses)[step] = loss_value / world;
+      return util::Status::OK();
+    });
 
     for (int l = num_layers - 1; l >= 0; --l) {
-      model_->Backward(l, params[l].data(), stash[l], grad, batch, &grad_in,
-                       &grad_params);
-      grad.swap(grad_in);
-
-      // 3. Reduce-scatter: this rank receives the summed gradient of its
-      //    shard.
-      const Shard& shard = shards_[l];
-      grad_params.resize(shard.padded_count, 0.0f);
-      shard_grad.resize(shard.shard_count);
-      ANGEL_RETURN_IF_ERROR(comm->ReduceScatter(
-          grad_params.data(), shard.padded_count, shard_grad.data()));
-
-      // 4. The rule on the owned shard only, in place, with the summed
-      //    gradient averaged across ranks.
-      ANGEL_RETURN_IF_ERROR(core::ApplyRule(
-          *optimizer_, shard.p32[rank], shard.slots[rank], step + 1,
-          [&shard_grad, world](size_t lo, size_t n, float* out) {
-            for (size_t i = 0; i < n; ++i) {
-              out[i] = shard_grad[lo + i] / float(world);
-            }
-          }));
-
-      if (options_.stage == ZeroStage::kStage1) {
-        // Stage 1: gather the freshly updated shards into the full
-        // replica so the next step's forward sees new parameters. The
-        // layer's backward is done with params[l], so it takes the gather.
-        ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
-        params[l].resize(shard.padded_count);
-        ANGEL_RETURN_IF_ERROR(comm->AllGather(mine.data(), shard.shard_count,
-                                              params[l].data()));
-        ANGEL_RETURN_IF_ERROR(shard.replica[rank]->WriteFloats(params[l]));
+      // The lane's reduce-scatter of layer l + 2 read the same buffer.
+      if (l + 2 < num_layers) ANGEL_RETURN_IF_ERROR(Await(&reduced[l + 2]));
+      std::vector<float>& grad_params = grads[l % 2];
+      {
+        ANGEL_SPAN("train", "backward");
+        model_->Backward(l, params[l].data(), stash[l], grad, batch,
+                         &grad_in, &grad_params);
+        grad.swap(grad_in);
       }
+      grad_params.resize(shards_[l].padded_count, 0.0f);
 
-      // The staged copy served this layer's forward and backward.
-      if (staged[l] != nullptr) {
-        ANGEL_RETURN_IF_ERROR(
-            rank_allocators_[rank]->Release(staged[l]));
-        staged[l] = nullptr;
-      }
+      // 3. Reduce-scatter on the lane while Backward(l - 1) runs: this rank
+      //    receives the summed gradient of its shard. 4. The rule on the
+      //    owned shard only, in place, with that gradient averaged across
+      //    ranks.
+      reduced[l] = lane.Post([&, l, step] {
+        ANGEL_SPAN("dist", "reduce_scatter");
+        const Shard& shard = shards_[l];
+        ANGEL_RETURN_IF_ERROR(comm->ReduceScatter(
+            grads[l % 2].data(), shard.padded_count, shard_grad.data()));
+        ANGEL_RETURN_IF_ERROR(core::ApplyRule(
+            *optimizer_, shard.p32[rank], shard.slots[rank], step + 1,
+            [&shard_grad, world](size_t lo, size_t n, float* out) {
+              for (size_t i = 0; i < n; ++i) {
+                out[i] = shard_grad[lo + i] / float(world);
+              }
+            }));
+        if (!stage3) {
+          // Stage 1: gather the freshly updated shards into the full
+          // replica so the next step's forward sees new parameters. The
+          // layer's backward is done with params[l], so it takes the
+          // gather.
+          ANGEL_RETURN_IF_ERROR(shard.p32[rank]->ReadFloats(&mine));
+          params[l].resize(shard.padded_count);
+          ANGEL_RETURN_IF_ERROR(comm->AllGather(
+              mine.data(), shard.shard_count, params[l].data()));
+          ANGEL_RETURN_IF_ERROR(shard.replica[rank]->WriteFloats(params[l]));
+        }
+        // The staged copy served this layer's forward and backward.
+        if (staged[l] != nullptr) {
+          ANGEL_RETURN_IF_ERROR(rank_allocator->Release(staged[l]));
+          staged[l] = nullptr;
+        }
+        return util::Status::OK();
+      });
     }
 
     if (options_.checkpoint_every_n_steps > 0 &&
         (step + 1) % options_.checkpoint_every_n_steps == 0) {
+      // The save reads the shards the lane updates.
+      ANGEL_RETURN_IF_ERROR(lane.Drain());
       ANGEL_RETURN_IF_ERROR(SaveRankShards(rank, step + 1));
     }
   }
-  return util::Status::OK();
+  return lane.Drain();
 }
 
 core::CheckpointFiles ShardedDataParallel::RankFiles(int rank) const {
@@ -442,7 +546,9 @@ util::Result<DpReport> ShardedDataParallel::Train(
   // of the data cursor, resuming or not: the data stream is a pure function
   // of the seed (Init consumed rng_ identically in every incarnation), so a
   // restarted job replays the exact batches its predecessor saw and the
-  // resumed run stays bitwise on course.
+  // resumed run stays bitwise on course. The resume above and the
+  // validation below drive the collectives from this thread; in between,
+  // each rank's comm lane does.
   std::vector<util::Rng> cursors(LocalRanks().size(), rng_);
   DpReport report;
   report.resumed_step = start_step;

@@ -27,7 +27,12 @@ namespace angelptm::dist {
 ///     all-gather of the shards, forward/backward runs on the rank's slice
 ///     of the global batch, and gradients synchronize by reduce-scatter so
 ///     each rank updates exactly its shard with the configured update rule
-///     (core/optimizer/optimizer.h; Adam default).
+///     (core/optimizer/optimizer.h; Adam default);
+///   - each rank runs its collectives and its shard update on a comm lane,
+///     one thread that works through them in posting order while the rank
+///     thread computes: layer l's forward waits only for layer l's gather,
+///     and layer l's reduce-scatter runs during layer l-1's backward
+///     (DESIGN.md §14.1).
 ///
 /// Two execution backends share the identical rank loop (dist/collectives.h):
 ///
@@ -166,11 +171,12 @@ class ShardedDataParallel {
   };
 
   /// One rank's full training loop body. `comm` is that rank's view of the
-  /// collective fabric. `data` is the rank's copy of the data cursor at
-  /// step 0: each step generates the global batch from it and keeps the
-  /// rank's slice, and the `start_step` batches a resumed checkpoint
-  /// already covers are drawn and dropped. On success `data` sits after
-  /// batch `steps`.
+  /// collective fabric; the loop's comm lane drives it from the first step
+  /// to the last and is joined before the loop returns, on every path.
+  /// `data` is the rank's copy of the data cursor at step 0: each step
+  /// draws only the rank's rows of the global batch from it, and the
+  /// `start_step` batches a resumed checkpoint already covers are skipped.
+  /// On success `data` sits after batch `steps`.
   [[nodiscard]] util::Status RankLoop(
       int rank, Collectives* comm, const train::SyntheticRegression& dataset,
       util::Rng* data, int start_step, int steps,

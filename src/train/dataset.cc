@@ -4,6 +4,7 @@
 #include <cmath>
 #include <span>
 
+#include "util/logging.h"
 #include "util/parallel_for.h"
 
 namespace angelptm::train {
@@ -57,28 +58,35 @@ SyntheticRegression::SyntheticRegression(size_t in_dim, size_t hidden,
   rng.FillGaussian(&b2_, 0.1);
 }
 
-void SyntheticRegression::GenBatch(util::Rng* rng, size_t batch,
-                                   std::vector<float>* x,
-                                   std::vector<float>* y) const {
-  x->resize(batch * in_dim_);
-  y->resize(batch * out_dim_);
+void SyntheticRegression::GenBatchRows(util::Rng* rng, size_t batch,
+                                       size_t first, size_t count,
+                                       std::vector<float>* x,
+                                       std::vector<float>* y) const {
+  ANGEL_CHECK(first <= batch && count <= batch - first)
+      << "rows [" << first << ", " << first + count << ") outside a batch of "
+      << batch;
+  x->resize(count * in_dim_);
+  y->resize(count * out_dim_);
   // The stream order of one sample at a time: its inputs, then its noise.
   // The noise waits in y for the teacher's output.
-  for (size_t b = 0; b < batch; ++b) {
+  const size_t draws_per_sample = in_dim_ + out_dim_;
+  rng->SkipGaussian(first * draws_per_sample);
+  for (size_t b = 0; b < count; ++b) {
     rng->FillGaussian(std::span<float>(x->data() + b * in_dim_, in_dim_),
                       1.0);
     rng->FillGaussian(std::span<float>(y->data() + b * out_dim_, out_dim_),
                       noise_stddev_);
   }
+  rng->SkipGaussian((batch - first - count) * draws_per_sample);
 
   // The teacher, in_dim -> hidden (tanh) -> out_dim, over each task's
   // samples at once. Each output is bitwise what one sample at a time
   // gives: the per-output sums run in the same order.
   const size_t threads = util::ComputePoolThreads();
-  const size_t grain = std::clamp<size_t>((batch + threads - 1) / threads, 1,
+  const size_t grain = std::clamp<size_t>((count + threads - 1) / threads, 1,
                                           kMaxSamplesPerTask);
   util::ParallelFor(
-      util::ComputePool(), 0, batch, grain, [&](size_t lo, size_t hi) {
+      util::ComputePool(), 0, count, grain, [&](size_t lo, size_t hi) {
         const size_t n = hi - lo;
         std::vector<double> acc(n * std::max(hidden_, out_dim_));
         DenseLayer(x->data() + lo * in_dim_, n, in_dim_, hidden_, w1_.data(),

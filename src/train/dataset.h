@@ -24,12 +24,23 @@ class SyntheticRegression {
   size_t out_dim() const { return out_dim_; }
 
   /// Fills `x` (batch x in_dim) and `y` (batch x out_dim) with the next
-  /// batch from `rng`. Draws sample by sample (its inputs, then its noise)
-  /// and runs the teacher over the whole batch on the compute pool, split
-  /// by sample; each output is bitwise what a per-sample loop gives, whatever
-  /// the thread count.
+  /// batch from `rng`: GenBatchRows over every row.
   void GenBatch(util::Rng* rng, size_t batch, std::vector<float>* x,
-                std::vector<float>* y) const;
+                std::vector<float>* y) const {
+    GenBatchRows(rng, batch, 0, batch, x, y);
+  }
+
+  /// Fills `x` (count x in_dim) and `y` (count x out_dim) with rows
+  /// [first, first + count) of the batch GenBatch(rng, batch) would draw,
+  /// bit for bit, and leaves `rng` where GenBatch leaves it. Draws sample
+  /// by sample (its inputs, then its noise), skipping the other samples'
+  /// draws (util::Rng::SkipGaussian), and runs the teacher over the kept
+  /// rows on the compute pool, split by sample; each output is bitwise
+  /// what a per-sample loop gives, whatever the thread count. A ZeRO rank
+  /// draws only its slice of the global batch this way, and an empty slice
+  /// skips a whole batch. Requires first + count <= batch.
+  void GenBatchRows(util::Rng* rng, size_t batch, size_t first, size_t count,
+                    std::vector<float>* x, std::vector<float>* y) const;
 
  private:
   size_t in_dim_, hidden_, out_dim_;

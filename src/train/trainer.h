@@ -155,8 +155,8 @@ class Trainer {
   /// trainer — the restart-after-crash entry point. Returns false when no
   /// checkpoint exists (fresh start), true after an exact resume (master
   /// states, per-layer optimizer steps, global step, RNG cursor, loss-scaler
-  /// schedule). A v1 checkpoint carries only the master states: the step
-  /// counter and the data stream restart at 0. `dataset` is not used; it
+  /// schedule). Checkpoints are v3 only; an older file is refused with
+  /// InvalidArgument (core::ParseCheckpoint). `dataset` is not used; it
   /// stays for existing callers. Call after Init(), before Train().
   [[nodiscard]] util::Result<bool> TryResume(const SyntheticRegression* dataset = nullptr);
 

@@ -109,35 +109,51 @@ double Rng::NextGaussian() {
 }
 
 void Rng::FillGaussian(std::span<float> out, double stddev) {
+  WalkGaussians(out.size(), out.data(), stddev);
+}
+
+void Rng::SkipGaussian(size_t n) { WalkGaussians(n, nullptr, 0.0); }
+
+void Rng::WalkGaussians(size_t n, float* out, double stddev) {
   // A cached value comes first and the last pair (one or two elements) goes
   // through NextGaussian too, so the generator ends as those calls leave
   // it. Between them are whole pairs: their uniforms are drawn here
-  // serially, a block at a time, and transformed on the pool.
+  // serially, and when filling, a block at a time, transformed on the pool.
   size_t begin = 0;
-  if (has_cached_gaussian_ && !out.empty()) {
-    out[begin++] = static_cast<float>(NextGaussian() * stddev);
+  if (has_cached_gaussian_ && n > 0) {
+    const double g = NextGaussian();
+    if (out != nullptr) out[begin] = static_cast<float>(g * stddev);
+    ++begin;
   }
-  const size_t whole_pairs =
-      out.size() > begin ? (out.size() - begin - 1) / 2 : 0;
-  std::vector<double> uniforms(2 * std::min(whole_pairs, kPairsPerBlock));
-  for (size_t first = 0; first < whole_pairs; first += kPairsPerBlock) {
-    const size_t pairs = std::min(kPairsPerBlock, whole_pairs - first);
-    for (size_t p = 0; p < pairs; ++p) {
-      DrawUniforms(this, &uniforms[2 * p], &uniforms[2 * p + 1]);
+  const size_t whole_pairs = n > begin ? (n - begin - 1) / 2 : 0;
+  if (out == nullptr) {
+    for (size_t p = 0; p < whole_pairs; ++p) {
+      double u1 = 0.0, u2 = 0.0;
+      DrawUniforms(this, &u1, &u2);
     }
-    float* dst = out.data() + begin + 2 * first;
-    ParallelFor(ComputePool(), 0, pairs, kPairsPerChunk,
-                [&](size_t lo, size_t hi) {
-                  for (size_t p = lo; p < hi; ++p) {
-                    const GaussianPair pair =
-                        BoxMuller(uniforms[2 * p], uniforms[2 * p + 1]);
-                    dst[2 * p] = static_cast<float>(pair.first * stddev);
-                    dst[2 * p + 1] = static_cast<float>(pair.second * stddev);
-                  }
-                });
+  } else {
+    std::vector<double> uniforms(2 * std::min(whole_pairs, kPairsPerBlock));
+    for (size_t first = 0; first < whole_pairs; first += kPairsPerBlock) {
+      const size_t pairs = std::min(kPairsPerBlock, whole_pairs - first);
+      for (size_t p = 0; p < pairs; ++p) {
+        DrawUniforms(this, &uniforms[2 * p], &uniforms[2 * p + 1]);
+      }
+      float* dst = out + begin + 2 * first;
+      ParallelFor(ComputePool(), 0, pairs, kPairsPerChunk,
+                  [&](size_t lo, size_t hi) {
+                    for (size_t p = lo; p < hi; ++p) {
+                      const GaussianPair pair =
+                          BoxMuller(uniforms[2 * p], uniforms[2 * p + 1]);
+                      dst[2 * p] = static_cast<float>(pair.first * stddev);
+                      dst[2 * p + 1] =
+                          static_cast<float>(pair.second * stddev);
+                    }
+                  });
+    }
   }
-  for (size_t i = begin + 2 * whole_pairs; i < out.size(); ++i) {
-    out[i] = static_cast<float>(NextGaussian() * stddev);
+  for (size_t i = begin + 2 * whole_pairs; i < n; ++i) {
+    const double g = NextGaussian();
+    if (out != nullptr) out[i] = static_cast<float>(g * stddev);
   }
 }
 

@@ -2,6 +2,7 @@
 #define ANGELPTM_UTIL_RANDOM_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -51,7 +52,19 @@ class Rng {
     FillGaussian(std::span<float>(*out), stddev);
   }
 
+  /// Advances the generator as FillGaussian of `n` elements (and so `n`
+  /// NextGaussian() calls) would, without computing the values: whole
+  /// pairs draw their uniforms and skip the Box-Muller transform.
+  void SkipGaussian(size_t n);
+
  private:
+  /// The stream walk FillGaussian and SkipGaussian share, so the two leave
+  /// the generator in the same state: a cached value first, then whole
+  /// pairs, then the last one or two draws through NextGaussian. With a
+  /// null `out` the draws are skipped; otherwise `out[i]` is draw i times
+  /// `stddev`.
+  void WalkGaussians(size_t n, float* out, double stddev);
+
   uint64_t state_[4];
   bool has_cached_gaussian_ = false;
   double cached_gaussian_ = 0.0;

@@ -250,7 +250,9 @@ TEST(ProcessGroupTest, RandomLayoutsMatchCommunicatorBitwise) {
         });
     for (int r = 0; r < world; ++r) {
       ASSERT_TRUE(statuses[size_t(r)].ok()) << statuses[size_t(r)];
-      for (int src = 0; src < world; ++src) {
+      // With no halves the buffers' data() may be null, which memcmp must
+      // not see.
+      for (int src = 0; halves > 0 && src < world; ++src) {
         ASSERT_EQ(std::memcmp(got_halves[size_t(r)].data() +
                                   size_t(src) * halves,
                               half_shards[size_t(src)].data(),

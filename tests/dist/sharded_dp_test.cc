@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -16,6 +17,7 @@
 #include "train/mlp.h"
 #include "train/transformer.h"
 #include "util/fault_injector.h"
+#include "util/parallel_for.h"
 
 namespace angelptm::dist {
 namespace {
@@ -35,6 +37,35 @@ ShardedDpOptions DpOptions(int world) {
   options.batch_per_rank = 8;
   options.seed = 11;
   return options;
+}
+
+/// A scratch directory, removed with its contents at scope exit.
+class TempDir {
+ public:
+  TempDir() {
+    char pattern[] = "/tmp/aptm-zckpt-XXXXXX";
+    EXPECT_NE(::mkdtemp(pattern), nullptr);
+    path_ = pattern;
+  }
+  ~TempDir() {
+    std::error_code ec;
+    std::filesystem::remove_all(path_, ec);
+  }
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
+/// Every file in `dir` with its bytes.
+std::map<std::string, std::string> DirContents(const std::string& dir) {
+  std::map<std::string, std::string> contents;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    std::ifstream in(entry.path(), std::ios::binary);
+    contents[entry.path().filename().string()] = std::string(
+        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+  }
+  return contents;
 }
 
 TEST(ShardedDpTest, FourRanksTrainAndConverge) {
@@ -192,122 +223,137 @@ TEST(ShardedDpTest, Stage1MatchesStage3) {
 TEST(ShardedDpTest, EveryRuleMatchesAPlainVectorReferenceBitwise) {
   // Each rank runs core::ApplyRule on its shard: in place over the shard's
   // pages for a rule that splits bitwise, through whole-shard vectors for
-  // the others. The reference keeps every shard in plain vectors: its
-  // reduce-scatter sums in double precision in rank order, divides by the
-  // world size, and calls Optimizer::Update once per shard.
-  const int world = 2;
+  // the others. The reference is the serial loop: it draws the full global
+  // batch with GenBatch, keeps every shard in plain vectors, sums the
+  // ranks' losses and gradients in double precision in rank order, divides
+  // by the world size, and calls Optimizer::Update once per shard. The
+  // product overlaps its collectives with compute on each rank's comm lane
+  // and draws only the rank's rows; neither may change a bit, with or
+  // without the per-rank staging tier.
   const int steps = 3;
-  // Layer 0 has 10,217 parameters: it pads to an even count, and each
-  // shard spans two 16 KiB pages and a ragged Adafactor grid.
+  // Layer 0 has 10,217 parameters: it pads to a multiple of the world, and
+  // each shard spans pages and a ragged Adafactor grid.
   const train::MlpModel model({{16, 601, 4}});
   const int num_layers = model.num_layers();
-  for (const char* rule : {"adam", "sgdm", "lamb", "adafactor"}) {
-    SCOPED_TRACE(rule);
-    ShardedDpOptions options;
-    options.world_size = world;
-    options.optimizer.rule = rule;
-    options.optimizer.learning_rate = 3e-3;
-    options.optimizer.weight_decay = 0.01;
-    options.batch_per_rank = 8;
-    options.seed = 11;
-    train::SyntheticRegression dataset(16, 32, 4, 99);
+  for (const auto& [world, staging] : {std::pair{2, false}, {4, true}}) {
+    for (const char* rule : {"adam", "sgdm", "lamb", "adafactor"}) {
+      SCOPED_TRACE(::testing::Message()
+                   << rule << ", world " << world << ", staging " << staging);
+      ShardedDpOptions options;
+      options.world_size = world;
+      options.rank_gpu_capacity_bytes = staging ? (2ull << 20) : 0;
+      options.optimizer.rule = rule;
+      options.optimizer.learning_rate = 3e-3;
+      options.optimizer.weight_decay = 0.01;
+      options.batch_per_rank = 8;
+      options.seed = 11;
+      train::SyntheticRegression dataset(16, 32, 4, 99);
 
-    mem::HierarchicalMemory memory(MemoryOptions());
-    core::Allocator allocator(&memory);
-    ShardedDataParallel dp(&allocator, &model, options);
-    ASSERT_TRUE(dp.Init().ok());
-    auto report = dp.Train(dataset, steps);
-    ASSERT_TRUE(report.ok()) << report.status();
+      mem::HierarchicalMemory memory(MemoryOptions());
+      core::Allocator allocator(&memory);
+      ShardedDataParallel dp(&allocator, &model, options);
+      ASSERT_TRUE(dp.Init().ok());
+      auto report = dp.Train(dataset, steps);
+      ASSERT_TRUE(report.ok()) << report.status();
 
-    auto optimizer = core::Optimizer::Create(options.optimizer);
-    ASSERT_TRUE(optimizer.ok()) << optimizer.status();
-    // Init's draws, then Train's batches, from one stream.
-    util::Rng rng(options.seed);
-    struct RankShard {
-      std::vector<float> p;
-      std::vector<std::vector<float>> slots;
-    };
-    std::vector<std::vector<RankShard>> shards(num_layers);  // [layer][rank]
-    std::vector<size_t> shard_counts(num_layers);
-    for (int l = 0; l < num_layers; ++l) {
-      std::vector<float> full = model.InitLayerParams(l, &rng);
-      const size_t count = (full.size() + world - 1) / world;
-      full.resize(count * world, 0.0f);
-      shard_counts[l] = count;
-      for (int r = 0; r < world; ++r) {
-        RankShard shard;
-        shard.p.assign(full.begin() + r * count,
-                       full.begin() + (r + 1) * count);
-        for (const core::SlotSpec& spec : (*optimizer)->SlotLayout(count)) {
-          shard.slots.emplace_back(spec.count, 0.0f);
-        }
-        shards[l].push_back(std::move(shard));
-      }
-    }
-    const auto full_params = [&](int l) {
-      std::vector<float> full;
-      for (const RankShard& shard : shards[l]) {
-        full.insert(full.end(), shard.p.begin(), shard.p.end());
-      }
-      full.resize(model.LayerParamCount(l));
-      return full;
-    };
-
-    const size_t batch = options.batch_per_rank;
-    for (int step = 0; step < steps; ++step) {
-      std::vector<float> x, y;
-      dataset.GenBatch(&rng, batch * world, &x, &y);
-      std::vector<std::vector<float>> params(num_layers);
-      for (int l = 0; l < num_layers; ++l) params[l] = full_params(l);
-      // Every rank's padded parameter gradients, [rank][layer].
-      std::vector<std::vector<std::vector<float>>> grads(world);
-      for (int r = 0; r < world; ++r) {
-        const size_t in = batch * model.InputSize();
-        const size_t out = batch * model.OutputSize();
-        std::vector<float> acts(x.begin() + r * in, x.begin() + (r + 1) * in);
-        std::vector<train::LayerStash> stash(num_layers);
-        for (int l = 0; l < num_layers; ++l) {
-          std::vector<float> next;
-          model.Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
-          acts = std::move(next);
-        }
-        std::vector<float> grad(acts.size());
-        train::MseLoss(acts.data(), y.data() + r * out, grad.data(),
-                       acts.size());
-        grads[r].resize(num_layers);
-        for (int l = num_layers - 1; l >= 0; --l) {
-          std::vector<float> grad_in;
-          model.Backward(l, params[l].data(), stash[l], grad, batch,
-                         &grad_in, &grads[r][l]);
-          grad = std::move(grad_in);
-          grads[r][l].resize(shard_counts[l] * world, 0.0f);
-        }
-      }
+      auto optimizer = core::Optimizer::Create(options.optimizer);
+      ASSERT_TRUE(optimizer.ok()) << optimizer.status();
+      // Init's draws, then Train's batches, from one stream.
+      util::Rng rng(options.seed);
+      struct RankShard {
+        std::vector<float> p;
+        std::vector<std::vector<float>> slots;
+      };
+      std::vector<std::vector<RankShard>> shards(num_layers);  // [layer][rank]
+      std::vector<size_t> shard_counts(num_layers);
       for (int l = 0; l < num_layers; ++l) {
-        const size_t count = shard_counts[l];
+        std::vector<float> full = model.InitLayerParams(l, &rng);
+        const size_t count = (full.size() + world - 1) / world;
+        full.resize(count * world, 0.0f);
+        shard_counts[l] = count;
         for (int r = 0; r < world; ++r) {
-          std::vector<float> g(count);
-          for (size_t i = 0; i < count; ++i) {
-            double sum = 0.0;
-            for (int q = 0; q < world; ++q) sum += grads[q][l][r * count + i];
-            g[i] = float(sum) / float(world);
+          RankShard shard;
+          shard.p.assign(full.begin() + r * count,
+                         full.begin() + (r + 1) * count);
+          for (const core::SlotSpec& spec :
+               (*optimizer)->SlotLayout(count)) {
+            shard.slots.emplace_back(spec.count, 0.0f);
           }
-          RankShard& shard = shards[l][r];
-          std::vector<core::SlotView> views;
-          for (std::vector<float>& slot : shard.slots) {
-            views.push_back({slot.data(), slot.size()});
-          }
-          ASSERT_TRUE((*optimizer)
-                          ->Update(shard.p.data(), g.data(), count, views,
-                                   step + 1)
-                          .ok());
+          shards[l].push_back(std::move(shard));
         }
       }
-    }
-    for (int l = 0; l < num_layers; ++l) {
-      auto gathered = dp.GatherLayerParams(l);
-      ASSERT_TRUE(gathered.ok()) << gathered.status();
-      EXPECT_EQ(*gathered, full_params(l)) << "layer " << l;
+      const auto full_params = [&](int l) {
+        std::vector<float> full;
+        for (const RankShard& shard : shards[l]) {
+          full.insert(full.end(), shard.p.begin(), shard.p.end());
+        }
+        full.resize(model.LayerParamCount(l));
+        return full;
+      };
+
+      const size_t batch = options.batch_per_rank;
+      std::vector<double> losses;
+      for (int step = 0; step < steps; ++step) {
+        std::vector<float> x, y;
+        dataset.GenBatch(&rng, batch * world, &x, &y);
+        std::vector<std::vector<float>> params(num_layers);
+        for (int l = 0; l < num_layers; ++l) params[l] = full_params(l);
+        // Every rank's padded parameter gradients, [rank][layer].
+        std::vector<std::vector<std::vector<float>>> grads(world);
+        double loss_sum = 0.0;
+        for (int r = 0; r < world; ++r) {
+          const size_t in = batch * model.InputSize();
+          const size_t out = batch * model.OutputSize();
+          std::vector<float> acts(x.begin() + r * in,
+                                  x.begin() + (r + 1) * in);
+          std::vector<train::LayerStash> stash(num_layers);
+          for (int l = 0; l < num_layers; ++l) {
+            std::vector<float> next;
+            model.Forward(l, params[l].data(), acts, batch, &next, &stash[l]);
+            acts = std::move(next);
+          }
+          std::vector<float> grad(acts.size());
+          loss_sum += float(train::MseLoss(acts.data(), y.data() + r * out,
+                                           grad.data(), acts.size()));
+          grads[r].resize(num_layers);
+          for (int l = num_layers - 1; l >= 0; --l) {
+            std::vector<float> grad_in;
+            model.Backward(l, params[l].data(), stash[l], grad, batch,
+                           &grad_in, &grads[r][l]);
+            grad = std::move(grad_in);
+            grads[r][l].resize(shard_counts[l] * world, 0.0f);
+          }
+        }
+        losses.push_back(float(loss_sum) / world);
+        for (int l = 0; l < num_layers; ++l) {
+          const size_t count = shard_counts[l];
+          for (int r = 0; r < world; ++r) {
+            std::vector<float> g(count);
+            for (size_t i = 0; i < count; ++i) {
+              double sum = 0.0;
+              for (int q = 0; q < world; ++q) {
+                sum += grads[q][l][r * count + i];
+              }
+              g[i] = float(sum) / float(world);
+            }
+            RankShard& shard = shards[l][r];
+            std::vector<core::SlotView> views;
+            for (std::vector<float>& slot : shard.slots) {
+              views.push_back({slot.data(), slot.size()});
+            }
+            ASSERT_TRUE((*optimizer)
+                            ->Update(shard.p.data(), g.data(), count, views,
+                                     step + 1)
+                            .ok());
+          }
+        }
+      }
+      EXPECT_EQ(report->losses, losses);
+      for (int l = 0; l < num_layers; ++l) {
+        auto gathered = dp.GatherLayerParams(l);
+        ASSERT_TRUE(gathered.ok()) << gathered.status();
+        EXPECT_EQ(*gathered, full_params(l)) << "layer " << l;
+      }
     }
   }
 }
@@ -349,82 +395,103 @@ TEST(ShardedDpTest, SocketBackendMatchesThreadBackendBitwise) {
   // The tentpole property at the ShardedDataParallel level: the same job
   // over the kProcessGroup backend (each rank its own instance, own
   // allocator, real sockets) lands on bit-identical losses and parameters
-  // as the kInProcess thread backend.
-  const int world = 2;
+  // as the kInProcess thread backend. At world 4 the ranks also stage
+  // through their fast tiers and write shard checkpoints, whose files must
+  // match byte for byte.
   const int steps = 25;
   const std::string rendezvous =
       "/tmp/aptm-sdp-" + std::to_string(::getpid()) + ".sock";
+  for (const auto& [world, staging_and_checkpoints] :
+       {std::pair{2, false}, {4, true}}) {
+    SCOPED_TRACE(::testing::Message() << "world " << world);
+    TempDir thread_dir, socket_dir;
+    const auto options_for = [&](const std::string& dir) {
+      ShardedDpOptions options = DpOptions(world);
+      if (staging_and_checkpoints) {
+        options.rank_gpu_capacity_bytes = 2ull << 20;
+        options.checkpoint_every_n_steps = 4;
+        options.checkpoint_dir = dir;
+      }
+      return options;
+    };
 
-  std::vector<double> thread_losses;
-  std::vector<std::vector<float>> thread_params;
-  {
-    mem::HierarchicalMemory memory(MemoryOptions());
-    core::Allocator allocator(&memory);
-    const train::MlpModel model({{16, 32, 4}});
-    train::SyntheticRegression dataset(16, 32, 4, 99);
-    ShardedDataParallel dp(&allocator, &model, DpOptions(world));
-    ASSERT_TRUE(dp.Init().ok());
-    auto report = dp.Train(dataset, steps);
-    ASSERT_TRUE(report.ok()) << report.status();
-    thread_losses = report->losses;
-    for (int l = 0; l < model.num_layers(); ++l) {
-      auto params = dp.GatherLayerParams(l);
-      ASSERT_TRUE(params.ok());
-      thread_params.push_back(*params);
+    std::vector<double> thread_losses;
+    std::vector<std::vector<float>> thread_params;
+    {
+      mem::HierarchicalMemory memory(MemoryOptions());
+      core::Allocator allocator(&memory);
+      const train::MlpModel model({{16, 32, 4}});
+      train::SyntheticRegression dataset(16, 32, 4, 99);
+      ShardedDataParallel dp(&allocator, &model,
+                             options_for(thread_dir.path()));
+      ASSERT_TRUE(dp.Init().ok());
+      auto report = dp.Train(dataset, steps);
+      ASSERT_TRUE(report.ok()) << report.status();
+      thread_losses = report->losses;
+      for (int l = 0; l < model.num_layers(); ++l) {
+        auto params = dp.GatherLayerParams(l);
+        ASSERT_TRUE(params.ok());
+        thread_params.push_back(*params);
+      }
     }
-  }
 
-  std::vector<double> socket_losses;
-  std::vector<std::vector<float>> socket_params;
-  {
-    std::vector<util::Status> statuses(world, util::Status::OK());
-    std::vector<std::thread> ranks;
-    for (int r = 0; r < world; ++r) {
-      ranks.emplace_back([&, r] {
-        // Each "process": private memory, allocator, and model instance.
-        mem::HierarchicalMemory memory(MemoryOptions());
-        core::Allocator allocator(&memory);
-        const train::MlpModel model({{16, 32, 4}});
-        train::SyntheticRegression dataset(16, 32, 4, 99);
-        ShardedDpOptions options = DpOptions(world);
-        options.backend = DpBackend::kProcessGroup;
-        options.rank = r;
-        options.rendezvous = rendezvous;
-        ShardedDataParallel dp(&allocator, &model, options);
-        statuses[r] = dp.Init();
-        if (!statuses[r].ok()) return;
-        auto report = dp.Train(dataset, steps);
-        if (!report.ok()) {
-          statuses[r] = report.status();
-          return;
-        }
-        // GatherLayerParams is a collective here: both ranks call it for
-        // every layer, rank 0 records.
-        for (int l = 0; l < model.num_layers(); ++l) {
-          auto params = dp.GatherLayerParams(l);
-          if (!params.ok()) {
-            statuses[r] = params.status();
+    std::vector<double> socket_losses;
+    std::vector<std::vector<float>> socket_params;
+    {
+      std::vector<util::Status> statuses(world, util::Status::OK());
+      std::vector<std::thread> ranks;
+      for (int r = 0; r < world; ++r) {
+        ranks.emplace_back([&, r] {
+          // Each "process": private memory, allocator, and model instance.
+          mem::HierarchicalMemory memory(MemoryOptions());
+          core::Allocator allocator(&memory);
+          const train::MlpModel model({{16, 32, 4}});
+          train::SyntheticRegression dataset(16, 32, 4, 99);
+          ShardedDpOptions options = options_for(socket_dir.path());
+          options.backend = DpBackend::kProcessGroup;
+          options.rank = r;
+          options.rendezvous = rendezvous;
+          ShardedDataParallel dp(&allocator, &model, options);
+          statuses[r] = dp.Init();
+          if (!statuses[r].ok()) return;
+          auto report = dp.Train(dataset, steps);
+          if (!report.ok()) {
+            statuses[r] = report.status();
             return;
           }
-          if (r == 0) socket_params.push_back(*params);
-        }
-        if (r == 0) socket_losses = report->losses;
-      });
+          // GatherLayerParams is a collective here: every rank calls it
+          // for every layer, rank 0 records.
+          for (int l = 0; l < model.num_layers(); ++l) {
+            auto params = dp.GatherLayerParams(l);
+            if (!params.ok()) {
+              statuses[r] = params.status();
+              return;
+            }
+            if (r == 0) socket_params.push_back(*params);
+          }
+          if (r == 0) socket_losses = report->losses;
+        });
+      }
+      for (auto& t : ranks) t.join();
+      for (const auto& status : statuses) ASSERT_TRUE(status.ok()) << status;
     }
-    for (auto& t : ranks) t.join();
-    for (const auto& status : statuses) ASSERT_TRUE(status.ok()) << status;
-  }
 
-  ASSERT_EQ(socket_losses.size(), thread_losses.size());
-  for (size_t s = 0; s < thread_losses.size(); ++s) {
-    EXPECT_EQ(socket_losses[s], thread_losses[s]) << "step " << s;
-  }
-  ASSERT_EQ(socket_params.size(), thread_params.size());
-  for (size_t l = 0; l < thread_params.size(); ++l) {
-    ASSERT_EQ(socket_params[l].size(), thread_params[l].size());
-    for (size_t i = 0; i < thread_params[l].size(); ++i) {
-      ASSERT_EQ(socket_params[l][i], thread_params[l][i])
-          << "layer " << l << " element " << i;
+    ASSERT_EQ(socket_losses.size(), thread_losses.size());
+    for (size_t s = 0; s < thread_losses.size(); ++s) {
+      EXPECT_EQ(socket_losses[s], thread_losses[s]) << "step " << s;
+    }
+    ASSERT_EQ(socket_params.size(), thread_params.size());
+    for (size_t l = 0; l < thread_params.size(); ++l) {
+      ASSERT_EQ(socket_params[l].size(), thread_params[l].size());
+      for (size_t i = 0; i < thread_params[l].size(); ++i) {
+        ASSERT_EQ(socket_params[l][i], thread_params[l][i])
+            << "layer " << l << " element " << i;
+      }
+    }
+    if (staging_and_checkpoints) {
+      const auto files = DirContents(thread_dir.path());
+      EXPECT_EQ(files.size(), size_t(3 * world));  // Steps 16, 20, 24.
+      EXPECT_EQ(DirContents(socket_dir.path()), files);
     }
   }
 }
@@ -488,24 +555,6 @@ TEST(ShardedDpTest, CheckpointResumeStaysOnTrajectory) {
   std::filesystem::remove_all(ckpt_dir, ec);
 }
 
-/// A scratch directory, removed with its contents at scope exit.
-class TempDir {
- public:
-  TempDir() {
-    char pattern[] = "/tmp/aptm-zckpt-XXXXXX";
-    EXPECT_NE(::mkdtemp(pattern), nullptr);
-    path_ = pattern;
-  }
-  ~TempDir() {
-    std::error_code ec;
-    std::filesystem::remove_all(path_, ec);
-  }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
-
 /// Options of a job that checkpoints into `dir` every 2 steps.
 ShardedDpOptions CheckpointingOptions(int world, const std::string& dir) {
   ShardedDpOptions options = DpOptions(world);
@@ -544,17 +593,6 @@ struct Job {
 
 core::CheckpointFiles RankFiles(const std::string& dir, int world, int rank) {
   return {dir, ShardCheckpointStem(world, rank)};
-}
-
-/// Every file in `dir` with its bytes.
-std::map<std::string, std::string> DirContents(const std::string& dir) {
-  std::map<std::string, std::string> contents;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    std::ifstream in(entry.path(), std::ios::binary);
-    contents[entry.path().filename().string()] = std::string(
-        std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
-  }
-  return contents;
 }
 
 TEST(ShardedDpTest, ShardFilesAreV3CheckpointsOfEachRanksSlice) {
@@ -763,6 +801,87 @@ TEST(ShardedDpTest, FailedShardSaveLeavesTheLastCommonStep) {
     ASSERT_TRUE(report.ok()) << report.status();
     EXPECT_EQ(report->resumed_step, 2);
   }
+}
+
+/// Threads of this process.
+size_t ThreadCount() {
+  size_t threads = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++threads;
+  }
+  return threads;
+}
+
+TEST(ShardedDpTest, SocketRankFailingMidStepFailsEveryRankAndJoinsItsLane) {
+  // One socket rank's frame fails after its header has crossed, in the
+  // middle of a step's reduce-scatters. That rank's Train() returns the
+  // injected error, and its sockets close as the rank goes. Every other
+  // rank's Train() then fails with peer loss well before the 120 s
+  // collective deadline, and no comm lane outlives its Train().
+  const int world = 4;
+  const int steps = 6;
+  const std::vector<size_t> dims = {16, 32, 32, 32, 4};  // 4 layers.
+  const std::string rendezvous =
+      "/tmp/aptm-sdpf-" + std::to_string(::getpid()) + ".sock";
+  (void)util::ComputePool();  // Its workers exist before the count.
+  const size_t threads_before = ThreadCount();
+
+  // A collective sends 2 * (world - 1) frames with a payload: a
+  // contribution from every peer, then a result to every peer. Its frames
+  // interleave only with those of the collectives next to it, so frame
+  // 6k + 3 of the training frames belongs to collective k - 1, k or k + 1.
+  // Collective 9 * 2 + 6 is step 2's reduce-scatter of layer 2, between
+  // those of layers 3 and 1. The 3 rendezvous hellos come first.
+  util::FaultInjector& faults = util::FaultInjector::Instance();
+  util::FaultRule rule;
+  rule.nth_call = 3 + 6 * (9 * 2 + 6) + 3;
+  faults.Arm("wire.send_payload", rule);
+  std::vector<util::Status> statuses(world);
+  const auto start = std::chrono::steady_clock::now();
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < world; ++r) {
+    ranks.emplace_back([&, r] {
+      ShardedDpOptions options = DpOptions(world);
+      options.backend = DpBackend::kProcessGroup;
+      options.rank = r;
+      options.rendezvous = rendezvous;
+      Job job(options, dims);
+      statuses[r] = job.dp.Init();
+      if (statuses[r].ok()) {
+        statuses[r] = job.dp.Train(job.dataset, steps).status();
+      }
+    });
+  }
+  for (auto& t : ranks) t.join();
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+  const uint64_t fires = faults.fires("wire.send_payload");
+  faults.Reset();
+
+  EXPECT_EQ(fires, 1u);
+  EXPECT_LT(seconds, 60.0);
+  int failed = 0;
+  for (int r = 0; r < world; ++r) {
+    SCOPED_TRACE(::testing::Message() << "rank " << r);
+    ASSERT_FALSE(statuses[r].ok());
+    if (statuses[r].message().find("wire.send_payload") !=
+        std::string::npos) {
+      ++failed;
+    } else {
+      EXPECT_TRUE(ProcessGroup::IsPeerLoss(statuses[r])) << statuses[r];
+    }
+  }
+  EXPECT_EQ(failed, 1);
+  // An exited thread leaves /proc/self/task just after its joiner wakes.
+  size_t threads_after = ThreadCount();
+  for (int i = 0; i < 500 && threads_after != threads_before; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    threads_after = ThreadCount();
+  }
+  EXPECT_EQ(threads_after, threads_before);
 }
 
 }  // namespace

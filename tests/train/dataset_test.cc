@@ -1,6 +1,7 @@
 // SyntheticRegression::GenBatch against the per-sample generator it
 // replaced, kept here as the reference: the same x, y and generator state,
-// bit for bit, at 1 and 4 compute threads.
+// bit for bit, at 1 and 4 compute threads. GenBatchRows must give the same
+// rows of each batch and leave the same generator state.
 
 #include "train/dataset.h"
 
@@ -8,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "util/parallel_for.h"
@@ -86,12 +88,33 @@ struct Shape {
 };
 
 bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  // An empty vector's data() may be null, which memcmp must not see.
   return a.size() == b.size() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+         (a.empty() ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0);
+}
+
+/// Rows [first, first + count) of a batch of `width`-float rows.
+std::vector<float> Rows(const std::vector<float>& batch, size_t width,
+                        size_t first, size_t count) {
+  return std::vector<float>(batch.begin() + first * width,
+                            batch.begin() + (first + count) * width);
+}
+
+void ExpectSameState(const util::Rng& got_rng, const util::Rng& want_rng) {
+  const util::Rng::State got = got_rng.GetState(),
+                         want = want_rng.GetState();
+  EXPECT_EQ(got.s, want.s);
+  EXPECT_EQ(got.has_cached_gaussian, want.has_cached_gaussian);
+  EXPECT_EQ(std::memcmp(&got.cached_gaussian, &want.cached_gaussian,
+                        sizeof(double)),
+            0);
 }
 
 /// Draws three consecutive batches from both generators, at 1 and at 4
 /// compute threads, and expects the same bits and the same data cursor.
+/// Then draws the three batches again as slices of rows: at the start, in
+/// the middle, at the end, and empty.
 void ExpectMatchesReference(const Shape& shape, uint64_t seed) {
   SCOPED_TRACE(::testing::Message() << shape.name << ", seed " << seed);
   const ReferenceRegression reference(shape.in_dim, shape.hidden,
@@ -116,14 +139,26 @@ void ExpectMatchesReference(const Shape& shape, uint64_t seed) {
       EXPECT_TRUE(SameBits(x, want_x[i])) << "x of batch " << i;
       EXPECT_TRUE(SameBits(y, want_y[i])) << "y of batch " << i;
     }
-    const util::Rng::State got = rng.GetState(),
-                           want = reference_rng.GetState();
-    EXPECT_EQ(got.s, want.s);
-    EXPECT_EQ(got.has_cached_gaussian, want.has_cached_gaussian);
-    EXPECT_EQ(std::memcmp(&got.cached_gaussian, &want.cached_gaussian,
-                          sizeof(double)),
-              0);
+    ExpectSameState(rng, reference_rng);
     EXPECT_EQ(rng.NextGaussian(), want_next);
+
+    const size_t b = shape.batch;
+    const std::pair<size_t, size_t> slices[] = {
+        {0, (b + 1) / 2}, {b / 4, b / 2}, {b - (b + 2) / 3, (b + 2) / 3},
+        {b / 2, 0}};
+    for (const auto& [first, count] : slices) {
+      SCOPED_TRACE(::testing::Message()
+                   << "rows " << first << " + " << count);
+      util::Rng slice_rng(seed + 1);
+      for (int i = 0; i < 3; ++i) {
+        dataset.GenBatchRows(&slice_rng, b, first, count, &x, &y);
+        EXPECT_TRUE(SameBits(x, Rows(want_x[i], shape.in_dim, first, count)))
+            << "x of batch " << i;
+        EXPECT_TRUE(SameBits(y, Rows(want_y[i], shape.out_dim, first, count)))
+            << "y of batch " << i;
+      }
+      ExpectSameState(slice_rng, reference_rng);
+    }
     util::SetComputePoolOverride(nullptr);
   }
 }

@@ -140,13 +140,20 @@ class FillGaussianTest : public ::testing::TestWithParam<size_t> {
 
   /// Fills `count` elements from `rng` in bulk and from a copy of it one
   /// call at a time; expects the same bits and the same generator after.
+  /// SkipGaussian of `count` from a third copy must leave that generator
+  /// too.
   static void ExpectMatchesSerial(Rng rng, size_t count, double stddev) {
-    Rng serial = rng;
+    Rng serial = rng, skipped = rng;
     std::vector<float> got(count), want(count);
     rng.FillGaussian(std::span<float>(got), stddev);
     for (float& v : want) v = float(serial.NextGaussian() * stddev);
-    EXPECT_EQ(std::memcmp(got.data(), want.data(), count * sizeof(float)), 0);
+    // An empty vector's data() may be null, which memcmp must not see.
+    EXPECT_TRUE(count == 0 ||
+                std::memcmp(got.data(), want.data(), count * sizeof(float)) ==
+                    0);
     ExpectSameState(rng, serial);
+    skipped.SkipGaussian(count);
+    ExpectSameState(skipped, serial);
     EXPECT_EQ(rng.NextGaussian(), serial.NextGaussian());
   }
 
@@ -157,7 +164,15 @@ INSTANTIATE_TEST_SUITE_P(ComputeThreads, FillGaussianTest,
                          ::testing::Values(size_t{1}, size_t{4}));
 
 TEST_P(FillGaussianTest, MatchesNextGaussianCallForCall) {
-  for (const size_t count : {0, 1, 2, 3, 8191, 8193, 100000}) {
+  // Whole pairs are drawn a block of random.cc's kPairsPerBlock at a time:
+  // the sizes reach past two blocks and three pairs from both a cached and
+  // an uncached start, odd sizes included.
+  constexpr size_t kPairsPerBlock = 16384;
+  for (const size_t count :
+       {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{4}, size_t{5},
+        size_t{8191}, size_t{8193}, 2 * kPairsPerBlock + 1,
+        4 * kPairsPerBlock + 2, 4 * kPairsPerBlock + 7,
+        4 * kPairsPerBlock + 8, size_t{100000}}) {
     for (const bool cached : {false, true}) {
       for (const double stddev : {1.0, 0.01}) {
         SCOPED_TRACE(::testing::Message()
