@@ -45,7 +45,8 @@
 #     v3 checkpoint), and the fork/exec multi-process tests (4-rank
 #     bitwise match vs single-process, SIGKILL-one-rank gang restart), plus
 #     an angel_worker launcher smoke at 2 and 4 real ranks whose rank-0
-#     result file must match the single-process run byte for byte.
+#     result file must match the single-process run byte for byte, and an
+#     in-process run whose failing rank must fail the job, not hang it.
 #
 #   * A lockdep pass (DESIGN.md §15): the full suite rebuilt with
 #     -DANGELPTM_LOCKDEP=ON (instrumented mutexes: lock-order cycles, rank
@@ -204,6 +205,20 @@ if [ "$MODE" = all ] || [ "$MODE" = --dist ]; then
     echo "dist: world=$WORLD matches single-process bitwise"
     rm -rf "$DIST_DIR"
   done
+  # Fail-stop in one process: one rank's step-2 shard save fails. The job
+  # must exit 1 with that error, neither succeed (0) nor leave its peer
+  # waiting in the next collective until the timeout kills it (124).
+  DIST_DIR=$(mktemp -d "${TMPDIR:-/tmp}/aptm-dist-XXXXXX")
+  CODE=0
+  ANGELPTM_FAULT_SITES="checkpoint.write=nth:1" timeout 60 \
+    ./build/tools/angel_worker --backend=inproc --world=2 --steps=6 \
+      --checkpoint-every=2 --checkpoint-dir="$DIST_DIR" || CODE=$?
+  rm -rf "$DIST_DIR"
+  if [ "$CODE" -ne 1 ]; then
+    echo "dist: in-process run with a failing rank exited $CODE, not 1" >&2
+    exit 1
+  fi
+  echo "dist: a failing in-process rank fails the job (exit 1)"
 fi
 
 if [ "$MODE" = all ] || [ "$MODE" = --trace-smoke ]; then
@@ -290,11 +305,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
     ./build-tsan/tests/dist_test \
       --gtest_filter='ShardedDpTest.*:ProcessGroupTest.*'
   # The lanes' hand-offs 20 times over: gradient buffers by layer parity,
-  # the loss all-reduce across steps, and a socket rank failing mid-step,
-  # whose error every rank must return with no lane thread left behind.
+  # the loss all-reduce across steps, and a rank failing mid-run, over
+  # sockets or in process (the abort that wakes its peers), whose error
+  # every rank must return with no lane thread left behind.
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/dist_test --gtest_repeat=20 \
-      --gtest_filter='ShardedDpTest.EveryRuleMatchesAPlainVectorReferenceBitwise:ShardedDpTest.SocketRankFailingMidStep*'
+      --gtest_filter='ShardedDpTest.EveryRuleMatchesAPlainVectorReferenceBitwise:ShardedDpTest.SocketRankFailingMidStep*:ShardedDpTest.FailedShardSaveLeavesTheLastCommonStep'
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/mem_test --gtest_filter='WireFormatTest.*'
   # Step buffers: pool threads write every layer's interiors into stashes

@@ -1,9 +1,6 @@
 #include "core/allocator.h"
 
-#include <algorithm>
 #include <string>
-
-#include "util/logging.h"
 
 namespace angelptm::core {
 
@@ -157,47 +154,6 @@ util::Status Allocator::Move(Tensor* tensor, mem::DeviceKind target) {
     ANGEL_RETURN_IF_ERROR(memory_->MovePageSync(page, target));
   }
   return util::Status::OK();
-}
-
-util::Status Allocator::Merge(Tensor* tensor) {
-  if (tensor == nullptr) return util::Status::InvalidArgument("null tensor");
-  util::MutexLock lock(mutex_);
-  if (tensor->IsContiguous()) return util::Status::OK();
-  if (!tensor->IsResident()) {
-    return util::Status::FailedPrecondition(
-        "merge requires a memory-resident tensor");
-  }
-  const auto device = static_cast<mem::DeviceKind>(tensor->device_index());
-  const size_t page_bytes = memory_->page_bytes();
-  const size_t total = tensor->SizeBytes();
-  const size_t pages_needed = (total + page_bytes - 1) / page_bytes;
-
-  // Stage the bytes, then re-pack onto physically adjacent frames.
-  std::vector<std::byte> staging(total);
-  ANGEL_RETURN_IF_ERROR(tensor->CopyOut(staging.data(), total));
-
-  ANGEL_ASSIGN_OR_RETURN(
-      std::vector<mem::Page*> fresh,
-      memory_->CreateContiguousPages(device, pages_needed));
-  size_t remaining = total;
-  for (mem::Page* page : fresh) {
-    const size_t chunk = std::min(remaining, page_bytes);
-    ANGEL_CHECK_OK(page->Allocate(chunk, tensor->id()));
-    remaining -= chunk;
-  }
-  page_capacity_bytes_ += pages_needed * page_bytes;
-
-  // Retire the old placement.
-  for (mem::Page* page : tensor->pages()) {
-    ANGEL_RETURN_IF_ERROR(page->Release(tensor->id()));
-    if (page->IsEmpty()) {
-      ForgetOpenPage(page);
-      ANGEL_RETURN_IF_ERROR(memory_->DestroyPage(page));
-      page_capacity_bytes_ -= page_bytes;
-    }
-  }
-  *tensor->mutable_pages() = std::move(fresh);
-  return tensor->CopyIn(staging.data(), total);
 }
 
 size_t Allocator::num_tensors() const {

@@ -24,8 +24,10 @@ inline constexpr uint64_t kNoGroup = ~0ull;
 
 /// The Allocator component of Angel-PTM (§5): manages tensors at the Page
 /// level over the pre-allocated hierarchical memory. Implements the Tensor
-/// interfaces of Fig. 4 — allocate, release, move, merge — on top of
-/// mem::HierarchicalMemory.
+/// interfaces of Fig. 4 — allocate, release, move — on top of
+/// mem::HierarchicalMemory. Fig. 4's `merge` (re-packing a tensor onto
+/// adjacent frames) is not reproduced: every reader of a tensor's bytes
+/// walks its page spans (Tensor::ForEachSpan), so none needs one range.
 class Allocator {
  public:
   /// `memory` must outlive the allocator.
@@ -57,11 +59,6 @@ class Allocator {
   /// moves of one page and keep the tensor alive.
   [[nodiscard]] util::Status Move(Tensor* tensor, mem::DeviceKind target)
       ANGEL_EXCLUDES(mutex_);
-
-  /// Ensures the tensor's bytes form one contiguous range, re-packing onto
-  /// physically adjacent frames if necessary (Fig. 4 `merge`). Requires the
-  /// tensor to be resident in a memory tier.
-  [[nodiscard]] util::Status Merge(Tensor* tensor) ANGEL_EXCLUDES(mutex_);
 
   /// Number of live tensors.
   size_t num_tensors() const ANGEL_EXCLUDES(mutex_);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "util/logging.h"
 
@@ -14,16 +15,36 @@ Communicator::Communicator(int world_size)
   ANGEL_CHECK(world_size >= 1) << "world_size must be positive";
 }
 
-void Communicator::Arrive() {
+util::Status Communicator::Arrive() {
   util::MutexLock lock(mutex_);
+  if (aborted_by_ >= 0) return AbortedLocked();
   const uint64_t generation = generation_;
   if (++arrived_ == world_size_) {
     arrived_ = 0;
     ++generation_;
     cv_.NotifyAll();
-  } else {
-    while (generation_ == generation) cv_.Wait(mutex_);
+    return util::Status::OK();
   }
+  while (generation_ == generation && aborted_by_ < 0) cv_.Wait(mutex_);
+  // A barrier that completed before the abort still counts.
+  return generation_ != generation ? util::Status::OK() : AbortedLocked();
+}
+
+util::Status Communicator::AbortedLocked() const {
+  return util::Status::Cancelled("collective abandoned: rank " +
+                                 std::to_string(aborted_by_) + " failed");
+}
+
+void Communicator::Abort(int failed_rank) {
+  util::MutexLock lock(mutex_);
+  if (aborted_by_ >= 0) return;
+  aborted_by_ = failed_rank;
+  cv_.NotifyAll();
+}
+
+int Communicator::aborted_by() const {
+  util::MutexLock lock(mutex_);
+  return aborted_by_;
 }
 
 util::Status Communicator::AllGather(int rank, const float* send,
@@ -35,12 +56,12 @@ util::Status Communicator::AllGather(int rank, const float* send,
     util::MutexLock lock(mutex_);
     published_[rank] = send;
   }
-  Arrive();  // All pointers published.
+  ANGEL_RETURN_IF_ERROR(Arrive());  // All pointers published.
   for (int r = 0; r < world_size_; ++r) {
     std::memcpy(recv + size_t(r) * count, published_[r],
                 count * sizeof(float));
   }
-  Arrive();  // All ranks done reading.
+  ANGEL_RETURN_IF_ERROR(Arrive());  // All ranks done reading.
   if (rank == 0) {
     util::MutexLock lock(mutex_);
     ++collectives_;
@@ -62,7 +83,7 @@ util::Status Communicator::ReduceScatter(int rank, const float* send,
     util::MutexLock lock(mutex_);
     published_[rank] = send;
   }
-  Arrive();
+  ANGEL_RETURN_IF_ERROR(Arrive());
   // Each rank reduces its own chunk across all ranks' buffers; ranks touch
   // disjoint chunk indices, so in-place aliasing with `send` is safe.
   for (size_t i = 0; i < chunk; ++i) {
@@ -72,7 +93,7 @@ util::Status Communicator::ReduceScatter(int rank, const float* send,
     }
     recv[i] = float(sum);
   }
-  Arrive();
+  ANGEL_RETURN_IF_ERROR(Arrive());
   if (rank == 0) {
     util::MutexLock lock(mutex_);
     ++collectives_;
@@ -88,16 +109,18 @@ util::Status Communicator::AllReduce(int rank, float* data, size_t count) {
     util::MutexLock lock(mutex_);
     published_[rank] = data;
   }
-  Arrive();
+  ANGEL_RETURN_IF_ERROR(Arrive());
   std::vector<float> reduced(count);
   for (size_t i = 0; i < count; ++i) {
     double sum = 0.0;
     for (int r = 0; r < world_size_; ++r) sum += published_[r][i];
     reduced[i] = float(sum);
   }
-  Arrive();  // Everyone finished reading all buffers.
+  // Everyone finished reading all buffers.
+  ANGEL_RETURN_IF_ERROR(Arrive());
   std::memcpy(data, reduced.data(), count * sizeof(float));
-  Arrive();  // Writes visible before the next collective reuses buffers.
+  // Writes visible before the next collective reuses buffers.
+  ANGEL_RETURN_IF_ERROR(Arrive());
   if (rank == 0) {
     util::MutexLock lock(mutex_);
     ++collectives_;
@@ -114,25 +137,17 @@ util::Status Communicator::AllToAll(int rank, const float* send,
     util::MutexLock lock(mutex_);
     published_[rank] = send;
   }
-  Arrive();
+  ANGEL_RETURN_IF_ERROR(Arrive());
   for (int peer = 0; peer < world_size_; ++peer) {
     std::memcpy(recv + size_t(peer) * count_per_peer,
                 published_[peer] + size_t(rank) * count_per_peer,
                 count_per_peer * sizeof(float));
   }
-  Arrive();
+  ANGEL_RETURN_IF_ERROR(Arrive());
   if (rank == 0) {
     util::MutexLock lock(mutex_);
     ++collectives_;
   }
-  return util::Status::OK();
-}
-
-util::Status Communicator::Barrier(int rank) {
-  if (rank < 0 || rank >= world_size_) {
-    return util::Status::InvalidArgument("bad rank");
-  }
-  Arrive();
   return util::Status::OK();
 }
 

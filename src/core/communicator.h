@@ -19,6 +19,10 @@ namespace angelptm::core {
 /// its own thread. Calls rendezvous on an internal barrier; each rank
 /// publishes a pointer to its send buffer, and the others read it in
 /// place before the closing barrier.
+///
+/// Failure model: fail-stop, like the socket backend (DESIGN.md §14.4). A
+/// rank that fails calls Abort(); the collective its peers wait in, and
+/// every later one, returns Cancelled naming it.
 class Communicator {
  public:
   explicit Communicator(int world_size);
@@ -49,14 +53,22 @@ class Communicator {
                                       size_t count_per_peer, float* recv)
       ANGEL_EXCLUDES(mutex_);
 
-  /// Rendezvous with no data.
-  [[nodiscard]] util::Status Barrier(int rank) ANGEL_EXCLUDES(mutex_);
+  /// Stops the group for good: wakes every rank waiting in a collective,
+  /// which then returns Cancelled naming `failed_rank` without reading a
+  /// peer's buffer, as does every later collective. `failed_rank` must have
+  /// left its last collective, so no peer still reads its buffers. The
+  /// first call wins.
+  void Abort(int failed_rank) ANGEL_EXCLUDES(mutex_);
+  /// The rank whose Abort() stopped the group, or -1.
+  int aborted_by() const ANGEL_EXCLUDES(mutex_);
 
   uint64_t collectives_completed() const ANGEL_EXCLUDES(mutex_);
 
  private:
-  /// Reusable two-phase barrier: Arrive() returns once all ranks arrived.
-  void Arrive() ANGEL_EXCLUDES(mutex_);
+  /// Reusable barrier: returns OK once all ranks arrived, or Cancelled
+  /// when the group is aborted first.
+  [[nodiscard]] util::Status Arrive() ANGEL_EXCLUDES(mutex_);
+  [[nodiscard]] util::Status AbortedLocked() const ANGEL_REQUIRES(mutex_);
 
   int world_size_;
   mutable util::Mutex mutex_{"core.communicator",
@@ -65,6 +77,7 @@ class Communicator {
   int arrived_ ANGEL_GUARDED_BY(mutex_) = 0;
   uint64_t generation_ ANGEL_GUARDED_BY(mutex_) = 0;
   uint64_t collectives_ ANGEL_GUARDED_BY(mutex_) = 0;
+  int aborted_by_ ANGEL_GUARDED_BY(mutex_) = -1;
   /// Written under mutex_, but deliberately read *outside* it between the
   /// two Arrive() barriers of each collective: the barrier's happens-before
   /// ordering (not the mutex) is what makes those reads race-free, a

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "util/logging.h"
-
 namespace angelptm::core {
 namespace {
 
@@ -33,37 +31,6 @@ int Tensor::device_index() const {
     if (page->device() != first) return mem::kDeviceNotReady;
   }
   return static_cast<int>(first);
-}
-
-bool Tensor::IsResident() const {
-  const int device = device_index();
-  return device != mem::kDeviceNotReady &&
-         device != static_cast<int>(mem::DeviceKind::kSsd);
-}
-
-bool Tensor::IsContiguous() const {
-  if (pages_.empty()) return false;
-  if (!IsResident()) return false;
-  const std::byte* expected = nullptr;
-  for (const mem::Page* page : pages_) {
-    const mem::Page::Slot* slot = page->FindSlot(id_);
-    if (slot == nullptr) return false;
-    const std::byte* start = page->data_ptr() + slot->offset;
-    if (expected != nullptr && start != expected) return false;
-    expected = start + slot->bytes;
-  }
-  return true;
-}
-
-std::byte* Tensor::data() {
-  ANGEL_CHECK(IsResident()) << "tensor " << id_ << " not resident";
-  ANGEL_CHECK(IsContiguous()) << "tensor " << id_ << " not contiguous";
-  const mem::Page::Slot* slot = pages_.front()->FindSlot(id_);
-  return pages_.front()->data_ptr() + slot->offset;
-}
-
-const std::byte* Tensor::data() const {
-  return const_cast<Tensor*>(this)->data();
 }
 
 util::Status Tensor::CopyOut(std::byte* dst, size_t bytes) const {

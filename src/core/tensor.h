@@ -19,8 +19,10 @@ namespace angelptm::core {
 /// shared with one other tensor of the same allocation group.
 ///
 /// Tensors are created and destroyed exclusively by core::Allocator (which
-/// implements the paper's allocate/release/move/merge interfaces); this class
-/// provides the data-plane views.
+/// implements the paper's allocate/release/move interfaces); this class
+/// provides the data-plane views. Every view walks the page spans
+/// (ForEachSpan), so a tensor never needs one contiguous range and Fig. 4's
+/// `merge` is not reproduced.
 class Tensor {
  public:
   Tensor(uint64_t id, std::vector<size_t> shape, DType dtype)
@@ -43,19 +45,6 @@ class Tensor {
   /// pages are split across tiers (e.g. some still in flight) — footnote 2
   /// of the paper.
   int device_index() const;
-
-  /// True when every page is in a directly-addressable memory tier (not SSD)
-  /// on the same device.
-  bool IsResident() const;
-
-  /// True when the tensor's bytes form one contiguous host range (always
-  /// true for single-page tensors; multi-page tensors need Allocator::Merge).
-  bool IsContiguous() const;
-
-  /// Direct pointer to the tensor's bytes; requires IsResident() and
-  /// IsContiguous(). Aborts otherwise (programming error).
-  std::byte* data();
-  const std::byte* data() const;
 
   /// Calls `fn(span, bytes, offset)` for each page span in byte order:
   /// `span` points at the `bytes` bytes this tensor holds on that page,

@@ -34,7 +34,6 @@ class Collectives {
                                                    float* recv) = 0;
   [[nodiscard]] virtual util::Status AllReduce(float* data,
                                                size_t count) = 0;
-  [[nodiscard]] virtual util::Status Barrier() = 0;
 
   /// Sizes whatever scratch a collective with up to `bytes` per rank needs,
   /// so that the collectives themselves allocate nothing.
@@ -65,9 +64,6 @@ class InProcessCollectives final : public Collectives {
   }
   [[nodiscard]] util::Status AllReduce(float* data, size_t count) override {
     return communicator_->AllReduce(rank_, data, count);
-  }
-  [[nodiscard]] util::Status Barrier() override {
-    return communicator_->Barrier(rank_);
   }
   /// The communicator keeps no scratch between collectives.
   void Reserve(size_t) override {}
@@ -100,9 +96,6 @@ class ProcessGroupCollectives final : public Collectives {
   }
   [[nodiscard]] util::Status AllReduce(float* data, size_t count) override {
     return group_->AllReduce(data, count);
-  }
-  [[nodiscard]] util::Status Barrier() override {
-    return group_->Barrier();
   }
   void Reserve(size_t bytes) override { group_->Reserve(bytes); }
   uint64_t collectives_completed() const override {

@@ -159,24 +159,21 @@ util::Status ProcessGroup::RendezvousRoot() {
       return util::Status::IoError(std::string("accept() failed: ") +
                                    std::strerror(errno));
     }
+    // Every hello carries the peer's world size, exactly 4 bytes of it.
     wire::Header hello;
-    std::vector<std::byte> payload;
-    util::Status received =
-        wire::RecvFrame(fd, &hello, &payload, sizeof(uint32_t),
-                        options_.connect_timeout_ms);
+    uint32_t peer_world = 0;
+    util::Status received = wire::RecvFrame(
+        fd, &hello, std::as_writable_bytes(std::span(&peer_world, 1)),
+        options_.connect_timeout_ms);
     if (received.ok() && hello.op != wire::Op::kHello) {
       received = util::Status::InvalidArgument(
           "rendezvous: expected a hello frame");
     }
-    if (received.ok() && payload.size() == sizeof(uint32_t)) {
-      uint32_t peer_world;
-      std::memcpy(&peer_world, payload.data(), sizeof(peer_world));
-      if (int(peer_world) != options_.world_size) {
-        received = util::Status::InvalidArgument(
-            "rendezvous: peer rank " + std::to_string(hello.rank) +
-            " was launched with world size " + std::to_string(peer_world) +
-            ", this root has " + std::to_string(options_.world_size));
-      }
+    if (received.ok() && int(peer_world) != options_.world_size) {
+      received = util::Status::InvalidArgument(
+          "rendezvous: peer rank " + std::to_string(hello.rank) +
+          " was launched with world size " + std::to_string(peer_world) +
+          ", this root has " + std::to_string(options_.world_size));
     }
     if (received.ok() &&
         (hello.rank == 0 || hello.rank >= options_.world_size)) {
@@ -252,9 +249,8 @@ util::Status ProcessGroup::RendezvousPeer() {
   hello.payload_bytes = sizeof(world);
   ANGEL_RETURN_IF_ERROR(wire::SendFrame(fd, hello, &world));
   wire::Header welcome;
-  std::vector<std::byte> payload;
-  ANGEL_RETURN_IF_ERROR(wire::RecvFrame(fd, &welcome, &payload, 0,
-                                        options_.connect_timeout_ms));
+  ANGEL_RETURN_IF_ERROR(
+      wire::RecvFrame(fd, &welcome, {}, options_.connect_timeout_ms));
   if (welcome.op != wire::Op::kWelcome) {
     return util::Status::Internal("rendezvous: expected a welcome frame");
   }

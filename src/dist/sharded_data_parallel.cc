@@ -568,11 +568,16 @@ util::Result<DpReport> ShardedDataParallel::Train(
         statuses[r] = RankLoop(r, &comm, dataset, &cursors[size_t(r)],
                                start_step, steps, &report.losses,
                                /*record_losses=*/r == 0);
+        // Fail-stop: the rank's lane has joined, so no peer reads its
+        // buffers any more; its peers leave their collectives with
+        // Cancelled instead of waiting for it forever.
+        if (!statuses[r].ok()) comm_->Abort(r);
       });
     }
     for (auto& t : ranks) t.join();
-    for (const util::Status& status : statuses) {
-      ANGEL_RETURN_IF_ERROR(status);
+    // The rank that failed first, not a peer whose collective it abandoned.
+    if (const int failed = comm_->aborted_by(); failed >= 0) {
+      return statuses[size_t(failed)];
     }
     report.collectives = comm_->collectives_completed();
   }

@@ -136,7 +136,9 @@ class ShardedDataParallel {
   /// Runs `steps` training steps (kInProcess: across world_size rank
   /// threads; kProcessGroup: this rank's loop, synchronized with the
   /// other processes). Resumes from the latest common checkpoint first
-  /// when checkpointing is configured.
+  /// when checkpointing is configured. Fail-stop on both backends: once a
+  /// rank fails, every rank leaves its loop, and kInProcess returns the
+  /// failed rank's error (DESIGN.md §14.4).
   [[nodiscard]] util::Result<DpReport> Train(
       const train::SyntheticRegression& dataset, int steps);
 

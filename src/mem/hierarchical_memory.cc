@@ -51,27 +51,6 @@ util::Result<Page*> HierarchicalMemory::CreatePage(DeviceKind initial_device) {
   return raw;
 }
 
-util::Result<std::vector<Page*>> HierarchicalMemory::CreateContiguousPages(
-    DeviceKind device, size_t count) {
-  if (device == DeviceKind::kSsd) {
-    return util::Status::InvalidArgument(
-        "contiguous pages only exist in memory tiers");
-  }
-  ANGEL_ASSIGN_OR_RETURN(std::byte* base,
-                         MutableArena(device).AcquireContiguousFrames(count));
-  std::vector<Page*> result;
-  result.reserve(count);
-  util::MutexLock lock(registry_mutex_);
-  for (size_t i = 0; i < count; ++i) {
-    auto page = std::make_unique<Page>(next_page_id_.fetch_add(1),
-                                       options_.page_bytes);
-    page->SetResidence(device, base + i * options_.page_bytes);
-    result.push_back(page.get());
-    pages_.emplace(page->id(), std::move(page));
-  }
-  return result;
-}
-
 util::Status HierarchicalMemory::DestroyPage(Page* page, bool force) {
   if (page == nullptr) {
     return util::Status::InvalidArgument("null page");
@@ -146,11 +125,6 @@ util::Status HierarchicalMemory::MovePageSync(Page* page, DeviceKind target) {
   return util::Status::OK();
 }
 
-size_t HierarchicalMemory::num_live_pages() const {
-  util::MutexLock lock(registry_mutex_);
-  return pages_.size();
-}
-
 uint64_t HierarchicalMemory::used_bytes(DeviceKind device) const {
   switch (device) {
     case DeviceKind::kGpu:
@@ -176,20 +150,6 @@ uint64_t HierarchicalMemory::capacity_bytes(DeviceKind device) const {
       return ssd_enabled_ ? ssd_.capacity_bytes() : 0;
   }
   return 0;
-}
-
-uint64_t HierarchicalMemory::FragmentedBytes() const {
-  util::MutexLock lock(registry_mutex_);
-  uint64_t total = 0;
-  for (const auto& [id, page] : pages_) {
-    total += page->FragmentedBytes();
-  }
-  return total;
-}
-
-MoveStats HierarchicalMemory::move_stats(DeviceKind from, DeviceKind to) const {
-  util::MutexLock lock(stats_mutex_);
-  return move_stats_[static_cast<int>(from)][static_cast<int>(to)];
 }
 
 MemorySnapshot HierarchicalMemory::Snapshot() const {

@@ -7,7 +7,6 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "mem/device.h"
 #include "mem/page.h"
@@ -51,7 +50,8 @@ struct TierUsage {
 struct MemorySnapshot {
   size_t page_bytes = 0;
   size_t live_pages = 0;
-  /// Total bytes of internal fragmentation across live pages.
+  /// Total bytes of internal fragmentation across live pages (holes from
+  /// out-of-order releases; bounded by the two-tensor cap).
   uint64_t fragmented_bytes = 0;
   /// Indexed by DeviceKind; a tier with capacity_bytes == 0 is disabled.
   std::array<TierUsage, kNumDeviceKinds> tiers{};
@@ -87,11 +87,6 @@ class HierarchicalMemory {
   [[nodiscard]] util::Result<Page*> CreatePage(DeviceKind initial_device)
       ANGEL_EXCLUDES(registry_mutex_);
 
-  /// Creates `count` pages over physically adjacent frames on a memory tier
-  /// (used by Tensor::merge to produce one contiguous range). All-or-nothing.
-  [[nodiscard]] util::Result<std::vector<Page*>> CreateContiguousPages(
-      DeviceKind device, size_t count) ANGEL_EXCLUDES(registry_mutex_);
-
   /// Releases the page's frame and unregisters it. The page must be empty
   /// (no tensor slots) unless `force` is set.
   [[nodiscard]] util::Status DestroyPage(Page* page, bool force = false)
@@ -113,26 +108,15 @@ class HierarchicalMemory {
   const util::Status& ssd_open_status() const { return ssd_open_status_; }
 
   size_t page_bytes() const { return options_.page_bytes; }
-  size_t num_live_pages() const ANGEL_EXCLUDES(registry_mutex_);
-  uint64_t used_bytes(DeviceKind device) const;
   uint64_t capacity_bytes(DeviceKind device) const;
-  uint64_t free_bytes(DeviceKind device) const {
-    return capacity_bytes(device) - used_bytes(device);
-  }
-
-  /// Total bytes of internal fragmentation across live pages (holes from
-  /// out-of-order releases; bounded by the two-tensor cap).
-  uint64_t FragmentedBytes() const ANGEL_EXCLUDES(registry_mutex_);
-
-  MoveStats move_stats(DeviceKind from, DeviceKind to) const
-      ANGEL_EXCLUDES(stats_mutex_);
 
   /// Structured snapshot of occupancy, page counts, fragmentation and
-  /// per-link movement — the one-stop stats surface (DESIGN.md §8).
+  /// per-link movement — the only stats surface (DESIGN.md §8).
   MemorySnapshot Snapshot() const
       ANGEL_EXCLUDES(registry_mutex_, stats_mutex_);
 
  private:
+  uint64_t used_bytes(DeviceKind device) const;
   PageArena& MutableArena(DeviceKind device);
   /// The error an SSD page operation returns when the tier is off.
   [[nodiscard]] util::Status SsdUnavailable() const;

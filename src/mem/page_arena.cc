@@ -34,35 +34,6 @@ util::Result<std::byte*> PageArena::AcquireFrame() {
   return buffer_.get() + uint64_t{index} * frame_bytes_;
 }
 
-util::Result<std::byte*> PageArena::AcquireContiguousFrames(size_t count) {
-  if (count == 0) {
-    return util::Status::InvalidArgument("contiguous run of zero frames");
-  }
-  util::MutexLock lock(mutex_);
-  if (free_list_.size() < count) {
-    return util::Status::ResourceExhausted("fewer than " +
-                                           std::to_string(count) +
-                                           " frames free");
-  }
-  std::sort(free_list_.begin(), free_list_.end());
-  size_t run_start = 0;
-  for (size_t i = 0; i < free_list_.size(); ++i) {
-    if (i > 0 && free_list_[i] != free_list_[i - 1] + 1) {
-      run_start = i;  // Adjacency broke: a new run begins here.
-    }
-    if (i - run_start + 1 >= count) {
-      const size_t take_from = i + 1 - count;
-      const uint32_t base_index = free_list_[take_from];
-      free_list_.erase(free_list_.begin() + take_from,
-                       free_list_.begin() + take_from + count);
-      peak_used_ = std::max(peak_used_, total_frames_ - free_list_.size());
-      return buffer_.get() + uint64_t{base_index} * frame_bytes_;
-    }
-  }
-  return util::Status::ResourceExhausted(
-      "no contiguous run of " + std::to_string(count) + " free frames");
-}
-
 void PageArena::ReleaseFrame(std::byte* frame) {
   ANGEL_CHECK(Owns(frame)) << "frame does not belong to "
                            << DeviceKindName(device_) << " arena";

@@ -36,12 +36,6 @@ class PageArena {
   [[nodiscard]] util::Result<std::byte*> AcquireFrame()
       ANGEL_EXCLUDES(mutex_);
 
-  /// Acquires `count` physically adjacent frames (for Tensor::merge, which
-  /// needs one contiguous range). Returns the base frame pointer, or
-  /// ResourceExhausted when no run of `count` adjacent free frames exists.
-  [[nodiscard]] util::Result<std::byte*> AcquireContiguousFrames(size_t count)
-      ANGEL_EXCLUDES(mutex_);
-
   /// Returns a frame obtained from AcquireFrame(). Aborts on a pointer that
   /// does not belong to this arena (a programming error).
   void ReleaseFrame(std::byte* frame) ANGEL_EXCLUDES(mutex_);

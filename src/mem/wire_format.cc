@@ -93,28 +93,6 @@ util::Status ReadFull(int fd, void* buf, size_t len, int timeout_ms) {
   return util::Status::OK();
 }
 
-/// Reads and decodes one frame header.
-util::Status RecvHeader(int fd, Header* header, int timeout_ms) {
-  std::byte head[kHeaderBytes];
-  ANGEL_RETURN_IF_ERROR(ReadFull(fd, head, kHeaderBytes, timeout_ms));
-  ANGEL_ASSIGN_OR_RETURN(*header, DecodeHeader(head));
-  return util::Status::OK();
-}
-
-/// The one payload read: `payload` must be exactly the size `header`
-/// claims, or nothing is read.
-util::Status RecvPayload(int fd, const Header& header,
-                         std::span<std::byte> payload, int timeout_ms) {
-  if (header.payload_bytes != payload.size()) {
-    return util::Status::InvalidArgument(
-        "wire: frame claims " + std::to_string(header.payload_bytes) +
-        " payload bytes, the receiver expects " +
-        std::to_string(payload.size()));
-  }
-  if (payload.empty()) return util::Status::OK();
-  return ReadFull(fd, payload.data(), payload.size(), timeout_ms);
-}
-
 }  // namespace
 
 void EncodeHeader(const Header& header, std::byte* out) {
@@ -157,22 +135,19 @@ util::Status SendFrame(int fd, const Header& header, const void* payload) {
 
 util::Status RecvFrame(int fd, Header* header, std::span<std::byte> payload,
                        int timeout_ms) {
-  ANGEL_RETURN_IF_ERROR(RecvHeader(fd, header, timeout_ms));
-  return RecvPayload(fd, *header, payload, timeout_ms);
-}
-
-util::Status RecvFrame(int fd, Header* header,
-                       std::vector<std::byte>* payload,
-                       uint64_t max_payload_bytes, int timeout_ms) {
-  ANGEL_RETURN_IF_ERROR(RecvHeader(fd, header, timeout_ms));
-  if (header->payload_bytes > max_payload_bytes) {
+  std::byte head[kHeaderBytes];
+  ANGEL_RETURN_IF_ERROR(ReadFull(fd, head, kHeaderBytes, timeout_ms));
+  ANGEL_ASSIGN_OR_RETURN(*header, DecodeHeader(head));
+  // The size comes from the peer: a frame of any other size than the
+  // caller expects is refused before a payload byte is read.
+  if (header->payload_bytes != payload.size()) {
     return util::Status::InvalidArgument(
         "wire: frame claims " + std::to_string(header->payload_bytes) +
-        " payload bytes, the receiver accepts at most " +
-        std::to_string(max_payload_bytes));
+        " payload bytes, the receiver expects " +
+        std::to_string(payload.size()));
   }
-  payload->resize(header->payload_bytes);
-  return RecvPayload(fd, *header, *payload, timeout_ms);
+  if (payload.empty()) return util::Status::OK();
+  return ReadFull(fd, payload.data(), payload.size(), timeout_ms);
 }
 
 }  // namespace angelptm::mem::wire

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "util/status.h"
 
@@ -74,15 +73,6 @@ void EncodeHeader(const Header& header, std::byte* out);
 /// kPeerClosedMsg.
 [[nodiscard]] util::Status RecvFrame(int fd, Header* header,
                                      std::span<std::byte> payload,
-                                     int timeout_ms);
-
-/// The same read into `payload`, resized to the frame's payload size. A
-/// header claiming more than `max_payload_bytes` returns InvalidArgument
-/// before anything is allocated: the size comes from the peer, so the
-/// caller bounds it by what it expects to receive.
-[[nodiscard]] util::Status RecvFrame(int fd, Header* header,
-                                     std::vector<std::byte>* payload,
-                                     uint64_t max_payload_bytes,
                                      int timeout_ms);
 
 /// Substring that marks an IoError as "the peer went away" (fail-stop

@@ -37,12 +37,12 @@ struct HistogramData {
   void Merge(const HistogramData& other);
   double Mean() const;
   /// Upper bound (inclusive) of the bucket holding the p-quantile sample,
-  /// p in (0, 1]. An overestimate by at most 2x, like any bucketed
-  /// percentile. 0 when empty.
+  /// capped at `max`, p in (0, 1]. An overestimate by at most 2x, like any
+  /// bucketed percentile, and never above a recorded value. 0 when empty.
   uint64_t Percentile(double p) const;
-  /// "count=12 mean=2.3 p50=3 p95=15 max=9".
+  /// "count=12 mean=2.3 p50=3 p95=9 max=9".
   std::string Summary() const;
-  /// {"count":12,"mean":2.3,"p50":3,"p95":15,"max":9}
+  /// {"count":12,"mean":2.3,"p50":3,"p95":9,"max":9}
   std::string ToJson() const;
 };
 

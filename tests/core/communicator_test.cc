@@ -1,3 +1,5 @@
+#include <chrono>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -116,7 +118,6 @@ TEST_P(CommunicatorTest, RepeatedCollectivesDoNotDeadlock) {
       std::vector<float> data(4, float(r));
       for (int iter = 0; iter < 25; ++iter) {
         ASSERT_TRUE(comm.AllReduce(r, data.data(), 4).ok());
-        ASSERT_TRUE(comm.Barrier(r).ok());
       }
     });
   }
@@ -131,7 +132,35 @@ TEST(CommunicatorTest, BadRankRejected) {
   Communicator comm(2);
   float x = 0;
   EXPECT_TRUE(comm.AllReduce(2, &x, 1).IsInvalidArgument());
-  EXPECT_TRUE(comm.Barrier(-1).IsInvalidArgument());
+  EXPECT_TRUE(comm.AllReduce(-1, &x, 1).IsInvalidArgument());
+}
+
+TEST(CommunicatorTest, AbortWakesWaitingRanksAndFailsLaterCollectives) {
+  // Rank 2 of 3 never arrives. Ranks 0 and 1 wait in an all-reduce until
+  // rank 2 aborts the group; that collective and every later one return
+  // Cancelled naming rank 2, and none completes.
+  Communicator comm(3);
+  std::vector<util::Status> statuses(2);
+  std::vector<float> data(2, 1.0f);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < 2; ++r) {
+    ranks.emplace_back(
+        [&, r] { statuses[r] = comm.AllReduce(r, &data[r], 1); });
+  }
+  // Either way the ranks fail; the pause lets them block first.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  comm.Abort(2);
+  for (auto& t : ranks) t.join();
+  for (const util::Status& status : statuses) {
+    EXPECT_EQ(status.code(), util::StatusCode::kCancelled) << status;
+    EXPECT_NE(status.message().find("rank 2"), std::string::npos) << status;
+  }
+  EXPECT_EQ(data, std::vector<float>(2, 1.0f));
+  comm.Abort(0);  // The first abort wins.
+  EXPECT_EQ(comm.aborted_by(), 2);
+  float x = 0.0f, y[3] = {};
+  EXPECT_EQ(comm.AllGather(0, &x, 1, y).code(), util::StatusCode::kCancelled);
+  EXPECT_EQ(comm.collectives_completed(), 0u);
 }
 
 TEST(CommunicatorTest, ReduceScatterRequiresDivisibleCount) {

@@ -168,7 +168,9 @@ TEST(EngineTest, GpuTierReturnsToEmptyBetweenSteps) {
         (*engine)->RegisterLayer(model.InitLayerParams(l, &rng)).ok());
   }
   TrainThroughEngine(engine->get(), model, 3, &rng);
-  EXPECT_EQ((*engine)->memory()->used_bytes(mem::DeviceKind::kGpu), 0u);
+  EXPECT_EQ(
+      (*engine)->memory()->Snapshot().tier(mem::DeviceKind::kGpu).used_bytes,
+      0u);
 }
 
 TEST(EngineTest, LockFreeModeTrains) {
@@ -338,7 +340,9 @@ TEST(EngineTest, UnfetchedStashReleasedAtStepEnd) {
   ASSERT_TRUE(
       (*engine)->StashActivation(0, std::vector<float>(64, 1.0f)).ok());
   ASSERT_TRUE((*engine)->EndStep().ok());
-  EXPECT_EQ((*engine)->memory()->used_bytes(mem::DeviceKind::kGpu), 0u);
+  EXPECT_EQ(
+      (*engine)->memory()->Snapshot().tier(mem::DeviceKind::kGpu).used_bytes,
+      0u);
   ASSERT_TRUE((*engine)->BeginStep().ok());
   EXPECT_TRUE((*engine)->FetchActivation(0).status().IsNotFound());
   ASSERT_TRUE((*engine)->EndStep().ok());
@@ -527,9 +531,9 @@ TEST(EngineTest, ModelLargerThanGpuStillTrainsViaPaging) {
   const double final_loss = TrainThroughEngine(engine->get(), model, 40, &rng);
   EXPECT_LT(final_loss, 1.5);
   // The schedule could not keep everything resident.
-  const mem::MoveStats up = (*engine)->memory()->move_stats(
-      mem::DeviceKind::kCpu, mem::DeviceKind::kGpu);
-  EXPECT_GT(up.moves, 40u);
+  const mem::MemorySnapshot memory = (*engine)->memory()->Snapshot();
+  EXPECT_GT(memory.link(mem::DeviceKind::kCpu, mem::DeviceKind::kGpu).moves,
+            40u);
 }
 
 }  // namespace

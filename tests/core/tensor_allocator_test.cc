@@ -40,8 +40,6 @@ TEST_F(AllocatorTest, SmallTensorGetsSinglePage) {
   ASSERT_TRUE(tensor.ok());
   EXPECT_EQ((*tensor)->SizeBytes(), 400u);
   EXPECT_EQ((*tensor)->pages().size(), 1u);
-  EXPECT_TRUE((*tensor)->IsResident());
-  EXPECT_TRUE((*tensor)->IsContiguous());
   EXPECT_EQ((*tensor)->device_index(),
             static_cast<int>(mem::DeviceKind::kCpu));
   EXPECT_EQ(allocator_.num_tensors(), 1u);
@@ -94,7 +92,7 @@ TEST_F(AllocatorTest, GroupedTensorsShareTailPage) {
   ASSERT_EQ((*a)->pages().size(), 1u);
   ASSERT_EQ((*b)->pages().size(), 1u);
   EXPECT_EQ((*a)->pages()[0], (*b)->pages()[0]);
-  EXPECT_EQ(memory_.num_live_pages(), 1u);
+  EXPECT_EQ(memory_.Snapshot().live_pages, 1u);
 }
 
 TEST_F(AllocatorTest, ThirdGroupTensorOpensNewPage) {
@@ -104,7 +102,7 @@ TEST_F(AllocatorTest, ThirdGroupTensorOpensNewPage) {
   auto c = allocator_.Allocate({100}, DType::kFp32, mem::DeviceKind::kCpu, 1);
   ASSERT_TRUE(c.ok());
   EXPECT_NE((*c)->pages()[0], (*a)->pages()[0]);
-  EXPECT_EQ(memory_.num_live_pages(), 2u);
+  EXPECT_EQ(memory_.Snapshot().live_pages, 2u);
   (void)b;
 }
 
@@ -139,13 +137,16 @@ TEST_F(AllocatorTest, SharedPageDataDoesNotOverlap) {
 }
 
 TEST_F(AllocatorTest, ReleaseReturnsFramesToTier) {
-  const uint64_t before = memory_.used_bytes(mem::DeviceKind::kCpu);
+  const auto cpu_used = [this] {
+    return memory_.Snapshot().tier(mem::DeviceKind::kCpu).used_bytes;
+  };
+  const uint64_t before = cpu_used();
   auto tensor = allocator_.Allocate({kPage}, DType::kFp32,
                                     mem::DeviceKind::kCpu);  // 4 pages.
   ASSERT_TRUE(tensor.ok());
-  EXPECT_GT(memory_.used_bytes(mem::DeviceKind::kCpu), before);
+  EXPECT_GT(cpu_used(), before);
   ASSERT_TRUE(allocator_.Release(*tensor).ok());
-  EXPECT_EQ(memory_.used_bytes(mem::DeviceKind::kCpu), before);
+  EXPECT_EQ(cpu_used(), before);
   EXPECT_EQ(allocator_.num_tensors(), 0u);
 }
 
@@ -155,12 +156,12 @@ TEST_F(AllocatorTest, SharedPageSurvivesPartnerRelease) {
   std::vector<float> twos(100, 2.0f);
   ASSERT_TRUE((*b)->WriteFloats(twos).ok());
   ASSERT_TRUE(allocator_.Release(*a).ok());
-  EXPECT_EQ(memory_.num_live_pages(), 1u);
+  EXPECT_EQ(memory_.Snapshot().live_pages, 1u);
   std::vector<float> back;
   ASSERT_TRUE((*b)->ReadFloats(&back).ok());
   EXPECT_EQ(back, twos);
   ASSERT_TRUE(allocator_.Release(*b).ok());
-  EXPECT_EQ(memory_.num_live_pages(), 0u);
+  EXPECT_EQ(memory_.Snapshot().live_pages, 0u);
 }
 
 TEST_F(AllocatorTest, ReleaseUnknownTensorFails) {
@@ -187,7 +188,8 @@ TEST_F(AllocatorTest, MoveTensorAcrossTiersPreservesData) {
 
   // Through SSD and back.
   ASSERT_TRUE(allocator_.Move(*tensor, mem::DeviceKind::kSsd).ok());
-  EXPECT_FALSE((*tensor)->IsResident());
+  EXPECT_EQ((*tensor)->device_index(),
+            static_cast<int>(mem::DeviceKind::kSsd));
   ASSERT_TRUE(allocator_.Move(*tensor, mem::DeviceKind::kCpu).ok());
   ASSERT_TRUE((*tensor)->ReadFloats(&back).ok());
   EXPECT_EQ(back, values);
@@ -210,47 +212,18 @@ TEST_F(AllocatorTest, DeviceIndexMinusOneWhenSplit) {
   ASSERT_TRUE(
       memory_.MovePageSync((*tensor)->pages()[0], mem::DeviceKind::kGpu).ok());
   EXPECT_EQ((*tensor)->device_index(), mem::kDeviceNotReady);
-  EXPECT_FALSE((*tensor)->IsResident());
-}
-
-TEST_F(AllocatorTest, MergeMakesFragmentedTensorContiguous) {
-  // Arrange a non-contiguous layout: free a hole, then allocate across it.
-  auto t1 = allocator_.Allocate({kPage / 4}, DType::kFp32,
-                                mem::DeviceKind::kCpu);  // frame 0
-  auto t2 = allocator_.Allocate({kPage / 4}, DType::kFp32,
-                                mem::DeviceKind::kCpu);  // frame 1
-  ASSERT_TRUE(allocator_.Release(*t1).ok());
-  const size_t elems = kPage / 2;  // 2 pages: gets frames {0, 2}.
-  auto big =
-      allocator_.Allocate({elems}, DType::kFp32, mem::DeviceKind::kCpu);
-  ASSERT_TRUE(big.ok());
-  std::vector<float> values(elems);
-  for (size_t i = 0; i < elems; ++i) values[i] = float(i) * 2.0f;
-  ASSERT_TRUE((*big)->WriteFloats(values).ok());
-
-  if (!(*big)->IsContiguous()) {
-    ASSERT_TRUE(allocator_.Merge(*big).ok());
-  } else {
-    // Layout happened to be contiguous; Merge must be a no-op then.
-    ASSERT_TRUE(allocator_.Merge(*big).ok());
-  }
-  EXPECT_TRUE((*big)->IsContiguous());
-  std::vector<float> back;
-  ASSERT_TRUE((*big)->ReadFloats(&back).ok());
-  EXPECT_EQ(back, values);
-  // data() now legal.
-  EXPECT_NE((*big)->data(), nullptr);
-  (void)t2;
 }
 
 TEST_F(AllocatorTest, AllocationFailureLeaksNothing) {
   // GPU tier has 16 frames; ask for 20 pages worth.
-  const uint64_t used_before = memory_.used_bytes(mem::DeviceKind::kGpu);
+  const uint64_t used_before =
+      memory_.Snapshot().tier(mem::DeviceKind::kGpu).used_bytes;
   auto huge = allocator_.Allocate({20 * kPage / 4}, DType::kFp32,
                                   mem::DeviceKind::kGpu);
   EXPECT_FALSE(huge.ok());
   EXPECT_TRUE(huge.status().IsResourceExhausted());
-  EXPECT_EQ(memory_.used_bytes(mem::DeviceKind::kGpu), used_before);
+  EXPECT_EQ(memory_.Snapshot().tier(mem::DeviceKind::kGpu).used_bytes,
+            used_before);
   EXPECT_EQ(allocator_.num_tensors(), 0u);
 }
 

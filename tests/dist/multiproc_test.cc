@@ -227,6 +227,26 @@ TEST_F(MultiProcTest, KillOneRankRecoversFromCheckpoint) {
   }
 }
 
+// Fail-stop in one process: one rank of a 2-rank in-process job fails its
+// step-2 shard save. Its peer leaves the next collective instead of
+// waiting for it forever, and the job exits 1 with the checkpoint error.
+TEST_F(MultiProcTest, InProcessRankFailingMidRunFailsTheJob) {
+  testing::ProcHarness harness;
+  testing::ProcSpec spec;
+  spec.argv = {testing::WorkerBinary(), "--backend=inproc", "--world=2",
+               "--steps=6", "--checkpoint-every=2",
+               "--checkpoint-dir=" + dir_ + "/ckpt"};
+  spec.env = {"ANGELPTM_FAULT_SITES=checkpoint.write=nth:1"};
+  harness.Launch({spec});
+  const auto results = harness.WaitAll(60000);
+  EXPECT_FALSE(results[0].timed_out) << harness.output(0);
+  EXPECT_EQ(results[0].exit_code, 1) << harness.output(0);
+  EXPECT_NE(harness.output(0).find("Train failed"), std::string::npos);
+  EXPECT_NE(harness.output(0).find("injected fault at checkpoint.write"),
+            std::string::npos)
+      << harness.output(0);
+}
+
 // The harness itself: deadline enforcement reaps a hung child.
 TEST_F(MultiProcTest, HarnessDeadlineKillsStragglers) {
   // A rank 0 with world=2 and no rank 1 blocks in rendezvous (its connect

@@ -406,11 +406,13 @@ TEST(ProcessGroupTest, MidFrameSendFailureIsNotRetried) {
   EXPECT_TRUE(ProcessGroup::IsPeerLoss(statuses[0])) << statuses[0];
 }
 
-TEST(ProcessGroupTest, RootRejectsOversizeHello) {
-  // The root reads a hello header from anything that connects to the
-  // rendezvous socket. One claiming 2^40 payload bytes must fail the
-  // rendezvous with a Status before the root allocates anything.
-  const std::string path = RendezvousPath("oh");
+/// Starts the root of a 2-rank world and, from a raw client socket, sends
+/// it a hello whose header claims `claimed_bytes` and which carries
+/// `payload`; returns the root's Connect status.
+util::Status RootStatusAfterRawHello(const std::string& tag,
+                                     uint64_t claimed_bytes,
+                                     const std::vector<std::byte>& payload) {
+  const std::string path = RendezvousPath(tag);
   util::Status root_status;
   std::thread root([&] {
     ProcessGroupOptions options;
@@ -438,14 +440,36 @@ TEST(ProcessGroupTest, RootRejectsOversizeHello) {
     mem::wire::Header hello;
     hello.op = mem::wire::Op::kHello;
     hello.rank = 1;
-    hello.payload_bytes = uint64_t{1} << 40;
-    std::byte head[mem::wire::kHeaderBytes];
-    mem::wire::EncodeHeader(hello, head);
-    EXPECT_EQ(::write(fd, head, sizeof(head)), ssize_t(sizeof(head)));
+    hello.payload_bytes = claimed_bytes;
+    std::vector<std::byte> frame(mem::wire::kHeaderBytes);
+    mem::wire::EncodeHeader(hello, frame.data());
+    frame.insert(frame.end(), payload.begin(), payload.end());
+    EXPECT_EQ(::write(fd, frame.data(), frame.size()), ssize_t(frame.size()));
   }
   root.join();
   if (fd >= 0) ::close(fd);
-  EXPECT_TRUE(root_status.IsInvalidArgument()) << root_status;
+  return root_status;
+}
+
+TEST(ProcessGroupTest, RootRejectsOversizeHello) {
+  // The root reads a hello header from anything that connects to the
+  // rendezvous socket. One claiming 2^40 payload bytes must fail the
+  // rendezvous with a Status before the root reads or allocates anything.
+  const util::Status status =
+      RootStatusAfterRawHello("oh", uint64_t{1} << 40, {});
+  EXPECT_TRUE(status.IsInvalidArgument()) << status;
+}
+
+TEST(ProcessGroupTest, RootRejectsAHelloWithoutExactlyAWorldSize) {
+  // A hello carries the peer's world size in exactly 4 bytes. An empty
+  // one, or an 8-byte one, fails the rendezvous instead of joining with
+  // its world size unchecked.
+  for (const size_t bytes : {size_t{0}, size_t{8}}) {
+    SCOPED_TRACE(::testing::Message() << bytes << "-byte hello");
+    const util::Status status = RootStatusAfterRawHello(
+        "hs", bytes, std::vector<std::byte>(bytes, std::byte{2}));
+    EXPECT_TRUE(status.IsInvalidArgument()) << status;
+  }
 }
 
 TEST(ProcessGroupTest, StatsCountTraffic) {

@@ -765,44 +765,6 @@ TEST(ShardedDpTest, CorruptOrTruncatedShardFileFailsTheResume) {
   }
 }
 
-TEST(ShardedDpTest, FailedShardSaveLeavesTheLastCommonStep) {
-  // A write or rename fault on one rank's step-4 save fails the job and
-  // leaves no partial file: that rank still holds step 2, so the restart
-  // agrees on step 2 and resumes from it.
-  auto& injector = util::FaultInjector::Instance();
-  for (const char* site : {"checkpoint.write", "checkpoint.rename"}) {
-    SCOPED_TRACE(site);
-    injector.Reset();
-    TempDir dir;
-    {
-      Job job(CheckpointingOptions(2, dir.path()));
-      ASSERT_TRUE(job.dp.Init().ok());
-      util::FaultRule rule;
-      rule.nth_call = 3;  // The first of the two step-4 saves.
-      injector.Arm(site, rule);
-      EXPECT_FALSE(job.dp.Train(job.dataset, 4).ok());
-      injector.Reset();
-    }
-    size_t step4_files = 0;
-    for (int r = 0; r < 2; ++r) {
-      const std::vector<int64_t> steps = RankFiles(dir.path(), 2, r).Steps();
-      ASSERT_FALSE(steps.empty());
-      EXPECT_EQ(steps.front(), 2);
-      step4_files += steps.back() == 4 ? 1 : 0;
-    }
-    EXPECT_EQ(step4_files, 1u);
-    for (const auto& [name, bytes] : DirContents(dir.path())) {
-      EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
-    }
-
-    Job job(CheckpointingOptions(2, dir.path()));
-    ASSERT_TRUE(job.dp.Init().ok());
-    auto report = job.dp.Train(job.dataset, 4);
-    ASSERT_TRUE(report.ok()) << report.status();
-    EXPECT_EQ(report->resumed_step, 2);
-  }
-}
-
 /// Threads of this process.
 size_t ThreadCount() {
   size_t threads = 0;
@@ -812,6 +774,118 @@ size_t ThreadCount() {
     ++threads;
   }
   return threads;
+}
+
+/// Waits up to 5 s for this process to be back at `threads` threads: an
+/// exited thread leaves /proc/self/task just after its joiner wakes.
+size_t ThreadCountSettlingAt(size_t threads) {
+  size_t now = ThreadCount();
+  for (int i = 0; i < 500 && now != threads; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = ThreadCount();
+  }
+  return now;
+}
+
+/// One Train() call's outcome.
+struct TrainOutcome {
+  util::Status status;
+  int resumed_step = -1;
+};
+
+/// Trains a 2-rank job that saves its shards every 2 steps into `dir`:
+/// one in-process job, or one socket rank per thread. Returns each
+/// Train()'s outcome (one for the in-process job, one per socket rank).
+std::vector<TrainOutcome> TrainCheckpointingJob(const std::string& dir,
+                                                int steps, bool sockets) {
+  const int world = 2;
+  const auto run = [&](const ShardedDpOptions& options) {
+    Job job(options);
+    TrainOutcome outcome;
+    outcome.status = job.dp.Init();
+    if (!outcome.status.ok()) return outcome;
+    auto report = job.dp.Train(job.dataset, steps);
+    outcome.status = report.status();
+    if (report.ok()) outcome.resumed_step = report->resumed_step;
+    return outcome;
+  };
+  if (!sockets) return {run(CheckpointingOptions(world, dir))};
+  std::vector<TrainOutcome> outcomes(world);
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < world; ++r) {
+    ranks.emplace_back([&, r] {
+      ShardedDpOptions options = CheckpointingOptions(world, dir);
+      options.backend = DpBackend::kProcessGroup;
+      options.rank = r;
+      options.rendezvous =
+          "/tmp/aptm-sdpc-" + std::to_string(::getpid()) + ".sock";
+      outcomes[r] = run(options);
+    });
+  }
+  for (auto& t : ranks) t.join();
+  return outcomes;
+}
+
+TEST(ShardedDpTest, FailedShardSaveLeavesTheLastCommonStep) {
+  // A write or rename fault on one rank's step-4 save fails the job and
+  // leaves no partial file: that rank still holds step 2, so the restart
+  // agrees on step 2 and resumes from it. When step 4 is the last step,
+  // the other rank has no collective left. When it is a middle step, the
+  // other rank goes on into step 5's collectives, which the failure must
+  // end, in process or over sockets. Every Train() returns with the
+  // failing rank's fault or peer loss, and no thread outlives it.
+  auto& injector = util::FaultInjector::Instance();
+  (void)util::ComputePool();  // Its workers exist before the count.
+  const size_t threads_before = ThreadCount();
+  for (const bool sockets : {false, true}) {
+    for (const int steps : {4, 6}) {
+      for (const char* site : {"checkpoint.write", "checkpoint.rename"}) {
+        SCOPED_TRACE(::testing::Message()
+                     << site << ", " << steps << " steps, "
+                     << (sockets ? "sockets" : "in process"));
+        injector.Reset();
+        TempDir dir;
+        util::FaultRule rule;
+        rule.nth_call = 3;  // The first of the two step-4 saves.
+        injector.Arm(site, rule);
+        const std::vector<TrainOutcome> failed =
+            TrainCheckpointingJob(dir.path(), steps, sockets);
+        injector.Reset();
+        int faulted = 0;
+        for (const TrainOutcome& outcome : failed) {
+          ASSERT_FALSE(outcome.status.ok());
+          if (outcome.status.message().find(site) != std::string::npos) {
+            ++faulted;
+          } else {
+            EXPECT_TRUE(ProcessGroup::IsPeerLoss(outcome.status))
+                << outcome.status;
+          }
+        }
+        EXPECT_EQ(faulted, 1);
+
+        size_t step4_files = 0;
+        for (int r = 0; r < 2; ++r) {
+          const std::vector<int64_t> saved =
+              RankFiles(dir.path(), 2, r).Steps();
+          ASSERT_FALSE(saved.empty());
+          EXPECT_EQ(saved.front(), 2);
+          EXPECT_LE(saved.back(), 4);
+          step4_files += saved.back() == 4 ? 1 : 0;
+        }
+        EXPECT_EQ(step4_files, 1u);
+        for (const auto& [name, bytes] : DirContents(dir.path())) {
+          EXPECT_EQ(name.find(".tmp"), std::string::npos) << name;
+        }
+
+        for (const TrainOutcome& resumed :
+             TrainCheckpointingJob(dir.path(), steps, sockets)) {
+          ASSERT_TRUE(resumed.status.ok()) << resumed.status;
+          EXPECT_EQ(resumed.resumed_step, 2);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(ThreadCountSettlingAt(threads_before), threads_before);
 }
 
 TEST(ShardedDpTest, SocketRankFailingMidStepFailsEveryRankAndJoinsItsLane) {
@@ -875,13 +949,7 @@ TEST(ShardedDpTest, SocketRankFailingMidStepFailsEveryRankAndJoinsItsLane) {
     }
   }
   EXPECT_EQ(failed, 1);
-  // An exited thread leaves /proc/self/task just after its joiner wakes.
-  size_t threads_after = ThreadCount();
-  for (int i = 0; i < 500 && threads_after != threads_before; ++i) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    threads_after = ThreadCount();
-  }
-  EXPECT_EQ(threads_after, threads_before);
+  EXPECT_EQ(ThreadCountSettlingAt(threads_before), threads_before);
 }
 
 }  // namespace

@@ -84,7 +84,9 @@ TEST_P(AllocatorPropertyTest, RandomChurnPreservesInvariants) {
 
   // Invariant: every surviving tensor still holds its signature.
   for (const Live& entry : live) {
-    if (!entry.tensor->IsResident()) {
+    const int device = entry.tensor->device_index();
+    if (device == mem::kDeviceNotReady ||
+        device == static_cast<int>(mem::DeviceKind::kSsd)) {
       ASSERT_TRUE(
           allocator.Move(entry.tensor, mem::DeviceKind::kCpu).ok());
     }
@@ -99,11 +101,12 @@ TEST_P(AllocatorPropertyTest, RandomChurnPreservesInvariants) {
   for (const Live& entry : live) {
     ASSERT_TRUE(allocator.Release(entry.tensor).ok());
   }
-  EXPECT_EQ(memory.used_bytes(mem::DeviceKind::kCpu), 0u);
-  EXPECT_EQ(memory.used_bytes(mem::DeviceKind::kGpu), 0u);
-  EXPECT_EQ(memory.used_bytes(mem::DeviceKind::kSsd), 0u);
+  const mem::MemorySnapshot snapshot = memory.Snapshot();
+  EXPECT_EQ(snapshot.tier(mem::DeviceKind::kCpu).used_bytes, 0u);
+  EXPECT_EQ(snapshot.tier(mem::DeviceKind::kGpu).used_bytes, 0u);
+  EXPECT_EQ(snapshot.tier(mem::DeviceKind::kSsd).used_bytes, 0u);
   EXPECT_EQ(allocator.padding_bytes(), 0u);
-  EXPECT_EQ(memory.FragmentedBytes(), 0u);
+  EXPECT_EQ(snapshot.fragmented_bytes, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -157,13 +157,15 @@ TEST_F(MemFaultInjectionTest, FailedStageInKeepsPageOnSsd) {
   ASSERT_TRUE(page.ok());
   std::memset((*page)->data_ptr(), 0x24, kFrame);
   ASSERT_TRUE(memory.MovePageSync(*page, DeviceKind::kSsd).ok());
-  const uint64_t cpu_used_before = memory.used_bytes(DeviceKind::kCpu);
+  const uint64_t cpu_used_before =
+      memory.Snapshot().tier(DeviceKind::kCpu).used_bytes;
 
   ArmPermanent("ssd.pread");
   EXPECT_TRUE(memory.MovePageSync(*page, DeviceKind::kCpu).IsIoError());
   EXPECT_EQ((*page)->device(), DeviceKind::kSsd);
   // The CPU frame acquired for the failed stage-in was released.
-  EXPECT_EQ(memory.used_bytes(DeviceKind::kCpu), cpu_used_before);
+  EXPECT_EQ(memory.Snapshot().tier(DeviceKind::kCpu).used_bytes,
+            cpu_used_before);
 
   fi().Reset();
   ASSERT_TRUE(memory.MovePageSync(*page, DeviceKind::kCpu).ok());
@@ -181,7 +183,8 @@ TEST_F(MemFaultInjectionTest, MovePageFailpointFiresBeforeAnyWork) {
   EXPECT_EQ(memory.MovePageSync(*page, DeviceKind::kGpu).code(),
             util::StatusCode::kInternal);
   EXPECT_EQ((*page)->device(), DeviceKind::kCpu);
-  EXPECT_EQ(memory.move_stats(DeviceKind::kCpu, DeviceKind::kGpu).moves, 0u);
+  EXPECT_EQ(
+      memory.Snapshot().link(DeviceKind::kCpu, DeviceKind::kGpu).moves, 0u);
 }
 
 TEST_F(MemFaultInjectionTest, CopyEngineMoveFailureSurfacesThroughFuture) {

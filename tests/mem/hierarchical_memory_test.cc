@@ -29,11 +29,11 @@ TEST(HierarchicalMemoryTest, CreateAndDestroyPages) {
   ASSERT_TRUE(page.ok());
   EXPECT_EQ((*page)->device(), DeviceKind::kGpu);
   EXPECT_NE((*page)->data_ptr(), nullptr);
-  EXPECT_EQ(hm.num_live_pages(), 1u);
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kGpu), kPage);
+  EXPECT_EQ(hm.Snapshot().live_pages, 1u);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kGpu).used_bytes, kPage);
   ASSERT_TRUE(hm.DestroyPage(*page).ok());
-  EXPECT_EQ(hm.num_live_pages(), 0u);
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kGpu), 0u);
+  EXPECT_EQ(hm.Snapshot().live_pages, 0u);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kGpu).used_bytes, 0u);
 }
 
 TEST(HierarchicalMemoryTest, CreateOnSsdWithoutTierFails) {
@@ -99,8 +99,8 @@ TEST(HierarchicalMemoryTest, MovePreservesContentsAcrossMemoryTiers) {
   for (size_t i = 0; i < kPage; i += 997) {
     ASSERT_EQ((*page)->data_ptr()[i], std::byte{0x5C}) << "at " << i;
   }
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kCpu), 0u);
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kGpu), kPage);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kCpu).used_bytes, 0u);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kGpu).used_bytes, kPage);
 }
 
 TEST(HierarchicalMemoryTest, MovePreservesContentsThroughSsd) {
@@ -113,14 +113,14 @@ TEST(HierarchicalMemoryTest, MovePreservesContentsThroughSsd) {
   ASSERT_TRUE(hm.MovePageSync(*page, DeviceKind::kSsd).ok());
   EXPECT_EQ((*page)->device(), DeviceKind::kSsd);
   EXPECT_EQ((*page)->data_ptr(), nullptr);
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kGpu), 0u);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kGpu).used_bytes, 0u);
 
   ASSERT_TRUE(hm.MovePageSync(*page, DeviceKind::kCpu).ok());
   EXPECT_EQ((*page)->device(), DeviceKind::kCpu);
   for (size_t i = 0; i < kPage; i += 991) {
     ASSERT_EQ((*page)->data_ptr()[i], std::byte(i * 7 & 0xFF)) << "at " << i;
   }
-  EXPECT_EQ(hm.used_bytes(DeviceKind::kSsd), 0u);
+  EXPECT_EQ(hm.Snapshot().tier(DeviceKind::kSsd).used_bytes, 0u);
 }
 
 TEST(HierarchicalMemoryTest, MoveToSameDeviceIsNoop) {
@@ -151,8 +151,9 @@ TEST(HierarchicalMemoryTest, MoveStatsAccumulate) {
   ASSERT_TRUE(hm.MovePageSync(*page, DeviceKind::kGpu).ok());
   ASSERT_TRUE(hm.MovePageSync(*page, DeviceKind::kCpu).ok());
   ASSERT_TRUE(hm.MovePageSync(*page, DeviceKind::kGpu).ok());
-  const MoveStats up = hm.move_stats(DeviceKind::kCpu, DeviceKind::kGpu);
-  const MoveStats down = hm.move_stats(DeviceKind::kGpu, DeviceKind::kCpu);
+  const MemorySnapshot snapshot = hm.Snapshot();
+  const MoveStats& up = snapshot.link(DeviceKind::kCpu, DeviceKind::kGpu);
+  const MoveStats& down = snapshot.link(DeviceKind::kGpu, DeviceKind::kCpu);
   EXPECT_EQ(up.moves, 2u);
   EXPECT_EQ(up.bytes, 2 * kPage);
   EXPECT_EQ(down.moves, 1u);
@@ -165,24 +166,9 @@ TEST(HierarchicalMemoryTest, FragmentationAccounting) {
   ASSERT_TRUE((*page)->Allocate(1000, 1).ok());
   ASSERT_TRUE((*page)->Allocate(1000, 2).ok());
   ASSERT_TRUE((*page)->Release(1).ok());
-  EXPECT_EQ(hm.FragmentedBytes(), 1000u);
+  EXPECT_EQ(hm.Snapshot().fragmented_bytes, 1000u);
   ASSERT_TRUE((*page)->Release(2).ok());
-  EXPECT_EQ(hm.FragmentedBytes(), 0u);
-}
-
-TEST(HierarchicalMemoryTest, CreateContiguousPagesAreAdjacent) {
-  HierarchicalMemory hm(SmallOptions());
-  auto pages = hm.CreateContiguousPages(DeviceKind::kCpu, 3);
-  ASSERT_TRUE(pages.ok());
-  ASSERT_EQ(pages->size(), 3u);
-  for (size_t i = 1; i < pages->size(); ++i) {
-    EXPECT_EQ((*pages)[i]->data_ptr(),
-              (*pages)[i - 1]->data_ptr() + kPage);
-  }
-  EXPECT_TRUE(hm.CreateContiguousPages(DeviceKind::kSsd, 2)
-                  .status()
-                  .IsInvalidArgument());
-  for (Page* page : *pages) ASSERT_TRUE(hm.DestroyPage(page).ok());
+  EXPECT_EQ(hm.Snapshot().fragmented_bytes, 0u);
 }
 
 TEST(HierarchicalMemoryTest, MemoryReportShowsTiersAndMoves) {

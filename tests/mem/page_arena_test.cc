@@ -97,54 +97,6 @@ TEST(PageArenaTest, OwnsIdentifiesArenaPointers) {
   EXPECT_FALSE(arena.Owns(&local));
 }
 
-TEST(PageArenaTest, ContiguousRunFromFreshArena) {
-  PageArena arena(DeviceKind::kCpu, 8 * kFrame, kFrame);
-  auto run = arena.AcquireContiguousFrames(4);
-  ASSERT_TRUE(run.ok());
-  EXPECT_TRUE(arena.Owns(*run));
-  EXPECT_EQ(arena.free_frames(), 4u);
-  // The run is truly adjacent: releasing each frame individually works.
-  for (int i = 0; i < 4; ++i) arena.ReleaseFrame(*run + i * kFrame);
-  EXPECT_EQ(arena.free_frames(), 8u);
-}
-
-TEST(PageArenaTest, ContiguousRunSkipsHoles) {
-  PageArena arena(DeviceKind::kCpu, 6 * kFrame, kFrame);
-  // Occupy frames 0..5, then free {0, 2, 3, 4}: the only 3-run is 2..4.
-  std::vector<std::byte*> frames;
-  for (int i = 0; i < 6; ++i) frames.push_back(*arena.AcquireFrame());
-  arena.ReleaseFrame(frames[0]);
-  arena.ReleaseFrame(frames[2]);
-  arena.ReleaseFrame(frames[3]);
-  arena.ReleaseFrame(frames[4]);
-  auto run = arena.AcquireContiguousFrames(3);
-  ASSERT_TRUE(run.ok());
-  EXPECT_EQ(*run, frames[2]);
-  // Frame 0 is still free but no 2-run exists now.
-  EXPECT_EQ(arena.free_frames(), 1u);
-  EXPECT_TRUE(arena.AcquireContiguousFrames(2).status().IsResourceExhausted());
-  EXPECT_TRUE(arena.AcquireContiguousFrames(1).ok());
-}
-
-TEST(PageArenaTest, ContiguousRunFailsWhenFragmented) {
-  PageArena arena(DeviceKind::kCpu, 6 * kFrame, kFrame);
-  std::vector<std::byte*> frames;
-  for (int i = 0; i < 6; ++i) frames.push_back(*arena.AcquireFrame());
-  // Free every other frame: 3 free frames, no run of 2.
-  arena.ReleaseFrame(frames[0]);
-  arena.ReleaseFrame(frames[2]);
-  arena.ReleaseFrame(frames[4]);
-  EXPECT_TRUE(
-      arena.AcquireContiguousFrames(2).status().IsResourceExhausted());
-}
-
-TEST(PageArenaTest, ContiguousRunValidation) {
-  PageArena arena(DeviceKind::kCpu, 4 * kFrame, kFrame);
-  EXPECT_TRUE(arena.AcquireContiguousFrames(0).status().IsInvalidArgument());
-  EXPECT_TRUE(
-      arena.AcquireContiguousFrames(5).status().IsResourceExhausted());
-}
-
 TEST(PageArenaTest, ConcurrentAcquireRelease) {
   PageArena arena(DeviceKind::kCpu, 64 * kFrame, kFrame);
   std::vector<std::thread> threads;

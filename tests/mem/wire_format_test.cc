@@ -58,28 +58,6 @@ void WriteHeaderWithOp(SocketPair* pair, const Header& header, uint16_t op) {
   pair->WriteRaw(head, kHeaderBytes);
 }
 
-TEST(WireFormatTest, FrameRoundTrips) {
-  SocketPair pair;
-  const std::vector<float> sent = {1.5f, -2.0f, 3.25f, 0.0f};
-  Header header;
-  header.op = Op::kAllReduce;
-  header.rank = 3;
-  header.seq = 41;
-  header.payload_bytes = sent.size() * sizeof(float);
-  ASSERT_TRUE(SendFrame(pair.send_fd(), header, sent.data()).ok());
-
-  Header got;
-  std::vector<std::byte> payload;
-  const util::Status status = RecvFrame(pair.recv_fd(), &got, &payload,
-                                        header.payload_bytes, kTimeoutMs);
-  ASSERT_TRUE(status.ok()) << status;
-  EXPECT_EQ(got.op, Op::kAllReduce);
-  EXPECT_EQ(got.rank, 3);
-  EXPECT_EQ(got.seq, 41u);
-  ASSERT_EQ(payload.size(), header.payload_bytes);
-  EXPECT_EQ(std::memcmp(payload.data(), sent.data(), payload.size()), 0);
-}
-
 TEST(WireFormatTest, BadMagicIsInvalidArgument) {
   SocketPair pair;
   std::byte head[kHeaderBytes];
@@ -87,9 +65,8 @@ TEST(WireFormatTest, BadMagicIsInvalidArgument) {
   head[0] ^= std::byte{0xFF};
   pair.WriteRaw(head, kHeaderBytes);
   Header got;
-  std::vector<std::byte> payload;
-  EXPECT_TRUE(RecvFrame(pair.recv_fd(), &got, &payload, 0, kTimeoutMs)
-                  .IsInvalidArgument());
+  EXPECT_TRUE(
+      RecvFrame(pair.recv_fd(), &got, {}, kTimeoutMs).IsInvalidArgument());
 }
 
 TEST(WireFormatTest, UnknownOpsAreInvalidArgument) {
@@ -97,9 +74,8 @@ TEST(WireFormatTest, UnknownOpsAreInvalidArgument) {
     SocketPair pair;
     WriteHeaderWithOp(&pair, Header{}, op);
     Header got;
-    std::vector<std::byte> payload;
-    EXPECT_TRUE(RecvFrame(pair.recv_fd(), &got, &payload, 0, kTimeoutMs)
-                    .IsInvalidArgument())
+    EXPECT_TRUE(
+        RecvFrame(pair.recv_fd(), &got, {}, kTimeoutMs).IsInvalidArgument())
         << "op " << op;
   }
 }
@@ -112,28 +88,10 @@ TEST(WireFormatTest, RetiredPageOpIsInvalidArgument) {
   header.payload_bytes = 64;
   WriteHeaderWithOp(&pair, header, 1);
   Header got;
-  std::vector<std::byte> payload;
-  EXPECT_TRUE(RecvFrame(pair.recv_fd(), &got, &payload, 64, kTimeoutMs)
-                  .IsInvalidArgument());
-}
-
-TEST(WireFormatTest, OversizeHeaderIsRejectedBeforeAllocating) {
-  // A 24-byte header claiming 2^40 payload bytes: the receiver must refuse
-  // it from the header alone, not try to allocate a terabyte.
-  SocketPair pair;
-  Header header;
-  header.op = Op::kHello;
-  header.rank = 1;
-  header.payload_bytes = uint64_t{1} << 40;
-  std::byte head[kHeaderBytes];
-  EncodeHeader(header, head);
-  pair.WriteRaw(head, kHeaderBytes);
-  Header got;
-  std::vector<std::byte> payload;
-  EXPECT_TRUE(RecvFrame(pair.recv_fd(), &got, &payload, sizeof(uint32_t),
+  std::vector<std::byte> payload(64);
+  EXPECT_TRUE(RecvFrame(pair.recv_fd(), &got, std::span<std::byte>(payload),
                         kTimeoutMs)
                   .IsInvalidArgument());
-  EXPECT_EQ(payload.capacity(), 0u);
 }
 
 TEST(WireFormatTest, FrameRoundTripsIntoTheCallersBuffer) {
@@ -141,7 +99,7 @@ TEST(WireFormatTest, FrameRoundTripsIntoTheCallersBuffer) {
   const std::vector<float> sent = {1.5f, -2.0f, 3.25f, 0.0f};
   Header header;
   header.op = Op::kResult;
-  header.rank = 0;
+  header.rank = 3;
   header.seq = 7;
   header.payload_bytes = sent.size() * sizeof(float);
   ASSERT_TRUE(SendFrame(pair.send_fd(), header, sent.data()).ok());
@@ -154,6 +112,7 @@ TEST(WireFormatTest, FrameRoundTripsIntoTheCallersBuffer) {
                 kTimeoutMs);
   ASSERT_TRUE(status.ok()) << status;
   EXPECT_EQ(got.op, Op::kResult);
+  EXPECT_EQ(got.rank, 3);
   EXPECT_EQ(got.seq, 7u);
   EXPECT_EQ(received, sent);
 }
@@ -196,9 +155,9 @@ TEST(WireFormatTest, TruncatedPayloadIsPeerClosed) {
   pair.WriteRaw(part.data(), part.size());
   pair.CloseSender();
   Header got;
-  std::vector<std::byte> payload;
-  const util::Status status =
-      RecvFrame(pair.recv_fd(), &got, &payload, 100, kTimeoutMs);
+  std::vector<std::byte> payload(100);
+  const util::Status status = RecvFrame(
+      pair.recv_fd(), &got, std::span<std::byte>(payload), kTimeoutMs);
   EXPECT_TRUE(status.IsIoError()) << status;
   EXPECT_NE(status.message().find(kPeerClosedMsg), std::string::npos);
 }
@@ -207,9 +166,7 @@ TEST(WireFormatTest, ClosedPeerIsPeerClosed) {
   SocketPair pair;
   pair.CloseSender();
   Header got;
-  std::vector<std::byte> payload;
-  const util::Status status =
-      RecvFrame(pair.recv_fd(), &got, &payload, 0, kTimeoutMs);
+  const util::Status status = RecvFrame(pair.recv_fd(), &got, {}, kTimeoutMs);
   EXPECT_TRUE(status.IsIoError()) << status;
   EXPECT_NE(status.message().find(kPeerClosedMsg), std::string::npos);
 }
@@ -217,9 +174,7 @@ TEST(WireFormatTest, ClosedPeerIsPeerClosed) {
 TEST(WireFormatTest, SilentPeerTimesOut) {
   SocketPair pair;
   Header got;
-  std::vector<std::byte> payload;
-  EXPECT_EQ(RecvFrame(pair.recv_fd(), &got, &payload, 0, /*timeout_ms=*/20)
-                .code(),
+  EXPECT_EQ(RecvFrame(pair.recv_fd(), &got, {}, /*timeout_ms=*/20).code(),
             util::StatusCode::kDeadlineExceeded);
 }
 

@@ -47,10 +47,11 @@ TEST(HistogramDataTest, RecordMergeAndStats) {
   EXPECT_EQ(h.buckets[3], 1u);  // value 5 in [4, 8)
   EXPECT_EQ(h.buckets[7], 1u);  // value 100 in [64, 128)
 
-  // Percentiles report the inclusive upper bound of the holding bucket.
+  // Percentiles report the inclusive upper bound of the holding bucket,
+  // capped at the recorded max (100, not the bucket's 127).
   EXPECT_EQ(h.Percentile(0.25), 0u);
   EXPECT_EQ(h.Percentile(0.5), 1u);
-  EXPECT_EQ(h.Percentile(1.0), 127u);
+  EXPECT_EQ(h.Percentile(1.0), 100u);
 
   HistogramData other;
   other.Record(200);
@@ -63,6 +64,21 @@ TEST(HistogramDataTest, RecordMergeAndStats) {
   const std::string json = h.ToJson();
   EXPECT_NE(json.find("\"count\":5"), std::string::npos);
   EXPECT_NE(json.find("\"max\":200"), std::string::npos);
+}
+
+TEST(HistogramDataTest, PercentileNeverExceedsTheMax) {
+  // Every sample sits in bucket [8, 16), whose upper bound 15 was never
+  // recorded: p50 and p95 read the max, 8 and 9, not 15.
+  HistogramData h;
+  for (int i = 0; i < 9; ++i) h.Record(8);
+  EXPECT_EQ(h.Percentile(0.5), 8u);
+  h.Record(9);
+  EXPECT_EQ(h.Percentile(0.5), 9u);
+  EXPECT_EQ(h.Percentile(0.95), 9u);
+  EXPECT_NE(h.Summary().find("p50=9 p95=9 max=9"), std::string::npos);
+  // A lower bucket's bound below the max is still reported as is.
+  h.Record(2);
+  EXPECT_EQ(h.Percentile(0.05), 3u);
 }
 
 }  // namespace
