@@ -296,6 +296,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/runtime_test --gtest_repeat=50 \
       --gtest_filter='LockFreeUpdaterTest.StreamedUpdateMatchesWholeLayerBitwise:LockFreeUpdaterTest.GradientSwapLosesNoBatch'
+  # The engine's prefetches: copy-engine futures are issued at scheduled
+  # triggers and settled at the layer's own use, in eviction scans and at
+  # release, while the copy threads move the pages, 10 times over.
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/runtime_test --gtest_repeat=10 \
+      --gtest_filter='EngineTest.*'
   # ZeRO: each rank's comm lane gathers, reduce-scatters and runs the rule
   # on its shard in place, splitting the shard's pages across the one
   # compute pool, while the rank thread runs forward and backward on the

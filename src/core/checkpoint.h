@@ -207,6 +207,9 @@ struct CheckpointFiles {
   uint64_t Rotate(int keep_last) const;
 };
 
+/// The stem of CheckpointManager's series: "<dir>/ckpt-<step>.ckpt".
+inline constexpr char kCheckpointStem[] = "ckpt";
+
 }  // namespace angelptm::core
 
 #endif  // ANGELPTM_CORE_CHECKPOINT_H_

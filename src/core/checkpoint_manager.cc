@@ -22,7 +22,7 @@ uint64_t NowUs() {
 }  // namespace
 
 CheckpointManager::CheckpointManager(const Options& options)
-    : options_(options), files_{options.dir, options.basename} {
+    : options_(options), files_{options.dir, kCheckpointStem} {
   if (options_.keep_last < 1) options_.keep_last = 1;
 }
 

@@ -39,11 +39,9 @@ namespace angelptm::core {
 class CheckpointManager {
  public:
   struct Options {
-    /// Directory holding the rotated files (created by Init).
+    /// Directory holding the rotated files (created by Init), named
+    /// "ckpt-<step padded to 9>.ckpt" (core::kCheckpointStem).
     std::string dir;
-    /// File stem: files are "<stem>-<step padded to 9>.ckpt"
-    /// (core::CheckpointFiles).
-    std::string basename = "ckpt";
     /// How many checkpoints to keep; older ones are deleted after a
     /// successful save. Minimum 1.
     int keep_last = 3;
@@ -58,7 +56,7 @@ class CheckpointManager {
   CheckpointManager& operator=(const CheckpointManager&) = delete;
 
   /// Creates the checkpoint directory (recursively) and deletes the
-  /// "<stem>-*.ckpt.tmp" files an interrupted persist left behind.
+  /// "ckpt-*.ckpt.tmp" files an interrupted persist left behind.
   /// Idempotent.
   [[nodiscard]] util::Status Init() ANGEL_EXCLUDES(save_mutex_, mutex_);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <string>
 
 #include "core/unified_scheduler.h"
@@ -13,6 +14,15 @@ namespace {
 
 /// Copy-engine threads moving pages between tiers.
 constexpr size_t kCopyThreads = 2;
+
+constexpr int kNoUse = std::numeric_limits<int>::max();
+
+/// The first of `use_ops` (ascending) at op `op` or later; kNoUse when no
+/// use is left.
+int NextUse(const std::vector<int>& use_ops, int op) {
+  const auto next = std::lower_bound(use_ops.begin(), use_ops.end(), op);
+  return next == use_ops.end() ? kNoUse : *next;
+}
 
 }  // namespace
 
@@ -69,11 +79,6 @@ util::Status Engine::BeginStep() {
   }
   step_active_ = true;
   current_op_ = 0;
-  for (auto& layer : layers_) {
-    layer.uses_this_step = 0;
-    layer.staged_this_step = false;
-  }
-  planner_.BeginStep();
   if (options_.lock_free && !updater_->running()) {
     updater_->Start();
   }
@@ -82,36 +87,20 @@ util::Status Engine::BeginStep() {
 
 util::Status Engine::StageWorkingTensor(int layer_index) {
   WorkingLayer& layer = layers_[layer_index];
-  if (layer.tensor == nullptr) {
-    ANGEL_ASSIGN_OR_RETURN(
-        layer.tensor,
-        allocator_->Allocate({layer.count}, DType::kFp16,
-                             mem::DeviceKind::kCpu));
-  }
-  ANGEL_RETURN_IF_ERROR(updater_->FetchParams(layer_index, layer.tensor));
-  layer.staged_this_step = true;
-  return util::Status::OK();
-}
-
-util::Status Engine::IssuePrefetch(int layer_index) {
-  WorkingLayer& layer = layers_[layer_index];
-  if (layer.staged_this_step) return util::Status::OK();
-  ANGEL_RETURN_IF_ERROR(StageWorkingTensor(layer_index));
-  layer.pending_moves.clear();
-  for (mem::Page* page : layer.tensor->pages()) {
-    layer.pending_moves.push_back(
-        copy_engine_->MoveAsync(page, mem::DeviceKind::kGpu));
-  }
-  return util::Status::OK();
+  ANGEL_ASSIGN_OR_RETURN(
+      layer.tensor,
+      allocator_->Allocate({layer.count}, DType::kFp16,
+                           mem::DeviceKind::kCpu));
+  return updater_->FetchParams(layer_index, layer.tensor);
 }
 
 void Engine::SettlePendingMoves(WorkingLayer& layer) {
   // Settle in-flight prefetch moves BEFORE inspecting residence: the
   // copy-engine worker writes the page's device, and the future is the only
   // synchronization edge between that write and this read. get() — not
-  // wait() — so a failed move's Status is observed: the layer stays
-  // CPU-resident and recovers through the on-demand path at its next use,
-  // so the failure is counted rather than propagated.
+  // wait() — so a failed move's Status is observed: its page stays
+  // CPU-resident and the layer's use moves it on demand, so the failure is
+  // counted rather than propagated.
   for (auto& future : layer.pending_moves) {
     const util::Status status = future.get();
     if (!status.ok()) {
@@ -128,23 +117,25 @@ util::Status Engine::MoveWithEviction(int layer_index) {
         allocator_->Move(layers_[layer_index].tensor, mem::DeviceKind::kGpu);
     if (!moved.IsResourceExhausted()) return moved;
     // The tier is full: push another staged layer's working tensor back to
-    // the CPU tier (it will be re-fetched at its next use — the on-demand
-    // behaviour Algorithm 1's wait-stack creates under memory pressure).
-    // Victim order is Belady-style once the planner is trained: farthest
-    // predicted next use first, the immediately-next layer last;
-    // registration order during the warmup step.
-    std::vector<uint64_t> candidates;
+    // the CPU tier (it moves back at its next use — the on-demand behaviour
+    // Algorithm 1's wait-stack creates under memory pressure). Victims go
+    // by next traced use, farthest first (Belady). Every staged layer has a
+    // use left this step, so nothing wraps into the next step; during the
+    // warmup step no layer has a traced use yet, which leaves registration
+    // order.
+    std::vector<int> candidates;
     for (size_t l = 0; l < layers_.size(); ++l) {
-      if (int(l) == layer_index) continue;
-      const WorkingLayer& other = layers_[l];
-      if (other.tensor == nullptr || !other.staged_this_step) continue;
-      candidates.push_back(l);
+      if (int(l) != layer_index && layers_[l].tensor != nullptr) {
+        candidates.push_back(int(l));
+      }
     }
-    if (planner_.trained()) {
-      candidates = planner_.RankEvictionCandidates(candidates);
-    }
+    std::stable_sort(candidates.begin(), candidates.end(),
+                     [this](int a, int b) {
+                       return NextUse(layers_[a].use_ops, current_op_) >
+                              NextUse(layers_[b].use_ops, current_op_);
+                     });
     bool evicted = false;
-    for (const uint64_t l : candidates) {
+    for (const int l : candidates) {
       WorkingLayer& other = layers_[l];
       SettlePendingMoves(other);
       if (other.tensor->device_index() !=
@@ -161,12 +152,19 @@ util::Status Engine::MoveWithEviction(int layer_index) {
 }
 
 util::Status Engine::IssueReadyPrefetches() {
-  if (schedule_ == nullptr) return util::Status::OK();
   for (size_t l = 0; l < layers_.size(); ++l) {
     WorkingLayer& layer = layers_[l];
-    if (layer.staged_this_step || layer.issue_trigger < 0) continue;
-    if (layer.issue_trigger <= current_op_) {
-      ANGEL_RETURN_IF_ERROR(IssuePrefetch(static_cast<int>(l)));
+    // A released layer has no traced use left: staging it again would only
+    // copy p'16 for nothing.
+    if (layer.tensor != nullptr || layer.issue_trigger < 0 ||
+        layer.issue_trigger > current_op_ ||
+        NextUse(layer.use_ops, current_op_) == kNoUse) {
+      continue;
+    }
+    ANGEL_RETURN_IF_ERROR(StageWorkingTensor(static_cast<int>(l)));
+    for (mem::Page* page : layer.tensor->pages()) {
+      layer.pending_moves.push_back(
+          copy_engine_->MoveAsync(page, mem::DeviceKind::kGpu));
     }
   }
   return util::Status::OK();
@@ -181,72 +179,47 @@ util::Result<std::vector<float>> Engine::UseLayerParams(int layer_index) {
     return util::Status::InvalidArgument("bad layer index");
   }
   WorkingLayer& layer = layers_[layer_index];
+  // The warmup step records its order: Algorithm 1's input and the trace
+  // every later step replays (BuildScheduleFromTrace).
   const bool tracing = schedule_ == nullptr;
+  if (tracing) access_order_.push_back(layer_index);
 
-  if (tracing) {
-    // The warmup record: the planner's learned order is both Algorithm 1's
-    // input (BuildScheduleFromTrace) and the eviction model.
-    planner_.RecordAccess(static_cast<uint64_t>(layer_index));
-    if (!layer.staged_this_step) {
-      ANGEL_RETURN_IF_ERROR(StageWorkingTensor(layer_index));
-    }
-    ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
+  // Whether this use had to block anywhere; decided once, after the final
+  // residence check, so a use is never counted as both a hit and a wait.
+  bool waited = false;
+  if (layer.tensor == nullptr) {
+    // Unstaged: the warmup step, or a layer the schedule left CPU-resident
+    // (memory pressure) — fetched on demand, Algorithm 1's wait stack.
+    waited = true;
+    ANGEL_RETURN_IF_ERROR(StageWorkingTensor(layer_index));
   } else {
-    // Advance the access-order model past this use first, so eviction
-    // ranking inside MoveWithEviction sees distances relative to the
-    // *upcoming* accesses.
-    planner_.OnUse(static_cast<uint64_t>(layer_index));
-    // Whether this use had to block anywhere; decided once, after the final
-    // residence check, so a single use is never counted as both a hit and a
-    // wait (an eviction pushing the layer back to CPU after its futures
-    // resolved used to double-count).
-    bool waited = false;
-    if (!layer.staged_this_step) {
-      // The schedule left this layer CPU-resident (memory pressure):
-      // fetch on demand, the wait-stack behaviour of Algorithm 1.
-      waited = true;
-      ANGEL_RETURN_IF_ERROR(StageWorkingTensor(layer_index));
-      ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
-    } else if (!layer.pending_moves.empty()) {
-      bool all_ready = true;
-      for (auto& future : layer.pending_moves) {
-        if (future.wait_for(std::chrono::seconds(0)) !=
-            std::future_status::ready) {
-          all_ready = false;
-        }
+    for (auto& future : layer.pending_moves) {
+      if (future.wait_for(std::chrono::seconds(0)) !=
+          std::future_status::ready) {
+        waited = true;
       }
-      bool any_failed = false;
-      for (auto& future : layer.pending_moves) {
-        if (!future.get().ok()) any_failed = true;
-      }
-      layer.pending_moves.clear();
-      if (any_failed) {
-        // A prefetch lost the race for frames; finish synchronously.
-        ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
-        all_ready = false;
-      }
-      if (!all_ready) waited = true;
     }
-    // An earlier eviction may have pushed this layer back to the CPU tier.
-    if (layer.tensor->device_index() !=
-        static_cast<int>(mem::DeviceKind::kGpu)) {
-      ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
-      waited = true;
-    }
+    SettlePendingMoves(layer);
+  }
+  // A fresh stage, a failed prefetch or an earlier eviction leaves the
+  // layer off the fast tier.
+  if (layer.tensor->device_index() !=
+      static_cast<int>(mem::DeviceKind::kGpu)) {
+    waited = true;
+    ANGEL_RETURN_IF_ERROR(MoveWithEviction(layer_index));
+  }
+  if (!tracing) {
     // Exactly-once accounting: prefetch_hits_ + prefetch_waits_ ==
-    // scheduled_uses_ (asserted by the engine test). A use that was staged,
-    // settled and still GPU-resident counts as a hit.
+    // scheduled_uses_ (asserted by the engine test).
     ++scheduled_uses_;
     (waited ? prefetch_waits_ : prefetch_hits_) += 1;
   }
 
   std::vector<float> params;
   ANGEL_RETURN_IF_ERROR(layer.tensor->ReadFloats(&params));
-  layer.uses_this_step += 1;
   current_op_ += 1;
-
-  // Release after the last traced access: the caller holds a copy.
-  if (!tracing && layer.uses_this_step >= layer.total_uses) {
+  // Release after the last traced use: the caller holds a copy.
+  if (!tracing && NextUse(layer.use_ops, current_op_) == kNoUse) {
     ANGEL_RETURN_IF_ERROR(ReleaseWorkingTensor(layer_index));
   }
   ANGEL_RETURN_IF_ERROR(IssueReadyPrefetches());
@@ -310,15 +283,12 @@ util::Status Engine::ReleaseWorkingTensor(int layer_index) {
   SettlePendingMoves(layer);
   ANGEL_RETURN_IF_ERROR(allocator_->Release(layer.tensor));
   layer.tensor = nullptr;
-  layer.staged_this_step = false;
   return util::Status::OK();
 }
 
 util::Status Engine::BuildScheduleFromTrace() {
-  // One schedule step per warmup use, in the planner's learned order; each
-  // step reads all of its layer's fp16 pages. Page ids are dense: layer l's
-  // pages follow layer l-1's.
-  const std::vector<uint64_t>& order = planner_.learned_order();
+  // One schedule step per traced use; each step reads all of its layer's
+  // fp16 pages. Page ids are dense: layer l's pages follow layer l-1's.
   const size_t page_bytes = memory_->page_bytes();
   std::vector<std::vector<PageRef>> layer_pages(layers_.size());
   uint64_t next_page = 0;
@@ -332,33 +302,28 @@ util::Status Engine::BuildScheduleFromTrace() {
   ScheduleInput input;
   input.world_size = 1;
   input.gpu_memory_budget = memory_->capacity_bytes(mem::DeviceKind::kGpu);
-  for (auto& layer : layers_) {
-    layer.total_uses = 0;
-    layer.issue_trigger = -1;
-  }
-  for (const uint64_t layer : order) {
+  for (const int layer : access_order_) {
     SchedStep step;
     step.param_pages = layer_pages[layer];
     input.steps.push_back(std::move(step));
-    layers_[layer].total_uses += 1;
   }
 
   ANGEL_ASSIGN_OR_RETURN(Schedule schedule, BuildSchedule(input));
   schedule_ = std::make_unique<Schedule>(std::move(schedule));
 
+  for (size_t op = 0; op < access_order_.size(); ++op) {
+    layers_[access_order_[op]].use_ops.push_back(int(op));
+  }
   // Earliest movement trigger per layer; layers with no movement task stay
   // on demand. A move task's step is a step that reads its page, so that
   // step's layer owns the page.
   for (const Task& task : schedule_->tasks) {
     if (task.op != TaskOp::kMoveToGpu) continue;
-    WorkingLayer& layer = layers_[order[task.step]];
+    WorkingLayer& layer = layers_[access_order_[task.step]];
     if (layer.issue_trigger < 0 || task.trigger_id < layer.issue_trigger) {
       layer.issue_trigger = task.trigger_id;
     }
   }
-  // From the next step on, MoveWithEviction ranks victims by predicted
-  // next use.
-  planner_.FinishWarmup();
   return util::Status::OK();
 }
 

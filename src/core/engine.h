@@ -10,7 +10,6 @@
 #include "core/schedule.h"
 #include "mem/copy_engine.h"
 #include "mem/hierarchical_memory.h"
-#include "mem/prefetch_planner.h"
 #include "util/status.h"
 
 namespace angelptm::core {
@@ -30,10 +29,12 @@ struct EngineOptions {
 /// optimizer, config)`): callers register layers once, then drive steps with
 /// the Use/Push protocol and the engine handles everything the paper's
 /// runtime handles — staging fp16 working parameters into the fast tier,
-/// tracing the first iteration's layer order into the PrefetchPlanner (§5
-/// Tracer), building the Algorithm-1 schedule from that order, prefetching
-/// asynchronously on later iterations, releasing working tensors after
-/// their last use, and updating through the (optionally lock-free) Adam.
+/// tracing the first iteration's layer order (§5 Tracer), building the
+/// Algorithm-1 schedule from that trace, prefetching asynchronously on later
+/// iterations, evicting by next traced use, releasing working tensors after
+/// their last traced use, and updating through the (optionally lock-free)
+/// Adam. Later steps replay the trace with one cursor (the op count), so
+/// each layer is staged at most once per step (DESIGN.md §12).
 ///
 /// Step protocol, mirroring the forward/backward structure:
 ///
@@ -96,43 +97,40 @@ class Engine {
   uint64_t prefetch_waits() const { return prefetch_waits_; }
   /// Post-warmup UseLayerParams calls (the denominator of the hit rate).
   uint64_t scheduled_uses() const { return scheduled_uses_; }
-  /// Asynchronous prefetch moves that resolved with an error while their
-  /// futures were settled off the issuing path (eviction scans, releases).
-  /// Each such layer stays CPU-resident and recovers through the on-demand
-  /// path at its next use, so these are counted, not propagated.
+  /// Asynchronous prefetch moves that resolved with an error, each counted
+  /// where its future is settled: at the layer's own use, in an eviction
+  /// scan or at release. The layer stays CPU-resident and recovers through
+  /// the on-demand path, so these are counted, not propagated.
   uint64_t prefetch_move_failures() const { return prefetch_move_failures_; }
-  /// The warmup record: its learned order is Algorithm 1's input, then it
-  /// drives Belady-style eviction in MoveWithEviction (DESIGN.md §12).
-  const mem::PrefetchPlanner& planner() const { return planner_; }
+  /// The warmup step's UseLayerParams layer order: Algorithm 1's input, and
+  /// the trace every later step replays (DESIGN.md §12).
+  const std::vector<int>& access_order() const { return access_order_; }
 
  private:
   explicit Engine(const EngineOptions& options);
 
   struct WorkingLayer {
     size_t count = 0;
-    Tensor* tensor = nullptr;  // fp16 staging/working tensor (null = none).
+    /// fp16 working tensor; non-null exactly while the layer is staged.
+    Tensor* tensor = nullptr;
     std::vector<std::future<util::Status>> pending_moves;
-    int uses_this_step = 0;
-    int total_uses = 0;    // Uses per step, from the learned order.
+    std::vector<int> use_ops;  // This layer's ops in the trace, ascending.
     int issue_trigger = -1;  // Earliest move trigger from the schedule.
-    bool staged_this_step = false;
     Tensor* activation_stash = nullptr;  // fp16 boundary activations.
   };
 
   /// Creates the layer's working tensor on the CPU tier and copies the
   /// current buffered fp16 parameters into it, bit for bit.
   [[nodiscard]] util::Status StageWorkingTensor(int layer);
-  /// Starts the asynchronous CPU->GPU movement of the layer's pages.
-  [[nodiscard]] util::Status IssuePrefetch(int layer);
   /// Moves the layer's working tensor to the GPU tier, evicting other
-  /// staged layers back to CPU if the tier is full. Victims are chosen by
-  /// predicted next use (farthest first, never the immediately-next layer)
-  /// once the planner is trained; registration order during warmup.
+  /// staged layers back to CPU if the tier is full: farthest next traced
+  /// use first (Belady), registration order during the warmup step.
   [[nodiscard]] util::Status MoveWithEviction(int layer);
   /// Resolves a layer's in-flight prefetch futures, counting (not
   /// propagating) failed moves — see prefetch_move_failures().
   void SettlePendingMoves(WorkingLayer& layer);
-  /// Issues every scheduled prefetch whose trigger has been reached.
+  /// Stages and starts moving every layer whose scheduled trigger has been
+  /// reached and that still has a traced use this step.
   [[nodiscard]] util::Status IssueReadyPrefetches();
   [[nodiscard]] util::Status ReleaseWorkingTensor(int layer);
   [[nodiscard]] util::Status BuildScheduleFromTrace();
@@ -143,12 +141,12 @@ class Engine {
   std::unique_ptr<mem::CopyEngine> copy_engine_;
   std::unique_ptr<LockFreeUpdater> updater_;
   std::unique_ptr<Schedule> schedule_;
-  mem::PrefetchPlanner planner_;
+  std::vector<int> access_order_;
   std::vector<WorkingLayer> layers_;
 
   bool step_active_ = false;
   int steps_completed_ = 0;
-  int current_op_ = 0;
+  int current_op_ = 0;  // Uses so far this step: the trace cursor.
   uint64_t prefetch_hits_ = 0;
   uint64_t prefetch_waits_ = 0;
   uint64_t scheduled_uses_ = 0;

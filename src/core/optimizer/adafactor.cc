@@ -19,7 +19,7 @@ constexpr double kStatFloor = 1e-30;
 /// per-row and per-column running average of g^2 over a rows x cols view of
 /// the flat parameter vector — rows + cols floats of master state instead
 /// of Adam's 2 x count, which is the "materially smaller master state" the
-/// SSD tier and prefetch planner get stressed with. No first moment.
+/// SSD tier and paging pipeline get stressed with. No first moment.
 ///
 /// v-hat[i,j] = R[i] * C[j] / sum(R): the rank-1 reconstruction of the
 /// running g^2 average. Row/column statistics are reduced in fixed chunk

@@ -43,6 +43,9 @@ util::Status SsdTier::Open(const Options& options) {
     return util::Status::IoError("open(" + options.path +
                                  "): " + std::strerror(errno));
   }
+  // Unnamed from here on: the file lives as long as the descriptor, so a
+  // process that dies without Close() leaves nothing behind.
+  ::unlink(options.path.c_str());
   frame_bytes_ = options.frame_bytes;
   total_frames_ = static_cast<size_t>(frames);
   if (::ftruncate(fd, static_cast<off_t>(uint64_t{total_frames_} *
@@ -52,7 +55,6 @@ util::Status SsdTier::Open(const Options& options) {
     return util::Status::IoError("ftruncate: " + err);
   }
   fd_ = fd;
-  path_ = options.path;
   throttle_.set_rate(options.throttle_bytes_per_sec);
   {
     util::MutexLock lock(mutex_);
@@ -70,7 +72,6 @@ void SsdTier::Close() {
   if (fd_ >= 0) {
     ::close(fd_);
     fd_ = -1;
-    ::unlink(path_.c_str());
   }
 }
 

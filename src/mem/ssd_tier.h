@@ -38,7 +38,9 @@ namespace angelptm::mem {
 class SsdTier {
  public:
   struct Options {
-    std::string path;           // Backing file path; created/truncated.
+    /// Backing file path: created (or truncated), then unlinked while the
+    /// descriptor stays open.
+    std::string path;
     uint64_t capacity_bytes = 0;
     size_t frame_bytes = 0;
     double throttle_bytes_per_sec = 0.0;
@@ -68,11 +70,13 @@ class SsdTier {
   SsdTier& operator=(const SsdTier&) = delete;
 
   /// Creates (or truncates) the backing file sized to hold
-  /// floor(capacity / frame_bytes) frames.
+  /// floor(capacity / frame_bytes) frames, and unlinks its path at once:
+  /// the file has no name while the tier is open, so nothing is left on
+  /// disk after Close() or after the process dies.
   [[nodiscard]] util::Status Open(const Options& options)
       ANGEL_EXCLUDES(mutex_);
-  /// Closes and deletes the backing file. Concurrent I/O calls during Close
-  /// are not supported.
+  /// Closes the backing file, which frees its blocks. Concurrent I/O calls
+  /// during Close are not supported.
   void Close();
   bool is_open() const { return fd_ >= 0; }
 
@@ -140,7 +144,6 @@ class SsdTier {
   // Set once in Open() before any I/O can run; read-only afterwards, so
   // deliberately unguarded.
   int fd_ = -1;
-  std::string path_;
   size_t frame_bytes_ = 0;
   size_t total_frames_ = 0;
 

@@ -50,10 +50,6 @@ double CollectiveModel::AllReduceSeconds(int world_size,
   return HubRoundSeconds(world_size, bytes, bytes);
 }
 
-double CollectiveModel::BarrierSeconds(int world_size) const {
-  return HubRoundSeconds(world_size, 0, 0);
-}
-
 double CollectiveModel::ZeroStepSeconds(
     int world_size, int num_layers, uint64_t param_bytes_per_layer) const {
   if (world_size <= 1) return 0.0;

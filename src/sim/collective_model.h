@@ -59,9 +59,6 @@ class CollectiveModel {
   /// All-reduce of `bytes`: full buffer up, reduced full buffer down.
   double AllReduceSeconds(int world_size, uint64_t bytes) const;
 
-  /// Empty-payload hub round.
-  double BarrierSeconds(int world_size) const;
-
   /// Predicted collective time of one ZeRO-3 training step over layers of
   /// `param_bytes` each (fp32): per layer one all-gather of
   /// param_bytes / world_size shards and one reduce-scatter of the full

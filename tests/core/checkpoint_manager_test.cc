@@ -513,9 +513,8 @@ TEST_F(CheckpointManagerTest, UpdaterWaitsForPinnedLayersWhenTheTierIsFull) {
 TEST_F(CheckpointManagerTest, PathForStepIsStable) {
   CheckpointManager::Options options;
   options.dir = FreshDir("paths");
-  options.basename = "model";
   CheckpointManager manager(options);
-  EXPECT_EQ(manager.PathForStep(42), dir_ + "/model-000000042.ckpt");
+  EXPECT_EQ(manager.PathForStep(42), dir_ + "/ckpt-000000042.ckpt");
 }
 
 }  // namespace

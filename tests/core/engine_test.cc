@@ -90,8 +90,8 @@ TEST(EngineTest, ScheduleBuiltAfterTracedFirstStep) {
   ASSERT_NE((*engine)->schedule(), nullptr);
   // The warmup recorded 2 accesses per layer (forward + backward), and
   // Algorithm 1 scheduled one step per access.
-  const std::vector<uint64_t> expected = {0, 1, 1, 0};
-  EXPECT_EQ((*engine)->planner().learned_order(), expected);
+  const std::vector<int> expected = {0, 1, 1, 0};
+  EXPECT_EQ((*engine)->access_order(), expected);
   int compute_steps = 0;
   for (const Task& task : (*engine)->schedule()->tasks) {
     if (task.op == TaskOp::kCompute) ++compute_steps;
@@ -131,13 +131,13 @@ TEST(EngineTest, ScheduleMintsDistinctPagesForLargeLayers) {
   const util::Status ended = (*engine)->EndStep();
   ASSERT_TRUE(ended.ok()) << ended;
 
-  const std::vector<uint64_t>& order = (*engine)->planner().learned_order();
+  const std::vector<int>& order = (*engine)->access_order();
   std::set<uint64_t> move_pages;
   for (const Task& task : (*engine)->schedule()->tasks) {
     if (task.op != TaskOp::kMoveToGpu) continue;
     move_pages.insert(task.page_id);
     // Dense ids: layer l owns [l * kPagesPerLayer, (l + 1) * kPagesPerLayer).
-    ASSERT_EQ(task.page_id / kPagesPerLayer, order[task.step])
+    ASSERT_EQ(task.page_id / kPagesPerLayer, uint64_t(order[task.step]))
         << "page " << task.page_id << " moved for step " << task.step;
   }
   EXPECT_EQ(move_pages.size(), 2 * kPagesPerLayer);
@@ -446,7 +446,7 @@ TEST(EngineTest, AmpleGpuAccountingIsAllHits) {
   EXPECT_GT((*engine)->prefetch_hits(), (*engine)->prefetch_waits());
 }
 
-TEST(EngineTest, PlannerLearnsTheSawtoothLayerOrder) {
+TEST(EngineTest, TraceRecordsTheSawtoothLayerOrder) {
   auto engine = Engine::Create(SmallEngineOptions());
   ASSERT_TRUE(engine.ok());
   train::MlpModel model({{16, 32, 32, 4}});
@@ -455,16 +455,80 @@ TEST(EngineTest, PlannerLearnsTheSawtoothLayerOrder) {
     ASSERT_TRUE(
         (*engine)->RegisterLayer(model.InitLayerParams(l, &rng)).ok());
   }
-  EXPECT_FALSE((*engine)->planner().trained());
-  TrainThroughEngine(engine->get(), model, 3, &rng);
-  const auto& planner = (*engine)->planner();
-  ASSERT_TRUE(planner.trained());
-  // Forward 0..L-1 then backward L-1..0 — and the steady-state steps replay
-  // it exactly (no mispredicts on the repeating schedule).
-  const std::vector<uint64_t> expected = {0, 1, 2, 2, 1, 0};
-  EXPECT_EQ(planner.learned_order(), expected);
-  EXPECT_EQ(planner.Snapshot().mispredicts, 0u);
-  EXPECT_EQ(planner.Snapshot().predicted_hits, 2 * expected.size());
+  EXPECT_TRUE((*engine)->access_order().empty());
+  TrainThroughEngine(engine->get(), model, 1, &rng);
+  // Forward 0..L-1 then backward L-1..0.
+  const std::vector<int> expected = {0, 1, 2, 2, 1, 0};
+  EXPECT_EQ((*engine)->access_order(), expected);
+  // Later steps replay the trace; they do not extend it.
+  TrainThroughEngine(engine->get(), model, 2, &rng);
+  EXPECT_EQ((*engine)->access_order(), expected);
+}
+
+TEST(EngineTest, EachLayerIsStagedOncePerStep) {
+  // A fast tier that holds every layer: after the warmup, each step copies
+  // each layer out of p'16 and moves its pages to the fast tier once. A
+  // layer released after its last use must not be staged again.
+  auto engine = Engine::Create(SmallEngineOptions(/*gpu_pages=*/32));
+  ASSERT_TRUE(engine.ok());
+  train::MlpModel model({{16, 64, 64, 4}});
+  util::Rng rng(59);
+  const uint64_t page_bytes = 16 * 1024;
+  uint64_t layer_pages = 0;
+  for (int l = 0; l < model.num_layers(); ++l) {
+    const std::vector<float> params = model.InitLayerParams(l, &rng);
+    layer_pages += (2 * params.size() + page_bytes - 1) / page_bytes;
+    ASSERT_TRUE((*engine)->RegisterLayer(params).ok());
+  }
+  auto moves_to_gpu = [&] {
+    return (*engine)
+        ->memory()
+        ->Snapshot()
+        .link(mem::DeviceKind::kCpu, mem::DeviceKind::kGpu)
+        .moves;
+  };
+  TrainThroughEngine(engine->get(), model, 1, &rng);
+  for (int step = 1; step <= 5; ++step) {
+    const uint64_t before = moves_to_gpu();
+    TrainThroughEngine(engine->get(), model, 1, &rng);
+    EXPECT_EQ(moves_to_gpu() - before, layer_pages) << "step " << step;
+  }
+}
+
+TEST(EngineTest, EvictionPicksTheFarthestNextTracedUse) {
+  // Three 2-page layers on a 4-page fast tier, traced in the order
+  // 1 0 2 0 1. Layer 2's move at op 2 must evict a layer: registration
+  // order would pick layer 0, which op 3 needs next; Belady picks layer 1,
+  // whose next use is op 4. So op 3's use of layer 0 hits in every step.
+  constexpr uint64_t kPageBytes = 4 * 1024;
+  EngineOptions options;
+  options.memory.page_bytes = kPageBytes;
+  options.memory.gpu_capacity_bytes = 4 * kPageBytes;
+  options.memory.cpu_capacity_bytes = 16ull << 20;
+  auto engine = Engine::Create(options);
+  ASSERT_TRUE(engine.ok());
+  for (int l = 0; l < 3; ++l) {
+    // kPageBytes parameters are two pages of fp16.
+    ASSERT_TRUE((*engine)
+                    ->RegisterLayer(std::vector<float>(kPageBytes, 0.5f))
+                    .ok());
+  }
+  for (int step = 0; step < 6; ++step) {
+    ASSERT_TRUE((*engine)->BeginStep().ok());
+    for (const int l : {1, 0, 2}) {
+      ASSERT_TRUE((*engine)->UseLayerParams(l).ok());
+    }
+    const uint64_t waits = (*engine)->prefetch_waits();
+    ASSERT_TRUE((*engine)->UseLayerParams(0).ok());
+    if (step > 0) {
+      EXPECT_EQ((*engine)->prefetch_waits(), waits)
+          << "op 3 waited for layer 0 in step " << step;
+    }
+    ASSERT_TRUE((*engine)->UseLayerParams(1).ok());
+    ASSERT_TRUE((*engine)->EndStep().ok());
+  }
+  const std::vector<int> expected = {1, 0, 2, 0, 1};
+  EXPECT_EQ((*engine)->access_order(), expected);
 }
 
 TEST(EngineTest, FailedPrefetchMovesAreCountedNotLost) {
@@ -487,7 +551,7 @@ TEST(EngineTest, FailedPrefetchMovesAreCountedNotLost) {
     ASSERT_TRUE(
         (*engine)->RegisterLayer(model.InitLayerParams(l, &rng)).ok());
   }
-  // Warmup + a few clean steps first so the schedule and planner exist. A
+  // Warmup + a few clean steps first so the schedule and trace exist. A
   // loaded machine can see benign warmup failures (prefetches racing
   // evictions on the tiny GPU tier hit "gpu tier full"), so take the count
   // as a baseline rather than asserting zero.

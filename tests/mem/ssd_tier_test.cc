@@ -1,5 +1,6 @@
 #include "mem/ssd_tier.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -242,6 +243,10 @@ TEST(SsdTierTest, ConcurrentCallersEachCompleteTheirOwnRequests) {
 }
 
 TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
+  // A descriptor of the backing file taken before Open, which unlinks the
+  // file's name: it reaches the same file afterwards.
+  const int fd = ::open(TempPath("eof").c_str(), O_RDWR | O_CREAT, 0644);
+  ASSERT_GE(fd, 0);
   SsdTier tier;
   ASSERT_TRUE(tier.Open(MakeOptions("eof", 4 * kFrame)).ok());
   auto offset = tier.AcquireFrame();
@@ -251,7 +256,8 @@ TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
 
   // Truncate the backing file out from under the tier: the next read hits
   // EOF mid-range and must say where and how much was missing.
-  ASSERT_EQ(::truncate(TempPath("eof").c_str(), 0), 0);
+  ASSERT_EQ(::ftruncate(fd, 0), 0);
+  ::close(fd);
   const util::Status status = tier.ReadFrame(*offset, data.data(), kFrame);
   ASSERT_TRUE(status.IsIoError()) << status;
   const std::string message = status.ToString();
@@ -265,18 +271,20 @@ TEST(SsdTierTest, ShortReadErrorCarriesOffsetAndByteContext) {
   EXPECT_NE(message.find("received 0"), std::string::npos) << message;
 }
 
-TEST(SsdTierTest, DeleteOnCloseRemovesFile) {
+TEST(SsdTierTest, OpenUnlinksTheBackingFile) {
+  // The path is gone as soon as Open returns, so a process killed before
+  // Close() leaves no file behind; the open descriptor still serves I/O.
   const std::string path = TempPath("del");
-  {
-    SsdTier tier;
-    SsdTier::Options o;
-    o.path = path;
-    o.capacity_bytes = 2 * kFrame;
-    o.frame_bytes = kFrame;
-    ASSERT_TRUE(tier.Open(o).ok());
-    EXPECT_EQ(::access(path.c_str(), F_OK), 0);
-  }
+  SsdTier tier;
+  ASSERT_TRUE(tier.Open(MakeOptions("del", 2 * kFrame)).ok());
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  auto frame = tier.AcquireFrame();
+  ASSERT_TRUE(frame.ok());
+  std::vector<std::byte> bytes(kFrame, std::byte{0x3C});
+  ASSERT_TRUE(tier.WriteFrame(*frame, bytes.data(), kFrame).ok());
+  std::vector<std::byte> read(kFrame);
+  ASSERT_TRUE(tier.ReadFrame(*frame, read.data(), kFrame).ok());
+  EXPECT_EQ(read, bytes);
 }
 
 TEST(SsdTierTest, PinnedFrameKeepsItsBytesUntilTheLastUnpin) {

@@ -10,7 +10,6 @@ TEST(CollectiveModelTest, WorldOfOneIsFree) {
   EXPECT_EQ(model.AllGatherSeconds(1, 1 << 20), 0.0);
   EXPECT_EQ(model.ReduceScatterSeconds(1, 1 << 20), 0.0);
   EXPECT_EQ(model.AllReduceSeconds(1, 1 << 20), 0.0);
-  EXPECT_EQ(model.BarrierSeconds(1), 0.0);
   EXPECT_EQ(model.ZeroStepSeconds(1, 8, 1 << 20), 0.0);
 }
 
@@ -19,8 +18,9 @@ TEST(CollectiveModelTest, BarrierIsPureLatency) {
   fabric.latency_per_message = 1e-4;
   fabric.bandwidth = 1e9;
   CollectiveModel model(fabric);
-  // world=4: 3 peers x (up + down) = 6 messages of pure setup cost.
-  EXPECT_DOUBLE_EQ(model.BarrierSeconds(4), 6 * 1e-4);
+  // An empty-payload round at world=4: 3 peers x (up + down) = 6 messages
+  // of pure setup cost.
+  EXPECT_DOUBLE_EQ(model.HubRoundSeconds(4, 0, 0), 6 * 1e-4);
 }
 
 TEST(CollectiveModelTest, HubScalesLinearlyInWorldSize) {

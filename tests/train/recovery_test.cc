@@ -101,13 +101,17 @@ class RecoveryTest : public ::testing::TestWithParam<Backend> {
 
   /// A trainer on the backend under test. The paged backend takes the loop
   /// options, the update rule, lock-free mode and master tier from
-  /// `options`, and offloads activations as it does by default.
+  /// `options`, and offloads activations as it does by default. A
+  /// non-empty `ssd_path` replaces the per-process SSD file name.
   Harness Make(const std::string& tag, const TrainerOptions& options,
-               double ssd_bytes_per_sec = 0) const {
+               double ssd_bytes_per_sec = 0,
+               const std::string& ssd_path = "") const {
+    mem::HierarchicalMemoryOptions memory =
+        MemoryOptions(Name(tag), ssd_bytes_per_sec);
+    if (!ssd_path.empty()) memory.ssd_path = ssd_path;
     Harness harness;
     if (GetParam() == Backend::kDirect) {
-      harness.memory = std::make_unique<mem::HierarchicalMemory>(
-          MemoryOptions(Name(tag), ssd_bytes_per_sec));
+      harness.memory = std::make_unique<mem::HierarchicalMemory>(memory);
       harness.allocator =
           std::make_unique<core::Allocator>(harness.memory.get());
       harness.trainer = std::make_unique<Trainer>(harness.allocator.get(),
@@ -116,7 +120,7 @@ class RecoveryTest : public ::testing::TestWithParam<Backend> {
     }
     EngineTrainerOptions paged;
     static_cast<TrainLoopOptions&>(paged) = options;
-    paged.engine.memory = MemoryOptions(Name(tag), ssd_bytes_per_sec);
+    paged.engine.memory = memory;
     paged.engine.optimizer = options.optimizer;
     paged.engine.lock_free = options.lock_free;
     paged.engine.master_device = options.master_device;
@@ -328,11 +332,13 @@ TEST_P(RecoveryTest, KillDuringPersistResumesFromThePreviousCheckpoint) {
   options.checkpoint_every_n_steps = 1;
   // The death-test child is a fresh exec of this binary that re-runs the
   // test up to EXPECT_EXIT; the parent's directory reaches it through the
-  // environment.
+  // environment, and names the child's SSD file so the parent can check
+  // that the SIGKILL left none behind.
   constexpr char kDirVar[] = "ANGELPTM_RECOVERY_TEST_KILL_DIR";
   const char* inherited = std::getenv(kDirVar);
   options.checkpoint_dir =
       inherited != nullptr ? std::string(inherited) : TempDir("kill");
+  const std::string child_ssd = options.checkpoint_dir + ".ssd.bin";
   core::CheckpointManager::Options naming;
   naming.dir = options.checkpoint_dir;
   const std::string tmp = core::CheckpointManager(naming).PathForStep(2) +
@@ -341,7 +347,7 @@ TEST_P(RecoveryTest, KillDuringPersistResumesFromThePreviousCheckpoint) {
   EXPECT_EXIT(
       {
         constexpr double kSlowSsd = 256 * 1024;
-        Harness child = Make("kill_child", options, kSlowSsd);
+        Harness child = Make("kill_child", options, kSlowSsd, child_ssd);
         if (!child->Init().ok()) std::exit(1);
         std::thread([&tmp] {
           while (!std::filesystem::exists(tmp)) {
@@ -355,6 +361,7 @@ TEST_P(RecoveryTest, KillDuringPersistResumesFromThePreviousCheckpoint) {
       ::testing::KilledBySignal(SIGKILL), "");
   ::unsetenv(kDirVar);
   EXPECT_TRUE(std::filesystem::exists(tmp));
+  EXPECT_FALSE(std::filesystem::exists(child_ssd));
 
   TrainerOptions reference_options = options;
   reference_options.checkpoint_dir.clear();
