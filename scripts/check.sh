@@ -144,10 +144,12 @@ if [ "$MODE" = all ] || [ "$MODE" = --simd ]; then
       --gtest_filter='*HalfConvertGoldenTest*'
     ANGELPTM_SIMD=$SIMD ./build/tests/util_test --gtest_filter='HalfTest.*'
   done
-  # Smoke geometry (256^3 GEMM); the attention and conversion rows keep
-  # their workload shapes. Exit 1 if a transposed GEMM is >2x slower than
-  # gemm, the dispatched attention is not faster than its reference, or
-  # (avx2 path) the fp16 converters are not faster than the scalar ones.
+  # Smoke geometry (256^3 GEMM); the attention, conversion and
+  # workload-shape rows (the direct block's weight-gradient GEMMs and FFN
+  # backward, the paged projection) keep their shapes. Exit 1 if a
+  # transposed GEMM is >2x slower than gemm, the dispatched attention is
+  # not faster than its reference, or (avx2 path) the fp16 converters are
+  # not faster than the scalar ones.
   # Once per path: the scalar run is what a host without AVX2+FMA gets.
   ./build/bench/kernel_bench build/BENCH_kernels_smoke.json 256
   ANGELPTM_SIMD=scalar \
@@ -266,6 +268,15 @@ if [ "$MODE" = all ] || [ "$MODE" = --tsan-only ]; then
   ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
     ./build-tsan/tests/train_test --gtest_repeat=20 \
       --gtest_filter='DatasetTest.GenBatchMatchesPerSampleTeacherAtOddShapes'
+  # The packed GEMM's cells land on every worker, each packing into its
+  # own per-thread scratch sized per cell, and the column reductions slice
+  # by pool size: the kernels' bitwise-across-pool-sizes tests, 10 times
+  # over. The avx2 instances only: the scalar ones split rows exactly as
+  # before, ran once in the ctest pass above, and take minutes each under
+  # TSan (the avx2 instances skip on hosts without AVX2+FMA).
+  ANGELPTM_COMPUTE_THREADS=4 TSAN_OPTIONS="halt_on_error=1" \
+    ./build-tsan/tests/train_test --gtest_repeat=10 \
+      --gtest_filter='*KernelGoldenTest.*BitwiseAcrossThreadCounts*/avx2'
   # The crash/restart suite once more, explicitly: CheckpointManager::Save
   # cuts a *running* lock-free updater layer by layer and hands the
   # persist to a background writer that reads pinned SSD frames while the

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 
 #include "train/simd/dispatch.h"
@@ -47,6 +48,19 @@ size_t RowGrain(size_t rows, size_t min_grain) {
   const size_t workers = util::ComputePoolThreads();
   const size_t target_chunks = std::max<size_t>(1, 4 * workers);
   return std::max(min_grain, (rows + target_chunks - 1) / target_chunks);
+}
+
+/// Slice width for the column-sliced reductions (bias gradients, the
+/// LayerNorm partial fold): about one slice per worker (the pool threads
+/// plus the caller), in whole 16-column groups of at least 64 columns.
+/// Narrower slices share cache lines of every row they sweep; at 2048 x
+/// 512 on four workers, 43-column slices took about 3x as long as 128.
+/// Each column still sums its rows in order, so the width never changes
+/// a bit.
+size_t ColumnGrain(size_t n) {
+  constexpr size_t kGroup = 16;
+  const size_t groups = kGroup * (util::ComputePoolThreads() + 1);
+  return std::max<size_t>(4 * kGroup, (n + groups - 1) / groups * kGroup);
 }
 
 /// C rows [i0, i1) of C = A * B, cache-blocked. Each worker owns a disjoint
@@ -190,34 +204,89 @@ void CausalGemmTransA(const float* a, const float* b, float* c, size_t s,
 }
 
 // Macro-tile sizes for the packed AVX2 GEMM (DESIGN.md §11): each grid
-// cell owns an MC x NC block of C; per cell the A block (MC x KC packed,
-// ~120 KiB) stays L2-resident while KC x NR micro-panels of the packed B
-// panel stream through L1. All three GEMM variants route through this one
-// driver — transposition is absorbed by the packing strides, so the
-// micro-kernel never sees a strided inner loop.
+// cell owns at most an MC x NC block of C; per cell the A block (MC x KC
+// packed, ~120 KiB) stays L2-resident while KC x NR micro-panels of the
+// packed B panel stream through L1. All three GEMM variants route through
+// this one driver — transposition is absorbed by the packing strides, so
+// the micro-kernel never sees a strided inner loop.
 constexpr size_t kMacroM = 120;  // Multiple of the 6-row micro-tile.
 constexpr size_t kMacroK = 256;
 constexpr size_t kMacroN = 512;  // Multiple of the 16-col micro-tile.
 
+// Fewest multiply-adds per cell of a parallel grid: a GEMM with less than
+// two cells' worth (the transformer head's 8 x 128 x 256) runs inline.
+constexpr size_t kMinCellWork = size_t{1} << 18;
+// What packing one row of A or one column of B costs, in multiply-adds
+// of the micro-kernel per k step: it tips a grid toward square cells.
+constexpr size_t kPackCost = 10;
+
+/// How GemmPackedAvx2 cuts C: cells of mc x nc (the last cell row and
+/// column take the remainder), run on `pool`, or on the calling thread
+/// when `pool` is null.
+struct GemmGrid {
+  size_t mc = kMacroM;
+  size_t nc = kMacroN;
+  util::ThreadPool* pool = nullptr;
+};
+
+inline size_t CeilDiv(size_t a, size_t b) { return (a + b - 1) / b; }
+
+/// The grid for an m x k x n GEMM on the compute pool. Where the MC x NC
+/// grid has fewer cells than workers (the pool threads plus the caller),
+/// so some would idle, it takes the grid of at most one cell per worker,
+/// in whole micro-tiles, whose largest cell costs least, packing
+/// included. A one-thread pool keeps the MC x NC grid, and a GEMM too
+/// small for two cells runs inline.
+GemmGrid PlanGemmGrid(size_t m, size_t k, size_t n) {
+  GemmGrid grid;
+  const size_t threads = util::ComputePoolThreads();
+  const size_t max_cells = std::min(threads + 1, m * k * n / kMinCellWork);
+  if (threads <= 1 || max_cells <= 1) return grid;
+  grid.pool = util::ComputePool();
+  const size_t rows0 = CeilDiv(m, kMacroM), cols0 = CeilDiv(n, kMacroN);
+  if (rows0 * cols0 >= max_cells) return grid;
+  const size_t tiles_m = CeilDiv(m, simd::avx2::kMr);
+  const size_t tiles_n = CeilDiv(n, simd::avx2::kNr);
+  size_t best = SIZE_MAX;
+  for (size_t rows = rows0; rows <= std::min(tiles_m, max_cells); ++rows) {
+    for (size_t cols = cols0; cols <= tiles_n && rows * cols <= max_cells;
+         ++cols) {
+      const size_t mc =
+          std::min(m, CeilDiv(tiles_m, rows) * simd::avx2::kMr);
+      const size_t nc =
+          std::min(n, CeilDiv(tiles_n, cols) * simd::avx2::kNr);
+      const size_t cost = mc * nc + kPackCost * (mc + nc);
+      if (cost < best) {
+        best = cost;
+        grid.mc = mc;
+        grid.nc = nc;
+      }
+    }
+  }
+  return grid;
+}
+
 /// C = A * B where element A(i,p) = a[i*rs_a + p*cs_a] and
-/// B(p,j) = b[p*rs_b + j*cs_b]. Threads split the M x N macro-tile grid
-/// (grain 1 for load balancing); every cell packs into its own per-thread
-/// scratch, so there is no write sharing and no allocation in steady
-/// state. The grid decomposition is fixed by the tile sizes — not the
-/// thread count — so results are bitwise stable across thread counts.
+/// B(p,j) = b[p*rs_b + j*cs_b], cut into `grid`'s cells (grain 1 for load
+/// balancing); every cell packs into its own per-thread scratch, so there
+/// is no write sharing and no allocation in steady state. Every cell runs
+/// the whole k range in KC blocks from p = 0, and an edge micro-tile adds
+/// the same register sum to C as a full one, so each element of C is the
+/// same sum in the same order whatever the grid: results are bitwise equal
+/// at every thread count.
 void GemmPackedAvx2(const float* a, size_t rs_a, size_t cs_a, const float* b,
                     size_t rs_b, size_t cs_b, float* c, size_t m, size_t k,
-                    size_t n) {
+                    size_t n, GemmGrid grid) {
   if (m == 0 || n == 0) return;
-  const size_t num_m = (m + kMacroM - 1) / kMacroM;
-  const size_t num_n = (n + kMacroN - 1) / kMacroN;
+  const size_t num_m = CeilDiv(m, grid.mc);
+  const size_t num_n = CeilDiv(n, grid.nc);
   util::ParallelFor(
-      util::ComputePool(), 0, num_m * num_n, 1, [=](size_t lo, size_t hi) {
+      grid.pool, 0, num_m * num_n, 1, [=](size_t lo, size_t hi) {
         for (size_t cell = lo; cell < hi; ++cell) {
-          const size_t i0 = (cell / num_n) * kMacroM;
-          const size_t j0 = (cell % num_n) * kMacroN;
-          const size_t mc = std::min(kMacroM, m - i0);
-          const size_t nc = std::min(kMacroN, n - j0);
+          const size_t i0 = (cell / num_n) * grid.mc;
+          const size_t j0 = (cell % num_n) * grid.nc;
+          const size_t mc = std::min(grid.mc, m - i0);
+          const size_t nc = std::min(grid.nc, n - j0);
           for (size_t i = i0; i < i0 + mc; ++i) {
             std::memset(c + i * n + j0, 0, nc * sizeof(float));
           }
@@ -308,7 +377,7 @@ void CausalSoftmaxBackward(const float* probs, float* ds, size_t s,
 void Gemm(const float* a, const float* b, float* c, size_t m, size_t k,
           size_t n) {
   if (UseAvx2()) {
-    GemmPackedAvx2(a, k, 1, b, n, 1, c, m, k, n);
+    GemmPackedAvx2(a, k, 1, b, n, 1, c, m, k, n, PlanGemmGrid(m, k, n));
     return;
   }
   util::ParallelFor(util::ComputePool(), 0, m, RowGrain(m, kMinRowGrain),
@@ -321,7 +390,7 @@ void GemmTransA(const float* a, const float* b, float* c, size_t m, size_t k,
                 size_t n) {
   if (UseAvx2()) {
     // A is k x m: element (i, p) lives at a[p*m + i].
-    GemmPackedAvx2(a, 1, m, b, n, 1, c, m, k, n);
+    GemmPackedAvx2(a, 1, m, b, n, 1, c, m, k, n, PlanGemmGrid(m, k, n));
     return;
   }
   util::ParallelFor(util::ComputePool(), 0, m, RowGrain(m, kMinRowGrain),
@@ -337,7 +406,7 @@ void GemmTransB(const float* a, const float* b, float* c, size_t m, size_t k,
     // happen once, in PackB — not in the O(m*k*n) inner loop, which is
     // what made the historical strided-B kernel ~2x slower than the
     // other variants.
-    GemmPackedAvx2(a, k, 1, b, 1, k, c, m, k, n);
+    GemmPackedAvx2(a, k, 1, b, 1, k, c, m, k, n, PlanGemmGrid(m, k, n));
     return;
   }
   util::ParallelFor(util::ComputePool(), 0, m, RowGrain(m, kMinRowGrain),
@@ -359,7 +428,7 @@ void AddBias(float* y, const float* bias, size_t m, size_t n) {
 void BiasBackward(const float* grad, float* grad_bias, size_t m, size_t n) {
   // Column-parallel: each worker owns a disjoint column slice of the
   // reduction, so the row sweep needs no atomics.
-  util::ParallelFor(util::ComputePool(), 0, n, RowGrain(n, 16),
+  util::ParallelFor(util::ComputePool(), 0, n, ColumnGrain(n),
                     [=](size_t j0, size_t j1) {
                       for (size_t j = j0; j < j1; ++j) grad_bias[j] = 0.0f;
                       for (size_t i = 0; i < m; ++i) {
@@ -432,14 +501,14 @@ void AddBiasGeluBackward(const float* z, const float* dy, float* dz,
   // Column-parallel for the same reason as BiasBackward: the dbias
   // reduction stays race-free, and dz is elementwise either way.
   if (UseAvx2()) {
-    util::ParallelFor(util::ComputePool(), 0, n, RowGrain(n, 16),
+    util::ParallelFor(util::ComputePool(), 0, n, ColumnGrain(n),
                       [=](size_t j0, size_t j1) {
                         simd::avx2::AddBiasGeluBackwardCols(z, dy, dz, dbias,
                                                             m, n, j0, j1);
                       });
     return;
   }
-  util::ParallelFor(util::ComputePool(), 0, n, RowGrain(n, 16),
+  util::ParallelFor(util::ComputePool(), 0, n, ColumnGrain(n),
                     [=](size_t j0, size_t j1) {
                       for (size_t j = j0; j < j1; ++j) dbias[j] = 0.0f;
                       for (size_t i = 0; i < m; ++i) {
@@ -541,7 +610,7 @@ void LayerNormBackward(const float* x, const float* gamma, const float* dy,
           }
         }
       });
-  util::ParallelFor(pool, 0, n, RowGrain(n, 16),
+  util::ParallelFor(pool, 0, n, ColumnGrain(n),
                     [=](size_t j0, size_t j1) {
                       for (size_t j = j0; j < j1; ++j) {
                         float dg = 0.0f, db = 0.0f;
@@ -625,8 +694,11 @@ void CausalAttention(const float* q, const float* k, const float* v,
   const float scale = float(1.0 / std::sqrt(double(dh)));
   const bool use_avx2 = UseAvx2();
   // Each (sample, head) pair owns its probs block and its column slice of
-  // `out`, so pairs run in parallel without synchronization; the GEMMs
-  // inside nest their own ParallelFor.
+  // `out`, so pairs run in parallel without synchronization. The loop over
+  // pairs fills the pool, so a pair's products run as one inline cell on
+  // the worker that owns it: split too, they nested ParallelFor calls and
+  // ran slower.
+  const GemmGrid pair{s, std::max(s, dh), nullptr};
   util::ParallelFor(
       util::ComputePool(), 0, batch * heads, 1, [=](size_t lo, size_t hi) {
         float* qp = simd::ThreadScratch(simd::ScratchSlot::kAttention,
@@ -642,9 +714,10 @@ void CausalAttention(const float* q, const float* k, const float* v,
           GatherHead(k + offset, d, s, dh, kp);
           GatherHead(v + offset, d, s, dh, vp);
           if (use_avx2) {
-            GemmTransB(qp, kp, scores, s, dh, s);  // S = Q K^T.
+            // S = Q K^T, then O = P V.
+            GemmPackedAvx2(qp, dh, 1, kp, 1, dh, scores, s, dh, s, pair);
             CausalSoftmax(scores, p, s, scale, use_avx2);
-            Gemm(p, vp, op, s, s, dh);  // O = P V.
+            GemmPackedAvx2(p, s, 1, vp, dh, 1, op, s, s, dh, pair);
           } else {
             CausalGemmTransB(qp, kp, scores, s, dh);
             CausalSoftmax(scores, p, s, scale, use_avx2);
@@ -662,6 +735,7 @@ void CausalAttentionBackward(const float* q, const float* k, const float* v,
   const size_t d = heads * dh, panel = s * dh;
   const float scale = float(1.0 / std::sqrt(double(dh)));
   const bool use_avx2 = UseAvx2();
+  const GemmGrid pair{s, std::max(s, dh), nullptr};  // As in the forward.
   util::ParallelFor(
       util::ComputePool(), 0, batch * heads, 1, [=](size_t lo, size_t hi) {
         float* qp = simd::ThreadScratch(simd::ScratchSlot::kAttention,
@@ -681,11 +755,13 @@ void CausalAttentionBackward(const float* q, const float* k, const float* v,
           GatherHead(v + offset, d, s, dh, vp);
           GatherHead(dout + offset, d, s, dh, dop);
           if (use_avx2) {
-            GemmTransB(dop, vp, ds, s, dh, s);  // dP = dO V^T.
-            GemmTransA(p, dop, dvp, s, s, dh);  // dV = P^T dO.
+            // dP = dO V^T, then dV = P^T dO.
+            GemmPackedAvx2(dop, dh, 1, vp, 1, dh, ds, s, dh, s, pair);
+            GemmPackedAvx2(p, 1, s, dop, dh, 1, dvp, s, s, dh, pair);
             CausalSoftmaxBackward(p, ds, s, scale, use_avx2);  // dS * scale.
-            Gemm(ds, kp, dqp, s, s, dh);        // dQ = dS K.
-            GemmTransA(ds, qp, dkp, s, s, dh);  // dK = dS^T Q.
+            // dQ = dS K, then dK = dS^T Q.
+            GemmPackedAvx2(ds, s, 1, kp, dh, 1, dqp, s, s, dh, pair);
+            GemmPackedAvx2(ds, 1, s, qp, dh, 1, dkp, s, s, dh, pair);
           } else {
             CausalGemmTransB(dop, vp, ds, s, dh);
             CausalGemmTransA(p, dop, dvp, s, dh);

@@ -14,10 +14,14 @@ namespace angelptm::train {
 /// All kernels run cache-blocked and data-parallel on the process-wide
 /// compute pool (`util::ComputePool()`, sized from hardware_concurrency,
 /// overridable with the `ANGELPTM_COMPUTE_THREADS` environment variable).
-/// Work is split over row-blocks so no two workers ever write the same
-/// cache line; reductions (`dgamma`/`dbeta`, the cross-entropy loss) go
-/// through per-chunk partial buffers combined at the end, never through
-/// shared accumulators.
+/// Each worker writes its own block of the output: the GEMMs a cell of a
+/// grid over C sized from the shape and the pool (DESIGN.md §11.2), row
+/// kernels a block of rows, and the bias gradients a slice of whole
+/// 16-column groups. Reductions (`dgamma`/`dbeta`, the cross-entropy
+/// loss) go through per-chunk partial buffers combined at the end, never
+/// through shared accumulators. The GEMMs, attention and the bias
+/// gradients give the same bits at every pool size; the partials' row
+/// chunks follow the pool size, so `dgamma`/`dbeta` and the loss do not.
 ///
 /// Every kernel additionally dispatches at runtime (`simd::Dispatch()`,
 /// overridable with `ANGELPTM_SIMD=scalar|avx2`) between a portable

@@ -2,6 +2,7 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -131,6 +132,52 @@ TEST_P(KernelGoldenTest, GemmTransBMatchesReference) {
   }
 }
 
+// The transformer blocks' GEMM shapes (m x k x n) in the benchmark's
+// workloads: direct_sync_longseq's forward and weight gradients (2048
+// tokens, d 128, ffn 512), paged_lockfree_ssd's (256 tokens, d 256, ffn
+// 1024) and the head (batch 8, d 128, 256 outputs).
+const Shape kBlockShapes[] = {
+    {2048, 128, 128}, {2048, 128, 512}, {2048, 512, 128}, {128, 2048, 128},
+    {128, 2048, 512}, {512, 2048, 128}, {256, 256, 256},  {256, 256, 1024},
+    {256, 1024, 256}, {1024, 256, 256}, {8, 128, 256},
+};
+
+/// Pool sizes the bitwise tests compare against one thread.
+const size_t kThreadCounts[] = {2, 3, 4, 5, 8};
+
+/// The GEMM cuts C into a grid that follows the shape and the pool, but
+/// every element is the same k-ordered sum wherever its cell falls, so
+/// each variant is bitwise equal at every pool size.
+TEST_P(KernelGoldenTest, GemmBitwiseAcrossThreadCounts) {
+  using GemmFn = void (*)(const float*, const float*, float*, size_t, size_t,
+                          size_t);
+  const std::pair<const char*, GemmFn> variants[] = {
+      {"Gemm", Gemm}, {"GemmTransA", GemmTransA}, {"GemmTransB", GemmTransB}};
+  std::vector<Shape> shapes(std::begin(kShapes), std::end(kShapes));
+  shapes.insert(shapes.end(), std::begin(kBlockShapes),
+                std::end(kBlockShapes));
+  util::Rng rng(24);
+  for (const Shape& s : shapes) {
+    const auto a = RandomVector(&rng, s.m * s.k);
+    const auto b = RandomVector(&rng, s.k * s.n);
+    for (const auto& [name, gemm] : variants) {
+      std::vector<float> one(s.m * s.n, 7.0f);
+      util::ThreadPool serial(1);
+      util::SetComputePoolOverride(&serial);
+      gemm(a.data(), b.data(), one.data(), s.m, s.k, s.n);
+      for (const size_t threads : kThreadCounts) {
+        util::ThreadPool pool(threads);
+        util::SetComputePoolOverride(&pool);
+        std::vector<float> got(s.m * s.n, 7.0f);
+        gemm(a.data(), b.data(), got.data(), s.m, s.k, s.n);
+        util::SetComputePoolOverride(pool_.get());
+        ASSERT_EQ(got, one) << name << " " << s.m << "x" << s.k << "x" << s.n
+                            << " at " << threads << " threads";
+      }
+    }
+  }
+}
+
 TEST_P(KernelGoldenTest, AddBiasGeluMatchesUnfused) {
   util::Rng rng(14);
   for (const size_t m : {1u, 3u, 65u}) {
@@ -201,6 +248,47 @@ TEST_P(KernelGoldenTest, AddBiasGeluBackwardMatchesUnfused) {
   // per-lane math on each path: bitwise on both.
   for (size_t i = 0; i < m * n; ++i) ASSERT_EQ(dz[i], dz_ref[i]) << i;
   for (size_t j = 0; j < n; ++j) ASSERT_NEAR(dbias[j], dbias_ref[j], 1e-4);
+}
+
+/// The column-sliced reductions: whatever slices the pool gets, each
+/// column sums its rows in row order. So dbias is bitwise the plain float
+/// sum down each column, and dz is bitwise equal at every pool size.
+TEST_P(KernelGoldenTest, ColumnReductionsBitwiseAcrossThreadCounts) {
+  struct Cols {
+    size_t m, n;
+  };
+  const Cols shapes[] = {{2048, 512}, {2048, 128}, {256, 1024},
+                         {256, 256},  {65, 33},    {7, 1}};
+  auto column_sums = [](const std::vector<float>& x, size_t m, size_t n) {
+    std::vector<float> sums(n, 0.0f);
+    for (size_t i = 0; i < m; ++i) {
+      for (size_t j = 0; j < n; ++j) sums[j] += x[i * n + j];
+    }
+    return sums;
+  };
+  util::Rng rng(25);
+  for (const Cols& c : shapes) {
+    const auto z = RandomVector(&rng, c.m * c.n);
+    const auto dy = RandomVector(&rng, c.m * c.n);
+    std::vector<float> dz_one;
+    for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{4},
+                                 size_t{5}, size_t{8}}) {
+      util::ThreadPool pool(threads);
+      util::SetComputePoolOverride(&pool);
+      std::vector<float> bias_grad(c.n, 123.0f);
+      BiasBackward(dy.data(), bias_grad.data(), c.m, c.n);
+      std::vector<float> dz(c.m * c.n), dbias(c.n, 123.0f);
+      AddBiasGeluBackward(z.data(), dy.data(), dz.data(), dbias.data(), c.m,
+                          c.n);
+      util::SetComputePoolOverride(pool_.get());
+      const std::string at = std::to_string(c.m) + "x" + std::to_string(c.n) +
+                             " at " + std::to_string(threads) + " threads";
+      ASSERT_EQ(bias_grad, column_sums(dy, c.m, c.n)) << "BiasBackward " << at;
+      ASSERT_EQ(dbias, column_sums(dz, c.m, c.n)) << "dbias " << at;
+      if (dz_one.empty()) dz_one = dz;
+      ASSERT_EQ(dz, dz_one) << "dz " << at;
+    }
+  }
 }
 
 TEST_P(KernelGoldenTest, LayerNormMatchesReference) {
@@ -370,20 +458,28 @@ TEST_P(KernelGoldenTest, CausalAttentionMatchesReference) {
 TEST_P(KernelGoldenTest, CausalAttentionBitwiseAcrossThreadCounts) {
   for (const AttentionShape& a : kAttentionShapes) {
     util::Rng rng(23);
-    AttentionRun four(&rng, a);
-    AttentionRun one = four;
-    four.Run(a, CausalAttention, CausalAttentionBackward);
+    AttentionRun one(&rng, a);
+    const AttentionRun fresh = one;
     {
       util::ThreadPool pool(1);
       util::SetComputePoolOverride(&pool);
       one.Run(a, CausalAttention, CausalAttentionBackward);
       util::SetComputePoolOverride(pool_.get());
     }
-    ASSERT_EQ(one.out, four.out) << "O, s " << a.s;
-    ASSERT_EQ(one.probs, four.probs) << "P, s " << a.s;
-    ASSERT_EQ(one.dq, four.dq) << "dQ, s " << a.s;
-    ASSERT_EQ(one.dk, four.dk) << "dK, s " << a.s;
-    ASSERT_EQ(one.dv, four.dv) << "dV, s " << a.s;
+    for (const size_t threads : {size_t{3}, size_t{4}, size_t{5}}) {
+      AttentionRun got = fresh;
+      util::ThreadPool pool(threads);
+      util::SetComputePoolOverride(&pool);
+      got.Run(a, CausalAttention, CausalAttentionBackward);
+      util::SetComputePoolOverride(pool_.get());
+      const std::string at =
+          ", s " + std::to_string(a.s) + " at " + std::to_string(threads);
+      ASSERT_EQ(one.out, got.out) << "O" << at;
+      ASSERT_EQ(one.probs, got.probs) << "P" << at;
+      ASSERT_EQ(one.dq, got.dq) << "dQ" << at;
+      ASSERT_EQ(one.dk, got.dk) << "dK" << at;
+      ASSERT_EQ(one.dv, got.dv) << "dV" << at;
+    }
   }
 }
 
